@@ -7,9 +7,7 @@
 //!
 //! The lockstep baseline is timed on a 4 096-STIC sample (the full
 //! workload takes seconds per iteration — which is the point); the batch
-//! engine is timed on the *full* workload.  `scripts/record_sweep_bench.sh`
-//! measures both on the full workload and records the speedup in
-//! `BENCH_sweep.json`.
+//! engine is timed on the *full* workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -6,9 +6,6 @@
 //! PR 2 batch path, which merges every pair.  The planner's cost includes
 //! computing the orbit partition from scratch each iteration (planning is
 //! part of the measured pipeline).
-//!
-//! `scripts/record_planned_bench.sh` measures both paths on the full
-//! workload and records the speedup in `BENCH_planned.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

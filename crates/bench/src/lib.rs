@@ -12,8 +12,7 @@ use anonrv_core::label::TrailSignature;
 use anonrv_core::universal_rv::UniversalRv;
 use anonrv_graph::PortGraph;
 use anonrv_sim::{
-    simulate, simulate_with, AgentProgram, EngineConfig, Navigator, Round, SimOutcome, Stic, Stop,
-    SweepEngine,
+    simulate, simulate_with, AgentProgram, EngineConfig, Round, SimOutcome, Stic, SweepEngine,
 };
 use anonrv_uxs::{LengthRule, PseudorandomUxs};
 
@@ -41,62 +40,13 @@ pub fn expect_met(outcome: &SimOutcome) -> Round {
 }
 
 // ---------------------------------------------------------------------------
-// the symm-sweep workload (BENCH_sweep.json / benches/sweep_batch.rs)
+// the symm-sweep workload (benches/sweep_batch.rs, benches/sweep_planned.rs)
 // ---------------------------------------------------------------------------
 
 /// Deterministic agent of the sweep workload (re-exported from
 /// [`anonrv_sim::workload`] so the benches, the CLI and the store tests
 /// share one byte-for-byte program *and* one canonical cache program key).
 pub use anonrv_sim::SweepWalker;
-
-/// A deliberately **expensive** variant of [`SweepWalker`]: the same
-/// pseudo-random move/wait mix, but every action first burns `cost`
-/// rounds of a deterministic hash mix whose result feeds the decision —
-/// standing in for an algorithm with real per-round bookkeeping (label
-/// construction, UXS evaluation).  The store benchmark records with this
-/// program so trajectory recording dominates the cold run, which is what
-/// the warm paths skip: the cold/warm gap it measures is the one a real
-/// workload would see.
-///
-/// The mix feeds the walk, so the compiler cannot elide it, and the walk
-/// is a pure function of `(seed, cost)` — [`ExpensiveWalker::program_key`]
-/// embeds both.
-pub struct ExpensiveWalker {
-    /// LCG seed (a constant of the program, shared by both agents).
-    pub seed: u64,
-    /// Hash-mix iterations paid per action.
-    pub cost: u32,
-}
-
-impl ExpensiveWalker {
-    /// The canonical persistent-cache program key of this walker
-    /// (`"expensive-walker-<seed in hex>-<cost>"`).
-    pub fn program_key(&self) -> String {
-        format!("expensive-walker-{:x}-{}", self.seed, self.cost)
-    }
-}
-
-impl AgentProgram for ExpensiveWalker {
-    fn run(&self, nav: &mut dyn Navigator) -> Result<(), Stop> {
-        let mut state = self.seed | 1;
-        loop {
-            for _ in 0..self.cost {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                state ^= state >> 29;
-            }
-            let roll = state >> 33;
-            if roll.is_multiple_of(4) {
-                nav.wait((roll % 7 + 1) as Round)?;
-            } else {
-                nav.move_via(roll as usize % nav.degree())?;
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "expensive-walker"
-    }
-}
 
 /// The STICs of the symm-sweep workload on a graph of `n` nodes: **all**
 /// `n²` ordered `(u, v)` pairs × every delay in `{0..deltas}`.

@@ -89,8 +89,8 @@ fn usage() -> &'static str {
      anonrv cache    <dir> stats|gc|fsck [--repair] [--json]\n  \
      anonrv figure1  [h]\n\n\
      sweep: exhaustive all-pairs x delay-grid planned sweep (D = count `5` for {0..4} or list \
-     `0,2,7`;\n  S = walker seed, decimal or 0x-hex); --cache-dir makes it resumable (orbits/\
-     timelines/outcomes\n  persist; recordings at a longer horizon serve shorter sweeps by \
+     `0,2,7`;\n  S = walker seed, decimal or 0x-hex); --cache-dir makes it resumable \
+     (timelines/outcomes\n  persist; recordings at a longer horizon serve shorter sweeps by \
      prefix truncation),\n  --shards/--shard-index executes one slice, --merge reassembles the \
      slices bit-identically,\n  --shards/--supervised runs every slice in-process with bounded \
      retry + backoff, re-running\n  only slices whose artifact is missing, then merges.\n  \
@@ -604,7 +604,6 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
             members.push((
                 "session".into(),
                 obs::json::obj([
-                    ("orbits", Value::from(stats.orbits.to_string())),
                     ("timeline_hits", Value::from(stats.timeline_hits)),
                     ("timeline_prefix_hits", Value::from(stats.timeline_prefix_hits)),
                     ("timeline_misses", Value::from(stats.timeline_misses)),
@@ -823,11 +822,9 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
             ));
         }
         out.push_str(&format!(
-            "mode: shard {spec}\nclasses executed: {} of {classes}\ncache: orbits {}, \
-             timelines {}\nshard artifact persisted; run every shard, then `--merge --shards \
-             {shards}`",
+            "mode: shard {spec}\nclasses executed: {} of {classes}\ncache: timelines {}\n\
+             shard artifact persisted; run every shard, then `--merge --shards {shards}`",
             part.classes.len(),
-            stats.orbits,
             timelines_phrase(&stats),
         ));
         return Ok(out);
@@ -884,7 +881,7 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
         ),
         (None, _) => "disabled (pass --cache-dir to make sweeps resumable)".to_string(),
         (Some(_), OutcomeProvenance::WarmExact) => {
-            "outcomes warm (planning, trajectory recording and merging all skipped)".to_string()
+            "outcomes warm (trajectory recording and merging skipped)".to_string()
         }
         (Some(_), OutcomeProvenance::WarmPrefix { recorded, remerged }) => format!(
             "outcomes warm-prefix (recorded at horizon {recorded}, served at {horizon}: \
@@ -898,11 +895,9 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
              {extended} of {} representative merges resumed at the recorded horizon)",
             plan.num_representative_queries(),
         ),
-        (Some(_), OutcomeProvenance::Cold) => format!(
-            "orbits {}, timelines {}, outcomes cold (persisted)",
-            stats.orbits,
-            timelines_phrase(&stats),
-        ),
+        (Some(_), OutcomeProvenance::Cold) => {
+            format!("timelines {}, outcomes cold (persisted)", timelines_phrase(&stats))
+        }
     };
     out.push_str(&format!(
         "mode: full sweep\ncache: {cache_line}\nmeetings: {} of {} member STICs\noutcome table \
@@ -953,7 +948,6 @@ fn cmd_cache(args: &[String]) -> Result<String, String> {
                     })
                     .collect();
                 let body = obj([
-                    ("orbits", kind(s.orbits)),
                     ("timelines", kind(s.timelines)),
                     ("symbolic", kind(s.symbolic)),
                     ("outcomes", kind(s.outcomes)),
@@ -972,7 +966,6 @@ fn cmd_cache(args: &[String]) -> Result<String, String> {
                 format!("  {kind:<10} {:>6} file(s)  {:>12} bytes\n", k.files, k.bytes)
             };
             let mut out = format!("cache dir: {dir}\n");
-            out.push_str(&row("orbits", s.orbits));
             out.push_str(&row("timelines", s.timelines));
             out.push_str(&row("symbolic", s.symbolic));
             out.push_str(&row("outcomes", s.outcomes));
@@ -1343,7 +1336,6 @@ mod tests {
         std::fs::write(dir.join("outcomes-0000.anrv"), b"garbage").unwrap();
 
         let stats = run(&argv(&["cache", &cache, "stats"])).unwrap();
-        assert!(stats.contains("orbits          1 file(s)"), "{stats}");
         assert!(stats.contains("timelines       1 file(s)"), "{stats}");
         assert!(stats.contains("outcomes        1 file(s)"), "{stats}");
         assert!(stats.contains("shards          2 file(s)"), "{stats}");

@@ -18,7 +18,7 @@ use anonrv_core::asymm_rv::AsymmRv;
 use anonrv_core::label::{LabelScheme, TrailSignature};
 use anonrv_plan::PairOrbits;
 use anonrv_sim::{EngineConfig, Stic};
-use anonrv_store::{Provenance, SweepSession};
+use anonrv_store::SweepSession;
 use anonrv_uxs::{LengthRule, PseudorandomUxs};
 
 use crate::report::{compression_note, fmt_opt_rounds, fmt_rounds, PlanCompression, Table};
@@ -132,7 +132,6 @@ pub fn collect(config: &AsymmConfig) -> AsymmOutcome {
             let mut session = SweepSession::with_orbits(
                 None,
                 &orbits,
-                Provenance::Cold,
                 &w.graph,
                 &program,
                 "",

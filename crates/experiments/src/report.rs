@@ -387,10 +387,9 @@ mod tests {
 
     #[test]
     fn absorb_folds_session_stats_into_the_accumulator() {
-        use anonrv_store::{Provenance, SessionStats};
+        use anonrv_store::SessionStats;
         let mut instance = PlanCompression::new("torus-3x4", 144, 12);
         instance.absorb(&SessionStats {
-            orbits: Provenance::Warm,
             timeline_hits: 4,
             timeline_prefix_hits: 3,
             timeline_misses: 2,
@@ -401,7 +400,6 @@ mod tests {
             shard: Some((1, 2)),
         });
         instance.absorb(&SessionStats {
-            orbits: Provenance::Warm,
             timeline_hits: 1,
             timeline_prefix_hits: 0,
             timeline_misses: 0,

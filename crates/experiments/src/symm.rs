@@ -13,7 +13,7 @@ use anonrv_core::bounds::symm_rv_bound;
 use anonrv_core::symm_rv::SymmRv;
 use anonrv_plan::PairOrbits;
 use anonrv_sim::{EngineConfig, Stic};
-use anonrv_store::{Provenance, Store, SweepSession};
+use anonrv_store::{Store, SweepSession};
 use anonrv_uxs::{LengthRule, PseudorandomUxs, UxsProvider};
 
 use crate::report::{
@@ -47,10 +47,10 @@ pub struct SymmConfig {
     /// The `Shrink` and node-count gates still apply (they bound *cost per
     /// case*, not coverage).
     pub exhaustive: bool,
-    /// Optional persistent plan-cache directory (`anonrv-store`): pair
-    /// orbits are loaded instead of recomputed and trajectory timelines are
-    /// preloaded instead of re-recorded; everything computed cold is written
-    /// back.  The compression note reports the resulting hit/miss traffic.
+    /// Optional persistent plan-cache directory (`anonrv-store`):
+    /// trajectory timelines are preloaded instead of re-recorded, and
+    /// everything recorded cold is written back.  The compression note
+    /// reports the resulting hit/miss traffic.
     pub cache_dir: Option<std::path::PathBuf>,
 }
 
@@ -142,10 +142,7 @@ pub fn collect_with_stats(config: &SymmConfig) -> (Vec<RunRecord>, Vec<PlanCompr
                 .flat_map(|p| symmetric_delays(p.shrink).into_iter().map(|d| (p.shrink, d))),
         );
         let oracle = anonrv_core::FeasibilityOracle::new(&w.graph);
-        let (orbits, orbits_prov) = match &store {
-            Some(store) => store.orbits(&w.graph),
-            None => (PairOrbits::compute(&w.graph), Provenance::Cold),
-        };
+        let orbits = PairOrbits::compute(&w.graph);
         let mut instance = PlanCompression::new(w.label.clone(), n * n, orbits.num_pair_classes());
         for (shrink, delta) in groups {
             // pairs with this Shrink share the whole delay set, so the
@@ -166,7 +163,6 @@ pub fn collect_with_stats(config: &SymmConfig) -> (Vec<RunRecord>, Vec<PlanCompr
             let mut session = SweepSession::with_orbits(
                 store.as_ref(),
                 &orbits,
-                orbits_prov,
                 &w.graph,
                 &program,
                 &program_key,

@@ -18,10 +18,6 @@ pub type Port = usize;
 /// verifies every generator the hint implies against the actual graph before
 /// any code trusts it, so a wrong hint costs a fallback to the explicit BFS
 /// computation — never a wrong answer.
-///
-/// This is also the on-disk descriptor the persistent plan cache serialises
-/// for implicit groups (a few bytes instead of an `|Aut|·n` permutation
-/// table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SymmetryHint {
     /// Oriented ring / uniformly-oriented circulant: the `n` rotations

@@ -91,81 +91,6 @@ impl Automorphisms {
         Automorphisms { n, perms, inv }
     }
 
-    /// Rebuild the group from explicit permutations (the deserialisation
-    /// path of the persistent plan cache), verifying **every** claimed
-    /// permutation against `g` before accepting it.
-    ///
-    /// The checks are exactly the guarantees [`Automorphisms::compute`]
-    /// establishes: the first entry is the identity, every entry is a
-    /// bijection on `0..n`, every entry preserves `succ` with matching entry
-    /// ports (a genuine port-preserving automorphism), no entry appears
-    /// twice, and the collection is the *full* group (same order as a fresh
-    /// candidate scan would find — checked cheaply through freeness: the
-    /// images of node 0 under a valid set are pairwise distinct, so
-    /// distinctness plus validity suffice for group membership, and
-    /// completeness is the caller's contract, re-verified by the caller's
-    /// checksum).  Cost is `O(k·n·Δ)` — the same as one propagation per
-    /// surviving candidate, without the colour-refinement preparation.
-    ///
-    /// Errors name the first violated invariant; cache loaders treat any
-    /// error as a miss and fall back to [`Automorphisms::compute`].
-    pub fn from_permutations(g: &PortGraph, perms: Vec<Vec<u32>>) -> Result<Self, String> {
-        let n = g.num_nodes();
-        assert!(n > 0, "automorphisms of the empty graph are not defined");
-        if perms.is_empty() {
-            return Err("the group contains at least the identity".into());
-        }
-        let mut images_of_base = vec![false; n];
-        for (k, p) in perms.iter().enumerate() {
-            if p.len() != n {
-                return Err(format!("permutation {k}: length {} != n = {n}", p.len()));
-            }
-            let mut seen = vec![false; n];
-            for (v, &img) in p.iter().enumerate() {
-                let img = img as usize;
-                if img >= n {
-                    return Err(format!("permutation {k}: image {img} out of range"));
-                }
-                if seen[img] {
-                    return Err(format!("permutation {k}: image {img} repeated (not a bijection)"));
-                }
-                seen[img] = true;
-                if g.degree(v) != g.degree(img) {
-                    return Err(format!("permutation {k}: degree mismatch at node {v}"));
-                }
-                for port in 0..g.degree(v) {
-                    let (w, q) = g.succ(v, port);
-                    let (w2, q2) = g.succ(img, port);
-                    if q != q2 || w2 != p[w] as usize {
-                        return Err(format!(
-                            "permutation {k}: succ not preserved at node {v} port {port}"
-                        ));
-                    }
-                }
-            }
-            if k == 0 && p.iter().enumerate().any(|(v, &img)| v != img as usize) {
-                return Err("the first permutation must be the identity".into());
-            }
-            // freeness: distinct automorphisms differ at node 0
-            let base_img = p[0] as usize;
-            if images_of_base[base_img] {
-                return Err(format!("permutation {k}: duplicate group element"));
-            }
-            images_of_base[base_img] = true;
-        }
-        let inv = perms
-            .iter()
-            .map(|p| {
-                let mut inv = vec![0u32; n];
-                for (v, &x) in p.iter().enumerate() {
-                    inv[x as usize] = v as u32;
-                }
-                inv
-            })
-            .collect();
-        Ok(Automorphisms { n, perms, inv })
-    }
-
     /// Number of nodes of the underlying graph.
     pub fn num_nodes(&self) -> usize {
         self.n
@@ -187,11 +112,6 @@ impl Automorphisms {
     #[inline]
     pub fn apply_inv(&self, k: usize, v: NodeId) -> NodeId {
         self.inv[k][v] as usize
-    }
-
-    /// The permutations themselves (the identity first).
-    pub fn permutations(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        self.perms.iter().map(|p| p.as_slice())
     }
 }
 
@@ -294,11 +214,6 @@ impl SymmetryGroup {
     /// the hint's shape does not match the graph or any generator fails —
     /// the caller falls back to the explicit computation, so a returned
     /// group is always proven (see the module docs).
-    ///
-    /// This is also the deserialisation path of the persistent plan cache:
-    /// an on-disk descriptor frame is re-verified here before it is
-    /// trusted, exactly as explicit permutation frames re-verify through
-    /// [`Automorphisms::from_permutations`].
     pub fn from_hint(g: &PortGraph, hint: SymmetryHint) -> Option<Self> {
         let n = g.num_nodes();
         match hint {
@@ -409,17 +324,6 @@ impl SymmetryGroup {
                     .expect("a group contains every element's inverse")
             }
             _ => self.apply_inv(k, 0),
-        }
-    }
-
-    /// The compact descriptor of an implicit group (what the persistent
-    /// plan cache serialises), `None` for the explicit fallback.
-    pub fn descriptor(&self) -> Option<SymmetryHint> {
-        match *self {
-            SymmetryGroup::Cyclic { .. } => Some(SymmetryHint::Cyclic),
-            SymmetryGroup::Torus { rows, cols } => Some(SymmetryHint::Torus { rows, cols }),
-            SymmetryGroup::Hypercube { dim } => Some(SymmetryHint::Hypercube { dim }),
-            SymmetryGroup::Explicit(_) => None,
         }
     }
 
@@ -539,47 +443,6 @@ mod tests {
         assert_group(&random_connected(10, 5, 3).unwrap(), 1);
     }
 
-    #[test]
-    fn from_permutations_round_trips_and_rejects_forgeries() {
-        let g = oriented_torus(3, 4).unwrap();
-        let autos = Automorphisms::compute(&g);
-        let perms: Vec<Vec<u32>> = autos.permutations().map(|p| p.to_vec()).collect();
-        let rebuilt = Automorphisms::from_permutations(&g, perms.clone()).unwrap();
-        assert_eq!(rebuilt, autos);
-
-        // empty set
-        assert!(Automorphisms::from_permutations(&g, vec![]).is_err());
-        // identity not first
-        let mut reordered = perms.clone();
-        reordered.swap(0, 1);
-        assert!(Automorphisms::from_permutations(&g, reordered).is_err());
-        // wrong length
-        let mut truncated = perms.clone();
-        truncated[1].pop();
-        assert!(Automorphisms::from_permutations(&g, truncated).is_err());
-        // image out of range
-        let mut oob = perms.clone();
-        oob[1][3] = 99;
-        assert!(Automorphisms::from_permutations(&g, oob).is_err());
-        // not a bijection
-        let mut dup = perms.clone();
-        dup[1][3] = dup[1][4];
-        assert!(Automorphisms::from_permutations(&g, dup).is_err());
-        // a bijection that is not an automorphism (swap two images)
-        let mut forged = perms.clone();
-        forged[1].swap(3, 4);
-        assert!(Automorphisms::from_permutations(&g, forged).is_err());
-        // duplicate group element
-        let mut doubled = perms.clone();
-        doubled.push(perms[1].clone());
-        assert!(Automorphisms::from_permutations(&g, doubled).is_err());
-        // valid permutations of a *different* graph are rejected against g
-        let other = oriented_torus(4, 3).unwrap();
-        let foreign: Vec<Vec<u32>> =
-            Automorphisms::compute(&other).permutations().map(|p| p.to_vec()).collect();
-        assert!(Automorphisms::from_permutations(&g, foreign).is_err());
-    }
-
     /// Generators stamp hints; `SymmetryGroup::of` verifies them and the
     /// resulting implicit group agrees **element-for-element** with the
     /// explicit BFS group of the same graph.
@@ -634,15 +497,5 @@ mod tests {
         // a rigid graph refuses every implicit hint
         let rigid = path(5).unwrap();
         assert!(SymmetryGroup::from_hint(&rigid, SymmetryHint::Cyclic).is_none());
-    }
-
-    #[test]
-    fn descriptors_round_trip_through_from_hint() {
-        for g in [oriented_torus(4, 6).unwrap(), hypercube(4).unwrap(), oriented_ring(7).unwrap()] {
-            let group = SymmetryGroup::of(&g);
-            let descriptor = group.descriptor().expect("implicit family");
-            let rebuilt = SymmetryGroup::from_hint(&g, descriptor).expect("descriptor verifies");
-            assert_eq!(rebuilt, group);
-        }
     }
 }

@@ -29,8 +29,6 @@
 //!   translations, hypercube XOR-translations), verified generator-by-
 //!   generator against the actual graph so million-node instances plan
 //!   without ever materialising an `|Aut|·n` table;
-//! * [`quotient`] — the quotient (minimal base) graph of the view
-//!   equivalence;
 //! * [`shrink`] — the paper's `Shrink(u, v)` quantity (Definition 3.1);
 //! * [`pairspace`] — the flat product-space engine behind `Shrink`: a dense
 //!   CSR pair graph with a precomputed distance matrix, answering single
@@ -67,7 +65,6 @@ pub mod generators;
 pub mod graph;
 pub mod group;
 pub mod pairspace;
-pub mod quotient;
 pub mod render;
 pub mod shrink;
 pub mod symmetry;

@@ -17,8 +17,9 @@
 //! lock, no syscall.  Instrumented code that must build field values
 //! (e.g. `format!` a shard label) pre-checks [`enabled`] first.  This is
 //! the same discipline as the store's failpoint registry, and it is what
-//! keeps BENCH_store.json warm-serving numbers identical with telemetry
-//! compiled in.
+//! keeps the plain CLI's timings unchanged with telemetry compiled in
+//! (`perfbench/` measures the cost of switching it on as
+//! `obs.overhead_pct`).
 //!
 //! ## Pipelines
 //!

@@ -307,7 +307,7 @@ mod tests {
             r#"{"schema":"anonrv.report/v1","command":"sweep","mode":"full",
                 "meetings":3,"member_stics":4,
                 "table_fingerprint":"00ff00ff00ff00ff",
-                "session":{"orbits":2},
+                "session":{"executed":2},
                 "metrics":{"counters":{"a":1},"gauges":{},
                   "histograms":{"h":{"count":2,"sum":5,"min":1,"max":4,
                     "buckets":[[1,1],[7,1]]}}}}"#,

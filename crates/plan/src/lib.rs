@@ -84,15 +84,16 @@
 //!
 //! A plan's `(class, δ)` work-list is embarrassingly parallel and every
 //! planning artifact is a deterministic function of the graph, so the layer
-//! above this one (`anonrv-store`) persists groups/orbits/outcomes in a
-//! content-addressed on-disk cache and shards
+//! above this one (`anonrv-store`) persists timelines and outcome tables in
+//! a content-addressed on-disk cache and shards
 //! [`PlannedSweep::run_classes`] slices across processes, merging the
-//! partial tables back bit-identically.  The hooks it builds on live here:
-//! [`Automorphisms::from_permutations`] (verified deserialisation),
-//! [`PlannedOutcomes::from_table`] / [`PlannedOutcomes::table`], and
-//! [`PlannedSweep::from_orbits`].
+//! partial tables back bit-identically.  The partition itself is never
+//! persisted: [`PairOrbits::compute`] is cheap (closed form on the stamped
+//! families, one BFS per candidate otherwise) and deterministic, so every
+//! process recomputes the same class numbering.  The hooks the store
+//! builds on live here: [`PlannedOutcomes::from_table`] /
+//! [`PlannedOutcomes::table`], and [`PlannedSweep::from_orbits`].
 //!
-//! [`Automorphisms::from_permutations`]: orbits::Automorphisms::from_permutations
 //! [`PlannedOutcomes::from_table`]: sweep::PlannedOutcomes::from_table
 //! [`PlannedOutcomes::table`]: sweep::PlannedOutcomes::table
 //! [`PlannedSweep::run_classes`]: sweep::PlannedSweep::run_classes

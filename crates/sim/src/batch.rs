@@ -144,7 +144,7 @@ pub struct TimelineSeg {
 /// recognisable by its `INFINITY` sentinel; and because every segment after
 /// the first (tail excepted) is opened by exactly one edge traversal, move
 /// counts are `min(i, total_moves)`.  These six arrays are also the exact
-/// v3 on-disk payload ([`Timeline::from_parts`] rebuilds a timeline from
+/// store's on-disk payload ([`Timeline::from_parts`] rebuilds a timeline from
 /// them without re-running the counting sort).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timeline {
@@ -169,7 +169,7 @@ pub struct Timeline {
 }
 
 /// Owned flat arrays to rebuild a [`Timeline`] from without re-indexing —
-/// the exact decoded form of the v3 on-disk timeline payload (see
+/// the exact decoded form of the store's on-disk timeline payload (see
 /// [`Timeline::from_parts`]; the borrowed counterparts are the
 /// [`Timeline::starts`]-family accessors).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -373,7 +373,7 @@ impl Timeline {
         Timeline { recorded_horizon, starts, nodes, occ_starts, occ_start, occ_end, occ_seg }
     }
 
-    /// Rebuild a timeline from its flat v3 arrays **without re-indexing**:
+    /// Rebuild a timeline from its flat on-disk arrays **without re-indexing**:
     /// the arrays are installed as-is after a cheap `O(n + nsegs)` structural
     /// validation, so a warm load skips both the per-segment decode and the
     /// counting sort [`Timeline::from_segments`] pays.  The occupancy index
@@ -511,32 +511,32 @@ impl Timeline {
         (i as u64).min(self.total_moves())
     }
 
-    /// Segment starts plus the trailing sentinel (v3 payload array).
+    /// Segment starts plus the trailing sentinel (on-disk payload array).
     pub fn starts(&self) -> &[Round] {
         &self.starts
     }
 
-    /// Per-segment nodes (v3 payload array).
+    /// Per-segment nodes (on-disk payload array).
     pub fn seg_nodes(&self) -> &[u32] {
         &self.nodes
     }
 
-    /// CSR offsets of the per-node occupancy index (v3 payload array).
+    /// CSR offsets of the per-node occupancy index (on-disk payload array).
     pub fn occ_starts(&self) -> &[u32] {
         &self.occ_starts
     }
 
-    /// Occupancy-interval starts, grouped by node (v3 payload array).
+    /// Occupancy-interval starts, grouped by node (on-disk payload array).
     pub fn occ_interval_starts(&self) -> &[Round] {
         &self.occ_start
     }
 
-    /// Occupancy-interval ends, grouped by node (v3 payload array).
+    /// Occupancy-interval ends, grouped by node (on-disk payload array).
     pub fn occ_interval_ends(&self) -> &[Round] {
         &self.occ_end
     }
 
-    /// Segment index realising each occupancy interval (v3 payload array).
+    /// Segment index realising each occupancy interval (on-disk payload array).
     pub fn occ_segs(&self) -> &[u32] {
         &self.occ_seg
     }

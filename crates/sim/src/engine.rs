@@ -5,8 +5,8 @@
 //! * **Streaming** — each agent runs on its own thread and streams chunked
 //!   [`Event`] batches over a bounded channel; the coordinator merges the two
 //!   position timelines on the fly and stops everything as soon as a
-//!   rendezvous (or the horizon) is reached.  Memory stays `O(chunk_size)`
-//!   no matter how long the executed algorithms are, and waits of
+//!   rendezvous (or the horizon) is reached.  Memory stays a few fixed-size
+//!   batches no matter how long the executed algorithms are, and waits of
 //!   astronomical length (the padding of `UniversalRV`) cost a single event.
 //! * **Lockstep** — single-threaded fast path for short horizons: the
 //!   earlier agent's whole wait-compressed segment timeline is recorded
@@ -65,26 +65,26 @@ pub enum EngineMode {
 /// Horizon up to which [`EngineMode::Auto`] picks the lockstep engine.
 const LOCKSTEP_AUTO_HORIZON: Round = 1 << 16;
 
-/// Engine tuning knobs.
+/// Events per channel batch of the streaming engine.
+const CHUNK_SIZE: usize = 4096;
+
+/// Batches the streaming engine lets each agent have in flight.
+const CHANNEL_CAPACITY: usize = 8;
+
+/// Engine configuration: the horizon and the execution strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Global round horizon: the simulation gives up if no rendezvous happens
     /// at a global round `<= horizon`.
     pub horizon: Round,
-    /// Number of events per channel batch (streaming engine only).
-    pub chunk_size: usize,
-    /// Number of batches that may be in flight per agent (streaming engine
-    /// only).
-    pub channel_capacity: usize,
     /// Execution strategy.
     pub mode: EngineMode,
 }
 
 impl EngineConfig {
-    /// Configuration with the given horizon, default batching and automatic
-    /// engine selection.
+    /// Configuration with the given horizon and automatic engine selection.
     pub fn with_horizon(horizon: Round) -> Self {
-        EngineConfig { horizon, chunk_size: 4096, channel_capacity: 8, mode: EngineMode::Auto }
+        EngineConfig { horizon, mode: EngineMode::Auto }
     }
 
     /// Configuration pinned to the threaded streaming engine.
@@ -365,29 +365,32 @@ pub fn simulate_with(
     if use_lockstep {
         return simulate_lockstep(g, earlier_program, later_program, stic, config.horizon);
     }
+    simulate_streaming(g, earlier_program, later_program, stic, config.horizon, CHUNK_SIZE)
+}
 
-    assert!(
-        config.channel_capacity > 0,
-        "EngineConfig::channel_capacity must be at least 1 for the streaming engine: a capacity \
-         of 0 would leave both agent threads blocked on their first send with the coordinator \
-         unable to make progress"
-    );
-
+/// The streaming engine, with `chunk_size` events per channel batch (the
+/// tests shrink it to force batch boundaries into short runs).
+fn simulate_streaming(
+    g: &PortGraph,
+    earlier_program: &dyn AgentProgram,
+    later_program: &dyn AgentProgram,
+    stic: &Stic,
+    horizon: Round,
+    chunk_size: usize,
+) -> SimOutcome {
     thread::scope(|scope| {
-        let (tx_a, rx_a) = bounded::<Msg>(config.channel_capacity);
-        let (tx_b, rx_b) = bounded::<Msg>(config.channel_capacity);
-
-        let earlier_horizon = config.horizon;
-        let later_horizon = config.horizon - stic.delay;
+        let (tx_a, rx_a) = bounded::<Msg>(CHANNEL_CAPACITY);
+        let (tx_b, rx_b) = bounded::<Msg>(CHANNEL_CAPACITY);
+        let later_horizon = horizon - stic.delay;
 
         scope.spawn(move || {
-            run_agent(g, earlier_program, stic.earlier, earlier_horizon, config.chunk_size, tx_a);
+            run_agent(g, earlier_program, stic.earlier, horizon, chunk_size, tx_a);
         });
         scope.spawn(move || {
-            run_agent(g, later_program, stic.later, later_horizon, config.chunk_size, tx_b);
+            run_agent(g, later_program, stic.later, later_horizon, chunk_size, tx_b);
         });
 
-        coordinate(rx_a, rx_b, stic, config.horizon)
+        coordinate(rx_a, rx_b, stic, horizon)
     })
 }
 
@@ -956,36 +959,11 @@ mod tests {
         assert!(met > 0 && met < compared, "sweep must mix outcomes, met {met}/{compared}");
     }
 
-    /// The streaming engine must reject a zero channel capacity loudly: the
-    /// vendored channel treats capacity 0 as a rendezvous channel, a regime
-    /// the engine was never validated in (both agent threads could park on
-    /// their first send), so it is a configuration error, not a hang.
+    /// Tiny batches must not change outcomes: streaming with batch
+    /// boundaries every few events stays bit-identical to lockstep on
+    /// meeting, non-meeting and terminating scenarios alike.
     #[test]
-    #[should_panic(expected = "channel_capacity must be at least 1")]
-    fn streaming_with_zero_channel_capacity_is_rejected() {
-        let g = two_node_graph();
-        let config = EngineConfig { channel_capacity: 0, ..EngineConfig::streaming(1 << 20) };
-        let _ = simulate_with(&g, &mover(), &mover(), &Stic::new(0, 1, 3), config);
-    }
-
-    /// Capacity 0 is only a streaming concern: the lockstep and batch paths
-    /// never open a channel, so the same configuration must run fine there.
-    #[test]
-    fn non_streaming_modes_ignore_a_zero_channel_capacity() {
-        let g = two_node_graph();
-        for mode in [EngineMode::Lockstep, EngineMode::Batch] {
-            let config =
-                EngineConfig { channel_capacity: 0, mode, ..EngineConfig::with_horizon(100) };
-            let out = simulate_with(&g, &mover(), &mover(), &Stic::new(0, 1, 3), config);
-            assert_eq!(out.meeting.expect("must meet").global_round, 3);
-        }
-    }
-
-    /// Minimal buffering (capacity 1, tiny chunks) must not change outcomes:
-    /// streaming stays bit-identical to lockstep on meeting, non-meeting and
-    /// terminating scenarios alike.
-    #[test]
-    fn capacity_one_streaming_matches_lockstep_outcomes() {
+    fn tiny_batch_streaming_matches_lockstep_outcomes() {
         use anonrv_graph::generators::oriented_torus;
         let graphs = [oriented_ring(6).unwrap(), oriented_torus(3, 4).unwrap()];
         for g in &graphs {
@@ -1001,12 +979,9 @@ mod tests {
                             );
                             let lifetime = (seed % 2 == 0).then_some(10 + seed * 7);
                             let program = ScriptedWalker { seed: seed * 31 + 5, lifetime };
-                            let tight = EngineConfig {
-                                chunk_size,
-                                channel_capacity: 1,
-                                ..EngineConfig::streaming(horizon)
-                            };
-                            let streamed = simulate_with(g, &program, &program, &stic, tight);
+                            let streamed = simulate_streaming(
+                                g, &program, &program, &stic, horizon, chunk_size,
+                            );
                             let reference = simulate_with(
                                 g,
                                 &program,
@@ -1016,7 +991,7 @@ mod tests {
                             );
                             assert_eq!(
                                 streamed, reference,
-                                "capacity-1 streaming diverged: {stic}, horizon {horizon}, \
+                                "tiny-batch streaming diverged: {stic}, horizon {horizon}, \
                                  chunk {chunk_size}"
                             );
                         }

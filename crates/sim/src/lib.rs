@@ -24,8 +24,8 @@
 //!
 //!   * the **streaming** engine runs the two agents on two threads that
 //!     stream chunked event batches over bounded channels to a coordinator
-//!     merging the position timelines on the fly — memory stays
-//!     `O(chunk_size)` no matter how long the execution is, which is what
+//!     merging the position timelines on the fly — memory stays a few
+//!     fixed-size batches no matter how long the execution is, which is what
 //!     astronomical horizons need;
 //!   * the **lockstep** engine records the earlier agent's wait-compressed
 //!     timeline and streams the later agent against it on a single thread —

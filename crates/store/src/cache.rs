@@ -3,13 +3,18 @@
 //! A [`Store`] is a directory of checksummed artifacts keyed by the
 //! [`canonical hash`](anonrv_graph::fingerprint) of the graph they were
 //! derived from (plus, where relevant, the *program key* of the recording).
-//! Three artifact families cover everything a planned sweep computes:
+//! Two artifact families cover the expensive part of a planned sweep:
 //!
 //! | artifact | key | skips on a warm hit |
 //! |---|---|---|
-//! | automorphism group / pair orbits | graph | planning (group search) |
-//! | trajectory timelines | graph + program key | every program execution |
-//! | plan outcome tables | graph + program key + δ-grid | the whole sweep |
+//! | trajectory timelines (explicit and symbolic) | graph + program key | every program execution |
+//! | plan outcome tables (whole, or per shard) | graph + program key + δ-grid | the whole sweep |
+//!
+//! The automorphism group and its pair-orbit partition are **not**
+//! artifacts: port-rigidity makes them cheap to rebuild (closed form on the
+//! stamped families, one BFS per candidate otherwise) — on the graphs the
+//! repository sweeps, cheaper than loading and re-verifying a stored copy —
+//! so every session recomputes them with [`PairOrbits::compute`].
 //!
 //! ## Horizon-generic keying
 //!
@@ -25,14 +30,14 @@
 //! [`Store::gc`] garbage-collects frames that can no longer serve anything
 //! (corrupt, version-stale, or shard partials superseded by a merged table).
 //!
-//! ## Flat v3 payloads
+//! ## Flat payloads
 //!
-//! Since format version 3 the heavy payloads are stored the way the batch
-//! engine consumes them.  A timeline entry is the *assembled*
-//! struct-of-arrays representation of [`Timeline`] — segment boundaries,
-//! segment nodes and the per-node occupancy CSR index — written as
-//! 16-aligned flat arrays, so a load is one `fs::read` plus one bulk copy
-//! per array straight into [`Timeline::from_parts`]: no per-segment decode
+//! The heavy payloads are stored the way the batch engine consumes them.  A
+//! timeline entry is the *assembled* struct-of-arrays representation of
+//! [`Timeline`] — segment boundaries, segment nodes and the per-node
+//! occupancy CSR index — written as 16-aligned flat arrays, so a load is
+//! one `fs::read` plus one bulk copy per array straight into
+//! [`Timeline::from_parts`]: no per-segment decode
 //! loop and **no re-indexing** (the occupancy index that used to be rebuilt
 //! by a counting sort on every open ships inside the frame and is only
 //! shape-validated).  Outcome tables likewise store one flat column per
@@ -47,8 +52,8 @@
 //! identity-gated and left for its load path to verify.
 //!
 //! Every load path is **fallible by design**: a missing file, a truncated
-//! file, a corrupted payload, a format-version mismatch or an identity
-//! mismatch (hash collision, renamed file) all surface as a plain cache
+//! file, a corrupted payload, a frame of any other format version or an
+//! identity mismatch (hash collision, renamed file) all surface as a plain cache
 //! miss, and the caller recomputes and overwrites.  The cache can therefore
 //! be deleted, copied between machines, or shared by concurrent shard
 //! processes (files are written atomically via rename) without any
@@ -69,9 +74,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use anonrv_graph::{NodeId, PortGraph, SymmetryHint};
+use anonrv_graph::{NodeId, PortGraph};
 use anonrv_obs as obs;
-use anonrv_plan::{Automorphisms, PairOrbits, SweepPlan, SymmetryGroup};
+use anonrv_plan::{PairOrbits, SweepPlan};
 use anonrv_sim::{
     Meeting, Round, SimOutcome, SweepEngine, SymbolicTail, SymbolicTimeline, Timeline,
     TimelineParts,
@@ -91,31 +96,14 @@ fn transient_suffix() -> String {
     format!("{}-{}", std::process::id(), TRANSIENT_COUNTER.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Where a value came from: loaded warm from the store, or computed cold
-/// (and then saved back).
+/// Where a value came from: loaded warm from the store, or computed cold.
+/// Only [`Store::orbits`] reports one, and it is always `Cold`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
     /// Served from a valid cache artifact; the computation was skipped.
     Warm,
-    /// Recomputed (no artifact, or an artifact that failed an integrity or
-    /// identity gate) and written back to the store.
+    /// Computed in this process.
     Cold,
-}
-
-impl Provenance {
-    /// `true` iff the value was served from the cache.
-    pub fn is_warm(&self) -> bool {
-        matches!(self, Provenance::Warm)
-    }
-}
-
-impl std::fmt::Display for Provenance {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Provenance::Warm => "warm",
-            Provenance::Cold => "cold",
-        })
-    }
 }
 
 /// How many timelines a [`Store::warm_engine`] call installed, and how many
@@ -380,122 +368,12 @@ impl Store {
         Ok(dest)
     }
 
-    // -- orbits ------------------------------------------------------------
-
-    fn orbits_path(&self, g: &PortGraph) -> PathBuf {
-        self.root.join(format!("orbits-{:032x}.anrv", g.canonical_hash()))
-    }
-
-    fn group_path(&self, g: &PortGraph) -> PathBuf {
-        self.root.join(format!("group-{:032x}.anrv", g.canonical_hash()))
-    }
-
-    /// Load the pair-orbit partition of `g`, or `None` on any miss
-    /// (absent / corrupt / stale / foreign file).  An implicit
-    /// `group-` descriptor frame is preferred (O(1) bytes, streamable
-    /// partition); an explicit `orbits-` permutation frame is the fallback.
-    /// Either way the loaded group is fully re-verified against `g` before
-    /// it is trusted: descriptors through the generator checks of
-    /// [`SymmetryGroup::from_hint`], permutations through
-    /// [`Automorphisms::from_permutations`].
-    pub fn load_orbits(&self, g: &PortGraph) -> Option<PairOrbits> {
-        self.load_implicit_orbits(g).or_else(|| self.load_explicit_orbits(g))
-    }
-
-    /// The implicit branch of [`Store::load_orbits`]: a closed-form group
-    /// descriptor, a few dozen bytes regardless of `n`.
-    fn load_implicit_orbits(&self, g: &PortGraph) -> Option<PairOrbits> {
-        let path = self.group_path(g);
-        let bytes = self.read_artifact(&path)?;
-        let mut d = self.gate_frame(&path, Kind::ImplicitOrbits, &bytes)?;
-        if d.u128()? != g.canonical_hash() {
-            return None;
-        }
-        if d.usize()? != g.num_nodes() {
-            return None;
-        }
-        let hint = decode_symmetry_hint(&mut d)?;
-        if !d.exhausted() {
-            return None;
-        }
-        // re-verify the descriptor against the graph, generator by
-        // generator — a forged or misfiled descriptor degrades to a miss
-        let group = SymmetryGroup::from_hint(g, hint)?;
-        Some(PairOrbits::from_group(group))
-    }
-
-    /// The explicit branch of [`Store::load_orbits`]: verified permutation
-    /// tables (the only representation for graphs without a closed-form
-    /// group, and the format every pre-v5 cache holds).
-    fn load_explicit_orbits(&self, g: &PortGraph) -> Option<PairOrbits> {
-        let path = self.orbits_path(g);
-        let bytes = self.read_artifact(&path)?;
-        let mut d = self.gate_frame(&path, Kind::Orbits, &bytes)?;
-        if d.u128()? != g.canonical_hash() {
-            return None;
-        }
-        let n = d.usize()?;
-        if n != g.num_nodes() {
-            return None;
-        }
-        let k = d.usize()?;
-        let mut perms = Vec::with_capacity(k);
-        for _ in 0..k {
-            let mut p = Vec::with_capacity(n);
-            for _ in 0..n {
-                p.push(u32::try_from(d.u64()?).ok()?);
-            }
-            perms.push(p);
-        }
-        if !d.exhausted() {
-            return None;
-        }
-        let autos = Automorphisms::from_permutations(g, perms).ok()?;
-        Some(PairOrbits::from_automorphisms(autos))
-    }
-
-    /// Persist the pair-orbit partition of `g`.  An implicit partition
-    /// writes its closed-form descriptor into a `group-` frame (O(1) bytes
-    /// — this is what lets a million-node torus persist its group at all);
-    /// an explicit partition writes its automorphism permutations into an
-    /// `orbits-` frame.  The partition itself is a deterministic function
-    /// of the group, rebuilt on load.  Returns the artifact path.
-    pub fn save_orbits(&self, g: &PortGraph, orbits: &PairOrbits) -> io::Result<PathBuf> {
-        let Some(autos) = orbits.automorphisms() else {
-            let hint =
-                orbits.group().descriptor().expect("an implicit group always has a descriptor");
-            let mut e = Enc::new();
-            e.u128(g.canonical_hash());
-            e.usize(g.num_nodes());
-            encode_symmetry_hint(&mut e, hint);
-            let path = self.group_path(g);
-            self.write_atomic(&path, &e.into_frame(Kind::ImplicitOrbits))?;
-            return Ok(path);
-        };
-        let mut e = Enc::new();
-        e.u128(g.canonical_hash());
-        e.usize(g.num_nodes());
-        e.usize(orbits.group_order());
-        for p in autos.permutations() {
-            for &img in p {
-                e.u64(img as u64);
-            }
-        }
-        let path = self.orbits_path(g);
-        self.write_atomic(&path, &e.into_frame(Kind::Orbits))?;
-        Ok(path)
-    }
-
-    /// The pair-orbit partition of `g`: warm from the store when a valid
-    /// artifact exists, otherwise computed and saved back.
+    /// The pair-orbit partition of `g`, always computed: the store keeps no
+    /// group frames.  This exists only for the benchmark's traced run
+    /// (`perfbench/trace`), which times it as the group layer; workspace
+    /// code calls [`PairOrbits::compute`] directly.
     pub fn orbits(&self, g: &PortGraph) -> (PairOrbits, Provenance) {
-        if let Some(orbits) = self.load_orbits(g) {
-            return (orbits, Provenance::Warm);
-        }
-        let orbits = PairOrbits::compute(g);
-        // a failed save leaves the cache cold but the result correct
-        let _ = self.save_orbits(g, &orbits);
-        (orbits, Provenance::Cold)
+        (PairOrbits::compute(g), Provenance::Cold)
     }
 
     // -- timelines ---------------------------------------------------------
@@ -509,7 +387,7 @@ impl Store {
     }
 
     /// Load every recorded timeline of `(g, program_key)` — each carrying
-    /// its **own** recorded horizon — or `None` on any miss.  The v3 layout
+    /// its **own** recorded horizon — or `None` on any miss.  The layout
     /// stores each entry as the engine's assembled flat arrays, so decoding
     /// is one bulk copy per array into [`Timeline::from_parts`], which
     /// shape-validates the shipped occupancy index instead of rebuilding
@@ -564,7 +442,7 @@ impl Store {
     }
 
     /// Persist a set of recorded timelines, each at its own recorded
-    /// horizon, as flat v3 struct-of-arrays entries.  Returns the artifact
+    /// horizon, as flat struct-of-arrays entries.  Returns the artifact
     /// path.
     pub fn save_timelines(
         &self,
@@ -739,7 +617,7 @@ impl Store {
 
     /// Persist a set of symbolic timelines as one `SymbolicTimelines`
     /// frame: per entry the tail kind, the `(preperiod, period)` pair and
-    /// the prefix and cycle [`TimelineParts`] as v3-style flat-array
+    /// the prefix and cycle [`TimelineParts`] as flat-array
     /// blocks.  Returns the artifact path.
     pub fn save_symbolic_timelines(
         &self,
@@ -923,7 +801,6 @@ impl Store {
                 continue;
             };
             match kind {
-                Kind::Orbits | Kind::ImplicitOrbits => stats.orbits.add(bytes),
                 Kind::Timelines => {
                     stats.timelines.add(bytes);
                     if let Some((count, horizons)) = peek_timeline_horizons(&mut d) {
@@ -1003,10 +880,9 @@ impl Store {
             // names.  Anything else — an operator's notes, another tool's
             // staging files — is foreign and left alone, exactly like
             // unrecognised `.anrv`-less files below.
-            let own_prefix =
-                ["orbits-", "group-", "timelines-", "outcomes-", "shard-", "symbolic-"]
-                    .iter()
-                    .any(|p| name.starts_with(p));
+            let own_prefix = ["timelines-", "outcomes-", "shard-", "symbolic-"]
+                .iter()
+                .any(|p| name.starts_with(p));
             if own_prefix && (name.ends_with(".lock") || name.contains(".tmp")) {
                 let old_enough = entry
                     .metadata()
@@ -1038,8 +914,7 @@ impl Store {
                     Some((identity, horizon)) => shards.push((path, bytes, identity, horizon)),
                     None => report.remove(&path, bytes, GcClass::Corrupt),
                 },
-                Kind::Orbits | Kind::ImplicitOrbits | Kind::Timelines | Kind::SymbolicTimelines => {
-                }
+                Kind::Timelines | Kind::SymbolicTimelines => {}
             }
         }
         // a shard partial is superseded once a merged table of the same
@@ -1071,9 +946,9 @@ impl Store {
     /// frames move into `quarantine/` with a reason sidecar; stale frames
     /// are left for gc — they are an expected after-image of a format bump,
     /// not evidence of damage.  Structural verification is identity-free
-    /// (no graph needed): permutations must be bijections, timeline entries
-    /// must reassemble through the same shape validation the loader uses,
-    /// tables must match their declared class/δ geometry.
+    /// (no graph needed): timeline entries must reassemble through the same
+    /// shape validation the loader uses, tables must match their declared
+    /// class/δ geometry.
     pub fn fsck(&self, repair: bool) -> io::Result<FsckReport> {
         let mut report = FsckReport::default();
         let mut found: Vec<(PathBuf, String, u64, Kind)> = Vec::new();
@@ -1142,8 +1017,6 @@ impl KindStats {
 /// What [`Store::stats`] reports about a cache directory.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Automorphism-group / pair-orbit artifacts.
-    pub orbits: KindStats,
     /// Trajectory-timeline artifacts.
     pub timelines: KindStats,
     /// Symbolic (prefix + cycle) timeline artifacts.
@@ -1155,7 +1028,8 @@ pub struct CacheStats {
     /// Artifacts whose frame failed an integrity gate (corrupt / stale).
     pub invalid: KindStats,
     /// Files in the directory that are not store artifacts (locks, temps,
-    /// anything foreign).
+    /// group frames an older version of the store wrote, anything
+    /// foreign).
     pub other: KindStats,
     /// Frames the read path (or `fsck --repair`) moved into `quarantine/`
     /// after a corruption-class integrity failure.  A non-zero count that
@@ -1173,8 +1047,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total bytes across every file the scan saw.
     pub fn total_bytes(&self) -> u64 {
-        self.orbits.bytes
-            + self.timelines.bytes
+        self.timelines.bytes
             + self.symbolic.bytes
             + self.outcomes.bytes
             + self.shards.bytes
@@ -1276,50 +1149,11 @@ pub struct FsckReport {
 
 /// Structural full-depth verification of one payload, identity-free —
 /// [`Store::fsck`] runs without knowing which graph produced an artifact,
-/// so it checks everything internal: geometry, bijectivity, shape
-/// invariants, exact payload consumption.
+/// so it checks everything internal: geometry, shape invariants, exact
+/// payload consumption.
 fn verify_payload(kind: Kind, d: &mut Dec<'_>) -> Result<(), String> {
     let truncated = || "payload-truncated".to_string();
     match kind {
-        Kind::Orbits => {
-            d.u128().ok_or_else(truncated)?;
-            let n = d.usize().ok_or_else(truncated)?;
-            let k = d.usize().ok_or_else(truncated)?;
-            // a forged count must not drive allocations below
-            if k > 0 && n > d.remaining() / 8 {
-                return Err("orbit-count-overruns-payload".into());
-            }
-            for _ in 0..k {
-                let mut seen = vec![false; n];
-                for _ in 0..n {
-                    let img = d.u64().ok_or_else(truncated)?;
-                    let img = usize::try_from(img).ok().filter(|&i| i < n && !seen[i]);
-                    match img {
-                        Some(i) => seen[i] = true,
-                        None => return Err("orbit-permutation-not-a-bijection".into()),
-                    }
-                }
-            }
-        }
-        Kind::ImplicitOrbits => {
-            d.u128().ok_or_else(truncated)?;
-            let n = d.usize().ok_or_else(truncated)?;
-            // identity-free shape checks: the family's parameters must
-            // describe exactly n nodes (graph verification happens on load)
-            match decode_symmetry_hint(d).ok_or_else(|| "group-descriptor-malformed".to_string())? {
-                SymmetryHint::Cyclic => {}
-                SymmetryHint::Torus { rows, cols } => {
-                    if rows.checked_mul(cols) != Some(n) {
-                        return Err("group-torus-shape-mismatch".into());
-                    }
-                }
-                SymmetryHint::Hypercube { dim } => {
-                    if dim >= usize::BITS || 1usize << dim != n {
-                        return Err("group-hypercube-shape-mismatch".into());
-                    }
-                }
-            }
-        }
         Kind::Timelines => {
             d.u128().ok_or_else(truncated)?;
             let n = d.usize().ok_or_else(truncated)?;
@@ -1427,49 +1261,12 @@ fn verify_payload(kind: Kind, d: &mut Dec<'_>) -> Result<(), String> {
     Ok(())
 }
 
-/// Implicit-group family tags inside `group-` descriptor payloads.
-const GROUP_TAG_CYCLIC: u8 = 1;
-const GROUP_TAG_TORUS: u8 = 2;
-const GROUP_TAG_HYPERCUBE: u8 = 3;
-
-/// Encode a closed-form group descriptor: one family tag byte plus the
-/// family's shape parameters.  `n` itself is framed by the caller.
-fn encode_symmetry_hint(e: &mut Enc, hint: SymmetryHint) {
-    match hint {
-        SymmetryHint::Cyclic => e.u8(GROUP_TAG_CYCLIC),
-        SymmetryHint::Torus { rows, cols } => {
-            e.u8(GROUP_TAG_TORUS);
-            e.usize(rows);
-            e.usize(cols);
-        }
-        SymmetryHint::Hypercube { dim } => {
-            e.u8(GROUP_TAG_HYPERCUBE);
-            e.u64(u64::from(dim));
-        }
-    }
-}
-
-/// Decode a closed-form group descriptor; `None` on an unknown tag or a
-/// truncated payload.
-fn decode_symmetry_hint(d: &mut Dec<'_>) -> Option<SymmetryHint> {
-    match d.u8()? {
-        GROUP_TAG_CYCLIC => Some(SymmetryHint::Cyclic),
-        GROUP_TAG_TORUS => Some(SymmetryHint::Torus { rows: d.usize()?, cols: d.usize()? }),
-        GROUP_TAG_HYPERCUBE => Some(SymmetryHint::Hypercube { dim: u32::try_from(d.u64()?).ok()? }),
-        _ => None,
-    }
-}
-
 /// The artifact kind a store filename claims to be.
 fn kind_of_filename(name: &str) -> Option<Kind> {
     if !name.ends_with(".anrv") {
         return None;
     }
-    if name.starts_with("orbits-") {
-        Some(Kind::Orbits)
-    } else if name.starts_with("group-") {
-        Some(Kind::ImplicitOrbits)
-    } else if name.starts_with("timelines-") {
+    if name.starts_with("timelines-") {
         Some(Kind::Timelines)
     } else if name.starts_with("outcomes-") {
         Some(Kind::Outcomes)
@@ -1530,7 +1327,7 @@ fn peek_prefix_frame(kind: Kind, prefix: &[u8], file_len: u64) -> Option<Dec<'_>
     }
 }
 
-/// The entry count and distinct-horizon summary a v3 timelines payload
+/// The entry count and distinct-horizon summary a timelines payload
 /// leads with.
 fn peek_timeline_horizons(d: &mut Dec<'_>) -> Option<(usize, Vec<Round>)> {
     let _hash = d.u128()?;
@@ -1668,7 +1465,7 @@ pub(crate) fn decode_plan_identity(
 }
 
 /// Encode one [`TimelineParts`] block (prefix or cycle half of a symbolic
-/// entry) as v3-style aligned flat arrays: a segment count, then the six
+/// entry) as aligned flat arrays: a segment count, then the six
 /// columns in the same order the explicit timeline entries use.
 pub(crate) fn encode_parts(e: &mut Enc, parts: &TimelineParts) {
     e.usize(parts.nodes.len());
@@ -1735,7 +1532,7 @@ pub(crate) fn decode_outcome(d: &mut Dec<'_>) -> Option<SimOutcome> {
     })
 }
 
-/// Encode a whole outcome table as flat v3 struct-of-arrays columns: a
+/// Encode a whole outcome table as flat struct-of-arrays columns: a
 /// length, then one aligned array per [`SimOutcome`] field (meeting fields
 /// zero-filled where the flag bit is off, so every table has exactly one
 /// encoding).  Shared by the merged-table and shard-partial payloads.
@@ -1893,132 +1690,6 @@ mod tests {
     }
 
     #[test]
-    fn orbits_round_trip_warm_after_cold() {
-        let dir = TempDir::new("orbits");
-        let store = store_in(&dir);
-        let g = oriented_torus(3, 4).unwrap();
-        let (cold, prov) = store.orbits(&g);
-        assert_eq!(prov, Provenance::Cold);
-        let (warm, prov) = store.orbits(&g);
-        assert_eq!(prov, Provenance::Warm);
-        assert_eq!(warm, cold);
-        // a different graph never sees the artifact
-        let other = oriented_ring(12).unwrap();
-        assert!(store.load_orbits(&other).is_none());
-    }
-
-    #[test]
-    fn corrupted_truncated_or_stale_orbit_files_fall_back_to_recompute() {
-        let dir = TempDir::new("orbit-corruption");
-        let store = store_in(&dir);
-        let g = oriented_torus(3, 3).unwrap();
-        let path = store.save_orbits(&g, &PairOrbits::compute(&g)).unwrap();
-        let good = fs::read(&path).unwrap();
-        assert!(store.load_orbits(&g).is_some());
-
-        // flip one payload byte: checksum gate
-        let mut corrupt = good.clone();
-        let mid = corrupt.len() / 2;
-        corrupt[mid] ^= 0x10;
-        fs::write(&path, &corrupt).unwrap();
-        assert!(store.load_orbits(&g).is_none());
-
-        // truncate: length gate
-        fs::write(&path, &good[..good.len() / 2]).unwrap();
-        assert!(store.load_orbits(&g).is_none());
-
-        // bump the format version: version gate
-        let mut stale = good.clone();
-        stale[8] = stale[8].wrapping_add(1);
-        fs::write(&path, &stale).unwrap();
-        assert!(store.load_orbits(&g).is_none());
-
-        // in every case `orbits` recovers by recomputing and rewriting
-        let (recovered, prov) = store.orbits(&g);
-        assert_eq!(prov, Provenance::Cold);
-        assert_eq!(recovered, PairOrbits::compute(&g));
-        assert_eq!(store.orbits(&g).1, Provenance::Warm);
-    }
-
-    #[test]
-    fn forged_but_well_framed_permutations_are_rejected_by_validation() {
-        let dir = TempDir::new("orbit-forgery");
-        let store = store_in(&dir);
-        let g = oriented_torus(3, 3).unwrap();
-        // hand-craft a frame whose payload passes every codec gate but whose
-        // permutations are not automorphisms of g
-        let mut e = Enc::new();
-        e.u128(g.canonical_hash());
-        e.usize(g.num_nodes());
-        e.usize(2);
-        for v in 0..g.num_nodes() {
-            e.u64(v as u64); // identity
-        }
-        for v in 0..g.num_nodes() {
-            e.u64(((v + 1) % g.num_nodes()) as u64); // index shift: not an automorphism
-        }
-        let path = dir.0.join(format!("orbits-{:032x}.anrv", g.canonical_hash()));
-        fs::write(&path, e.into_frame(Kind::Orbits)).unwrap();
-        assert!(store.load_orbits(&g).is_none());
-    }
-
-    #[test]
-    fn implicit_orbits_persist_as_a_constant_size_descriptor() {
-        let dir = TempDir::new("implicit-orbits");
-        let store = store_in(&dir);
-        let g = oriented_torus(4, 5).unwrap();
-        let orbits = PairOrbits::compute(&g);
-        assert!(orbits.is_implicit());
-        let path = store.save_orbits(&g, &orbits).unwrap();
-        // the descriptor frame, not a permutation table: a fixed few dozen
-        // bytes where 20 permutations × 20 nodes × 8 bytes would be 3.2 KB
-        assert!(path.file_name().unwrap().to_string_lossy().starts_with("group-"));
-        assert!(fs::read(&path).unwrap().len() < 128, "descriptor should be O(1) bytes");
-        let warm = store.load_orbits(&g).expect("descriptor loads");
-        assert!(warm.is_implicit());
-        assert_eq!(warm, orbits);
-    }
-
-    #[test]
-    fn forged_group_descriptors_are_rejected_by_generator_verification() {
-        let dir = TempDir::new("group-forgery");
-        let store = store_in(&dir);
-        let g = oriented_torus(3, 3).unwrap();
-        // well-framed, matching hash and n — but the claimed family is
-        // cyclic, whose generator (+1 rotation) is not an automorphism of
-        // the torus port labelling, so load-time verification must refuse
-        let mut e = Enc::new();
-        e.u128(g.canonical_hash());
-        e.usize(g.num_nodes());
-        e.u8(GROUP_TAG_CYCLIC);
-        let path = dir.0.join(format!("group-{:032x}.anrv", g.canonical_hash()));
-        fs::write(&path, e.into_frame(Kind::ImplicitOrbits)).unwrap();
-        assert!(store.load_implicit_orbits(&g).is_none());
-        // the full load path falls back to recompute, not to wrong data
-        let (recovered, prov) = store.orbits(&g);
-        assert_eq!(prov, Provenance::Cold);
-        assert_eq!(recovered, PairOrbits::compute(&g));
-    }
-
-    #[test]
-    fn legacy_explicit_orbit_frames_still_serve_stamped_graphs() {
-        let dir = TempDir::new("legacy-orbits");
-        let store = store_in(&dir);
-        let g = oriented_ring(9).unwrap();
-        // a pre-v5 cache holds only the explicit permutation frame
-        let explicit = PairOrbits::compute_explicit(&g);
-        let path = store.save_orbits(&g, &explicit).unwrap();
-        assert!(path.file_name().unwrap().to_string_lossy().starts_with("orbits-"));
-        let warm = store.load_orbits(&g).expect("explicit frame loads");
-        assert!(!warm.is_implicit());
-        assert_eq!(warm, explicit);
-        // once an implicit descriptor lands next to it, the descriptor wins
-        let implicit = PairOrbits::compute(&g);
-        store.save_orbits(&g, &implicit).unwrap();
-        assert!(store.load_orbits(&g).expect("descriptor loads").is_implicit());
-    }
-
-    #[test]
     fn streaming_fingerprinter_matches_the_one_shot_table_fingerprint() {
         let g = oriented_torus(3, 4).unwrap();
         let program = Walker { seed: 0x5EED };
@@ -2165,29 +1836,33 @@ mod tests {
         store.save_plan_outcomes(&g, key, &plan, outcomes.table()).unwrap();
         store.persist_engine(planned.engine(), key).unwrap();
 
-        // rewrite every artifact as a **checksum-valid older version**: the
-        // version gate alone must turn them into misses (a v2 payload laid
-        // out under v3 rules would decode garbage)
-        for entry in fs::read_dir(&dir.0).unwrap() {
-            let path = entry.unwrap().path();
-            let mut bytes = fs::read(&path).unwrap();
-            bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-            let body = bytes.len() - 8;
-            let sum = fnv64(&bytes[..body]).to_le_bytes();
-            bytes[body..].copy_from_slice(&sum);
-            fs::write(&path, bytes).unwrap();
-        }
-        assert!(store.load_plan_outcomes(&g, key, &plan).is_none());
-        let served = SweepEngine::new(&g, &program, EngineConfig::batch(50));
-        assert_eq!(store.warm_engine(&served, key).installed, 0);
-        // the survey classifies them as invalid rather than refusing to run
-        assert_eq!(store.stats().unwrap().invalid.files, 2);
+        // rewrite every artifact as a **checksum-valid older version** — one
+        // that never had the current layout (2) and one that did (4): the
+        // version gate alone must turn both into misses, as there are no
+        // legacy readers
+        for version in [2u32, 4] {
+            for entry in fs::read_dir(&dir.0).unwrap() {
+                let path = entry.unwrap().path();
+                let mut bytes = fs::read(&path).unwrap();
+                bytes[8..12].copy_from_slice(&version.to_le_bytes());
+                let body = bytes.len() - 8;
+                let sum = fnv64(&bytes[..body]).to_le_bytes();
+                bytes[body..].copy_from_slice(&sum);
+                fs::write(&path, bytes).unwrap();
+            }
+            assert!(store.load_plan_outcomes(&g, key, &plan).is_none());
+            let served = SweepEngine::new(&g, &program, EngineConfig::batch(50));
+            assert_eq!(store.warm_engine(&served, key).installed, 0);
+            // the survey classifies them as invalid rather than refusing to run
+            assert_eq!(store.stats().unwrap().invalid.files, 2);
 
-        // the recompute path supersedes the stale files in place
-        store.save_plan_outcomes(&g, key, &plan, outcomes.table()).unwrap();
-        store.persist_engine(planned.engine(), key).unwrap();
-        assert_eq!(store.load_plan_outcomes(&g, key, &plan), Some((outcomes.table().to_vec(), 50)));
-        assert!(store.load_timelines(&g, key).is_some());
+            // the recompute path supersedes the stale files in place
+            store.save_plan_outcomes(&g, key, &plan, outcomes.table()).unwrap();
+            store.persist_engine(planned.engine(), key).unwrap();
+            let healed = store.load_plan_outcomes(&g, key, &plan);
+            assert_eq!(healed, Some((outcomes.table().to_vec(), 50)));
+            assert!(store.load_timelines(&g, key).is_some());
+        }
     }
 
     #[test]
@@ -2242,8 +1917,7 @@ mod tests {
         let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
         let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 64);
 
-        // populate: orbits, timelines, two shard partials, the merged table
-        store.save_orbits(&g, planned.orbits()).unwrap();
+        // populate: timelines, two shard partials, the merged table
         for index in 0..2 {
             let spec = crate::ShardSpec::new(2, index).unwrap();
             let classes = spec.classes(plan.orbits().num_pair_classes());
@@ -2255,22 +1929,30 @@ mod tests {
         let merged = store.merge_shards(&g, key, &plan, 2).unwrap();
         store.save_plan_outcomes(&g, key, &plan, &merged).unwrap();
         // plus: a corrupt artifact, an orphan temp file, a stale lock — and
-        // two FOREIGN files that merely look temp/lock-like, which gc must
-        // never touch (an operator's notes, another tool's staging)
+        // FOREIGN files gc must never touch: two that merely look
+        // temp/lock-like (an operator's notes, another tool's staging) and
+        // the group frames an older version of the store wrote, which no
+        // load path reads any more
         let corrupt_path = dir.0.join("outcomes-feedfeedfeedfeed.anrv");
         fs::write(&corrupt_path, b"not a frame").unwrap();
-        fs::write(dir.0.join("orbits-dead.anrv.tmp42"), b"leftover").unwrap();
+        fs::write(dir.0.join("timelines-dead.anrv.tmp42"), b"leftover").unwrap();
         fs::write(dir.0.join("outcomes-beef.anrv.lock"), b"").unwrap();
         fs::write(dir.0.join("notes.tmp"), b"operator notes").unwrap();
         fs::write(dir.0.join("rsync-staging.lock"), b"").unwrap();
+        let legacy = [
+            format!("orbits-{:032x}.anrv", g.canonical_hash()),
+            format!("group-{:032x}.anrv", g.canonical_hash()),
+        ];
+        for name in &legacy {
+            fs::write(dir.0.join(name), b"an old group frame").unwrap();
+        }
 
         let stats = store.stats().unwrap();
-        assert_eq!(stats.orbits.files, 1);
         assert_eq!(stats.timelines.files, 1);
         assert_eq!(stats.outcomes.files, 1);
         assert_eq!(stats.shards.files, 2);
         assert_eq!(stats.invalid.files, 1);
-        assert_eq!(stats.other.files, 4, "temp + lock + foreign files are surveyed as other");
+        assert_eq!(stats.other.files, 6, "temp, lock, foreign and legacy files are other");
         assert_eq!(stats.timeline_entries, planned.engine().cache().computed());
         assert_eq!(stats.recorded_horizons, vec![64]);
         assert!(stats.total_bytes() > 0);
@@ -2287,12 +1969,13 @@ mod tests {
         let after = store.stats().unwrap();
         assert_eq!(after.shards.files, 0);
         assert_eq!(after.invalid.files, 0);
-        assert_eq!(after.other.files, 2, "foreign temp/lock-like files must survive gc");
+        assert_eq!(after.other.files, 4, "foreign and legacy files must survive gc");
         assert!(dir.0.join("notes.tmp").exists());
         assert!(dir.0.join("rsync-staging.lock").exists());
-        assert_eq!(after.orbits.files + after.timelines.files + after.outcomes.files, 3);
+        assert!(legacy.iter().all(|name| dir.0.join(name).exists()));
+        assert_eq!(after.timelines.files + after.outcomes.files, 2);
         // the surviving artifacts still serve
-        assert!(store.load_orbits(&g).is_some());
+        assert!(store.load_timelines(&g, key).is_some());
         assert_eq!(store.load_plan_outcomes(&g, key, &plan), Some((merged, 64)));
         // a second pass finds nothing to do
         assert_eq!(store.gc_with_min_age(std::time::Duration::ZERO).unwrap().removed_files, 0);
@@ -2330,7 +2013,12 @@ mod tests {
         let dir = TempDir::new("quarantine");
         let store = store_in(&dir);
         let g = oriented_torus(3, 3).unwrap();
-        let path = store.save_orbits(&g, &PairOrbits::compute(&g)).unwrap();
+        let program = Walker { seed: 0x5EED };
+        let key = "test-walker-5eed";
+        let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(32));
+        let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 32);
+        let table = planned.run(&plan).table().to_vec();
+        let path = store.save_plan_outcomes(&g, key, &plan, &table).unwrap();
         let good = fs::read(&path).unwrap();
 
         // corruption: the load degrades to a miss and the frame moves aside
@@ -2338,7 +2026,7 @@ mod tests {
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x10;
         fs::write(&path, &corrupt).unwrap();
-        assert!(store.load_orbits(&g).is_none());
+        assert!(store.load_plan_outcomes(&g, key, &plan).is_none());
         assert!(!path.exists(), "the corrupt frame must move to quarantine/");
         let moved: Vec<PathBuf> = fs::read_dir(store.quarantine_dir())
             .unwrap()
@@ -2359,15 +2047,14 @@ mod tests {
         assert_eq!(store.stats().unwrap().quarantined.files, 1);
 
         // recompute-and-overwrite heals the cache
-        let (recovered, prov) = store.orbits(&g);
-        assert_eq!(prov, Provenance::Cold);
-        assert_eq!(recovered, PairOrbits::compute(&g));
+        store.save_plan_outcomes(&g, key, &plan, &table).unwrap();
+        assert_eq!(store.load_plan_outcomes(&g, key, &plan), Some((table.clone(), 32)));
 
         // version-stale: superseded in place, never quarantined
         let mut stale = fs::read(&path).unwrap();
         stale[8] = stale[8].wrapping_add(1);
         fs::write(&path, &stale).unwrap();
-        assert!(store.load_orbits(&g).is_none());
+        assert!(store.load_plan_outcomes(&g, key, &plan).is_none());
         assert!(path.exists(), "a version-stale frame is not corruption");
         assert_eq!(store.stats().unwrap().quarantined.files, 1, "still just the one");
     }
@@ -2428,7 +2115,12 @@ mod tests {
         let key = "test-walker-5eed";
         let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(32));
         let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 32);
-        let orbits_path = store.save_orbits(&g, planned.orbits()).unwrap();
+        let spec = crate::ShardSpec::new(2, 0).unwrap();
+        let classes = spec.classes(plan.orbits().num_pair_classes());
+        let table = planned.run_classes(&plan, &classes);
+        let shard_path = store
+            .save_shard(&g, key, &plan, &crate::ShardOutcomes { spec, classes, table })
+            .unwrap();
         let outcomes = planned.run(&plan);
         store.persist_engine(planned.engine(), key).unwrap();
         let outcomes_path = store.save_plan_outcomes(&g, key, &plan, outcomes.table()).unwrap();
@@ -2439,14 +2131,14 @@ mod tests {
         assert!(clean.entries.iter().all(|e| e.verdict == FsckVerdict::Valid));
 
         // flip one byte deep in the outcomes payload, bump the version byte
-        // of the orbits frame: one corrupt, one stale
+        // of the shard frame: one corrupt, one stale
         let mut bytes = fs::read(&outcomes_path).unwrap();
         let at = bytes.len() - 20;
         bytes[at] ^= 0x01;
         fs::write(&outcomes_path, &bytes).unwrap();
-        let mut stale = fs::read(&orbits_path).unwrap();
+        let mut stale = fs::read(&shard_path).unwrap();
         stale[8] = stale[8].wrapping_add(1);
-        fs::write(&orbits_path, &stale).unwrap();
+        fs::write(&shard_path, &stale).unwrap();
 
         let found = store.fsck(false).unwrap();
         assert_eq!((found.valid, found.stale, found.corrupt, found.quarantined), (1, 1, 1, 0));
@@ -2460,7 +2152,7 @@ mod tests {
         let repaired = store.fsck(true).unwrap();
         assert_eq!((repaired.corrupt, repaired.quarantined), (1, 1));
         assert!(!outcomes_path.exists(), "repair quarantines corruption");
-        assert!(orbits_path.exists(), "repair leaves version-stale frames in place");
+        assert!(shard_path.exists(), "repair leaves version-stale frames in place");
         assert_eq!(store.stats().unwrap().quarantined.files, 1);
 
         // a forged frame — well-framed but with trailing garbage — is
@@ -2468,11 +2160,12 @@ mod tests {
         let mut e = Enc::new();
         e.u128(g.canonical_hash());
         e.usize(g.num_nodes());
+        e.str(key);
         e.usize(0);
-        e.u64(0xDEAD); // trailing garbage after a valid empty group
+        e.u64(0xDEAD); // trailing garbage after a valid empty entry list
         fs::write(
-            dir.0.join("orbits-0000000000000000000000000000feed.anrv"),
-            e.into_frame(Kind::Orbits),
+            dir.0.join("symbolic-0000000000000000000000000000feed-000000000000feed.anrv"),
+            e.into_frame(Kind::SymbolicTimelines),
         )
         .unwrap();
         let forged = store.fsck(false).unwrap();

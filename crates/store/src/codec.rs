@@ -11,15 +11,15 @@
 //!
 //! All integers are little-endian.  The header is exactly 32 bytes, so a
 //! payload offset that is a multiple of 16 is also a 16-aligned *file*
-//! offset: the v3 payloads place their flat `u128`/`u64`/`u32` arrays on
-//! 16-byte boundaries ([`Enc::align16`]/[`Dec::align16`]) and move them
-//! with the bulk array codecs below — one `extend_from_slice`-style copy
-//! per array instead of a per-element decode loop.  The frame gives every
-//! artifact the same three integrity gates, checked in order on load:
+//! offset: payloads place their flat `u128`/`u64`/`u32` arrays on 16-byte
+//! boundaries ([`Enc::align16`]/[`Dec::align16`]) and move them with the
+//! bulk array codecs below — one `extend_from_slice`-style copy per array
+//! instead of a per-element decode loop.  The frame gives every artifact
+//! the same three integrity gates, checked in order on load:
 //!
-//! 1. **magic + version** — a file written by a different format revision is
+//! 1. **magic + version** — a file written at any other format version is
 //!    *invalidated* (treated as a miss, then overwritten by the recompute),
-//!    never partially interpreted;
+//!    never partially interpreted: there are no legacy readers;
 //! 2. **length** — a truncated or padded file can never cause a read past
 //!    the payload;
 //! 3. **checksum** — random corruption inside the payload is caught before
@@ -36,54 +36,28 @@
 /// File magic: identifies an anonrv store artifact.
 pub(crate) const MAGIC: [u8; 8] = *b"ANRVSTOR";
 
-/// Current format version.  Bump on any layout change: old files then fail
-/// the version gate and are transparently recomputed and rewritten.
-/// Version 2: horizon-generic keying — timelines carry a per-entry recorded
-/// horizon, outcome/shard payloads embed theirs after the (horizon-free)
-/// plan identity.
-/// Version 3: flat-array payloads — the header widens to 32 bytes so the
-/// payload starts 16-aligned, timeline entries store their segment and
-/// occupancy arrays as alignment-padded struct-of-arrays blocks (decoded by
-/// one bulk copy each, no per-segment loop or re-indexing on load), outcome
-/// tables store one flat column per field, and timeline payloads carry an
-/// up-front `(start, horizon)` directory so `stats` can peek recorded
-/// horizons from a bounded prefix read.
-/// Version 4: symbolic timeline artifacts — a new
-/// [`Kind::SymbolicTimelines`] frame stores each start node's
-/// `prefix · cycle^∞` decomposition as two v3-style flat-array blocks
-/// (prefix and cycle columns).  No existing payload layout changed, so
-/// readers accept [`MIN_FORMAT_VERSION`]`..=`[`FORMAT_VERSION`]: v3
-/// explicit frames keep loading verbatim.
-/// Version 5: implicit symmetry groups — a new [`Kind::ImplicitOrbits`]
-/// frame stores a *closed-form group descriptor* (family tag plus shape
-/// parameters, a few dozen bytes) instead of `k·n` permutation words, so a
-/// million-node torus persists its full automorphism group in O(1) space.
-/// Loaders re-verify the descriptor against the graph on load (the
-/// generators are re-checked port by port), exactly as explicit
-/// permutation frames are re-verified.  Again no existing payload layout
-/// changed: v3/v4 `orbits-` frames keep loading verbatim and remain the
-/// fallback representation for graphs without a closed-form group.
+/// The format version every frame is written and read at.  Bump it on any
+/// payload layout change: frames of every other version then fail the
+/// version gate and are recomputed and rewritten in place.  The current
+/// layout is a 32-byte header and 16-aligned flat-array payloads — timeline
+/// payloads lead with their distinct recorded horizons so `stats` can peek
+/// them from a bounded prefix read, outcome tables store one column per
+/// field — in the four artifact kinds of [`Kind`].
 pub(crate) const FORMAT_VERSION: u32 = 5;
-
-/// Oldest format version readers still accept.  Versions 3 through 5 share
-/// every payload layout (v4 and v5 only *add* artifact kinds), so a
-/// v3 frame is served as-is rather than treated as stale.
-pub(crate) const MIN_FORMAT_VERSION: u32 = 3;
 
 /// Frame header size: magic(8) + version(4) + kind(1) + reserved(11) +
 /// payload length(8).  The 11 reserved zero bytes pad the header to 32 so
 /// 16-aligned payload offsets are 16-aligned file offsets.
 pub(crate) const HEADER: usize = 32;
 
-/// Alignment of the flat arrays inside v3 payloads (the widest element,
+/// Alignment of the flat arrays inside payloads (the widest element,
 /// `u128`).
 pub(crate) const ALIGN: usize = 16;
 
-/// Artifact kind tags (one per payload layout).
+/// Artifact kind tags (one per payload layout).  A tag is part of the frame
+/// format: changing one needs a [`FORMAT_VERSION`] bump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kind {
-    /// Automorphism permutations (a [`anonrv_plan::PairOrbits`] seed).
-    Orbits = 1,
     /// Recorded trajectory timelines of one `(graph, program, horizon)`.
     Timelines = 2,
     /// A full representative-outcome table of one executed sweep plan.
@@ -94,10 +68,6 @@ pub(crate) enum Kind {
     /// horizon-free: one detection serves *every* horizon, so these
     /// supersede explicit timeline recordings under the longest-wins rule.
     SymbolicTimelines = 5,
-    /// An implicit symmetry-group descriptor (closed-form family + shape
-    /// parameters) — the O(1)-space alternative to [`Kind::Orbits`] for
-    /// graphs whose full automorphism group has a closed form.
-    ImplicitOrbits = 6,
 }
 
 /// 64-bit FNV-1a over a byte slice (the frame checksum and the filename
@@ -215,9 +185,9 @@ impl<'a> Dec<'a> {
         Some(slice)
     }
 
-    /// The inverse of [`Enc::u8`] — an unaligned scalar byte.  The v3
-    /// payloads move byte *columns* with [`Dec::u8_vec`]; the symbolic
-    /// entries read their tail-kind code through this.
+    /// The inverse of [`Enc::u8`] — an unaligned scalar byte.  Payloads
+    /// move byte *columns* with [`Dec::u8_vec`]; the symbolic entries read
+    /// their tail-kind code through this.
     pub(crate) fn u8(&mut self) -> Option<u8> {
         self.take(1).map(|s| s[0])
     }
@@ -389,7 +359,7 @@ fn check_header_checked(kind: Kind, bytes: &[u8]) -> Result<usize, FrameFailure>
         return Err(FrameFailure::Magic);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(FrameFailure::Version);
     }
     if bytes[12] != kind as u8 {
@@ -429,13 +399,13 @@ mod tests {
         e.u64(42);
         e.u128(u128::MAX - 1);
         e.str("walker-0x5eed");
-        e.into_frame(Kind::Orbits)
+        e.into_frame(Kind::Shard)
     }
 
     #[test]
     fn frames_round_trip() {
         let bytes = sample_frame();
-        let mut d = unframe(Kind::Orbits, &bytes).expect("valid frame");
+        let mut d = unframe(Kind::Shard, &bytes).expect("valid frame");
         assert_eq!(d.u8(), Some(7));
         assert_eq!(d.u64(), Some(42));
         assert_eq!(d.u128(), Some(u128::MAX - 1));
@@ -451,26 +421,28 @@ mod tests {
         // bad magic
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert!(unframe(Kind::Orbits, &bad).is_none());
-        // version mismatch
-        let mut bad = good.clone();
-        bad[8] = bad[8].wrapping_add(1);
-        assert!(unframe(Kind::Orbits, &bad).is_none());
+        assert!(unframe(Kind::Shard, &bad).is_none());
+        // every other version, older or newer, is a version miss
+        for version in [3u32, 4, 6] {
+            let mut bad = good.clone();
+            bad[8..12].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(unframe_checked(Kind::Shard, &bad).err(), Some(FrameFailure::Version));
+        }
         // truncation (any prefix)
         for cut in 0..good.len() {
-            assert!(unframe(Kind::Orbits, &good[..cut]).is_none(), "prefix {cut} accepted");
+            assert!(unframe(Kind::Shard, &good[..cut]).is_none(), "prefix {cut} accepted");
         }
         // trailing garbage
         let mut bad = good.clone();
         bad.push(0);
-        assert!(unframe(Kind::Orbits, &bad).is_none());
+        assert!(unframe(Kind::Shard, &bad).is_none());
         // single-byte corruption anywhere past the magic — reserved bytes,
         // length, payload and checksum are all covered (by the reserved-zero
         // gate, the length gate or the checksum)
         for i in 8..good.len() {
             let mut bad = good.clone();
             bad[i] ^= 0x40;
-            assert!(unframe(Kind::Orbits, &bad).is_none(), "corrupt byte {i} accepted");
+            assert!(unframe(Kind::Shard, &bad).is_none(), "corrupt byte {i} accepted");
         }
     }
 
@@ -517,17 +489,17 @@ mod tests {
         let frame = sample_frame();
         let len = frame.len() as u64;
         // a generous prefix exposes the leading payload fields
-        let mut d = peek_frame(Kind::Orbits, &frame[..HEADER + 9], len).expect("peek");
+        let mut d = peek_frame(Kind::Shard, &frame[..HEADER + 9], len).expect("peek");
         assert_eq!(d.u8(), Some(7));
         assert_eq!(d.u64(), Some(42));
         // reads past the prefix degrade to None, not to garbage
         assert_eq!(d.u128(), None);
         // too-short prefix, wrong kind, and a file length that disagrees
         // with the declared payload length are all rejected
-        assert!(peek_frame(Kind::Orbits, &frame[..HEADER - 1], len).is_none());
-        assert!(peek_frame(Kind::Shard, &frame, len).is_none());
-        assert!(peek_frame(Kind::Orbits, &frame, len + 1).is_none());
-        assert!(peek_frame(Kind::Orbits, &frame, len - 1).is_none());
+        assert!(peek_frame(Kind::Shard, &frame[..HEADER - 1], len).is_none());
+        assert!(peek_frame(Kind::Timelines, &frame, len).is_none());
+        assert!(peek_frame(Kind::Shard, &frame, len + 1).is_none());
+        assert!(peek_frame(Kind::Shard, &frame, len - 1).is_none());
     }
 
     #[test]

@@ -97,8 +97,8 @@ fn registry() -> &'static Mutex<HashMap<String, FaultPlan>> {
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Serialises tests that arm failpoints programmatically — two concurrent
-/// [`scoped`] configurations would otherwise see each other's faults.
+/// Serialises [`scoped`] sections — two concurrent configurations would
+/// otherwise overwrite each other's registry.
 fn test_serial() -> &'static Mutex<()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     &SERIAL
@@ -257,9 +257,14 @@ impl Drop for FaultGuard {
 /// Arm failpoints programmatically for the lifetime of the returned guard
 /// (the in-process channel tests use; processes use `ANONRV_FAILPOINTS`).
 /// Uses the same `site=action[:count][@skip]` syntax as the environment
-/// variable and panics on malformed input.  Guarded sections are mutually
-/// exclusive across threads, so concurrent tests cannot see each other's
-/// faults.
+/// variable and panics on malformed input.
+///
+/// The registry is process-wide.  Guarded sections are mutually exclusive
+/// across threads, so I/O done *inside* a guard sees exactly that guard's
+/// faults — but I/O done outside any guard sees whatever another thread's
+/// guard has armed at that moment.  Concurrent tests that arm failpoints
+/// must therefore run all their store I/O under a guard, taking
+/// `scoped("")` for the fault-free phases.
 pub fn scoped(config: &str) -> FaultGuard {
     let serial = match test_serial().lock() {
         Ok(g) => g,

@@ -5,26 +5,26 @@
 //! `anonrv-sim` across runs, across processes — and behind one API.
 //!
 //! Repeated sweeps over one graph used to re-derive everything from
-//! scratch — the automorphism group, the pair-orbit partition, every start
-//! node's trajectory timeline, every representative merge.  All of those are
-//! deterministic functions of `(graph, program, horizon)`, so they are
-//! cacheable; the planner's representative work-list is embarrassingly
-//! parallel, so it is shardable; and because programs propagate `Stop`, a
-//! horizon-`h` run is an exact prefix of a horizon-`H >= h` run, so one
-//! recording serves **every smaller horizon** bit-identically.  This crate
-//! supplies all three:
+//! scratch — every start node's trajectory timeline, every representative
+//! merge.  Both are deterministic functions of `(graph, program, horizon)`,
+//! so they are cacheable; the planner's representative work-list is
+//! embarrassingly parallel, so it is shardable; and because programs
+//! propagate `Stop`, a horizon-`h` run is an exact prefix of a horizon-`H >=
+//! h` run, so one recording serves **every smaller horizon**
+//! bit-identically.  The automorphism group and its pair-orbit partition
+//! are deterministic too, but cheaper to recompute than to load, so they
+//! are never persisted.  This crate supplies all three:
 //!
 //! * [`Store`] — a content-addressed on-disk cache (directory of
 //!   checksummed, versioned artifacts keyed by
 //!   [`PortGraph::canonical_hash`](anonrv_graph::PortGraph::canonical_hash))
-//!   holding serialized automorphism groups / [`PairOrbits`], recorded
-//!   wait-compressed [`Timeline`](anonrv_sim::Timeline)s, detected
-//!   [`SymbolicTimeline`](anonrv_sim::SymbolicTimeline)s (the
-//!   `symbolic-*` v4 kind: per start node a prefix and a cycle in the
-//!   same flat-array columns, shape-re-validated through
+//!   holding recorded wait-compressed [`Timeline`](anonrv_sim::Timeline)s,
+//!   detected [`SymbolicTimeline`](anonrv_sim::SymbolicTimeline)s (per
+//!   start node a prefix and a cycle in the same flat-array columns,
+//!   shape-re-validated through
 //!   [`SymbolicTimeline::from_raw`](anonrv_sim::SymbolicTimeline::from_raw)
-//!   on load), and full representative-outcome tables.  Horizons live
-//!   *inside* the frames, not
+//!   on load), full representative-outcome tables and shard partials.
+//!   Horizons live *inside* the frames, not
 //!   in the keys: a lookup hits whenever `recorded >= needed` (longer
 //!   recordings serve as-is — the merge kernels clip per query), a shorter
 //!   table **extends** up instead of restarting, writes supersede shorter
@@ -39,8 +39,8 @@
 //!   recompute-and-overwrite on any mismatch — see [`cache`] for the trust
 //!   model and `codec.rs` for the frame layout.
 //!
-//!   Format version 4 frames are **zero-copy-shaped**: a 32-byte header, a
-//!   payload of 16-aligned little-endian flat arrays in the engines' own
+//!   Frames are **zero-copy-shaped**: a 32-byte header, a payload of
+//!   16-aligned little-endian flat arrays in the engines' own
 //!   struct-of-arrays layout (timeline segment columns + occupancy CSR;
 //!   one column per outcome field), and one trailing checksum amortised
 //!   over the whole frame.  Loading is a single `fs::read` plus bulk
@@ -48,12 +48,12 @@
 //!   [`Timeline::from_parts`](anonrv_sim::Timeline::from_parts) — no
 //!   per-entry re-indexing — and [`Store::stats`] / [`Store::gc`] survey a
 //!   cache directory from a bounded 64 KiB prefix per file, never loading
-//!   the arrays.  Version 4 only *adds* the symbolic kind; readers accept
-//!   versions `3..=4`, so v3 frames keep loading verbatim while versions
-//!   outside the range stay plain (non-quarantined) misses.
+//!   the arrays.  There is one format version (5) and no legacy reader: a
+//!   frame of any other version is a plain (non-quarantined) miss that the
+//!   recompute overwrites.
 //! * [`SweepSession`] — the one orchestrator every front-end drives (the
-//!   CLI `sweep`/`cache` commands, the experiment harness, the benchmark
-//!   binaries): plan → cache-probe → execute-representatives → record →
+//!   CLI `sweep`/`cache` commands, the experiment harness): plan →
+//!   cache-probe → execute-representatives → record →
 //!   broadcast, with pluggable shard slicing and uniform [`SessionStats`]
 //!   reporting — see [`session`].
 //! * [`ShardSpec`] / [`Store::merge_shards`] — the shard persistence:
@@ -61,11 +61,11 @@
 //!   work-list whose partial outcome files merge deterministically into one
 //!   table **bit-identical** to the unsharded run — see [`shard`].
 //!
-//! On a warm cache an exhaustive all-pairs × δ-grid sweep skips planning
-//! and trajectory recording entirely, and skips even the merges when a
-//! table recorded at the same (or any larger) horizon exists — the `anonrv
-//! sweep` CLI command and the `store_timing` benchmark drive precisely
-//! these paths.
+//! On a warm cache an exhaustive all-pairs × δ-grid sweep skips trajectory
+//! recording entirely, and skips even the merges when a table recorded at
+//! the same (or any larger) horizon exists — the `anonrv sweep` CLI command
+//! and the `store-*` workloads of `perfbench/` drive precisely these
+//! paths.
 //!
 //! ## Failure model & recovery
 //!
@@ -147,7 +147,6 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 //!
-//! [`PairOrbits`]: anonrv_plan::PairOrbits
 //! [`SweepPlan`]: anonrv_plan::SweepPlan
 
 #![forbid(unsafe_code)]

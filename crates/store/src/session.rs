@@ -7,7 +7,8 @@
 //! what they reported.  A [`SweepSession`] owns the whole flow once:
 //!
 //! ```text
-//!   plan        orbits: store probe (verified load) or compute, save back
+//!   plan        orbits: recomputed every session (closed form or BFS; the
+//!               store keeps no group frames)
 //!   cache-probe outcome table: exact hit / prefix hit / extend hit / miss;
 //!               trajectory timelines: preload (served as-is; the merge
 //!               kernels clip at each query's horizon) on first use
@@ -51,7 +52,7 @@ use anonrv_obs as obs;
 use anonrv_plan::{PairOrbits, PlannedOutcomes, PlannedSweep, SweepPlan};
 use anonrv_sim::{AgentProgram, EngineConfig, Round, SimOutcome, Stic, SweepEngine, UNROLL_CAP};
 
-use crate::cache::{Provenance, Store, TableFingerprinter};
+use crate::cache::{Store, TableFingerprinter};
 use crate::fault;
 use crate::shard::{ShardOutcomes, ShardSpec};
 
@@ -61,7 +62,7 @@ pub enum OutcomeProvenance {
     /// Executed (and, with a store, persisted): no usable table on disk.
     Cold,
     /// Loaded from a table recorded at exactly the requested horizon —
-    /// planning, recording and merging all skipped.
+    /// recording and merging skipped.
     WarmExact,
     /// Loaded from a table recorded at a longer horizon and truncated down;
     /// `remerged` entries were re-derived from warm cached timelines (no
@@ -113,8 +114,6 @@ impl std::fmt::Display for OutcomeProvenance {
 /// single source the CLI and the experiment compression notes report from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Whether the pair-orbit partition was loaded or computed.
-    pub orbits: Provenance,
     /// Trajectory timelines preloaded from the store.
     pub timeline_hits: usize,
     /// The subset of [`SessionStats::timeline_hits`] served by prefix
@@ -164,7 +163,6 @@ pub struct SweepSession<'a> {
     graph: &'a PortGraph,
     program_key: String,
     planned: PlannedSweep<'a>,
-    orbits_provenance: Provenance,
     warmed: bool,
     timeline_hits: usize,
     timeline_prefix_hits: usize,
@@ -179,8 +177,8 @@ pub struct SweepSession<'a> {
 }
 
 impl<'a> SweepSession<'a> {
-    /// Open a session: probe (or compute and save back) the pair-orbit
-    /// partition and set up the planned executor.  Trajectory timelines are
+    /// Open a session: compute the pair-orbit partition and set up the
+    /// planned executor.  Trajectory timelines are
     /// preloaded lazily, on the first call that actually executes — a
     /// session that ends up fully served by a warm outcome table never
     /// touches them.
@@ -195,36 +193,24 @@ impl<'a> SweepSession<'a> {
         config: EngineConfig,
     ) -> Self {
         let _plan_span = obs::span("session.plan");
-        let (orbits, provenance) = match store {
-            Some(store) => store.orbits(graph),
-            None => (PairOrbits::compute(graph), Provenance::Cold),
-        };
-        obs::counter_add(
-            match provenance {
-                Provenance::Warm => "session.orbits.warm",
-                Provenance::Cold => "session.orbits.cold",
-            },
-            1,
-        );
+        let orbits = PairOrbits::compute(graph);
         let planned = PlannedSweep::from_orbits(orbits, graph, program, config);
-        Self::assemble(store, graph, program_key.into(), planned, provenance)
+        Self::assemble(store, graph, program_key.into(), planned)
     }
 
     /// Open a session over a partition the caller already holds (sweeps
     /// sharing one graph reuse it across programs and parameter groups
-    /// without recomputing or re-probing).  `orbits_provenance` is whatever
-    /// the caller's own probe reported.
+    /// without recomputing it).
     pub fn with_orbits(
         store: Option<&'a Store>,
         orbits: &'a PairOrbits,
-        orbits_provenance: Provenance,
         graph: &'a PortGraph,
         program: &'a dyn AgentProgram,
         program_key: impl Into<String>,
         config: EngineConfig,
     ) -> Self {
         let planned = PlannedSweep::with_orbits(orbits, graph, program, config);
-        Self::assemble(store, graph, program_key.into(), planned, orbits_provenance)
+        Self::assemble(store, graph, program_key.into(), planned)
     }
 
     /// A storeless session: the experiments' in-process mode — same
@@ -242,14 +228,12 @@ impl<'a> SweepSession<'a> {
         graph: &'a PortGraph,
         program_key: String,
         planned: PlannedSweep<'a>,
-        orbits_provenance: Provenance,
     ) -> Self {
         SweepSession {
             store,
             graph,
             program_key,
             planned,
-            orbits_provenance,
             warmed: false,
             timeline_hits: 0,
             timeline_prefix_hits: 0,
@@ -285,7 +269,6 @@ impl<'a> SweepSession<'a> {
     /// The snapshot the CLI and the compression notes report from.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
-            orbits: self.orbits_provenance,
             timeline_hits: self.timeline_hits,
             timeline_prefix_hits: self.timeline_prefix_hits,
             timeline_misses: self
@@ -830,7 +813,6 @@ mod tests {
         let (cold_outcomes, prov) = cold.run_plan(&plan).unwrap();
         assert_eq!(prov, OutcomeProvenance::Cold);
         let cold_stats = cold.stats();
-        assert_eq!(cold_stats.orbits, Provenance::Cold);
         assert!(cold_stats.timeline_misses > 0);
         assert_eq!(cold_stats.executed, plan.num_representative_queries());
 
@@ -840,7 +822,6 @@ mod tests {
         assert_eq!(prov, OutcomeProvenance::WarmExact);
         assert_eq!(warm_outcomes.table(), cold_outcomes.table());
         let warm_stats = warm.stats();
-        assert_eq!(warm_stats.orbits, Provenance::Warm);
         assert_eq!((warm_stats.executed, warm_stats.timeline_misses), (0, 0));
 
         // prefix hit at a smaller horizon: zero recordings, every timeline
@@ -1082,7 +1063,6 @@ mod tests {
             );
         }
         let stats = session.stats();
-        assert_eq!(stats.orbits, Provenance::Cold);
         assert_eq!(stats.answered, 3);
         // (0,5) and (1,3) are translates: one class, two (δ, horizon) groups
         assert_eq!(stats.executed, 2);

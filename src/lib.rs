@@ -33,15 +33,16 @@
 //!   bit-identically;
 //! * [`store`] ([`anonrv_store`]) — persistence, sharding and
 //!   orchestration for planned sweeps: a content-addressed, *horizon-
-//!   generic* on-disk cache (orbits, trajectory timelines, outcome
-//!   tables; horizons recorded inside the frames, so one recording at the
+//!   generic* on-disk cache (trajectory timelines and outcome tables —
+//!   the orbit partition is recomputed, never stored; horizons recorded
+//!   inside the frames, so one recording at the
 //!   largest horizon serves every smaller one by exact prefix truncation;
 //!   integrity-checked, falling back to recompute; compactable via
 //!   [`anonrv_store::Store::gc`]), shard persistence whose partial
 //!   results merge deterministically into the unsharded table, and the
 //!   [`anonrv_store::SweepSession`] pipeline (plan → cache-probe →
-//!   execute → record → broadcast) that the CLI, the experiment harness
-//!   and the benchmarks all drive;
+//!   execute → record → broadcast) that the CLI and the experiment
+//!   harness drive;
 //! * [`experiments`] ([`anonrv_experiments`]) — the table/figure harnesses,
 //!   including the `--exhaustive` uncapped sweeps;
 //! * [`obs`] ([`anonrv_obs`]) — dependency-free structured telemetry

@@ -55,9 +55,12 @@ fn crashes_at_every_write_site_recover_to_a_bit_identical_table() {
 
     // one abort per write site, plus skip variants that let earlier writes
     // land so the death hits a *later* artifact (a partially populated
-    // store is the harder recovery case)
+    // store is the harder recovery case).  The child's writes run shard 0,
+    // its timelines, shard 1: `abort` dies in the first shard write,
+    // `abort@1` in the timeline write, `abort@2` in the second shard write
     let sites = [
         "store.write_tmp=abort",
+        "store.write_tmp=abort@1",
         "store.write_tmp=abort@2",
         "store.rename=abort",
         "lock.acquire=abort",

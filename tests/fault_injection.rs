@@ -6,6 +6,11 @@
 //! without breaking convergence.  (Real process deaths are covered by the
 //! `crash_recovery` harness; these tests stay in-process so they can
 //! inspect reports and stats.)
+//!
+//! Failpoints are process-wide and the tests run concurrently, so every
+//! store call here runs while its test holds a guard — `scoped("")` for
+//! the fault-free phases.  Guards are mutually exclusive, so no test's I/O
+//! can run into the faults another test armed.
 
 use anonrv::graph::generators::oriented_torus;
 use anonrv::plan::SweepPlan;
@@ -48,14 +53,14 @@ fn reference_fingerprint(g: &anonrv::graph::PortGraph, deltas: Vec<Round>) -> u6
 
 #[test]
 fn injected_persist_failures_retry_until_the_table_matches_undisturbed() {
-    let dir = TempDir::new("persist-retry");
-    let store = Store::open(&dir.0).unwrap();
     let g = oriented_torus(3, 3).unwrap();
     let reference = reference_fingerprint(&g, vec![0, 1]);
 
     // the first shard persist dies; the supervisor's probe sees the gap
     // and re-runs exactly that slice
     let guard = fault::scoped("shard.persist=io-error:1");
+    let dir = TempDir::new("persist-retry");
+    let store = Store::open(&dir.0).unwrap();
     let config = SuperviseConfig {
         base_backoff: std::time::Duration::from_millis(1),
         ..SuperviseConfig::default()
@@ -78,8 +83,6 @@ fn injected_persist_failures_retry_until_the_table_matches_undisturbed() {
 
 #[test]
 fn torn_writes_leave_only_reclaimable_debris_and_never_publish() {
-    let dir = TempDir::new("torn-write");
-    let store = Store::open(&dir.0).unwrap();
     let g = oriented_torus(3, 3).unwrap();
     let reference = reference_fingerprint(&g, vec![0, 1]);
     let program = walker();
@@ -87,6 +90,8 @@ fn torn_writes_leave_only_reclaimable_debris_and_never_publish() {
     // every temp-file write persists only its first 57 bytes, then fails:
     // no artifact may ever be published from a torn buffer
     let guard = fault::scoped("store.write_tmp=torn-write-57");
+    let dir = TempDir::new("torn-write");
+    let store = Store::open(&dir.0).unwrap();
     let mut session =
         SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(HORIZON));
     let plan = SweepPlan::from_orbits(session.orbits().clone(), vec![0, 1], HORIZON);
@@ -111,6 +116,7 @@ fn torn_writes_leave_only_reclaimable_debris_and_never_publish() {
     }
 
     // gc reclaims the debris, and a clean rerun converges
+    let _clean = fault::scoped("");
     store.gc_with_min_age(std::time::Duration::ZERO).unwrap();
     assert!(
         std::fs::read_dir(&dir.0)
@@ -127,18 +133,20 @@ fn torn_writes_leave_only_reclaimable_debris_and_never_publish() {
 
 #[test]
 fn unreadable_frames_degrade_to_recompute_without_quarantining_intact_files() {
-    let dir = TempDir::new("read-error");
-    let store = Store::open(&dir.0).unwrap();
     let g = oriented_torus(3, 3).unwrap();
     let program = walker();
 
     // populate a warm cache first
+    let clean = fault::scoped("");
+    let dir = TempDir::new("read-error");
+    let store = Store::open(&dir.0).unwrap();
     let mut seed_session =
         SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(HORIZON));
     let plan = SweepPlan::from_orbits(seed_session.orbits().clone(), vec![0, 1], HORIZON);
     let (seeded, prov) = seed_session.run_plan(&plan).unwrap();
     assert_eq!(prov, OutcomeProvenance::Cold);
     let reference = table_fingerprint(seeded.table());
+    drop(clean);
 
     // a failing disk: every frame read errors.  Loads must degrade to a
     // miss (recompute), never to wrong data — and must not quarantine
@@ -152,6 +160,7 @@ fn unreadable_frames_degrade_to_recompute_without_quarantining_intact_files() {
     assert_eq!(table_fingerprint(recomputed.table()), reference);
     drop(guard);
 
+    let _clean = fault::scoped("");
     assert_eq!(store.stats().unwrap().quarantined.files, 0, "intact files were quarantined");
     // with the fault gone the (rewritten) cache serves warm again
     let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(HORIZON));
@@ -161,8 +170,6 @@ fn unreadable_frames_degrade_to_recompute_without_quarantining_intact_files() {
 
 #[test]
 fn stragglers_past_the_deadline_are_counted_but_still_converge() {
-    let dir = TempDir::new("straggler");
-    let store = Store::open(&dir.0).unwrap();
     let g = oriented_torus(3, 3).unwrap();
     let reference = reference_fingerprint(&g, vec![0, 1]);
     let program = walker();
@@ -171,6 +178,8 @@ fn stragglers_past_the_deadline_are_counted_but_still_converge() {
     // stragglers (observationally — completed-late work is kept) and the
     // run still converges without retries
     let guard = fault::scoped("shard.execute=delay-30");
+    let dir = TempDir::new("straggler");
+    let store = Store::open(&dir.0).unwrap();
     let config = SuperviseConfig {
         shard_deadline: std::time::Duration::from_millis(1),
         base_backoff: std::time::Duration::from_millis(1),

@@ -1,13 +1,14 @@
 //! Integration tests of the persistent plan cache, the shard persistence
 //! and the `SweepSession` orchestrator (`anonrv-store`) through the
 //! umbrella crate: cache correctness under corruption, truncation and
-//! format staleness; warm-vs-cold and prefix-vs-cold bit-identity; and the
-//! exhaustive sharded-merge-vs-unsharded differential on the 3×4 torus.
+//! format staleness; warm-vs-cold and prefix-vs-cold bit-identity; the
+//! artifact kinds a sweep writes (never a group frame); and the exhaustive
+//! sharded-merge-vs-unsharded differential on the 3×4 torus.
 
-use anonrv::graph::generators::{oriented_ring, oriented_torus};
+use anonrv::graph::generators::{grid, oriented_ring, oriented_torus};
 use anonrv::plan::SweepPlan;
 use anonrv::sim::{EngineConfig, Round, SimOutcome, Stic, SweepWalker};
-use anonrv::store::{OutcomeProvenance, Provenance, ShardSpec, Store, SweepSession};
+use anonrv::store::{OutcomeProvenance, ShardSpec, Store, SweepSession};
 
 /// Unique, self-deleting scratch directory per test.
 struct TempDir(std::path::PathBuf);
@@ -49,7 +50,6 @@ fn warm_and_cold_planned_sweeps_are_bit_identical_end_to_end() {
 
     // cold: everything computed, everything persisted
     let mut cold = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(HORIZON));
-    assert_eq!(cold.stats().orbits, Provenance::Cold);
     let plan = SweepPlan::from_orbits(cold.orbits().clone(), deltas(), HORIZON);
     let (cold_outcomes, provenance) = cold.run_plan(&plan).unwrap();
     assert_eq!(provenance, OutcomeProvenance::Cold);
@@ -57,7 +57,6 @@ fn warm_and_cold_planned_sweeps_are_bit_identical_end_to_end() {
 
     // warm at the same horizon: the whole sweep is skipped ...
     let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(HORIZON));
-    assert_eq!(warm.stats().orbits, Provenance::Warm);
     let (warm_outcomes, provenance) = warm.run_plan(&plan).unwrap();
     assert_eq!(provenance, OutcomeProvenance::WarmExact);
     assert_eq!(warm.stats().timeline_misses, 0, "warm run must not re-record");
@@ -72,6 +71,41 @@ fn warm_and_cold_planned_sweeps_are_bit_identical_end_to_end() {
                 assert_eq!(warm_outcomes.get(u, v, di), direct, "({u}, {v}) delta {delta}");
             }
         }
+    }
+}
+
+/// The store keeps no automorphism groups: a cold sweep of a stamped graph
+/// (closed-form group) and of an unstamped one (BFS group) writes only
+/// timeline and outcome frames, and the rerun recomputes its partition yet
+/// is served warm, bit for bit.
+#[test]
+fn store_backed_sweeps_write_no_group_frames_and_rerun_warm() {
+    let kinds = ["timelines-", "symbolic-", "outcomes-", "shard-"];
+    let graphs = [("torus-4x4", oriented_torus(4, 4).unwrap()), ("grid-3x3", grid(3, 3).unwrap())];
+    for (label, g) in graphs {
+        let dir = TempDir::new(&format!("no-groups-{label}"));
+        let store = Store::open(&dir.0).unwrap();
+        let program = walker();
+        let mut cold =
+            SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(HORIZON));
+        let plan = SweepPlan::from_orbits(cold.orbits().clone(), deltas(), HORIZON);
+        let (cold_outcomes, provenance) = cold.run_plan(&plan).unwrap();
+        assert_eq!(provenance, OutcomeProvenance::Cold, "{label}");
+
+        let names: Vec<String> = std::fs::read_dir(&dir.0)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(!names.is_empty(), "{label}: the cold run persisted nothing");
+        for name in &names {
+            assert!(kinds.iter().any(|k| name.starts_with(k)), "{label}: unexpected file {name}");
+        }
+
+        let mut warm =
+            SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(HORIZON));
+        let (warm_outcomes, provenance) = warm.run_plan(&plan).unwrap();
+        assert_eq!(provenance, OutcomeProvenance::WarmExact, "{label}");
+        assert_eq!(warm_outcomes.table(), cold_outcomes.table(), "{label}");
     }
 }
 

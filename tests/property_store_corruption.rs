@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 
 use anonrv::graph::generators::oriented_ring;
-use anonrv::plan::{PairOrbits, SweepPlan};
-use anonrv::sim::{EngineConfig, SweepWalker};
+use anonrv::plan::SweepPlan;
+use anonrv::sim::{EngineConfig, SweepWalker, Timeline};
 use anonrv::store::{OutcomeProvenance, Store, SweepSession};
 
 const KEY: &str = "prop-walker-5eed";
@@ -93,7 +93,7 @@ proptest! {
         let g = oriented_ring(6).unwrap();
         let program = SweepWalker { seed: 0x5EED };
 
-        // populate: orbits, timelines and an outcome table
+        // populate: timelines and an outcome table
         let mut seed_session =
             SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(16));
         let plan = SweepPlan::from_orbits(seed_session.orbits().clone(), vec![0, 1], 16);
@@ -117,8 +117,13 @@ proptest! {
 
         // a direct load of the damaged kind is a miss or the truth — a
         // single flipped bit can never pass the end-to-end checksum
-        if let Some(orbits) = store.load_orbits(&g) {
-            prop_assert_eq!(orbits, PairOrbits::compute(&g));
+        if let Some((table, recorded)) = store.load_plan_outcomes(&g, KEY, &plan) {
+            prop_assert_eq!((table.as_slice(), recorded), (reference.as_slice(), 16));
+        }
+        if let Some(timelines) = store.load_timelines(&g, KEY) {
+            for (u, t) in timelines {
+                prop_assert_eq!(t, Timeline::record(&g, &program, u, 16));
+            }
         }
 
         // end to end: the sweep recomputes whatever the flip destroyed and
@@ -202,13 +207,14 @@ proptest! {
     }
 }
 
-/// Version-compat pin: v5 readers accept v3 frames verbatim (the payload
-/// layout is unchanged — v4 added the symbolic kind, v5 the implicit-group
-/// descriptor kind; both only *add*), while versions outside `3..=5` stay
-/// plain misses that degrade to recompute.
+/// One format version, no legacy readers: frames resealed at any other
+/// version — a layout that never matched (2), the versions that once shared
+/// the current payload layouts (3, 4) and a newer one (6) — all miss
+/// without being quarantined, the sweep recomputes bit-identically, and
+/// the rewrite heals the cache back to the current version and fully warm.
 #[test]
-fn version_3_explicit_frames_still_load_and_out_of_range_versions_miss() {
-    let dir = TempDir::new("v3compat");
+fn frames_of_every_other_format_version_miss_recompute_and_heal() {
+    let dir = TempDir::new("versions");
     let store = Store::open(&dir.0).unwrap();
     let g = oriented_ring(6).unwrap();
     let program = SweepWalker { seed: 0x5EED };
@@ -218,32 +224,36 @@ fn version_3_explicit_frames_still_load_and_out_of_range_versions_miss() {
     let plan = SweepPlan::from_orbits(seed_session.orbits().clone(), vec![0, 1], 16);
     let (seeded, _) = seed_session.run_plan(&plan).unwrap();
     let reference = seeded.table().to_vec();
-
-    // rewrite every artifact as a version-3 frame (checksum refreshed)
     let artifacts = artifacts_with_prefix(&dir.0, "");
     assert!(!artifacts.is_empty());
-    for artifact in &artifacts {
-        reseal_with_version(artifact, 3);
-    }
+    let version_of = |path: &std::path::Path| std::fs::read(path).unwrap()[8..12].to_vec();
+    let current = version_of(&artifacts[0]);
 
-    // the store reads them verbatim: the very next session is fully warm
-    let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(16));
-    let (served, prov) = warm.run_plan(&plan).unwrap();
-    assert_eq!(served.table(), reference.as_slice());
-    assert!(matches!(prov, OutcomeProvenance::WarmExact), "{prov:?}");
-
-    // versions outside the accepted range are plain misses — too old and
-    // too new alike degrade to recompute, never to a misparse
-    for stale in [2u32, 6u32] {
+    for stale in [2u32, 3, 4, 6] {
         for artifact in &artifacts {
             reseal_with_version(artifact, stale);
         }
-        assert!(store.load_orbits(&g).is_none(), "version {stale} frame must miss");
+        // every direct load misses — too old and too new alike, never a
+        // misparse
+        assert!(store.load_plan_outcomes(&g, KEY, &plan).is_none(), "version {stale}");
+        assert!(store.load_timelines(&g, KEY).is_none(), "version {stale}");
+
+        // the sweep recomputes from scratch and serves the right table
         let mut cold = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(16));
-        let (recomputed, _) = cold.run_plan(&plan).unwrap();
-        // the recompute serves the right table and heals the artifacts
-        // back to the current version for the next iteration to re-stale
-        assert_eq!(recomputed.table(), reference.as_slice());
+        let (recomputed, prov) = cold.run_plan(&plan).unwrap();
+        assert_eq!(prov, OutcomeProvenance::Cold, "version {stale}");
+        assert!(cold.stats().timeline_misses > 0, "version {stale}: timelines must re-record");
+        assert_eq!(recomputed.table(), reference.as_slice(), "version {stale}");
+
+        // healed in place: the same artifacts, back at the current version
+        // (nothing quarantined), and the next session is fully warm
+        assert_eq!(artifacts_with_prefix(&dir.0, ""), artifacts, "version {stale}");
+        assert!(artifacts.iter().all(|a| version_of(a) == current), "version {stale}");
+        assert!(!store.quarantine_dir().exists(), "version {stale}: stale is not corrupt");
+        let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(16));
+        let (served, prov) = warm.run_plan(&plan).unwrap();
+        assert_eq!(prov, OutcomeProvenance::WarmExact, "version {stale}");
+        assert_eq!(served.table(), reference.as_slice(), "version {stale}");
     }
 }
 
