@@ -5,19 +5,21 @@
 //! * **cold merge** — one sort-merge of two recorded timelines from round
 //!   zero ([`merge_timelines`]);
 //! * **warm-timeline delta sweep** — a pair's whole δ-grid resolved in one
-//!   shared occupancy pass with reusable scratch
-//!   ([`merge_timelines_deltas_with`]), what `PlannedSweep::run` and
-//!   `serve_prefix` fan rayon out over;
+//!   pass of the single δ-sweep kernel, binary-probing the earlier
+//!   timeline's visit index ([`merge_timelines_deltas`], the identity-map
+//!   case of the kernel the streamed sweep runs), what `PlannedSweep::run`
+//!   and `serve_prefix` fan rayon out over;
 //! * **prefix extend** — a horizon-`h` outcome resumed at `H = 2h` instead
 //!   of restarted ([`merge_timelines_extend`]), the warm-extend path of
 //!   `SweepSession::run_plan`.
 //!
 //! Timelines are recorded once outside the timing loops (the trajectory
-//! cache's job); the rows time merging only, which is exactly the cost a
-//! warm store pays per representative query.
+//! cache's job), and the earlier timeline's visit index is built by the
+//! first, untimed warm-up call; the rows time merging only, which is
+//! exactly the cost a warm store pays per representative query.
 //!
 //! [`merge_timelines`]: anonrv_sim::merge_timelines
-//! [`merge_timelines_deltas_with`]: anonrv_sim::merge_timelines_deltas_with
+//! [`merge_timelines_deltas`]: anonrv_sim::merge_timelines_deltas
 //! [`merge_timelines_extend`]: anonrv_sim::merge_timelines_extend
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -26,8 +28,7 @@ use std::hint::black_box;
 use anonrv_bench::SweepWalker;
 use anonrv_graph::generators::oriented_torus;
 use anonrv_sim::{
-    merge_timelines, merge_timelines_deltas_with, merge_timelines_extend, MergeScratch, Round,
-    Stic, Timeline,
+    merge_timelines, merge_timelines_deltas, merge_timelines_extend, Round, Stic, Timeline,
 };
 
 const HORIZON: Round = 4096;
@@ -49,17 +50,8 @@ fn bench_merge_kernel(c: &mut Criterion) {
         b.iter(|| merge_timelines(black_box(&earlier), black_box(&later), &stic, HORIZON))
     });
 
-    let mut scratch = MergeScratch::new();
     group.bench_function("warm-timeline delta sweep (8 deltas, shared pass)", |b| {
-        b.iter(|| {
-            merge_timelines_deltas_with(
-                &mut scratch,
-                black_box(&earlier),
-                black_box(&later),
-                &deltas,
-                HORIZON,
-            )
-        })
+        b.iter(|| merge_timelines_deltas(black_box(&earlier), black_box(&later), &deltas, HORIZON))
     });
 
     let prior = merge_timelines(&earlier, &later, &stic, HORIZON / 2);

@@ -1080,6 +1080,15 @@ mod tests {
         parts.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Telemetry is process-global: a sweep running while another test's
+    /// `--report json` pipeline is installed adds to that report's
+    /// counters.  Every test that runs a sweep holds this lock, so exact
+    /// counter assertions see only their own run.
+    fn sweep_serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn graph_specs_parse() {
         assert_eq!(parse_graph("ring:6").unwrap().num_nodes(), 6);
@@ -1162,6 +1171,7 @@ mod tests {
 
     #[test]
     fn streamed_sweep_matches_the_full_run_bit_for_bit() {
+        let _serial = sweep_serial();
         let base = ["sweep", "torus:3x4", "--deltas", "3", "--horizon", "64"];
         let line = |s: &str, prefix: &str| {
             s.lines()
@@ -1193,6 +1203,13 @@ mod tests {
         assert_eq!(summary.mode.as_deref(), Some("streamed"));
         let fp = summary.table_fingerprint.unwrap();
         assert!(full.contains(&format!("outcome table fingerprint: {fp}")), "{full}");
+        // the streamed driver counts one δ-sweep pass per class, and one
+        // merged entry per (class, δ)
+        let classes = v.get("stream").unwrap().get("classes").unwrap().as_u64().unwrap();
+        let entries = v.get("stream").unwrap().get("entries").unwrap().as_u64().unwrap();
+        let counters = v.get("metrics").unwrap().get("counters").unwrap();
+        assert_eq!(counters.get("merge.delta_passes").and_then(|c| c.as_u64()), Some(classes));
+        assert_eq!(counters.get("merge.deltas").and_then(|c| c.as_u64()), Some(entries));
 
         // flag validation: streaming is single-process and needs an
         // implicit group
@@ -1206,6 +1223,7 @@ mod tests {
 
     #[test]
     fn sweep_runs_cold_warm_and_sharded_with_identical_meeting_counts() {
+        let _serial = sweep_serial();
         let dir =
             std::env::temp_dir().join(format!("anonrv-cli-sweep-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1266,6 +1284,7 @@ mod tests {
 
     #[test]
     fn sweep_at_a_smaller_horizon_is_a_prefix_hit_bit_identical_to_a_cold_run() {
+        let _serial = sweep_serial();
         let dir =
             std::env::temp_dir().join(format!("anonrv-cli-prefix-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1312,6 +1331,7 @@ mod tests {
 
     #[test]
     fn cache_subcommand_surveys_and_compacts_a_populated_directory() {
+        let _serial = sweep_serial();
         let dir =
             std::env::temp_dir().join(format!("anonrv-cli-cache-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1361,6 +1381,7 @@ mod tests {
 
     #[test]
     fn supervised_sweep_runs_every_shard_and_matches_the_plain_run() {
+        let _serial = sweep_serial();
         let dir =
             std::env::temp_dir().join(format!("anonrv-cli-supervised-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1419,6 +1440,7 @@ mod tests {
 
     #[test]
     fn json_report_and_trace_validate_and_match_the_text_run() {
+        let _serial = sweep_serial();
         let dir =
             std::env::temp_dir().join(format!("anonrv-cli-report-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1494,6 +1516,7 @@ mod tests {
 
     #[test]
     fn fsck_subcommand_verifies_and_repairs_a_populated_directory() {
+        let _serial = sweep_serial();
         let dir = std::env::temp_dir().join(format!("anonrv-cli-fsck-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let cache = dir.to_string_lossy().to_string();
@@ -1544,6 +1567,7 @@ mod tests {
 
     #[test]
     fn sweep_flag_combinations_are_validated() {
+        let _serial = sweep_serial();
         assert!(run(&argv(&["sweep"])).is_err());
         assert!(run(&argv(&["sweep", "ring:6", "--deltas", "0"])).is_err());
         assert!(run(&argv(&["sweep", "ring:6", "--deltas", "x"])).is_err());

@@ -53,7 +53,7 @@
 //! | `supervisor.*` | shard supervisor | `supervisor.attempts`, `supervisor.retries`, event `supervisor.attempt` |
 //! | `store.*` | store I/O | `store.read.bytes` (histogram), `store.lock.takeover`, event `store.quarantine` |
 //! | `fault.trip.*` | failpoint registry, when armed | `fault.trip.store.rename`, event `fault.trip` |
-//! | `merge.*` / `record.*` | merge kernels / timeline recording | `merge.segments`, `merge.scratch_reuse` |
+//! | `merge.*` / `record.*` | single-STIC merges, δ-sweep drivers (one add per call) / timeline recording | `merge.segments`, `merge.delta_passes` |
 //! | `event.*` | bumped once per emitted event | `event.supervisor.attempt` |
 //!
 //! ## Span hierarchy

@@ -18,11 +18,19 @@ use rayon::prelude::*;
 
 use anonrv_graph::{NodeId, PortGraph};
 use anonrv_sim::{
-    merge_timelines_deltas_mapped, AgentProgram, EngineConfig, EngineMode, MergeScratch, Round,
-    SimOutcome, Stic, SweepEngine, UNROLL_CAP,
+    merge_timelines_deltas_mapped, AgentProgram, EngineConfig, EngineMode, Round, SimOutcome, Stic,
+    SweepEngine, UNROLL_CAP,
 };
 
 use crate::orbits::PairOrbits;
+
+/// Report `passes` per-pair δ-grid passes resolving `deltas` `(pair, δ)`
+/// entries in all: the `merge.*` counters each δ-sweep driver adds once
+/// per call (the kernel itself emits nothing).
+fn count_delta_passes(passes: usize, deltas: usize) {
+    anonrv_obs::counter_add("merge.delta_passes", passes as u64);
+    anonrv_obs::counter_add("merge.deltas", deltas as u64);
+}
 
 /// Pull a canonical-world outcome back into the world of the member pair
 /// whose earlier node is `u`: the meeting node is the **only**
@@ -497,27 +505,16 @@ impl<'a> PlannedSweep<'a> {
             plan.horizon() <= self.engine.config().horizon,
             "plan horizon exceeds the engine horizon"
         );
-        if anonrv_obs::enabled() {
-            anonrv_obs::counter_add(
-                "plan.representatives",
-                (classes.len() * plan.deltas().len()) as u64,
-            );
-        }
+        let entries = classes.len() * plan.deltas().len();
+        anonrv_obs::counter_add("plan.representatives", entries as u64);
+        count_delta_passes(classes.len(), entries);
         let per_class: Vec<Vec<SimOutcome>> = classes
             .par_iter()
             .map(|&class| {
                 let (r, c) = self.orbits.representative(class);
-                // one delta-sweep pass per class resolves the whole δ-grid:
-                // the occupancy cursors and scratch buffers are shared
-                // across the class's delays (see `merge_timelines_deltas`)
-                let mut scratch = MergeScratch::new();
-                self.engine.simulate_deltas_capped_with(
-                    &mut scratch,
-                    r,
-                    c,
-                    plan.deltas(),
-                    plan.horizon(),
-                )
+                // one delta-sweep pass per class resolves the whole δ-grid
+                // (see `merge_timelines_deltas`)
+                self.engine.simulate_deltas_capped(r, c, plan.deltas(), plan.horizon())
             })
             .collect();
         per_class.into_iter().flatten().collect()
@@ -620,9 +617,8 @@ impl<'a> PlannedSweep<'a> {
         }
         stats.answered = stats.entries * class_size;
         stats.met_total = stats.met_entries * class_size;
-        if anonrv_obs::enabled() {
-            anonrv_obs::counter_add("plan.representatives", stats.entries as u64);
-        }
+        anonrv_obs::counter_add("plan.representatives", stats.entries as u64);
+        count_delta_passes(stats.classes, stats.entries);
         Ok(stats)
     }
 
@@ -632,10 +628,10 @@ impl<'a> PlannedSweep<'a> {
     /// cache, which on a warm cache costs timeline merges only, never a
     /// program execution.  The undetermined slots arrive class-major, so
     /// each class's surviving delays form one contiguous run; every run is
-    /// resolved through a single delta-sweep pass (shared occupancy cursors
-    /// and scratch, see `merge_timelines_deltas`) rather than one
-    /// independent merge per slot.  Returns the truncated table and the
-    /// number of entries that had to re-merge.
+    /// resolved through a single delta-sweep pass (see
+    /// `merge_timelines_deltas`) rather than one independent merge per
+    /// slot.  Returns the truncated table and the number of entries that
+    /// had to re-merge.
     pub fn serve_prefix<'p>(
         &self,
         full: &PlannedOutcomes<'_>,
@@ -667,12 +663,10 @@ impl<'a> PlannedSweep<'a> {
                 _ => groups.push((stic.earlier, stic.later, vec![stic.delay])),
             }
         }
+        count_delta_passes(groups.len(), jobs.len());
         let per_group: Vec<Vec<SimOutcome>> = groups
             .par_iter()
-            .map(|(r, c, deltas)| {
-                let mut scratch = MergeScratch::new();
-                self.engine.simulate_deltas_capped_with(&mut scratch, *r, *c, deltas, h)
-            })
+            .map(|(r, c, deltas)| self.engine.simulate_deltas_capped(*r, *c, deltas, h))
             .collect();
         let resolved: Vec<SimOutcome> = per_group.into_iter().flatten().collect();
         // `truncate` visits slots in order, so the resolved outcomes drain

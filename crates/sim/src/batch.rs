@@ -22,19 +22,17 @@
 //!   visited in increasing time order, so the first equal-node window *is*
 //!   the earliest meeting and a query costs `O(segments(earlier) +
 //!   segments(later))` with no binary probes;
-//! * [`merge_timelines_deltas`] / [`merge_timelines_deltas_with`] — a whole
-//!   δ-sweep of one pair in one pass over the later timeline, probing the
-//!   earlier timeline's per-node *occupancy-interval index* (CSR over
-//!   struct-of-arrays interval bounds, built once at record time) through
-//!   monotone per-node cursors held in a reusable [`MergeScratch`];
+//! * [`merge_timelines_deltas_mapped`] — the one **δ-sweep kernel**: a whole
+//!   δ-grid of one pair in one pass over the later timeline (optionally
+//!   viewed through a node relabelling), each later segment resolved by a
+//!   binary probe into the earlier timeline's *visit index* — its segment
+//!   ids sorted by node, built once per timeline on first use and sized by
+//!   the segments, never by the graph; [`merge_timelines_deltas`] is the
+//!   same kernel under the identity map;
 //! * [`merge_timelines_extend`] — the incremental mode: extend an exact
 //!   horizon-`h` outcome to `H >= h` by resuming the sort-merge at the
 //!   segments still open at `h` instead of restarting, which is what serves
 //!   a stored outcome table recorded at a smaller horizon;
-//! * `merge_timelines_reference` / `merge_timelines_deltas_reference` —
-//!   the retained pre-kernel merges (binary occupancy probes), compiled only
-//!   under `cfg(test)` or the `ref-oracle` feature as the oracle the
-//!   differential suites pin the kernels against;
 //! * [`SweepEngine`] — the sweep-facing façade: an [`EngineConfig`] plus a
 //!   cache; [`EngineMode::Auto`] and [`EngineMode::Batch`] answer from the
 //!   cache (constructing a `SweepEngine` *is* the caller's signal that
@@ -44,7 +42,8 @@
 //!   the batch path.
 //!
 //! Outcomes are **bit-identical** to the streaming and lockstep engines
-//! (asserted by `tests/property_engine_batch.rs` and the differential tests
+//! (asserted by `tests/property_engine_batch.rs`, by the reference-oracle
+//! differentials in `tests/property_merge_kernel.rs` and by the tests
 //! below), with one contract the other engines share implicitly: agent
 //! programs must propagate [`Stop`] errors outward
 //! (every program in this repository does, via `?`).  That is what makes a
@@ -134,58 +133,80 @@ pub struct TimelineSeg {
 
 /// A start node's full position timeline under one `(graph, program,
 /// horizon)` triple, in the agent's *local* rounds (round 0 = its start),
-/// stored as **flat struct-of-arrays** plus the per-node occupancy-interval
-/// index used by the merge kernels.
+/// stored as two **flat columns**: segment `i` occupies `nodes[i]` during
+/// `[starts[i], starts[i + 1])`.
 ///
-/// Everything else a merge needs is *positional* and derived on the fly:
-/// segment `i` occupies `nodes[i]` during `[starts[i], starts[i + 1])`
-/// (contiguity makes every end its successor's start, so one dense array
-/// with a trailing sentinel carries both bounds); a terminated run is
-/// recognisable by its `INFINITY` sentinel; and because every segment after
-/// the first (tail excepted) is opened by exactly one edge traversal, move
-/// counts are `min(i, total_moves)`.  These six arrays are also the exact
-/// store's on-disk payload ([`Timeline::from_parts`] rebuilds a timeline from
-/// them without re-running the counting sort).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Everything else a merge needs is derived: contiguity makes every end its
+/// successor's start, so one array with a trailing sentinel carries both
+/// bounds; a terminated run is recognisable by its `INFINITY` sentinel; and
+/// because every segment after the first (tail excepted) is opened by
+/// exactly one edge traversal, move counts are `min(i, total_moves)`.  The
+/// two columns are also the store's on-disk payload
+/// ([`Timeline::from_parts`] rebuilds a timeline from them).  The δ-sweep
+/// kernel's visit index is derived too, built on first use and ignored by
+/// equality.
+#[derive(Debug, Clone)]
 pub struct Timeline {
     /// The local horizon the run was recorded (or reconstructed) at; queries
     /// through this timeline are exact for any horizon `<=` this.
     recorded_horizon: Round,
+    /// Node count of the graph the run was recorded on.
+    n: usize,
     /// Segment starts plus one sentinel (the last segment's end; `INFINITY`
     /// when the program terminated and parks forever), length `nsegs + 1`.
     starts: Vec<Round>,
     /// Per-segment nodes, length `nsegs`.
     nodes: Vec<u32>,
-    /// CSR offsets into the occupancy arrays, one slice per node (length
-    /// `n + 1`).
-    occ_starts: Vec<u32>,
-    /// Occupancy-interval starts, grouped by node; each group is sorted by
-    /// start (and, intervals being disjoint, by end).
-    occ_start: Vec<Round>,
-    /// Occupancy-interval ends, same indexing as `occ_start`.
-    occ_end: Vec<Round>,
-    /// Index of the segment realising each occupancy interval.
-    occ_seg: Vec<u32>,
+    /// The δ-sweep kernel's visit index — built at most once, by the first
+    /// δ-sweep that probes this timeline.
+    visits: OnceLock<Visits>,
 }
 
-/// Owned flat arrays to rebuild a [`Timeline`] from without re-indexing —
-/// the exact decoded form of the store's on-disk timeline payload (see
-/// [`Timeline::from_parts`]; the borrowed counterparts are the
-/// [`Timeline::starts`]-family accessors).
+impl PartialEq for Timeline {
+    fn eq(&self, other: &Self) -> bool {
+        self.recorded_horizon == other.recorded_horizon
+            && self.n == other.n
+            && self.starts == other.starts
+            && self.nodes == other.nodes
+    }
+}
+
+impl Eq for Timeline {}
+
+/// The two flat columns of a timeline block — the decoded form of the
+/// store's on-disk payload (see [`Timeline::from_parts`]; the borrowed
+/// counterparts are [`Timeline::starts`] and [`Timeline::seg_nodes`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineParts {
     /// Segment starts plus the trailing sentinel (length `nsegs + 1`).
     pub starts: Vec<Round>,
     /// Per-segment nodes (length `nsegs`).
     pub nodes: Vec<u32>,
-    /// CSR offsets of the per-node occupancy index (length `n + 1`).
-    pub occ_starts: Vec<u32>,
-    /// Occupancy-interval starts, grouped by node (length `nsegs`).
-    pub occ_start: Vec<Round>,
-    /// Occupancy-interval ends (length `nsegs`).
-    pub occ_end: Vec<Round>,
-    /// Segment index realising each occupancy interval (length `nsegs`).
-    pub occ_seg: Vec<u32>,
+}
+
+impl TimelineParts {
+    /// The column invariants every timeline block satisfies: one start per
+    /// segment plus the sentinel, a first start at local round 0, strictly
+    /// increasing starts (nonempty, contiguous segments, so an `INFINITY`
+    /// end can only be the sentinel) and nodes of an `n`-node graph.
+    pub(crate) fn check(&self, n: usize) -> Result<(), String> {
+        let nsegs = self.nodes.len();
+        if self.starts.len() != nsegs + 1 {
+            return Err("the start array carries one sentinel past the segments".into());
+        }
+        if self.starts[0] != 0 {
+            return Err("the first segment must start at local round 0".into());
+        }
+        for i in 0..nsegs {
+            if self.starts[i] >= self.starts[i + 1] {
+                return Err(format!("segment {i}: empty or inverted interval"));
+            }
+            if (self.nodes[i] as usize) >= n {
+                return Err(format!("segment {i}: node {} out of range (n = {n})", self.nodes[i]));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Timeline {
@@ -224,65 +245,25 @@ impl Timeline {
             anonrv_obs::counter_add("record.segments", nodes.len() as u64);
             anonrv_obs::counter_add("record.moves", total_moves);
         }
-        Self::assemble(g.num_nodes(), horizon, starts, nodes)
+        Self::new(g.num_nodes(), horizon, starts, nodes)
     }
 
-    /// Rebuild a timeline from its serialisable segment list, validating
-    /// every structural invariant [`Timeline::record`] guarantees: the exact
-    /// inverse of [`Timeline::segments`], used by the persistent trajectory
-    /// cache to restore recorded runs from disk without re-executing the
-    /// program.
-    ///
-    /// `n` is the node count of the graph the run was recorded on (it sizes
-    /// the per-node occupancy index) and `horizon` the local horizon of the
-    /// recording.  Errors describe the first violated invariant; a cache
-    /// treats any error as a miss and falls back to re-recording.
+    /// Rebuild a timeline from its serialisable segment list: the exact
+    /// inverse of [`Timeline::segments`].  The list must be contiguous; the
+    /// columns it flattens into are then validated by
+    /// [`Timeline::from_parts`].
     pub fn from_segments(n: usize, horizon: Round, segs: Vec<TimelineSeg>) -> Result<Self, String> {
-        if segs.is_empty() {
-            return Err("a timeline has at least its initial segment".into());
-        }
-        if segs.len() > u32::MAX as usize {
-            return Err("timeline exceeds the index width".into());
-        }
-        if segs[0].start != 0 {
-            return Err("the first segment must start at local round 0".into());
-        }
+        let mut starts: Vec<Round> = Vec::with_capacity(segs.len() + 1);
+        let mut nodes: Vec<u32> = Vec::with_capacity(segs.len());
         for (i, s) in segs.iter().enumerate() {
-            if s.node >= n {
-                return Err(format!("segment {i}: node {} out of range (n = {n})", s.node));
-            }
-            if s.start >= s.end {
-                return Err(format!("segment {i}: empty or inverted interval"));
-            }
-            if s.end == INFINITY && i + 1 != segs.len() {
-                return Err(format!("segment {i}: infinite tail not in final position"));
-            }
             if i > 0 && segs[i - 1].end != s.start {
                 return Err(format!("segment {i}: not contiguous with its predecessor"));
             }
+            starts.push(s.start);
+            nodes.push(u32::try_from(s.node).map_err(|_| format!("segment {i}: node too wide"))?);
         }
-        let terminated = segs.last().expect("checked non-empty").end == INFINITY;
-        if terminated {
-            let len = segs.len();
-            if len < 2 {
-                return Err("a terminated run records a finite segment before its tail".into());
-            }
-            if segs[len - 1].node != segs[len - 2].node {
-                return Err("the parked-forever tail must stay on the final node".into());
-            }
-        }
-        let finite_count = segs.len() - usize::from(terminated);
-        let finite_end = segs[finite_count - 1].end;
-        if finite_end > horizon.saturating_add(1) {
-            return Err(format!(
-                "finite timeline end {finite_end} exceeds the recorded horizon {horizon}"
-            ));
-        }
-        let mut starts: Vec<Round> = Vec::with_capacity(segs.len() + 1);
-        starts.extend(segs.iter().map(|s| s.start));
-        starts.push(segs.last().expect("checked non-empty").end);
-        let nodes: Vec<u32> = segs.iter().map(|s| s.node as u32).collect();
-        Ok(Self::assemble(n, horizon, starts, nodes))
+        starts.extend(segs.last().map(|s| s.end));
+        Self::from_parts(n, horizon, TimelineParts { starts, nodes })
     }
 
     /// The serialisable segment list (the exact input
@@ -334,81 +315,43 @@ impl Timeline {
         let mut starts: Vec<Round> = self.starts[..keep + 1].to_vec();
         starts[keep] = starts[keep].min(horizon + 1);
         let nodes: Vec<u32> = self.nodes[..keep].to_vec();
-        Self::assemble(self.num_graph_nodes(), horizon, starts, nodes)
+        Self::new(self.n, horizon, starts, nodes)
     }
 
     /// Node count of the graph the timeline was recorded on.
     pub fn num_graph_nodes(&self) -> usize {
-        self.occ_starts.len() - 1
+        self.n
     }
 
-    /// Build the per-node occupancy index from validated `starts`/`nodes`
-    /// arrays (shared by [`Timeline::record`], [`Timeline::from_segments`]
-    /// and [`Timeline::truncate`]).
-    fn assemble(n: usize, recorded_horizon: Round, starts: Vec<Round>, nodes: Vec<u32>) -> Self {
-        let nsegs = nodes.len();
-        assert!(nsegs <= u32::MAX as usize, "timeline exceeds the index width");
-        debug_assert_eq!(starts.len(), nsegs + 1);
-
-        // per-node occupancy index (counting sort into CSR layout)
-        let mut occ_starts = vec![0u32; n + 1];
-        for &u in &nodes {
-            occ_starts[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            occ_starts[i + 1] += occ_starts[i];
-        }
-        let mut cursor = occ_starts.clone();
-        let mut occ_start = vec![0 as Round; nsegs];
-        let mut occ_end = vec![0 as Round; nsegs];
-        let mut occ_seg = vec![0u32; nsegs];
-        for (i, &u) in nodes.iter().enumerate() {
-            let c = cursor[u as usize] as usize;
-            occ_start[c] = starts[i];
-            occ_end[c] = starts[i + 1];
-            occ_seg[c] = i as u32;
-            cursor[u as usize] += 1;
-        }
-
-        Timeline { recorded_horizon, starts, nodes, occ_starts, occ_start, occ_end, occ_seg }
+    /// Install already-valid columns (shared by [`Timeline::record`],
+    /// [`Timeline::from_parts`] and [`Timeline::truncate`]).
+    fn new(n: usize, recorded_horizon: Round, starts: Vec<Round>, nodes: Vec<u32>) -> Self {
+        assert!(nodes.len() <= u32::MAX as usize, "timeline exceeds the index width");
+        debug_assert_eq!(starts.len(), nodes.len() + 1);
+        Timeline { recorded_horizon, n, starts, nodes, visits: OnceLock::new() }
     }
 
-    /// Rebuild a timeline from its flat on-disk arrays **without re-indexing**:
-    /// the arrays are installed as-is after a cheap `O(n + nsegs)` structural
-    /// validation, so a warm load skips both the per-segment decode and the
-    /// counting sort [`Timeline::from_segments`] pays.  The occupancy index
-    /// is accepted only in the exact canonical form the counting sort
-    /// produces (per-node groups in segment order with matching interval
-    /// bounds), which makes the result bit-identical to
-    /// `from_segments(n, horizon, self.segments())`.
+    /// Rebuild a timeline from its two flat columns, validating every
+    /// structural invariant [`Timeline::record`] guarantees: the
+    /// [column invariants](TimelineParts), at least one segment, a
+    /// parked-forever tail that stays on the final node, and a finite end
+    /// within the recorded `horizon`.  `n` is the node count of the graph
+    /// the run was recorded on.
     ///
     /// Errors describe the first violated invariant; a cache treats any
     /// error as a miss and falls back to re-recording.  (Byte-level
     /// corruption is the store frame checksum's job — this validation only
     /// guards the structural invariants the merge kernels rely on.)
     pub fn from_parts(n: usize, horizon: Round, parts: TimelineParts) -> Result<Self, String> {
-        let TimelineParts { starts, nodes, occ_starts, occ_start, occ_end, occ_seg } = parts;
-        let nsegs = nodes.len();
+        let nsegs = parts.nodes.len();
         if nsegs == 0 {
             return Err("a timeline has at least its initial segment".into());
         }
         if nsegs > u32::MAX as usize {
             return Err("timeline exceeds the index width".into());
         }
-        if starts.len() != nsegs + 1 {
-            return Err("the start array carries one sentinel past the segments".into());
-        }
-        if starts[0] != 0 {
-            return Err("the first segment must start at local round 0".into());
-        }
-        for i in 0..nsegs {
-            if starts[i] >= starts[i + 1] {
-                return Err(format!("segment {i}: empty or inverted interval"));
-            }
-            if (nodes[i] as usize) >= n {
-                return Err(format!("segment {i}: node {} out of range (n = {n})", nodes[i]));
-            }
-        }
+        parts.check(n)?;
+        let TimelineParts { starts, nodes } = parts;
         let terminated = starts[nsegs] == INFINITY;
         if terminated {
             if nsegs < 2 {
@@ -424,49 +367,7 @@ impl Timeline {
                 "finite timeline end {finite_end} exceeds the recorded horizon {horizon}"
             ));
         }
-        // the occupancy index must be exactly the counting-sort CSR
-        // `assemble` builds: group sizes sum to nsegs and entries within a
-        // group are distinct segments of that node in increasing order, so
-        // together the groups cover every segment exactly once
-        if occ_starts.len() != n + 1 || occ_starts[0] != 0 || occ_starts[n] as usize != nsegs {
-            return Err("occupancy index shape does not match the segments".into());
-        }
-        if occ_start.len() != nsegs || occ_end.len() != nsegs || occ_seg.len() != nsegs {
-            return Err("occupancy arrays must have one entry per segment".into());
-        }
-        for u in 0..n {
-            let (s, e) = (occ_starts[u] as usize, occ_starts[u + 1] as usize);
-            if s > e || e > nsegs {
-                return Err("occupancy offsets must be nondecreasing".into());
-            }
-            let mut prev: Option<u32> = None;
-            for k in s..e {
-                let seg = occ_seg[k] as usize;
-                if seg >= nsegs || nodes[seg] as usize != u {
-                    return Err(format!(
-                        "occupancy entry {k}: segment {seg} is not a visit to node {u}"
-                    ));
-                }
-                if prev.is_some_and(|p| p >= occ_seg[k]) {
-                    return Err(format!("occupancy entries of node {u} must be in segment order"));
-                }
-                if occ_start[k] != starts[seg] || occ_end[k] != starts[seg + 1] {
-                    return Err(format!(
-                        "occupancy entry {k}: interval does not match segment {seg}"
-                    ));
-                }
-                prev = Some(occ_seg[k]);
-            }
-        }
-        Ok(Timeline {
-            recorded_horizon: horizon,
-            starts,
-            nodes,
-            occ_starts,
-            occ_start,
-            occ_end,
-            occ_seg,
-        })
+        Ok(Self::new(n, horizon, starts, nodes))
     }
 
     /// Number of recorded segments (including the infinite tail, if any).
@@ -521,24 +422,9 @@ impl Timeline {
         &self.nodes
     }
 
-    /// CSR offsets of the per-node occupancy index (on-disk payload array).
-    pub fn occ_starts(&self) -> &[u32] {
-        &self.occ_starts
-    }
-
-    /// Occupancy-interval starts, grouped by node (on-disk payload array).
-    pub fn occ_interval_starts(&self) -> &[Round] {
-        &self.occ_start
-    }
-
-    /// Occupancy-interval ends, grouped by node (on-disk payload array).
-    pub fn occ_interval_ends(&self) -> &[Round] {
-        &self.occ_end
-    }
-
-    /// Segment index realising each occupancy interval (on-disk payload array).
-    pub fn occ_segs(&self) -> &[u32] {
-        &self.occ_seg
+    /// The visit index the δ-sweep kernel probes, built on first use.
+    fn visits(&self) -> &Visits {
+        self.visits.get_or_init(|| Visits::new(&self.nodes))
     }
 
     /// Index of the segment occupying `local` (which must be covered: below
@@ -560,24 +446,118 @@ impl Timeline {
             (self.moves_before(self.seg_at(cap)), false)
         }
     }
+}
 
-    /// Earliest visit to `node` within the local window `[lo, hi)`: the
-    /// occupancy-interval index finds the first interval at `node` ending
-    /// after `lo` in one binary search (intervals per node are disjoint, so
-    /// sorted by `start` *and* by `end`).  Returns the segment index and the
-    /// first shared round.  (The sort-merge kernels track this implicitly
-    /// with monotone cursors; the binary probe survives for the reference
-    /// oracle.)
-    #[cfg(any(test, feature = "ref-oracle"))]
-    #[inline]
-    fn first_visit(&self, node: NodeId, lo: Round, hi: Round) -> Option<(usize, Round)> {
-        let s = self.occ_starts[node] as usize;
-        let e = self.occ_starts[node + 1] as usize;
-        let k = s + self.occ_end[s..e].partition_point(|&end| end <= lo);
-        if k == e {
-            return None;
+/// A timeline's visit index: its segment ids sorted by node — so one node's
+/// visits are contiguous and in time order — behind an open-addressing
+/// directory from each visited node to its run of ids, fronted by a
+/// one-bit-per-hash filter that turns most probes of unvisited nodes into
+/// one load.  All three are sized by the segments, never by the graph.
+#[derive(Debug, Clone)]
+struct Visits {
+    /// Segment ids sorted by `(node, id)`.
+    segs: Box<[u32]>,
+    /// Power-of-two hash table of `[node, first, len]` runs of `segs`, at
+    /// most half full; `len == 0` marks an empty slot.
+    dir: Box<[[u32; 3]]>,
+    /// Bit `h mod 64·len` is set for the hash `h` of every visited node,
+    /// so a clear bit proves a node unvisited.
+    filter: Box<[u64]>,
+}
+
+impl Visits {
+    fn new(nodes: &[u32]) -> Self {
+        let mut segs: Vec<u32> = (0..nodes.len() as u32).collect();
+        // stable: each node's ids stay in segment order
+        segs.sort_by_key(|&i| nodes[i as usize]);
+        let runs = segs.chunk_by(|&a, &b| nodes[a as usize] == nodes[b as usize]);
+        let distinct = runs.clone().count();
+        let mut dir = vec![[0u32; 3]; (2 * distinct).next_power_of_two()];
+        let mut filter = vec![0u64; distinct.next_power_of_two()];
+        let (dir_mask, filter_mask) = (dir.len() - 1, filter.len() - 1);
+        let mut first = 0;
+        for run in runs {
+            let node = nodes[run[0] as usize];
+            let h = Self::hash(node);
+            filter[(h >> 6) & filter_mask] |= 1 << (h & 63);
+            let mut slot = h & dir_mask;
+            while dir[slot][2] != 0 {
+                slot = (slot + 1) & dir_mask;
+            }
+            dir[slot] = [node, first, run.len() as u32];
+            first += run.len() as u32;
         }
-        (self.occ_start[k] < hi).then(|| (self.occ_seg[k] as usize, self.occ_start[k].max(lo)))
+        Visits { segs: segs.into(), dir: dir.into(), filter: filter.into() }
+    }
+
+    /// Multiplicative hash of a node id.
+    fn hash(node: u32) -> usize {
+        (u64::from(node).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
+    }
+
+    /// The ids of the segments at `node`, in time order (empty when the
+    /// walk never visits it).
+    fn at(&self, node: u32) -> &[u32] {
+        let h = Self::hash(node);
+        if self.filter[(h >> 6) & (self.filter.len() - 1)] & (1 << (h & 63)) == 0 {
+            return &[];
+        }
+        let mut slot = h & (self.dir.len() - 1);
+        loop {
+            let [u, first, len] = self.dir[slot];
+            if len == 0 {
+                return &[];
+            }
+            if u == node {
+                return &self.segs[first as usize..(first + len) as usize];
+            }
+            slot = (slot + 1) & (self.dir.len() - 1);
+        }
+    }
+}
+
+/// The [`SimOutcome`] of the STIC `(earlier, later, delay)` at `horizon`
+/// whose earliest meeting is at global round `at`, while the earlier agent
+/// sits in its segment `i` and the later one in its segment `j`.  Shared by
+/// every merge kernel (always inlined: a call on the exit of the
+/// sort-merge loop measurably slows the loop itself).
+#[inline(always)]
+fn met(
+    earlier: &Timeline,
+    later: &Timeline,
+    delay: Round,
+    horizon: Round,
+    at: Round,
+    i: usize,
+    j: usize,
+) -> SimOutcome {
+    SimOutcome {
+        meeting: Some(Meeting {
+            global_round: at,
+            later_round: at - delay,
+            node: earlier.nodes[i] as usize,
+        }),
+        earlier_moves: earlier.moves_before(i),
+        later_moves: later.moves_before(j),
+        earlier_terminated: earlier.tail_index() == Some(i),
+        later_terminated: later.tail_index() == Some(j),
+        horizon,
+    }
+}
+
+/// The [`SimOutcome`] of the STIC `(earlier, later, delay)` at `horizon`
+/// (`delay <= horizon`) when the agents never meet: each agent's totals
+/// at its own cut.  Shared by every merge kernel.
+fn unmet(earlier: &Timeline, later: &Timeline, delay: Round, horizon: Round) -> SimOutcome {
+    let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
+    let (later_moves, later_terminated) = later.totals_up_to(horizon - delay);
+    SimOutcome {
+        meeting: None,
+        earlier_moves,
+        later_moves,
+        earlier_terminated,
+        later_terminated,
+        horizon,
     }
 }
 
@@ -650,32 +630,12 @@ fn merge_forward(
         let lo = sa[i].max(b_start + delay);
         let hi = a_hi.min(b_hi);
         if lo < hi && earlier.nodes[i] == later.nodes[j] {
-            return SimOutcome {
-                meeting: Some(Meeting {
-                    global_round: lo,
-                    later_round: lo - delay,
-                    node: earlier.nodes[i] as usize,
-                }),
-                earlier_moves: earlier.moves_before(i),
-                later_moves: later.moves_before(j),
-                earlier_terminated: earlier.tail_index() == Some(i),
-                later_terminated: later.tail_index() == Some(j),
-                horizon,
-            };
+            return met(earlier, later, delay, horizon, lo, i, j);
         }
         i += usize::from(a_hi <= b_hi);
         j += usize::from(b_hi <= a_hi);
     }
-    let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
-    let (later_moves, later_terminated) = later.totals_up_to(later_cap);
-    SimOutcome {
-        meeting: None,
-        earlier_moves,
-        later_moves,
-        earlier_terminated,
-        later_terminated,
-        horizon,
-    }
+    unmet(earlier, later, delay, horizon)
 }
 
 /// Extend a horizon-`prior.horizon` merge result of the same
@@ -726,143 +686,82 @@ pub fn merge_timelines_extend(
     out
 }
 
-/// Reusable scratch space for [`merge_timelines_deltas_with`]: the per-node
-/// occupancy cursors that replace the old per-segment binary probes.  One
-/// scratch serves any number of consecutive merges (sweeps keep one per
-/// pair group, so a pair's whole δ-grid shares it); after the first few
-/// calls it never allocates again.
-///
-/// The scratch also **batches kernel telemetry**: per-merge counter
-/// increments accumulate in plain local fields and reach the metrics
-/// registry as one `counter_add` per metric when the scratch is dropped (or
-/// via [`MergeScratch::flush_metrics`]), so enabling metrics costs the hot
-/// merge loop a handful of register additions instead of a registry
-/// transaction per STIC.
-#[derive(Debug, Default)]
-pub struct MergeScratch {
-    /// Per-node cursor into the earlier timeline's occupancy arrays,
-    /// re-seeded from its CSR offsets at the start of every merge.
-    cursors: Vec<u32>,
-    /// Locally accumulated kernel counters, flushed in batch.
-    pending: PendingMergeCounters,
-}
-
-/// Locally accumulated values of the `merge.*` counters (same metric names
-/// and semantics as before; only the flush granularity changed).
-#[derive(Debug, Default)]
-struct PendingMergeCounters {
-    delta_passes: u64,
-    deltas: u64,
-    segments: u64,
-    scratch_reuse: u64,
-}
-
-impl MergeScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        MergeScratch::default()
-    }
-
-    /// Push the locally accumulated `merge.*` counters to the metrics
-    /// registry and reset them — one batched add per metric per pass
-    /// instead of several per merged STIC.  Called automatically on drop.
-    pub fn flush_metrics(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        if !anonrv_obs::enabled() {
-            return;
-        }
-        if pending.delta_passes > 0 {
-            anonrv_obs::counter_add("merge.delta_passes", pending.delta_passes);
-        }
-        if pending.deltas > 0 {
-            anonrv_obs::counter_add("merge.deltas", pending.deltas);
-        }
-        if pending.segments > 0 {
-            anonrv_obs::counter_add("merge.segments", pending.segments);
-        }
-        if pending.scratch_reuse > 0 {
-            anonrv_obs::counter_add("merge.scratch_reuse", pending.scratch_reuse);
-        }
-    }
-}
-
-impl Drop for MergeScratch {
-    fn drop(&mut self) {
-        self.flush_metrics();
-    }
-}
-
 /// Merge two cached timelines for a whole **delay sweep** of one `(u, v)`
-/// pair: one pass over the later timeline resolves every `δ` in `deltas` at
-/// once, returning outcomes in input order, each bit-identical to
-/// [`merge_timelines`] at that delay.  Allocates its scratch internally;
-/// sweeps that merge many pairs should hold a [`MergeScratch`] and call
-/// [`merge_timelines_deltas_with`].
+/// pair: outcomes in input order, each bit-identical to
+/// [`merge_timelines`] at that delay.  This is
+/// [`merge_timelines_deltas_mapped`] under the identity map.
 pub fn merge_timelines_deltas(
     earlier: &Timeline,
     later: &Timeline,
     deltas: &[Round],
     horizon: Round,
 ) -> Vec<SimOutcome> {
-    merge_timelines_deltas_with(&mut MergeScratch::new(), earlier, later, deltas, horizon)
+    merge_timelines_deltas_mapped(earlier, later, |v| v, deltas, horizon)
 }
 
-/// [`merge_timelines_deltas`] with caller-owned scratch space.
+/// The δ-sweep kernel: merge `earlier` against a **node-relabelled**
+/// `later` for every delay in `deltas` at once, without materialising the
+/// relabelled timeline.  Outcome `i` is bit-identical to
+/// [`merge_timelines`] at `deltas[i]` against a copy of `later` whose
+/// `nodes` column was rewritten through `map` (same `starts`); the identity
+/// map is [`merge_timelines_deltas`].
 ///
-/// This is the sweep workloads' inner loop: all of a pair's delays share
-/// the occupancy lookups and the later-timeline sweep, so `k` delays cost
-/// about one merge instead of `k`.  The earlier timeline is probed through
-/// **monotone per-node cursors** (seeded from its CSR offsets, advanced
-/// only forward as the later sweep's lower bound grows), so the whole
-/// sweep is `O(segments(later) + occupancy entries touched)` with no
-/// per-segment binary search.
-pub fn merge_timelines_deltas_with(
-    scratch: &mut MergeScratch,
+/// All of a pair's delays share one pass over the later timeline, so `k`
+/// delays cost about one merge instead of `k`.  Each later segment looks
+/// its node up in the earlier timeline's visit index (its segment ids
+/// sorted by node, built once per timeline), binary-probes that node's
+/// visits for the first one still open, then charges every overlapping
+/// earlier visit to the whole range of delays it serves.  Nothing here is
+/// sized by the graph, so the kernel has no per-call setup.
+///
+/// The relabelling is what **streaming all-pairs planning** needs on
+/// vertex-transitive graphs: the walk from node `φ(0)` is the `φ`-image of
+/// the walk from node `0` (the program observes only degrees, entry ports
+/// and its clock — all `φ`-invariant), so the later agent's timeline for
+/// class `c` is `timeline(0)` with nodes mapped through the group element
+/// `c`, and one recorded timeline serves all `n` classes.  Meeting nodes
+/// come from `earlier`'s segments and are therefore true graph nodes.  The
+/// kernel emits no telemetry; its drivers count their passes.
+pub fn merge_timelines_deltas_mapped(
     earlier: &Timeline,
     later: &Timeline,
+    map: impl Fn(usize) -> usize,
     deltas: &[Round],
     horizon: Round,
 ) -> Vec<SimOutcome> {
-    // the fast path needs ascending delays; reorder through a sorted copy
-    // otherwise (sweeps pass ascending delay lists, so this never triggers
-    // on the hot path)
-    if !deltas.windows(2).all(|w| w[0] <= w[1]) {
-        let mut order: Vec<usize> = (0..deltas.len()).collect();
-        order.sort_by_key(|&i| deltas[i]);
-        let sorted: Vec<Round> = order.iter().map(|&i| deltas[i]).collect();
-        let outcomes = merge_timelines_deltas_with(scratch, earlier, later, &sorted, horizon);
-        let mut out = vec![outcomes[0]; deltas.len()];
-        for (k, &i) in order.iter().enumerate() {
-            out[i] = outcomes[k];
-        }
-        return out;
+    if deltas.is_sorted() {
+        return merge_deltas_sorted(earlier, later, &map, deltas, horizon);
     }
-
-    // accumulate locally; the scratch flushes in batch (see `MergeScratch`)
-    if anonrv_obs::enabled() {
-        scratch.pending.delta_passes += 1;
-        scratch.pending.deltas += deltas.len() as u64;
-        scratch.pending.segments += (earlier.nodes.len() + later.nodes.len()) as u64;
-        if scratch.cursors.capacity() > 0 {
-            scratch.pending.scratch_reuse += 1;
-        }
+    // the sweep needs ascending delays; reorder through a sorted copy
+    // (sweeps pass ascending delay lists, so this is off the hot path)
+    let mut order: Vec<usize> = (0..deltas.len()).collect();
+    order.sort_by_key(|&i| deltas[i]);
+    let sorted: Vec<Round> = order.iter().map(|&i| deltas[i]).collect();
+    let swept = merge_deltas_sorted(earlier, later, &map, &sorted, horizon);
+    let mut out = swept.clone();
+    for (k, &i) in order.iter().enumerate() {
+        out[i] = swept[k];
     }
+    out
+}
 
+/// The ascending-delays body of [`merge_timelines_deltas_mapped`].
+fn merge_deltas_sorted<F: Fn(usize) -> usize>(
+    earlier: &Timeline,
+    later: &Timeline,
+    map: &F,
+    deltas: &[Round],
+    horizon: Round,
+) -> Vec<SimOutcome> {
     let horizon1 = horizon.saturating_add(1);
     // delays beyond the horizon sit at the tail and are never swept
     let active = deltas.partition_point(|&d| d <= horizon);
-
     // per-active-delay best meeting: (meeting round, earlier seg, later seg)
     let mut best: Vec<(Round, usize, usize)> = vec![(INFINITY, 0, 0); active];
     if active > 0 {
         let delta_min = deltas[0];
         let delta_max = deltas[active - 1];
-        let n = earlier.num_graph_nodes();
-        // seed the per-node cursors at each occupancy group's start; the
-        // probe threshold `b_start + delta_min` only grows over the sweep,
-        // so every cursor advances monotonically (amortised linear)
-        scratch.cursors.clear();
-        scratch.cursors.extend_from_slice(&earlier.occ_starts[..n]);
+        let visits = earlier.visits();
         // the later sweep may stop once every delay's window is closed:
         // segment j is useful for delay δ only while start + δ < min(best_lo,
         // horizon + 1)
@@ -880,41 +779,41 @@ pub fn merge_timelines_deltas_with(
             if b_start >= stop {
                 break;
             }
-            let node = later.nodes[jb] as usize;
-            let e = earlier.occ_starts[node + 1] as usize;
-            let mut c = scratch.cursors[node] as usize;
+            // the later agent parks on the image of its recorded node
+            let at_node = visits.at(map(later.nodes[jb] as usize) as u32);
+            if at_node.is_empty() {
+                continue; // the earlier agent never visits this node at all
+            }
+            // the node's first visit still open at b_start + delta_min (its
+            // visits are in time order, so their ends ascend too)
             let threshold = b_start + delta_min;
-            while c < e && earlier.occ_end[c] <= threshold {
-                c += 1;
-            }
-            scratch.cursors[node] = c as u32;
-            if c == e {
-                continue; // the earlier agent never gets here again
-            }
+            let first =
+                at_node.partition_point(|&seg| earlier.starts[seg as usize + 1] <= threshold);
             let b_end = later.starts[jb + 1];
-            // An earlier visit `[occ_start, occ_end)` overlaps this (parked)
+            // An earlier visit `[e_start, e_end)` overlaps this (parked)
             // later segment under delay δ iff
-            //   occ_end > b_start + δ  and  occ_start < b_end + δ,
-            // i.e. for δ in [(occ_start+1) − b_end, occ_end − b_start);
-            // the horizon additionally caps δ ≤ horizon − b_start.  Each
-            // entry is charged once for the whole delay range instead of
-            // being re-probed per delay.
+            //   e_end > b_start + δ  and  e_start < b_end + δ,
+            // i.e. for δ in [(e_start+1) − b_end, e_end − b_start); the
+            // horizon additionally caps δ ≤ horizon − b_start.  Each visit
+            // is charged once for the whole delay range instead of being
+            // re-probed per delay.
             // delta_cap > 0: b_start <= horizon here
             let delta_cap = horizon1 - b_start;
-            // a useful entry must satisfy occ_start < b_end + δ for some
-            // valid δ *and* occ_start <= horizon (a meeting round never
-            // exceeds the horizon); entries are sorted by start, so the
-            // first one beyond either bound ends the scan
+            // a useful visit must satisfy e_start < b_end + δ for some valid
+            // δ *and* e_start <= horizon (a meeting round never exceeds the
+            // horizon); visits are in time order, so the first one beyond
+            // either bound ends the scan
             let entry_stop = b_end.saturating_add(delta_max.min(delta_cap - 1)).min(horizon1);
             let mut updated = false;
-            for k in c..e {
-                let e_start = earlier.occ_start[k];
+            for &seg in &at_node[first..] {
+                let seg = seg as usize;
+                let e_start = earlier.starts[seg];
                 if e_start >= entry_stop {
                     break;
                 }
                 let d_lo = (e_start + 1).saturating_sub(b_end).max(delta_min);
                 // d_hi is exclusive
-                let d_hi = (earlier.occ_end[k] - b_start).min(delta_cap);
+                let d_hi = (earlier.starts[seg + 1] - b_start).min(delta_cap);
                 // the active delays inside [d_lo, d_hi) — a handful, so a
                 // linear scan beats binary search
                 for (slot, &delta) in deltas[..active].iter().enumerate() {
@@ -926,7 +825,7 @@ pub fn merge_timelines_deltas_with(
                     }
                     let at = e_start.max(b_start + delta);
                     if at < best[slot].0 {
-                        best[slot] = (at, earlier.occ_seg[k] as usize, jb);
+                        best[slot] = (at, seg, jb);
                         updated = true;
                     }
                 }
@@ -936,380 +835,14 @@ pub fn merge_timelines_deltas_with(
             }
         }
     }
-
-    // assemble outcomes in input order
     deltas
         .iter()
         .enumerate()
-        .map(|(slot, &delta)| {
-            if slot >= active {
-                // the later agent never even appears within the horizon
-                return SimOutcome::no_show(horizon);
-            }
-            let (at, si, jb) = best[slot];
-            if at < INFINITY {
-                SimOutcome {
-                    meeting: Some(Meeting {
-                        global_round: at,
-                        later_round: at - delta,
-                        node: earlier.nodes[si] as usize,
-                    }),
-                    earlier_moves: earlier.moves_before(si),
-                    later_moves: later.moves_before(jb),
-                    earlier_terminated: earlier.tail_index() == Some(si),
-                    later_terminated: later.tail_index() == Some(jb),
-                    horizon,
-                }
-            } else {
-                let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
-                let (later_moves, later_terminated) = later.totals_up_to(horizon - delta);
-                SimOutcome {
-                    meeting: None,
-                    earlier_moves,
-                    later_moves,
-                    earlier_terminated,
-                    later_terminated,
-                    horizon,
-                }
-            }
-        })
-        .collect()
-}
-
-/// [`merge_timelines_deltas`] against a **node-relabelled** later timeline,
-/// without materialising it: outcomes are bit-identical to merging
-/// `earlier` with a copy of `later` whose `nodes` array was rewritten
-/// through `map` (same `starts`, same segment structure).
-///
-/// This is the inner loop of **streaming all-pairs planning** on
-/// vertex-transitive graphs: there, the walk from node `φ(0)` is the
-/// `φ`-image of the walk from node `0` (the program observes only degrees,
-/// entry ports and its clock — all `φ`-invariant), so the later agent's
-/// timeline for class `c` is exactly `timeline(0)` with nodes mapped
-/// through the group element `c`.  One recorded timeline serves *all* `n`
-/// classes, and a million class merges share it immutably with **zero
-/// per-merge setup**: the kernel is deliberately scratch-free (a binary
-/// probe into the earlier occupancy index per later segment, exactly the
-/// retained reference kernel's strategy) because re-seeding per-node
-/// cursors would cost `O(n)` per class — fatal at `n = 2^20` classes.
-///
-/// Meeting nodes come from `earlier`'s segments and are therefore already
-/// true graph nodes; only the later side is viewed through `map`.  The
-/// kernel emits no per-call telemetry — streaming drivers report per-pass
-/// aggregates instead.
-pub fn merge_timelines_deltas_mapped(
-    earlier: &Timeline,
-    later: &Timeline,
-    map: impl Fn(usize) -> usize,
-    deltas: &[Round],
-    horizon: Round,
-) -> Vec<SimOutcome> {
-    if !deltas.windows(2).all(|w| w[0] <= w[1]) {
-        let mut order: Vec<usize> = (0..deltas.len()).collect();
-        order.sort_by_key(|&i| deltas[i]);
-        let sorted: Vec<Round> = order.iter().map(|&i| deltas[i]).collect();
-        let outcomes = merge_deltas_mapped_sorted(earlier, later, &map, &sorted, horizon);
-        let mut out = vec![outcomes[0]; deltas.len()];
-        for (k, &i) in order.iter().enumerate() {
-            out[i] = outcomes[k];
-        }
-        return out;
-    }
-    merge_deltas_mapped_sorted(earlier, later, &map, deltas, horizon)
-}
-
-/// The sorted-deltas body of [`merge_timelines_deltas_mapped`].
-fn merge_deltas_mapped_sorted<F: Fn(usize) -> usize>(
-    earlier: &Timeline,
-    later: &Timeline,
-    map: &F,
-    deltas: &[Round],
-    horizon: Round,
-) -> Vec<SimOutcome> {
-    let horizon1 = horizon.saturating_add(1);
-    let active = deltas.partition_point(|&d| d <= horizon);
-    let mut best: Vec<(Round, usize, usize)> = vec![(INFINITY, 0, 0); active];
-    if active > 0 {
-        let delta_min = deltas[0];
-        let delta_max = deltas[active - 1];
-        let stop_at = |best: &[(Round, usize, usize)]| -> Round {
-            deltas[..active]
-                .iter()
-                .zip(best)
-                .map(|(&d, &(lo, ..))| lo.min(horizon1).saturating_sub(d))
-                .max()
-                .expect("active is non-zero")
-        };
-        let mut stop = stop_at(&best);
-        for jb in 0..later.nodes.len() {
-            let b_start = later.starts[jb];
-            if b_start >= stop {
-                break;
-            }
-            // the only divergence from the unmapped kernels: the later
-            // agent parks on the *image* of its recorded node
-            let node = map(later.nodes[jb] as usize);
-            let s = earlier.occ_starts[node] as usize;
-            let e = earlier.occ_starts[node + 1] as usize;
-            if s == e {
-                continue; // the earlier agent never visits this node at all
-            }
-            let b_end = later.starts[jb + 1];
-            let delta_cap = horizon1 - b_start;
-            let k = s + earlier.occ_end[s..e].partition_point(|&end| end <= b_start + delta_min);
-            let entry_stop = b_end.saturating_add(delta_max.min(delta_cap - 1)).min(horizon1);
-            let mut updated = false;
-            for kk in k..e {
-                let e_start = earlier.occ_start[kk];
-                if e_start >= entry_stop {
-                    break;
-                }
-                let d_lo = (e_start + 1).saturating_sub(b_end).max(delta_min);
-                let d_hi = (earlier.occ_end[kk] - b_start).min(delta_cap);
-                for (slot, &delta) in deltas[..active].iter().enumerate() {
-                    if delta >= d_hi {
-                        break;
-                    }
-                    if delta < d_lo {
-                        continue;
-                    }
-                    let at = e_start.max(b_start + delta);
-                    if at < best[slot].0 {
-                        best[slot] = (at, earlier.occ_seg[kk] as usize, jb);
-                        updated = true;
-                    }
-                }
-            }
-            if updated {
-                stop = stop_at(&best);
-            }
-        }
-    }
-
-    deltas
-        .iter()
-        .enumerate()
-        .map(|(slot, &delta)| {
-            if slot >= active {
-                return SimOutcome::no_show(horizon);
-            }
-            let (at, si, jb) = best[slot];
-            if at < INFINITY {
-                SimOutcome {
-                    meeting: Some(Meeting {
-                        global_round: at,
-                        later_round: at - delta,
-                        node: earlier.nodes[si] as usize,
-                    }),
-                    earlier_moves: earlier.moves_before(si),
-                    later_moves: later.moves_before(jb),
-                    earlier_terminated: earlier.tail_index() == Some(si),
-                    later_terminated: later.tail_index() == Some(jb),
-                    horizon,
-                }
-            } else {
-                let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
-                let (later_moves, later_terminated) = later.totals_up_to(horizon - delta);
-                SimOutcome {
-                    meeting: None,
-                    earlier_moves,
-                    later_moves,
-                    earlier_terminated,
-                    later_terminated,
-                    horizon,
-                }
-            }
-        })
-        .collect()
-}
-
-/// The retained pre-kernel [`merge_timelines`]: sweeps the later agent's
-/// segments and resolves each against the earlier timeline's occupancy
-/// index with a **binary probe** per segment.  Kept solely as the reference
-/// oracle the differential suites pin the sort-merge kernel against
-/// (`ref-oracle` feature, always on under `cfg(test)`).
-#[cfg(any(test, feature = "ref-oracle"))]
-pub fn merge_timelines_reference(
-    earlier: &Timeline,
-    later: &Timeline,
-    stic: &Stic,
-    horizon: Round,
-) -> SimOutcome {
-    if stic.delay > horizon {
-        // the later agent never even appears within the horizon
-        return SimOutcome::no_show(horizon);
-    }
-    let delay = stic.delay;
-    // the later agent's run is truncated at this local round
-    let later_cap = horizon - delay;
-
-    // Sweep the later agent's segments in time order; every segment is a
-    // parked interval, so the earliest meeting inside it is the earlier
-    // agent's first visit to that node within the (global) window.  Stop as
-    // soon as the next window opens at or after the best meeting so far.
-    let mut best_lo = INFINITY;
-    let mut best: Option<(usize, usize)> = None;
-    let cap1 = later_cap.saturating_add(1);
-    for jb in 0..later.nodes.len() {
-        let b_start = later.starts[jb];
-        if b_start > later_cap {
-            break;
-        }
-        let lo = b_start + delay; // <= horizon, exact
-        if lo >= best_lo {
-            break;
-        }
-        let hi = later.starts[jb + 1].min(cap1).saturating_add(delay);
-        if let Some((si, at)) = earlier.first_visit(later.nodes[jb] as usize, lo, hi) {
-            if at < best_lo {
-                best_lo = at;
-                best = Some((si, jb));
-            }
-        }
-    }
-
-    match best.map(|(si, jb)| (best_lo, si, jb)) {
-        Some((at, si, jb)) => SimOutcome {
-            meeting: Some(Meeting {
-                global_round: at,
-                later_round: at - delay,
-                node: earlier.nodes[si] as usize,
-            }),
-            earlier_moves: earlier.moves_before(si),
-            later_moves: later.moves_before(jb),
-            earlier_terminated: earlier.tail_index() == Some(si),
-            later_terminated: later.tail_index() == Some(jb),
-            horizon,
-        },
-        None => {
-            let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
-            let (later_moves, later_terminated) = later.totals_up_to(later_cap);
-            SimOutcome {
-                meeting: None,
-                earlier_moves,
-                later_moves,
-                earlier_terminated,
-                later_terminated,
-                horizon,
-            }
-        }
-    }
-}
-
-/// The retained pre-kernel [`merge_timelines_deltas`]: identical δ-interval
-/// arithmetic, but every later segment re-probes the occupancy index with a
-/// binary search instead of the monotone cursors.  Reference oracle for the
-/// differential suites (`ref-oracle` feature, always on under `cfg(test)`).
-#[cfg(any(test, feature = "ref-oracle"))]
-pub fn merge_timelines_deltas_reference(
-    earlier: &Timeline,
-    later: &Timeline,
-    deltas: &[Round],
-    horizon: Round,
-) -> Vec<SimOutcome> {
-    if !deltas.windows(2).all(|w| w[0] <= w[1]) {
-        let mut order: Vec<usize> = (0..deltas.len()).collect();
-        order.sort_by_key(|&i| deltas[i]);
-        let sorted: Vec<Round> = order.iter().map(|&i| deltas[i]).collect();
-        let outcomes = merge_timelines_deltas_reference(earlier, later, &sorted, horizon);
-        let mut out = vec![outcomes[0]; deltas.len()];
-        for (k, &i) in order.iter().enumerate() {
-            out[i] = outcomes[k];
-        }
-        return out;
-    }
-
-    let horizon1 = horizon.saturating_add(1);
-    let active = deltas.partition_point(|&d| d <= horizon);
-    let mut best: Vec<(Round, usize, usize)> = vec![(INFINITY, 0, 0); active];
-    if active > 0 {
-        let delta_min = deltas[0];
-        let delta_max = deltas[active - 1];
-        let stop_at = |best: &[(Round, usize, usize)]| -> Round {
-            deltas[..active]
-                .iter()
-                .zip(best)
-                .map(|(&d, &(lo, ..))| lo.min(horizon1).saturating_sub(d))
-                .max()
-                .expect("active is non-zero")
-        };
-        let mut stop = stop_at(&best);
-        for jb in 0..later.nodes.len() {
-            let b_start = later.starts[jb];
-            if b_start >= stop {
-                break;
-            }
-            let node = later.nodes[jb] as usize;
-            let s = earlier.occ_starts[node] as usize;
-            let e = earlier.occ_starts[node + 1] as usize;
-            if s == e {
-                continue; // the earlier agent never visits this node at all
-            }
-            let b_end = later.starts[jb + 1];
-            let delta_cap = horizon1 - b_start;
-            let k = s + earlier.occ_end[s..e].partition_point(|&end| end <= b_start + delta_min);
-            let entry_stop = b_end.saturating_add(delta_max.min(delta_cap - 1)).min(horizon1);
-            let mut updated = false;
-            for kk in k..e {
-                let e_start = earlier.occ_start[kk];
-                if e_start >= entry_stop {
-                    break;
-                }
-                let d_lo = (e_start + 1).saturating_sub(b_end).max(delta_min);
-                let d_hi = (earlier.occ_end[kk] - b_start).min(delta_cap);
-                for (slot, &delta) in deltas[..active].iter().enumerate() {
-                    if delta >= d_hi {
-                        break;
-                    }
-                    if delta < d_lo {
-                        continue;
-                    }
-                    let at = e_start.max(b_start + delta);
-                    if at < best[slot].0 {
-                        best[slot] = (at, earlier.occ_seg[kk] as usize, jb);
-                        updated = true;
-                    }
-                }
-            }
-            if updated {
-                stop = stop_at(&best);
-            }
-        }
-    }
-
-    deltas
-        .iter()
-        .enumerate()
-        .map(|(slot, &delta)| {
-            if slot >= active {
-                return SimOutcome::no_show(horizon);
-            }
-            let (at, si, jb) = best[slot];
-            if at < INFINITY {
-                SimOutcome {
-                    meeting: Some(Meeting {
-                        global_round: at,
-                        later_round: at - delta,
-                        node: earlier.nodes[si] as usize,
-                    }),
-                    earlier_moves: earlier.moves_before(si),
-                    later_moves: later.moves_before(jb),
-                    earlier_terminated: earlier.tail_index() == Some(si),
-                    later_terminated: later.tail_index() == Some(jb),
-                    horizon,
-                }
-            } else {
-                let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
-                let (later_moves, later_terminated) = later.totals_up_to(horizon - delta);
-                SimOutcome {
-                    meeting: None,
-                    earlier_moves,
-                    later_moves,
-                    earlier_terminated,
-                    later_terminated,
-                    horizon,
-                }
-            }
+        .map(|(slot, &delta)| match best.get(slot) {
+            // the later agent never even appears within the horizon
+            None => SimOutcome::no_show(horizon),
+            Some(&(INFINITY, ..)) => unmet(earlier, later, delta, horizon),
+            Some(&(at, si, jb)) => met(earlier, later, delta, horizon, at, si, jb),
         })
         .collect()
 }
@@ -1576,19 +1109,6 @@ impl<'a> TrajectoryCache<'a> {
         deltas: &[Round],
         horizon: Round,
     ) -> Vec<SimOutcome> {
-        self.simulate_deltas_capped_with(&mut MergeScratch::new(), u, v, deltas, horizon)
-    }
-
-    /// [`TrajectoryCache::simulate_deltas_capped`] with caller-owned scratch
-    /// space (rayon sweeps keep one [`MergeScratch`] per worker thread).
-    pub fn simulate_deltas_capped_with(
-        &self,
-        scratch: &mut MergeScratch,
-        u: NodeId,
-        v: NodeId,
-        deltas: &[Round],
-        horizon: Round,
-    ) -> Vec<SimOutcome> {
         assert!(
             horizon <= self.horizon,
             "query horizon {horizon} exceeds the cache horizon {}",
@@ -1609,7 +1129,7 @@ impl<'a> TrajectoryCache<'a> {
                 return outcomes;
             }
         }
-        merge_timelines_deltas_with(scratch, self.timeline(u), self.timeline(v), deltas, horizon)
+        merge_timelines_deltas(self.timeline(u), self.timeline(v), deltas, horizon)
     }
 }
 
@@ -1687,22 +1207,9 @@ impl<'a> SweepEngine<'a> {
         deltas: &[Round],
         horizon: Round,
     ) -> Vec<SimOutcome> {
-        self.simulate_deltas_capped_with(&mut MergeScratch::new(), u, v, deltas, horizon)
-    }
-
-    /// [`SweepEngine::simulate_deltas_capped`] with caller-owned scratch
-    /// space (ignored by the pinned per-call modes).
-    pub fn simulate_deltas_capped_with(
-        &self,
-        scratch: &mut MergeScratch,
-        u: NodeId,
-        v: NodeId,
-        deltas: &[Round],
-        horizon: Round,
-    ) -> Vec<SimOutcome> {
         match self.config.mode {
             EngineMode::Auto | EngineMode::Batch => {
-                self.cache.simulate_deltas_capped_with(scratch, u, v, deltas, horizon)
+                self.cache.simulate_deltas_capped(u, v, deltas, horizon)
             }
             EngineMode::Streaming | EngineMode::Lockstep => deltas
                 .iter()
@@ -1793,10 +1300,11 @@ mod tests {
         assert!(t.terminated());
         assert_eq!(t.total_moves(), 2);
         assert_eq!(t.finite_end(), 8);
-        assert_eq!(t.first_visit(1, 0, 100), Some((1, 1)));
-        assert_eq!(t.first_visit(2, 0, 8), Some((2, 7)));
-        assert_eq!(t.first_visit(2, 8, 100), Some((3, 8))); // the tail
-        assert_eq!(t.first_visit(3, 0, 100), None);
+        let seg = |node: NodeId, start: Round, end: Round| TimelineSeg { node, start, end };
+        assert_eq!(
+            t.segments().collect::<Vec<_>>(),
+            vec![seg(0, 0, 1), seg(1, 1, 7), seg(2, 7, 8), seg(2, 8, INFINITY)]
+        );
         assert_eq!(t.totals_up_to(0), (0, false));
         assert_eq!(t.totals_up_to(6), (1, false));
         assert_eq!(t.totals_up_to(7), (2, true));
@@ -1999,7 +1507,6 @@ mod tests {
         for lifetime in [None, Some(9)] {
             let program = ScriptedStepper { lifetime };
             let t0 = Timeline::record(&g, &program, 0, horizon);
-            let mut scratch = MergeScratch::new();
             for c in 0..g.num_nodes() {
                 let streamed =
                     merge_timelines_deltas_mapped(&t0, &t0, |v| group.apply(c, v), deltas, horizon);
@@ -2012,16 +1519,10 @@ mod tests {
                     })
                     .collect();
                 let mapped = Timeline::from_segments(g.num_nodes(), horizon, segs).unwrap();
-                assert_eq!(
-                    streamed,
-                    merge_timelines_deltas_with(&mut scratch, &t0, &mapped, deltas, horizon)
-                );
+                assert_eq!(streamed, merge_timelines_deltas(&t0, &mapped, deltas, horizon));
                 // (b) the walk actually recorded from node c
                 let tc = Timeline::record(&g, &program, c, horizon);
-                assert_eq!(
-                    streamed,
-                    merge_timelines_deltas_with(&mut scratch, &t0, &tc, deltas, horizon)
-                );
+                assert_eq!(streamed, merge_timelines_deltas(&t0, &tc, deltas, horizon));
                 // (c) STIC by STIC against the single-delay kernel
                 for (slot, &delta) in deltas.iter().enumerate() {
                     let stic = Stic::new(0, c, delta);
@@ -2078,6 +1579,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn only_delta_sweeps_build_the_visit_index_and_equality_ignores_it() {
+        let g = oriented_torus(3, 4).unwrap();
+        let program = ScriptedStepper { lifetime: None };
+        let a = Timeline::record(&g, &program, 0, 40);
+        let parts = TimelineParts { starts: a.starts().to_vec(), nodes: a.seg_nodes().to_vec() };
+        let b = Timeline::from_parts(g.num_nodes(), 40, parts).unwrap();
+        let c = a.truncate(20);
+        let stic = Stic::new(0, 0, 3);
+        let prior = merge_timelines(&a, &b, &stic, 20);
+        merge_timelines_extend(&a, &b, &stic, &prior, 40);
+        merge_timelines(&c, &a, &stic, 20);
+        assert!([&a, &b, &c].iter().all(|t| t.visits.get().is_none()));
+        // the first δ-sweep builds the earlier timeline's index, and only it
+        merge_timelines_deltas(&a, &b, &[0, 1, 5], 40);
+        assert!(a.visits.get().is_some() && b.visits.get().is_none());
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -2170,49 +1690,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_merge_kernel_matches_the_reference_oracle() {
-        let g = oriented_torus(3, 4).unwrap();
-        let n = g.num_nodes();
-        for (lifetime, horizon) in [(None, 48 as Round), (Some(7), 30)] {
-            let program = ScriptedStepper { lifetime };
-            let timelines: Vec<Timeline> =
-                (0..n).map(|u| Timeline::record(&g, &program, u, horizon)).collect();
-            for u in 0..n {
-                for v in [0usize, 5, 11] {
-                    for delta in [0 as Round, 1, 3, 9, horizon, horizon + 1] {
-                        let stic = Stic::new(u, v, delta);
-                        for h in [0 as Round, 1, horizon / 2, horizon] {
-                            assert_eq!(
-                                merge_timelines(&timelines[u], &timelines[v], &stic, h),
-                                merge_timelines_reference(&timelines[u], &timelines[v], &stic, h),
-                                "kernel vs reference on {stic} at horizon {h}"
-                            );
-                        }
-                    }
-                    let deltas: Vec<Round> = vec![0, 2, 5, 11, horizon + 1];
-                    let mut scratch = MergeScratch::new();
-                    assert_eq!(
-                        merge_timelines_deltas_with(
-                            &mut scratch,
-                            &timelines[u],
-                            &timelines[v],
-                            &deltas,
-                            horizon
-                        ),
-                        merge_timelines_deltas_reference(
-                            &timelines[u],
-                            &timelines[v],
-                            &deltas,
-                            horizon
-                        ),
-                        "delta kernel vs reference on ({u}, {v})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn extending_a_merge_matches_a_full_merge_at_the_larger_horizon() {
         let g = oriented_torus(3, 4).unwrap();
         let n = g.num_nodes();
@@ -2270,8 +1747,9 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_and_rejects_corrupt_indexes() {
+    fn from_parts_round_trips_and_rejects_malformed_columns() {
         let g = oriented_torus(3, 4).unwrap();
+        let n = g.num_nodes();
         for lifetime in [None, Some(9)] {
             let program = ScriptedStepper { lifetime };
             for start in [0usize, 5, 11] {
@@ -2279,24 +1757,14 @@ mod tests {
                 let parts = || TimelineParts {
                     starts: original.starts().to_vec(),
                     nodes: original.seg_nodes().to_vec(),
-                    occ_starts: original.occ_starts().to_vec(),
-                    occ_start: original.occ_interval_starts().to_vec(),
-                    occ_end: original.occ_interval_ends().to_vec(),
-                    occ_seg: original.occ_segs().to_vec(),
                 };
-                let rebuilt = Timeline::from_parts(g.num_nodes(), 40, parts()).unwrap();
-                assert_eq!(
-                    rebuilt.segments().collect::<Vec<_>>(),
-                    original.segments().collect::<Vec<_>>()
-                );
+                let rebuilt = Timeline::from_parts(n, 40, parts()).unwrap();
+                assert_eq!(rebuilt, original);
                 assert_eq!(rebuilt.total_moves(), original.total_moves());
                 assert_eq!(rebuilt.terminated(), original.terminated());
-                // ... and the occupancy index is installed bit-identically
-                assert_eq!(rebuilt.occ_starts(), original.occ_starts());
-                assert_eq!(rebuilt.occ_segs(), original.occ_segs());
-                let other = Timeline::record(&g, &program, (start + 1) % g.num_nodes(), 40);
+                let other = Timeline::record(&g, &program, (start + 1) % n, 40);
                 for delta in [0 as Round, 2, 6] {
-                    let stic = Stic::new(start, (start + 1) % g.num_nodes(), delta);
+                    let stic = Stic::new(start, (start + 1) % n, delta);
                     assert_eq!(
                         merge_timelines(&rebuilt, &other, &stic, 40),
                         merge_timelines(&original, &other, &stic, 40),
@@ -2304,30 +1772,39 @@ mod tests {
                     );
                 }
 
-                // a swapped occupancy pair is caught (order violated)
-                if original.num_segments() >= 3 {
-                    let mut bad = parts();
-                    bad.occ_seg.swap(0, 1);
-                    bad.occ_start.swap(0, 1);
-                    bad.occ_end.swap(0, 1);
-                    assert!(Timeline::from_parts(g.num_nodes(), 40, bad).is_err());
-                }
-                // an interval that disagrees with its segment is caught
-                let mut bad = parts();
-                bad.occ_end[0] += 1;
-                assert!(Timeline::from_parts(g.num_nodes(), 40, bad).is_err());
-                // truncated occupancy arrays are caught
-                let mut bad = parts();
-                bad.occ_seg.pop();
-                assert!(Timeline::from_parts(g.num_nodes(), 40, bad).is_err());
-                // a mis-shapen CSR is caught
-                let mut bad = parts();
-                *bad.occ_starts.last_mut().unwrap() += 1;
-                assert!(Timeline::from_parts(g.num_nodes(), 40, bad).is_err());
-                // a non-canonical start array is caught
+                let nsegs = original.num_segments();
+                let rejects = |bad: TimelineParts| Timeline::from_parts(n, 40, bad).is_err();
+                // a start array that does not begin at round 0
                 let mut bad = parts();
                 bad.starts[0] += 1;
-                assert!(Timeline::from_parts(g.num_nodes(), 40, bad).is_err());
+                assert!(rejects(bad));
+                // a missing or an extra sentinel
+                let mut bad = parts();
+                bad.starts.pop();
+                assert!(rejects(bad));
+                let mut bad = parts();
+                bad.starts.push(INFINITY);
+                assert!(rejects(bad));
+                // an empty segment (equal consecutive starts)
+                if nsegs >= 2 {
+                    let mut bad = parts();
+                    bad.starts[1] = bad.starts[2];
+                    assert!(rejects(bad));
+                }
+                // a node outside the graph
+                let mut bad = parts();
+                bad.nodes[0] = n as u32;
+                assert!(rejects(bad));
+                // no segments at all
+                assert!(rejects(TimelineParts { starts: vec![0], nodes: vec![] }));
+                // a finite end beyond the declared horizon
+                assert!(Timeline::from_parts(n, 0, parts()).is_err());
+                // a parked-forever tail that leaves the final node
+                if original.terminated() {
+                    let mut bad = parts();
+                    bad.nodes[nsegs - 1] = (bad.nodes[nsegs - 2] + 1) % n as u32;
+                    assert!(rejects(bad));
+                }
             }
         }
     }

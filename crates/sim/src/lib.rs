@@ -33,10 +33,13 @@
 //!     per-call sweeps;
 //!   * the **batch** engine ([`batch`]) records *every* start node's
 //!     timeline at most once in a [`TrajectoryCache`] and answers each
-//!     `(u, v, δ)` STIC by merging two cached timelines through a per-node
-//!     occupancy-interval index — `O(n)` program executions per graph
-//!     instead of `O(n²·Δ)`, which is what all-pairs × delays sweep
-//!     workloads need ([`SweepEngine`], [`simulate_batch`]);
+//!     `(u, v, δ)` STIC by merging two cached timelines — a two-cursor
+//!     sort-merge per STIC ([`merge_timelines`]), or one δ-sweep pass per
+//!     pair that binary-probes the earlier timeline's segment-sized visit
+//!     index ([`merge_timelines_deltas_mapped`]) — `O(n)` program
+//!     executions per graph instead of `O(n²·Δ)`, and nothing per timeline
+//!     sized by the graph, which is what all-pairs × delays sweep workloads
+//!     need ([`SweepEngine`], [`simulate_batch`]);
 //!
 //!   [`EngineMode::Auto`] (the default) picks lockstep for per-call horizons
 //!   up to `2¹⁶`, streaming beyond, and the batch path whenever the caller
@@ -71,12 +74,9 @@ pub mod trace;
 pub mod workload;
 
 pub use batch::{
-    merge_timelines, merge_timelines_deltas, merge_timelines_deltas_mapped,
-    merge_timelines_deltas_with, merge_timelines_extend, simulate_batch, MergeScratch, SweepEngine,
-    Timeline, TimelineParts, TimelineSeg, TrajectoryCache, UNROLL_CAP,
+    merge_timelines, merge_timelines_deltas, merge_timelines_deltas_mapped, merge_timelines_extend,
+    simulate_batch, SweepEngine, Timeline, TimelineParts, TimelineSeg, TrajectoryCache, UNROLL_CAP,
 };
-#[cfg(feature = "ref-oracle")]
-pub use batch::{merge_timelines_deltas_reference, merge_timelines_reference};
 pub use engine::{simulate, simulate_with, EngineConfig, EngineMode, Meeting, SimOutcome};
 pub use navigator::{
     drive_finite_state, AgentProgram, Event, EventSink, FiniteStateProgram, GraphNavigator,

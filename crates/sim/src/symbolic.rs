@@ -137,7 +137,7 @@ impl SymbolicTail {
 
 /// One start node's timeline in `prefix · cycle^∞` form: the explicit
 /// segments of the preperiod plus the segments of one cycle (rebased to
-/// local round 0), both in the canonical flat [`TimelineParts`] arrays.
+/// local round 0), both as flat [`TimelineParts`] columns.
 /// Detected once per start by [`detect_symbolic`]; exact at **every**
 /// horizon ([`SymbolicTimeline::materialize`] reproduces the explicit
 /// recording bit-identically, [`merge_symbolic`] resolves STICs without
@@ -166,7 +166,7 @@ pub struct SymbolicTimeline {
 impl SymbolicTimeline {
     /// Rebuild a symbolic timeline from its serialised form, validating
     /// every structural invariant [`detect_symbolic`] guarantees (shape,
-    /// contiguity, canonical occupancy index, tail conventions).  Errors
+    /// contiguity, node range, block sentinels, tail conventions).  Errors
     /// describe the first violated invariant; a persistent cache treats any
     /// error as a miss and falls back to re-detection.
     pub fn from_raw(
@@ -409,18 +409,12 @@ fn seg_index_at(parts: &TimelineParts, local: Round) -> usize {
     parts.starts[1..=nsegs].partition_point(|&end| end <= local)
 }
 
-/// Validate one prefix/cycle array block: shape, contiguity (strictly
-/// increasing starts), node range, the expected sentinel, and the canonical
-/// counting-sort occupancy index.  An empty block is the canonical empty
-/// form (`starts == [0]`).
+/// Validate one prefix/cycle array block: the timeline column invariants
+/// (shape, contiguity, node range) plus the expected sentinel.  An empty
+/// block is the canonical empty form (`starts == [0]`).
 fn validate_parts(n: usize, parts: &TimelineParts, sentinel: Round) -> Result<(), String> {
+    parts.check(n)?;
     let nsegs = parts.nodes.len();
-    if parts.starts.len() != nsegs + 1 {
-        return Err("the start array carries one sentinel past the segments".into());
-    }
-    if parts.starts[0] != 0 {
-        return Err("the first segment must start at local round 0".into());
-    }
     if nsegs == 0 && sentinel != 0 {
         return Err("an empty block covers no rounds".into());
     }
@@ -430,44 +424,7 @@ fn validate_parts(n: usize, parts: &TimelineParts, sentinel: Round) -> Result<()
             parts.starts[nsegs]
         ));
     }
-    for i in 0..nsegs {
-        if parts.starts[i] >= parts.starts[i + 1] {
-            return Err(format!("segment {i}: empty or inverted interval"));
-        }
-        if (parts.nodes[i] as usize) >= n {
-            return Err(format!("segment {i}: node {} out of range (n = {n})", parts.nodes[i]));
-        }
-    }
-    let canonical = canonical_parts(n, parts.starts.clone(), parts.nodes.clone());
-    if canonical != *parts {
-        return Err("occupancy index is not in canonical counting-sort form".into());
-    }
     Ok(())
-}
-
-/// Build canonical [`TimelineParts`] from `starts`/`nodes` by the same
-/// counting sort the explicit `Timeline::assemble` runs.
-fn canonical_parts(n: usize, starts: Vec<Round>, nodes: Vec<u32>) -> TimelineParts {
-    let nsegs = nodes.len();
-    let mut occ_starts = vec![0u32; n + 1];
-    for &u in &nodes {
-        occ_starts[u as usize + 1] += 1;
-    }
-    for i in 0..n {
-        occ_starts[i + 1] += occ_starts[i];
-    }
-    let mut cursor = occ_starts.clone();
-    let mut occ_start = vec![0 as Round; nsegs];
-    let mut occ_end = vec![0 as Round; nsegs];
-    let mut occ_seg = vec![0u32; nsegs];
-    for (i, &u) in nodes.iter().enumerate() {
-        let c = cursor[u as usize] as usize;
-        occ_start[c] = starts[i];
-        occ_end[c] = starts[i + 1];
-        occ_seg[c] = i as u32;
-        cursor[u as usize] += 1;
-    }
-    TimelineParts { starts, nodes, occ_starts, occ_start, occ_end, occ_seg }
 }
 
 /// One decision-boundary configuration of a finite-state walker: everything
@@ -536,28 +493,14 @@ pub fn detect_symbolic(
         }
         let nsegs = t.num_segments();
         let finite_end = t.starts()[nsegs - 1];
-        let prefix = TimelineParts {
-            starts: t.starts().to_vec(),
-            nodes: t.seg_nodes().to_vec(),
-            occ_starts: t.occ_starts().to_vec(),
-            occ_start: t.occ_interval_starts().to_vec(),
-            occ_end: t.occ_interval_ends().to_vec(),
-            occ_seg: t.occ_segs().to_vec(),
-        };
+        let prefix = TimelineParts { starts: t.starts().to_vec(), nodes: t.seg_nodes().to_vec() };
         Some(SymbolicTimeline {
             n,
             preperiod: finite_end,
             period: 0,
             tail: SymbolicTail::Terminated,
             prefix,
-            cycle: TimelineParts {
-                starts: vec![0],
-                nodes: vec![],
-                occ_starts: vec![0; n + 1],
-                occ_start: vec![],
-                occ_end: vec![],
-                occ_seg: vec![],
-            },
+            cycle: TimelineParts { starts: vec![0], nodes: vec![] },
         })
     };
 
@@ -677,9 +620,8 @@ pub fn detect_symbolic(
             let parked = *segs.last().expect("non-empty");
             let prefix_segs = &segs[..segs.len() - 1];
             let preperiod = parked.start;
-            let (starts, nodes) = split_arrays(prefix_segs, 0, preperiod);
-            let prefix = canonical_parts(n, starts, nodes);
-            let cycle = canonical_parts(n, vec![0, 1], vec![parked.node as u32]);
+            let prefix = split_arrays(prefix_segs, 0, preperiod);
+            let cycle = TimelineParts { starts: vec![0, 1], nodes: vec![parked.node as u32] };
             Some(SymbolicTimeline {
                 n,
                 preperiod,
@@ -715,23 +657,21 @@ pub fn detect_symbolic(
                 overshoot.node, segs[cut_seg].node,
                 "one period later the walker re-enters the cycle's first node"
             );
-            let (pre_starts, pre_nodes) = split_arrays(&segs[..cut_seg], 0, cut_time);
-            let (cyc_starts, cyc_nodes) = split_arrays(&segs[cut_seg..], cut_time, period);
             Some(SymbolicTimeline {
                 n,
                 preperiod: cut_time,
                 period,
                 tail: SymbolicTail::Cycle,
-                prefix: canonical_parts(n, pre_starts, pre_nodes),
-                cycle: canonical_parts(n, cyc_starts, cyc_nodes),
+                prefix: split_arrays(&segs[..cut_seg], 0, cut_time),
+                cycle: split_arrays(&segs[cut_seg..], cut_time, period),
             })
         }
     }
 }
 
-/// Rebase a slice of contiguous segments by `-offset` into flat
-/// `starts`/`nodes` arrays with the given sentinel (total covered rounds).
-fn split_arrays(segs: &[TimelineSeg], offset: Round, sentinel: Round) -> (Vec<Round>, Vec<u32>) {
+/// Rebase a slice of contiguous segments by `-offset` into a flat
+/// `starts`/`nodes` block with the given sentinel (total covered rounds).
+fn split_arrays(segs: &[TimelineSeg], offset: Round, sentinel: Round) -> TimelineParts {
     let mut starts: Vec<Round> = Vec::with_capacity(segs.len() + 1);
     let mut nodes: Vec<u32> = Vec::with_capacity(segs.len());
     for s in segs {
@@ -739,7 +679,7 @@ fn split_arrays(segs: &[TimelineSeg], offset: Round, sentinel: Round) -> (Vec<Ro
         nodes.push(s.node as u32);
     }
     starts.push(sentinel);
-    (starts, nodes)
+    TimelineParts { starts, nodes }
 }
 
 /// Greatest common divisor (Euclid).
@@ -1306,8 +1246,9 @@ mod tests {
         .expect("round-trips");
         assert_eq!(rebuilt, s);
 
+        // a cycle node outside the graph
         let mut bad_cycle = s.cycle().clone();
-        bad_cycle.nodes[0] = (bad_cycle.nodes[0] + 1) % 6;
+        bad_cycle.nodes[0] = 6;
         assert!(SymbolicTimeline::from_raw(
             s.num_graph_nodes(),
             s.preperiod(),

@@ -33,14 +33,15 @@
 //! ## Flat payloads
 //!
 //! The heavy payloads are stored the way the batch engine consumes them.  A
-//! timeline entry is the *assembled* struct-of-arrays representation of
-//! [`Timeline`] — segment boundaries, segment nodes and the per-node
-//! occupancy CSR index — written as 16-aligned flat arrays, so a load is
-//! one `fs::read` plus one bulk copy per array straight into
-//! [`Timeline::from_parts`]: no per-segment decode
-//! loop and **no re-indexing** (the occupancy index that used to be rebuilt
-//! by a counting sort on every open ships inside the frame and is only
-//! shape-validated).  Outcome tables likewise store one flat column per
+//! timeline entry is exactly the two columns a [`Timeline`] is made of —
+//! segment boundaries and segment nodes — written as 16-aligned flat
+//! arrays, so a load is one `fs::read` plus one bulk copy per array
+//! straight into [`Timeline::from_parts`], with no per-segment decode loop.
+//! Nothing in an entry is sized by the graph: a frame grows with the
+//! segments it holds, whatever the node count.  A symbolic entry stores its
+//! prefix and cycle blocks in the same two-column form, and both frame
+//! kinds are read by one decoder each, shared by the loaders and
+//! [`Store::fsck`].  Outcome tables likewise store one flat column per
 //! [`SimOutcome`] field.  Serving a shorter horizon no longer copies
 //! either: [`Store::warm_engine`] installs the longer recording as-is and
 //! the merge kernels clip at query time, which is exact because truncated
@@ -387,11 +388,9 @@ impl Store {
     }
 
     /// Load every recorded timeline of `(g, program_key)` — each carrying
-    /// its **own** recorded horizon — or `None` on any miss.  The layout
-    /// stores each entry as the engine's assembled flat arrays, so decoding
-    /// is one bulk copy per array into [`Timeline::from_parts`], which
-    /// shape-validates the shipped occupancy index instead of rebuilding
-    /// it; one bad entry rejects the whole file.
+    /// its **own** recorded horizon — or `None` on any miss.  Each entry is
+    /// one bulk copy per column into [`Timeline::from_parts`], which
+    /// validates it; one bad entry rejects the whole file.
     pub fn load_timelines(
         &self,
         g: &PortGraph,
@@ -400,60 +399,21 @@ impl Store {
         let path = self.timelines_path(g, program_key);
         let bytes = self.read_artifact(&path)?;
         let mut d = self.gate_frame(&path, Kind::Timelines, &bytes)?;
-        if d.u128()? != g.canonical_hash() {
-            return None;
-        }
-        let n = d.usize()?;
-        if n != g.num_nodes() {
-            return None;
-        }
-        if d.str()? != program_key {
-            return None;
-        }
-        let count = d.usize()?;
-        let num_horizons = d.usize()?;
-        let summary = d.u128_vec(num_horizons)?;
-        let mut seen = vec![false; n];
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let start = usize::try_from(d.u64()?).ok()?;
-            if start >= n || seen[start] {
-                return None;
-            }
-            seen[start] = true;
-            let horizon = d.u128()?;
-            let nsegs = d.usize()?;
-            let parts = TimelineParts {
-                starts: d.u128_vec(nsegs.checked_add(1)?)?,
-                nodes: d.u32_vec(nsegs)?,
-                occ_starts: d.u32_vec(n.checked_add(1)?)?,
-                occ_start: d.u128_vec(nsegs)?,
-                occ_end: d.u128_vec(nsegs)?,
-                occ_seg: d.u32_vec(nsegs)?,
-            };
-            out.push((start, Timeline::from_parts(n, horizon, parts).ok()?));
-        }
-        // the up-front horizon summary (what bounded-prefix stats report)
-        // must agree with the entries themselves
-        if summary != distinct_horizons(out.iter().map(|(_, t)| t.recorded_horizon())) {
-            return None;
-        }
-        d.exhausted().then_some(out)
+        let n = decode_recording_id(&mut d).ok().filter(|id| id.matches(g, program_key))?.1;
+        decode_timelines(&mut d, n).ok()
     }
 
     /// Persist a set of recorded timelines, each at its own recorded
-    /// horizon, as flat struct-of-arrays entries.  Returns the artifact
-    /// path.
-    pub fn save_timelines(
+    /// horizon, in ascending start-node order (the order the decoder
+    /// demands).  Returns the artifact path.
+    fn save_timelines(
         &self,
         g: &PortGraph,
         program_key: &str,
         timelines: &[(NodeId, &Timeline)],
     ) -> io::Result<PathBuf> {
         let mut e = Enc::new();
-        e.u128(g.canonical_hash());
-        e.usize(g.num_nodes());
-        e.str(program_key);
+        encode_recording_id(&mut e, g, program_key);
         e.usize(timelines.len());
         let summary = distinct_horizons(timelines.iter().map(|(_, t)| t.recorded_horizon()));
         e.usize(summary.len());
@@ -461,13 +421,7 @@ impl Store {
         for (start, t) in timelines {
             e.u64(*start as u64);
             e.u128(t.recorded_horizon());
-            e.usize(t.num_segments());
-            e.u128_slice(t.starts());
-            e.u32_slice(t.seg_nodes());
-            e.u32_slice(t.occ_starts());
-            e.u128_slice(t.occ_interval_starts());
-            e.u128_slice(t.occ_interval_ends());
-            e.u32_slice(t.occ_segs());
+            encode_parts(&mut e, t.starts(), t.seg_nodes());
         }
         let path = self.timelines_path(g, program_key);
         self.write_atomic(&path, &e.into_frame(Kind::Timelines))?;
@@ -585,58 +539,30 @@ impl Store {
         let path = self.symbolic_path(g, program_key);
         let bytes = self.read_artifact(&path)?;
         let mut d = self.gate_frame(&path, Kind::SymbolicTimelines, &bytes)?;
-        if d.u128()? != g.canonical_hash() {
-            return None;
-        }
-        let n = d.usize()?;
-        if n != g.num_nodes() {
-            return None;
-        }
-        if d.str()? != program_key {
-            return None;
-        }
-        let count = d.usize()?;
-        let mut seen = vec![false; n];
-        let mut out = Vec::with_capacity(count.min(d.remaining()));
-        for _ in 0..count {
-            let start = usize::try_from(d.u64()?).ok()?;
-            if start >= n || seen[start] {
-                return None;
-            }
-            seen[start] = true;
-            let tail = SymbolicTail::from_code(d.u8()?)?;
-            let preperiod = d.u128()?;
-            let period = d.u128()?;
-            let prefix = decode_parts(&mut d, n)?;
-            let cycle = decode_parts(&mut d, n)?;
-            let s = SymbolicTimeline::from_raw(n, preperiod, period, tail, prefix, cycle).ok()?;
-            out.push((start, s));
-        }
-        d.exhausted().then_some(out)
+        let n = decode_recording_id(&mut d).ok().filter(|id| id.matches(g, program_key))?.1;
+        decode_symbolic_timelines(&mut d, n).ok()
     }
 
-    /// Persist a set of symbolic timelines as one `SymbolicTimelines`
-    /// frame: per entry the tail kind, the `(preperiod, period)` pair and
-    /// the prefix and cycle [`TimelineParts`] as flat-array
-    /// blocks.  Returns the artifact path.
-    pub fn save_symbolic_timelines(
+    /// Persist a set of symbolic timelines, in ascending start-node order,
+    /// as one `SymbolicTimelines` frame: per entry the tail kind, the
+    /// `(preperiod, period)` pair and the prefix and cycle blocks as
+    /// two-column flat arrays.  Returns the artifact path.
+    fn save_symbolic_timelines(
         &self,
         g: &PortGraph,
         program_key: &str,
         timelines: &[(NodeId, &SymbolicTimeline)],
     ) -> io::Result<PathBuf> {
         let mut e = Enc::new();
-        e.u128(g.canonical_hash());
-        e.usize(g.num_nodes());
-        e.str(program_key);
+        encode_recording_id(&mut e, g, program_key);
         e.usize(timelines.len());
         for (start, s) in timelines {
             e.u64(*start as u64);
             e.u8(s.tail().code());
             e.u128(s.preperiod());
             e.u128(s.period());
-            encode_parts(&mut e, s.prefix());
-            encode_parts(&mut e, s.cycle());
+            encode_parts(&mut e, &s.prefix().starts, &s.prefix().nodes);
+            encode_parts(&mut e, &s.cycle().starts, &s.cycle().nodes);
         }
         let path = self.symbolic_path(g, program_key);
         self.write_atomic(&path, &e.into_frame(Kind::SymbolicTimelines))?;
@@ -946,9 +872,9 @@ impl Store {
     /// frames move into `quarantine/` with a reason sidecar; stale frames
     /// are left for gc — they are an expected after-image of a format bump,
     /// not evidence of damage.  Structural verification is identity-free
-    /// (no graph needed): timeline entries must reassemble through the same
-    /// shape validation the loader uses, tables must match their declared
-    /// class/δ geometry.
+    /// (no graph needed): timeline and symbolic frames go through the very
+    /// decoders the loaders use, tables must match their declared class/δ
+    /// geometry.
     pub fn fsck(&self, repair: bool) -> io::Result<FsckReport> {
         let mut report = FsckReport::default();
         let mut found: Vec<(PathBuf, String, u64, Kind)> = Vec::new();
@@ -1155,69 +1081,12 @@ fn verify_payload(kind: Kind, d: &mut Dec<'_>) -> Result<(), String> {
     let truncated = || "payload-truncated".to_string();
     match kind {
         Kind::Timelines => {
-            d.u128().ok_or_else(truncated)?;
-            let n = d.usize().ok_or_else(truncated)?;
-            d.str().ok_or_else(|| "program-key-malformed".to_string())?;
-            let count = d.usize().ok_or_else(truncated)?;
-            let num_horizons = d.usize().ok_or_else(truncated)?;
-            let summary = d.u128_vec(num_horizons).ok_or_else(truncated)?;
-            if count > 0 && n.checked_mul(4).is_none_or(|b| b > d.remaining()) {
-                return Err("node-count-overruns-payload".into());
-            }
-            let mut seen = vec![false; if count > 0 { n } else { 0 }];
-            let mut horizons = Vec::with_capacity(count.min(d.remaining()));
-            for _ in 0..count {
-                let start = d.u64().ok_or_else(truncated)?;
-                match usize::try_from(start).ok().filter(|&u| u < n && !seen[u]) {
-                    Some(u) => seen[u] = true,
-                    None => return Err("timeline-start-node-invalid".into()),
-                }
-                let horizon = d.u128().ok_or_else(truncated)?;
-                let nsegs = d.usize().ok_or_else(truncated)?;
-                let parts = TimelineParts {
-                    starts: d
-                        .u128_vec(nsegs.checked_add(1).ok_or_else(truncated)?)
-                        .ok_or_else(truncated)?,
-                    nodes: d.u32_vec(nsegs).ok_or_else(truncated)?,
-                    occ_starts: d
-                        .u32_vec(n.checked_add(1).ok_or_else(truncated)?)
-                        .ok_or_else(truncated)?,
-                    occ_start: d.u128_vec(nsegs).ok_or_else(truncated)?,
-                    occ_end: d.u128_vec(nsegs).ok_or_else(truncated)?,
-                    occ_seg: d.u32_vec(nsegs).ok_or_else(truncated)?,
-                };
-                Timeline::from_parts(n, horizon, parts)
-                    .map_err(|e| format!("timeline-shape-invalid: {e}"))?;
-                horizons.push(horizon);
-            }
-            if summary != distinct_horizons(horizons.into_iter()) {
-                return Err("horizon-summary-disagrees-with-entries".into());
-            }
+            let n = decode_recording_id(d)?.1;
+            decode_timelines(d, n)?;
         }
         Kind::SymbolicTimelines => {
-            d.u128().ok_or_else(truncated)?;
-            let n = d.usize().ok_or_else(truncated)?;
-            d.str().ok_or_else(|| "program-key-malformed".to_string())?;
-            let count = d.usize().ok_or_else(truncated)?;
-            if count > 0 && n.checked_mul(4).is_none_or(|b| b > d.remaining()) {
-                return Err("node-count-overruns-payload".into());
-            }
-            let mut seen = vec![false; if count > 0 { n } else { 0 }];
-            for _ in 0..count {
-                let start = d.u64().ok_or_else(truncated)?;
-                match usize::try_from(start).ok().filter(|&u| u < n && !seen[u]) {
-                    Some(u) => seen[u] = true,
-                    None => return Err("symbolic-start-node-invalid".into()),
-                }
-                let tail = SymbolicTail::from_code(d.u8().ok_or_else(truncated)?)
-                    .ok_or_else(|| "symbolic-tail-code-invalid".to_string())?;
-                let preperiod = d.u128().ok_or_else(truncated)?;
-                let period = d.u128().ok_or_else(truncated)?;
-                let prefix = decode_parts(d, n).ok_or_else(truncated)?;
-                let cycle = decode_parts(d, n).ok_or_else(truncated)?;
-                SymbolicTimeline::from_raw(n, preperiod, period, tail, prefix, cycle)
-                    .map_err(|e| format!("symbolic-shape-invalid: {e}"))?;
-            }
+            let n = decode_recording_id(d)?.1;
+            decode_symbolic_timelines(d, n)?;
         }
         Kind::Outcomes => {
             let identity =
@@ -1330,9 +1199,7 @@ fn peek_prefix_frame(kind: Kind, prefix: &[u8], file_len: u64) -> Option<Dec<'_>
 /// The entry count and distinct-horizon summary a timelines payload
 /// leads with.
 fn peek_timeline_horizons(d: &mut Dec<'_>) -> Option<(usize, Vec<Round>)> {
-    let _hash = d.u128()?;
-    let _n = d.usize()?;
-    let _key = d.str()?;
+    decode_recording_id(d).ok()?;
     let count = d.usize()?;
     let num_horizons = d.usize()?;
     let horizons = d.u128_vec(num_horizons)?;
@@ -1342,10 +1209,110 @@ fn peek_timeline_horizons(d: &mut Dec<'_>) -> Option<(usize, Vec<Round>)> {
 /// The entry count a symbolic-timelines payload leads with (after its
 /// graph/program identity), for the bounded-prefix stats survey.
 fn peek_symbolic_count(d: &mut Dec<'_>) -> Option<usize> {
-    let _hash = d.u128()?;
-    let _n = d.usize()?;
-    let _key = d.str()?;
+    decode_recording_id(d).ok()?;
     d.usize()
+}
+
+/// The `(graph hash, node count, program key)` a timelines or symbolic
+/// payload leads with.
+struct RecordingId(u128, usize, String);
+
+impl RecordingId {
+    /// Does this payload belong to `(g, program_key)`?
+    fn matches(&self, g: &PortGraph, program_key: &str) -> bool {
+        (self.0, self.1, self.2.as_str()) == (g.canonical_hash(), g.num_nodes(), program_key)
+    }
+}
+
+/// Encode the [`RecordingId`] of `(g, program_key)`.
+fn encode_recording_id(e: &mut Enc, g: &PortGraph, program_key: &str) {
+    e.u128(g.canonical_hash());
+    e.usize(g.num_nodes());
+    e.str(program_key);
+}
+
+/// Decode a [`RecordingId`]; the error names the first malformed field.
+fn decode_recording_id(d: &mut Dec<'_>) -> Result<RecordingId, String> {
+    let truncated = || "payload-truncated".to_string();
+    let hash = d.u128().ok_or_else(truncated)?;
+    let n = d.usize().ok_or_else(truncated)?;
+    let program_key = d.str().ok_or_else(|| "program-key-malformed".to_string())?;
+    Ok(RecordingId(hash, n, program_key))
+}
+
+/// Read an entry's start node, which must lie below `n` and strictly above
+/// the previous entry's: writers emit entries in node order, so no start
+/// can repeat.  `invalid` is the error a bad start reports.
+fn decode_start(
+    d: &mut Dec<'_>,
+    n: usize,
+    prev: Option<NodeId>,
+    invalid: &str,
+) -> Result<NodeId, String> {
+    let start = d.u64().ok_or_else(|| "payload-truncated".to_string())?;
+    usize::try_from(start)
+        .ok()
+        .filter(|&u| u < n && prev.is_none_or(|p| u > p))
+        .ok_or_else(|| invalid.to_string())
+}
+
+/// Decode the rest of a timelines payload of an `n`-node graph — horizon
+/// summary and every entry, each validated by [`Timeline::from_parts`] —
+/// for the loader and [`Store::fsck`] alike; the error names the first
+/// failed check.
+fn decode_timelines(d: &mut Dec<'_>, n: usize) -> Result<Vec<(NodeId, Timeline)>, String> {
+    let truncated = || "payload-truncated".to_string();
+    let count = d.usize().ok_or_else(truncated)?;
+    let num_horizons = d.usize().ok_or_else(truncated)?;
+    let summary = d.u128_vec(num_horizons).ok_or_else(truncated)?;
+    let mut entries: Vec<(NodeId, Timeline)> = Vec::new();
+    for _ in 0..count {
+        let prev = entries.last().map(|&(u, _)| u);
+        let start = decode_start(d, n, prev, "timeline-start-node-invalid")?;
+        let horizon = d.u128().ok_or_else(truncated)?;
+        let parts = decode_parts(d).ok_or_else(truncated)?;
+        let t = Timeline::from_parts(n, horizon, parts)
+            .map_err(|e| format!("timeline-shape-invalid: {e}"))?;
+        entries.push((start, t));
+    }
+    // the up-front horizon summary (what bounded-prefix stats report) must
+    // agree with the entries themselves
+    if summary != distinct_horizons(entries.iter().map(|(_, t)| t.recorded_horizon())) {
+        return Err("horizon-summary-disagrees-with-entries".into());
+    }
+    if !d.exhausted() {
+        return Err("payload-trailing-garbage".into());
+    }
+    Ok(entries)
+}
+
+/// Decode the rest of a symbolic-timelines payload of an `n`-node graph,
+/// each entry revalidated by [`SymbolicTimeline::from_raw`] — the loader's
+/// and [`Store::fsck`]'s one reader of the layout.
+fn decode_symbolic_timelines(
+    d: &mut Dec<'_>,
+    n: usize,
+) -> Result<Vec<(NodeId, SymbolicTimeline)>, String> {
+    let truncated = || "payload-truncated".to_string();
+    let count = d.usize().ok_or_else(truncated)?;
+    let mut entries: Vec<(NodeId, SymbolicTimeline)> = Vec::new();
+    for _ in 0..count {
+        let prev = entries.last().map(|&(u, _)| u);
+        let start = decode_start(d, n, prev, "symbolic-start-node-invalid")?;
+        let tail = SymbolicTail::from_code(d.u8().ok_or_else(truncated)?)
+            .ok_or_else(|| "symbolic-tail-code-invalid".to_string())?;
+        let preperiod = d.u128().ok_or_else(truncated)?;
+        let period = d.u128().ok_or_else(truncated)?;
+        let prefix = decode_parts(d).ok_or_else(truncated)?;
+        let cycle = decode_parts(d).ok_or_else(truncated)?;
+        let s = SymbolicTimeline::from_raw(n, preperiod, period, tail, prefix, cycle)
+            .map_err(|e| format!("symbolic-shape-invalid: {e}"))?;
+        entries.push((start, s));
+    }
+    if !d.exhausted() {
+        return Err("payload-trailing-garbage".into());
+    }
+    Ok(entries)
 }
 
 /// The plan identity and recorded horizon of an outcomes or shard payload
@@ -1464,32 +1431,21 @@ pub(crate) fn decode_plan_identity(
     .then_some(())
 }
 
-/// Encode one [`TimelineParts`] block (prefix or cycle half of a symbolic
-/// entry) as aligned flat arrays: a segment count, then the six
-/// columns in the same order the explicit timeline entries use.
-pub(crate) fn encode_parts(e: &mut Enc, parts: &TimelineParts) {
-    e.usize(parts.nodes.len());
-    e.u128_slice(&parts.starts);
-    e.u32_slice(&parts.nodes);
-    e.u32_slice(&parts.occ_starts);
-    e.u128_slice(&parts.occ_start);
-    e.u128_slice(&parts.occ_end);
-    e.u32_slice(&parts.occ_seg);
+/// Encode one timeline block — an explicit timeline, or the prefix or
+/// cycle half of a symbolic entry — as aligned flat arrays: a segment
+/// count, the `nsegs + 1` starts and the `nsegs` nodes.
+fn encode_parts(e: &mut Enc, starts: &[Round], nodes: &[u32]) {
+    e.usize(nodes.len());
+    e.u128_slice(starts);
+    e.u32_slice(nodes);
 }
 
-/// Decode an [`encode_parts`] block for an `n`-node graph; `None` on
-/// malformed input.  Shape and occupancy validation is the caller's
-/// ([`SymbolicTimeline::from_raw`]).
-pub(crate) fn decode_parts(d: &mut Dec<'_>, n: usize) -> Option<TimelineParts> {
+/// Decode an [`encode_parts`] block; `None` on malformed input.
+/// Validation is the caller's ([`Timeline::from_parts`],
+/// [`SymbolicTimeline::from_raw`]).
+fn decode_parts(d: &mut Dec<'_>) -> Option<TimelineParts> {
     let nsegs = d.usize()?;
-    Some(TimelineParts {
-        starts: d.u128_vec(nsegs.checked_add(1)?)?,
-        nodes: d.u32_vec(nsegs)?,
-        occ_starts: d.u32_vec(n.checked_add(1)?)?,
-        occ_start: d.u128_vec(nsegs)?,
-        occ_end: d.u128_vec(nsegs)?,
-        occ_seg: d.u32_vec(nsegs)?,
-    })
+    Some(TimelineParts { starts: d.u128_vec(nsegs.checked_add(1)?)?, nodes: d.u32_vec(nsegs)? })
 }
 
 /// Encode one [`SimOutcome`] exactly (every field, `u128`s included).
@@ -1837,10 +1793,10 @@ mod tests {
         store.persist_engine(planned.engine(), key).unwrap();
 
         // rewrite every artifact as a **checksum-valid older version** — one
-        // that never had the current layout (2) and one that did (4): the
-        // version gate alone must turn both into misses, as there are no
-        // legacy readers
-        for version in [2u32, 4] {
+        // that never had the current layout (2) and one whose outcome
+        // layout still matches (5): the version gate alone must turn both
+        // into misses, as there are no legacy readers
+        for version in [2u32, 5] {
             for entry in fs::read_dir(&dir.0).unwrap() {
                 let path = entry.unwrap().path();
                 let mut bytes = fs::read(&path).unwrap();
@@ -2177,6 +2133,42 @@ mod tests {
             "{:?}",
             forged.entries
         );
+    }
+
+    #[test]
+    fn fsck_passes_a_one_entry_frame_of_a_huge_graph() {
+        // a timeline entry is sized by its segments, not the graph: one
+        // recorded torus-256x256 timeline is a small frame that must verify
+        // (and stay put under --repair), whatever the node count
+        let dir = TempDir::new("fsck-huge-graph");
+        let store = store_in(&dir);
+        let g = oriented_torus(256, 256).unwrap();
+        let program = Walker { seed: 0x5EED };
+        let key = "test-walker-5eed";
+        let engine = SweepEngine::new(&g, &program, EngineConfig::batch(64));
+        engine.cache().timeline(0);
+        assert_eq!(store.persist_engine(&engine, key).unwrap(), 1);
+        let report = store.fsck(true).unwrap();
+        assert_eq!((report.valid, report.corrupt, report.quarantined), (1, 0, 0), "{report:?}");
+        assert_eq!(store.load_timelines(&g, key).map(|t| t.len()), Some(1));
+    }
+
+    #[test]
+    fn fsck_flags_a_repeated_start_node_as_corrupt() {
+        let dir = TempDir::new("fsck-repeated-start");
+        let store = store_in(&dir);
+        let g = oriented_ring(6).unwrap();
+        let program = Walker { seed: 0x5EED };
+        let key = "test-walker-5eed";
+        let t = Timeline::record(&g, &program, 3, 32);
+        store.save_timelines(&g, key, &[(3, &t), (3, &t)]).unwrap();
+        let report = store.fsck(false).unwrap();
+        assert_eq!((report.valid, report.corrupt), (0, 1), "{report:?}");
+        assert_eq!(
+            report.entries[0].verdict,
+            FsckVerdict::Corrupt("timeline-start-node-invalid".into())
+        );
+        assert!(store.load_timelines(&g, key).is_none(), "the loader rejects it too");
     }
 
     #[test]

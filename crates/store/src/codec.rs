@@ -40,10 +40,11 @@ pub(crate) const MAGIC: [u8; 8] = *b"ANRVSTOR";
 /// payload layout change: frames of every other version then fail the
 /// version gate and are recomputed and rewritten in place.  The current
 /// layout is a 32-byte header and 16-aligned flat-array payloads — timeline
-/// payloads lead with their distinct recorded horizons so `stats` can peek
-/// them from a bounded prefix read, outcome tables store one column per
-/// field — in the four artifact kinds of [`Kind`].
-pub(crate) const FORMAT_VERSION: u32 = 5;
+/// and symbolic entries carry only their segment `starts` and `nodes`
+/// columns, timeline payloads lead with their distinct recorded horizons
+/// so `stats` can peek them from a bounded prefix read, outcome tables
+/// store one column per field — in the four artifact kinds of [`Kind`].
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
 /// Frame header size: magic(8) + version(4) + kind(1) + reserved(11) +
 /// payload length(8).  The 11 reserved zero bytes pad the header to 32 so
@@ -423,7 +424,7 @@ mod tests {
         bad[0] ^= 0xFF;
         assert!(unframe(Kind::Shard, &bad).is_none());
         // every other version, older or newer, is a version miss
-        for version in [3u32, 4, 6] {
+        for version in [3u32, 4, 5, 7] {
             let mut bad = good.clone();
             bad[8..12].copy_from_slice(&version.to_le_bytes());
             assert_eq!(unframe_checked(Kind::Shard, &bad).err(), Some(FrameFailure::Version));

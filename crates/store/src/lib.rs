@@ -40,17 +40,18 @@
 //!   model and `codec.rs` for the frame layout.
 //!
 //!   Frames are **zero-copy-shaped**: a 32-byte header, a payload of
-//!   16-aligned little-endian flat arrays in the engines' own
-//!   struct-of-arrays layout (timeline segment columns + occupancy CSR;
-//!   one column per outcome field), and one trailing checksum amortised
-//!   over the whole frame.  Loading is a single `fs::read` plus bulk
-//!   column decodes straight into
-//!   [`Timeline::from_parts`](anonrv_sim::Timeline::from_parts) — no
-//!   per-entry re-indexing — and [`Store::stats`] / [`Store::gc`] survey a
-//!   cache directory from a bounded 64 KiB prefix per file, never loading
-//!   the arrays.  There is one format version (5) and no legacy reader: a
-//!   frame of any other version is a plain (non-quarantined) miss that the
-//!   recompute overwrites.
+//!   16-aligned little-endian flat arrays in the engines' own layout (a
+//!   timeline entry is just its `starts` and `nodes` columns; one column
+//!   per outcome field), and one trailing checksum amortised over the
+//!   whole frame.  Nothing in a timeline entry is sized by the graph, so
+//!   a frame grows with the segments it holds.  Loading is a single
+//!   `fs::read` plus bulk column decodes straight into
+//!   [`Timeline::from_parts`](anonrv_sim::Timeline::from_parts), and
+//!   [`Store::stats`] / [`Store::gc`] survey a cache directory from a
+//!   bounded 64 KiB prefix per file, never loading the arrays.  There is
+//!   one format version (6) and no legacy reader: a frame of any other
+//!   version is a plain (non-quarantined) miss that the recompute
+//!   overwrites.
 //! * [`SweepSession`] — the one orchestrator every front-end drives (the
 //!   CLI `sweep`/`cache` commands, the experiment harness): plan →
 //!   cache-probe → execute-representatives → record →

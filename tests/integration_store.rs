@@ -7,7 +7,7 @@
 
 use anonrv::graph::generators::{grid, oriented_ring, oriented_torus};
 use anonrv::plan::SweepPlan;
-use anonrv::sim::{EngineConfig, Round, SimOutcome, Stic, SweepWalker};
+use anonrv::sim::{EngineConfig, Round, SimOutcome, Stic, SweepEngine, SweepWalker, Timeline};
 use anonrv::store::{OutcomeProvenance, ShardSpec, Store, SweepSession};
 
 /// Unique, self-deleting scratch directory per test.
@@ -107,6 +107,33 @@ fn store_backed_sweeps_write_no_group_frames_and_rerun_warm() {
         assert_eq!(provenance, OutcomeProvenance::WarmExact, "{label}");
         assert_eq!(warm_outcomes.table(), cold_outcomes.table(), "{label}");
     }
+}
+
+/// A timeline frame grows with the segments it holds, never with the
+/// graph: one recorded walk on the 65 536-node torus fits in a few KiB
+/// (a per-node offset column alone would take 256 KiB) and loads back
+/// equal to a fresh recording.
+#[test]
+fn a_timeline_frame_is_sized_by_its_segments_not_the_graph() {
+    let dir = TempDir::new("n-free-frame");
+    let store = Store::open(&dir.0).unwrap();
+    let g = oriented_torus(256, 256).unwrap();
+    let program = walker();
+    let engine = SweepEngine::new(&g, &program, EngineConfig::batch(HORIZON));
+    engine.cache().timeline(0);
+    assert_eq!(store.persist_engine(&engine, KEY).unwrap(), 1);
+
+    let frames: Vec<std::fs::DirEntry> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("timelines-"))
+        .collect();
+    assert_eq!(frames.len(), 1);
+    let bytes = frames[0].metadata().unwrap().len();
+    assert!(bytes < 16 * 1024, "one-entry torus-256x256 timeline frame is {bytes} bytes");
+
+    let loaded = store.load_timelines(&g, KEY).expect("the frame loads");
+    assert_eq!(loaded, vec![(0, Timeline::record(&g, &program, 0, HORIZON))]);
 }
 
 #[test]

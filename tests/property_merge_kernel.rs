@@ -1,10 +1,12 @@
 //! Differential property tests of the **timeline-merge kernels**: the
-//! branch-light sort-merge ([`merge_timelines`]), the shared-pass delay
-//! sweep ([`merge_timelines_deltas_with`]) and the resumable extension
+//! branch-light sort-merge ([`merge_timelines`]), the δ-sweep kernel
+//! ([`merge_timelines_deltas`], the identity-map case of
+//! [`merge_timelines_deltas_mapped`]) and the resumable extension
 //! ([`merge_timelines_extend`]) are each pinned bit-identical to
 //!
-//! * the retained pre-kernel **reference oracles** (binary-probe
-//!   implementations kept under the `ref-oracle` feature), and
+//! * a **reference oracle** defined here — a plain quadratic scan over the
+//!   timelines' public `starts()`/`seg_nodes()` columns, sharing no code
+//!   with either kernel — and
 //! * the **Lockstep and Streaming engines**, which never touch timelines
 //!   at all.
 //!
@@ -12,17 +14,104 @@
 //! differentials are what lets the zero-copy paths claim exactness.
 //!
 //! [`merge_timelines`]: anonrv::sim::merge_timelines
-//! [`merge_timelines_deltas_with`]: anonrv::sim::merge_timelines_deltas_with
+//! [`merge_timelines_deltas`]: anonrv::sim::merge_timelines_deltas
+//! [`merge_timelines_deltas_mapped`]: anonrv::sim::merge_timelines_deltas_mapped
 //! [`merge_timelines_extend`]: anonrv::sim::merge_timelines_extend
 
 use proptest::prelude::*;
 
-use anonrv::graph::generators::{oriented_ring, random_connected};
+use anonrv::graph::generators::{oriented_ring, oriented_torus, random_connected};
+use anonrv::graph::NodeId;
 use anonrv::sim::{
-    merge_timelines, merge_timelines_deltas_reference, merge_timelines_deltas_with,
-    merge_timelines_extend, merge_timelines_reference, simulate_with, AgentProgram, EngineConfig,
-    MergeScratch, Navigator, Round, Stic, Stop, Timeline,
+    merge_timelines, merge_timelines_deltas, merge_timelines_extend, simulate_with, AgentProgram,
+    EngineConfig, Meeting, Navigator, Round, SimOutcome, Stic, Stop, Timeline,
 };
+
+/// Earliest visit of `t` to `node` within the local window `[lo, hi)`: the
+/// segment index and the first shared round, found by scanning every
+/// segment.
+fn first_visit(t: &Timeline, node: NodeId, lo: Round, hi: Round) -> Option<(usize, Round)> {
+    let (starts, nodes) = (t.starts(), t.seg_nodes());
+    (0..nodes.len()).find_map(|i| {
+        let (from, to) = (starts[i].max(lo), starts[i + 1].min(hi));
+        (nodes[i] as usize == node && from < to).then_some((i, from))
+    })
+}
+
+/// `(moves, terminated)` of the run of `t` cut at local round `cap`: every
+/// segment after the first (tail excepted) is opened by one traversal, so
+/// the moves are the index of the segment covering `cap`.
+fn totals_up_to(t: &Timeline, cap: Round) -> (u64, bool) {
+    let starts = t.starts();
+    let covering = (0..t.num_segments()).rfind(|&i| starts[i] <= cap).expect("round 0 is covered");
+    let moves = (covering as u64).min(t.total_moves());
+    // the run is whole once `cap` reaches its last finite round
+    let finite_end =
+        if t.terminated() { starts[t.num_segments() - 1] } else { starts[t.num_segments()] };
+    if cap + 1 >= finite_end {
+        (t.total_moves(), t.terminated())
+    } else {
+        (moves, false)
+    }
+}
+
+/// The reference merge: walk the later agent's segments in time order and
+/// take the earliest first visit of the earlier agent to each one's node
+/// within its delay-shifted, horizon-clipped window.
+fn merge_timelines_reference(
+    earlier: &Timeline,
+    later: &Timeline,
+    stic: &Stic,
+    horizon: Round,
+) -> SimOutcome {
+    if stic.delay > horizon {
+        return SimOutcome::no_show(horizon);
+    }
+    let delay = stic.delay;
+    let later_cap = horizon - delay;
+    let (starts, nodes) = (later.starts(), later.seg_nodes());
+    let mut best: Option<(Round, usize, usize)> = None;
+    for j in 0..nodes.len() {
+        if starts[j] > later_cap {
+            break;
+        }
+        let lo = starts[j] + delay;
+        let hi = starts[j + 1].min(later_cap + 1) + delay;
+        if let Some((i, at)) = first_visit(earlier, nodes[j] as usize, lo, hi) {
+            if best.is_none_or(|(b, ..)| at < b) {
+                best = Some((at, i, j));
+            }
+        }
+    }
+    let moves_before = |t: &Timeline, i: usize| (i as u64).min(t.total_moves());
+    let is_tail = |t: &Timeline, i: usize| t.terminated() && i + 1 == t.num_segments();
+    match best {
+        Some((at, i, j)) => SimOutcome {
+            meeting: Some(Meeting {
+                global_round: at,
+                later_round: at - delay,
+                node: earlier.seg_nodes()[i] as usize,
+            }),
+            earlier_moves: moves_before(earlier, i),
+            later_moves: moves_before(later, j),
+            earlier_terminated: is_tail(earlier, i),
+            later_terminated: is_tail(later, j),
+            horizon,
+        },
+        None => {
+            let (earlier_moves, earlier_terminated) = totals_up_to(earlier, horizon);
+            let (later_moves, later_terminated) = totals_up_to(later, later_cap);
+            SimOutcome {
+                meeting: None,
+                earlier_moves,
+                later_moves,
+                earlier_terminated,
+                later_terminated,
+                horizon,
+            }
+        }
+    }
+}
 
 /// Deterministic scripted agent (same idiom as the engine property tests):
 /// a seeded LCG decides each round between moving through a pseudo-random
@@ -91,10 +180,9 @@ proptest! {
         }
     }
 
-    /// The shared-pass delay sweep against the reference sweep oracle and
-    /// against one independent kernel merge per delay — including unsorted,
-    /// duplicated and beyond-horizon delays, with one scratch reused across
-    /// every case (the sweep sessions' usage pattern).
+    /// The δ-sweep kernel against one independent kernel merge per delay,
+    /// the reference oracle and both timeline-free engines — including
+    /// unsorted, duplicated and beyond-horizon delays.
     #[test]
     fn delta_sweep_matches_reference_and_per_delay_merges(
         ring in 3usize..9,
@@ -111,15 +199,19 @@ proptest! {
 
         let earlier = Timeline::record(&g, &program, 0, horizon);
         let later = Timeline::record(&g, &program, 1 % ring, horizon);
-        let mut scratch = MergeScratch::new();
-        let swept = merge_timelines_deltas_with(&mut scratch, &earlier, &later, &deltas, horizon);
+        let swept = merge_timelines_deltas(&earlier, &later, &deltas, horizon);
+        prop_assert_eq!(swept.len(), deltas.len());
 
-        let oracle = merge_timelines_deltas_reference(&earlier, &later, &deltas, horizon);
-        prop_assert_eq!(&swept, &oracle, "sweep vs reference");
         for (i, &delta) in deltas.iter().enumerate() {
             let stic = Stic::new(0, 1 % ring, delta);
             let single = merge_timelines(&earlier, &later, &stic, horizon);
             prop_assert_eq!(swept[i], single, "{} sweep slot vs independent merge", stic);
+            let oracle = merge_timelines_reference(&earlier, &later, &stic, horizon);
+            prop_assert_eq!(swept[i], oracle, "{} sweep slot vs reference", stic);
+            for config in [EngineConfig::lockstep(horizon), EngineConfig::streaming(horizon)] {
+                let direct = simulate_with(&g, &program, &program, &stic, config);
+                prop_assert_eq!(swept[i], direct, "{} sweep slot vs engine", stic);
+            }
         }
     }
 
@@ -154,5 +246,44 @@ proptest! {
         // extending to the same horizon is the identity
         let same = merge_timelines_extend(&earlier, &later, &stic, &prior, short);
         prop_assert_eq!(same, prior, "{} self-extension", stic);
+    }
+}
+
+/// Exhaustive companion of the properties above on one small torus: both
+/// kernels against the reference oracle for every start pair into three
+/// later starts, at several delays and horizons, terminating and not.
+#[test]
+fn sort_merge_kernel_matches_the_reference_oracle() {
+    let g = oriented_torus(3, 4).unwrap();
+    let n = g.num_nodes();
+    for (lifetime, horizon) in [(None, 48 as Round), (Some(7), 30)] {
+        let program = ScriptedWalker { seed: 0xDEAD_BEEF, lifetime };
+        let timelines: Vec<Timeline> =
+            (0..n).map(|u| Timeline::record(&g, &program, u, horizon)).collect();
+        for u in 0..n {
+            for v in [0usize, 5, 11] {
+                let (earlier, later) = (&timelines[u], &timelines[v]);
+                for delta in [0 as Round, 1, 3, 9, horizon, horizon + 1] {
+                    let stic = Stic::new(u, v, delta);
+                    for h in [0 as Round, 1, horizon / 2, horizon] {
+                        assert_eq!(
+                            merge_timelines(earlier, later, &stic, h),
+                            merge_timelines_reference(earlier, later, &stic, h),
+                            "kernel vs reference on {stic} at horizon {h}"
+                        );
+                    }
+                }
+                let deltas: Vec<Round> = vec![0, 2, 5, 11, horizon + 1];
+                let swept = merge_timelines_deltas(earlier, later, &deltas, horizon);
+                for (slot, &delta) in deltas.iter().enumerate() {
+                    let stic = Stic::new(u, v, delta);
+                    assert_eq!(
+                        swept[slot],
+                        merge_timelines_reference(earlier, later, &stic, horizon),
+                        "delta kernel vs reference on {stic}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -209,7 +209,8 @@ proptest! {
 
 /// One format version, no legacy readers: frames resealed at any other
 /// version — a layout that never matched (2), the versions that once shared
-/// the current payload layouts (3, 4) and a newer one (6) — all miss
+/// the current outcome layouts (3, 4), the last one to persist occupancy
+/// indexes in timeline frames (5) and a newer one (7) — all miss
 /// without being quarantined, the sweep recomputes bit-identically, and
 /// the rewrite heals the cache back to the current version and fully warm.
 #[test]
@@ -229,7 +230,7 @@ fn frames_of_every_other_format_version_miss_recompute_and_heal() {
     let version_of = |path: &std::path::Path| std::fs::read(path).unwrap()[8..12].to_vec();
     let current = version_of(&artifacts[0]);
 
-    for stale in [2u32, 3, 4, 6] {
+    for stale in [2u32, 3, 4, 5, 7] {
         for artifact in &artifacts {
             reseal_with_version(artifact, stale);
         }
