@@ -11,24 +11,31 @@
 //!   and `serve_prefix` fan rayon out over;
 //! * **prefix extend** — a horizon-`h` outcome resumed at `H = 2h` instead
 //!   of restarted ([`merge_timelines_extend`]), the warm-extend path of
-//!   `SweepSession::run_plan`.
+//!   `SweepSession::run_plan`;
+//! * **symbolic window merge** — one STIC past the unroll cap resolved
+//!   from two detected `prefix · cycle^∞` timelines ([`merge_symbolic`]),
+//!   the per-class work of the `symbolic-grid` perfbench workload; the pair
+//!   never meets, so the same sort-merge loop walks the whole alignment
+//!   window.
 //!
-//! Timelines are recorded once outside the timing loops (the trajectory
-//! cache's job), and the earlier timeline's visit index is built by the
-//! first, untimed warm-up call; the rows time merging only, which is
+//! Timelines are recorded (or detected) once outside the timing loops (the
+//! trajectory cache's job), and the earlier timeline's visit index is built
+//! by the first, untimed warm-up call; the rows time merging only, which is
 //! exactly the cost a warm store pays per representative query.
 //!
 //! [`merge_timelines`]: anonrv_sim::merge_timelines
 //! [`merge_timelines_deltas`]: anonrv_sim::merge_timelines_deltas
 //! [`merge_timelines_extend`]: anonrv_sim::merge_timelines_extend
+//! [`merge_symbolic`]: anonrv_sim::merge_symbolic
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use anonrv_bench::SweepWalker;
-use anonrv_graph::generators::oriented_torus;
+use anonrv_graph::generators::{grid, oriented_torus};
 use anonrv_sim::{
-    merge_timelines, merge_timelines_deltas, merge_timelines_extend, Round, Stic, Timeline,
+    detect_symbolic, merge_symbolic, merge_timelines, merge_timelines_deltas,
+    merge_timelines_extend, Round, Stic, Timeline,
 };
 
 const HORIZON: Round = 4096;
@@ -59,6 +66,19 @@ fn bench_merge_kernel(c: &mut Criterion) {
         b.iter(|| {
             merge_timelines_extend(black_box(&earlier), black_box(&later), &stic, &prior, HORIZON)
         })
+    });
+
+    // the symbolic-grid workload's per-class merge: grid-8x8 walkers at
+    // horizon 2^40 (past the unroll cap), a pair that never meets
+    let grid = grid(8, 8).unwrap();
+    let cycling = |start| detect_symbolic(&grid, &program, start).expect("the walker cycles");
+    let (sym_earlier, sym_later) = (cycling(0), cycling(1));
+    let sym_stic = Stic::new(0, 1, 0);
+    let huge: Round = 1 << 40;
+    let probe = merge_symbolic(&sym_earlier, &sym_later, &sym_stic, huge);
+    assert!(!probe.expect("within the segment cap").met(), "the row must walk the whole window");
+    group.bench_function("symbolic window merge (grid 8x8, horizon 2^40, unmet pair)", |b| {
+        b.iter(|| merge_symbolic(black_box(&sym_earlier), black_box(&sym_later), &sym_stic, huge))
     });
     group.finish();
 }

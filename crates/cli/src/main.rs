@@ -1222,6 +1222,33 @@ mod tests {
     }
 
     #[test]
+    fn symbolic_sweeps_count_detections_and_merges_not_explicit_merges() {
+        let _serial = sweep_serial();
+        // 2^40 rounds is past the unroll cap: every (class, δ) resolves
+        // symbolically, walking its alignment window in place
+        let report = run(&argv(&[
+            "sweep",
+            "grid:3x3",
+            "--deltas",
+            "2",
+            "--horizon",
+            "1099511627776",
+            "--report",
+            "json",
+        ]))
+        .unwrap();
+        let v = anonrv_obs::json::parse(&report).unwrap();
+        anonrv_obs::report::validate_report(&v).unwrap();
+        let counters = v.get("metrics").unwrap().get("counters").unwrap();
+        let count = |name: &str| counters.get(name).and_then(|c| c.as_u64());
+        assert_eq!(count("symbolic.detections"), Some(9), "one per start node: {report}");
+        assert_eq!(count("symbolic.merges"), Some(162), "one per (class, δ): {report}");
+        assert_eq!(count("symbolic.declines"), None, "{report}");
+        assert_eq!(count("merge.calls"), None, "no explicit merge runs: {report}");
+        assert_eq!(count("merge.segments"), None, "{report}");
+    }
+
+    #[test]
     fn sweep_runs_cold_warm_and_sharded_with_identical_meeting_counts() {
         let _serial = sweep_serial();
         let dir =

@@ -21,7 +21,9 @@
 //!   arrays: the intersection windows of the two segment sequences are
 //!   visited in increasing time order, so the first equal-node window *is*
 //!   the earliest meeting and a query costs `O(segments(earlier) +
-//!   segments(later))` with no binary probes;
+//!   segments(later))` with no binary probes.  The loop is generic over a
+//!   segment cursor, and [`merge_symbolic`] runs the same loop over
+//!   symbolic timelines unrolled in place;
 //! * [`merge_timelines_deltas_mapped`] — the one **δ-sweep kernel**: a whole
 //!   δ-grid of one pair in one pass over the later timeline (optionally
 //!   viewed through a node relabelling), each later segment resolved by a
@@ -399,12 +401,6 @@ impl Timeline {
         }
     }
 
-    /// Index of the infinite tail segment, if any.
-    #[inline]
-    fn tail_index(&self) -> Option<usize> {
-        self.terminated().then(|| self.nodes.len() - 1)
-    }
-
     /// Edge traversals completed at rounds `<= starts[i]` (the move that
     /// opened segment `i` included) — positional, see [`Self::total_moves`].
     #[inline]
@@ -516,39 +512,121 @@ impl Visits {
     }
 }
 
-/// The [`SimOutcome`] of the STIC `(earlier, later, delay)` at `horizon`
-/// whose earliest meeting is at global round `at`, while the earlier agent
-/// sits in its segment `i` and the later one in its segment `j`.  Shared by
-/// every merge kernel (always inlined: a call on the exit of the
+/// A forward cursor over one agent's segments in local rounds: what the
+/// two-cursor sort-merge walks.  [`TimelineCursor`] walks a [`Timeline`]'s
+/// columns by index; a symbolic timeline's cursor unrolls `prefix · cycle^k`
+/// one segment at a time, so a symbolic merge allocates nothing sized by
+/// its window.  The kernel is generic over both (no `dyn`), so each pairing
+/// compiles to its own copy of the one loop.
+pub(crate) trait SegCursor {
+    /// `false` once the cursor has stepped past the last segment.
+    fn live(&self) -> bool;
+    /// First local round of the current segment.
+    fn start(&self) -> Round;
+    /// One past the last local round of the current segment (`INFINITY`
+    /// for a segment the walker never leaves).
+    fn end(&self) -> Round;
+    /// Node of the current segment.
+    fn node(&self) -> u32;
+    /// Step to the next segment iff `step` (a flag, so the merge's advance
+    /// stays branch-free).
+    fn advance(&mut self, step: bool);
+    /// Edge traversals completed at rounds `<=` the current segment's
+    /// start: positional, `min(i, total moves)` for segment index `i`.
+    fn moves(&self) -> u64;
+    /// `true` iff the current segment is a terminated run's parked-forever
+    /// tail.
+    fn in_tail(&self) -> bool;
+    /// `(moves, terminated)` of the same run truncated at local round `cap`.
+    fn totals_up_to(&self, cap: Round) -> (u64, bool);
+}
+
+/// A [`SegCursor`] over a [`Timeline`]'s columns, at segment `i`.
+struct TimelineCursor<'a> {
+    t: &'a Timeline,
+    /// Segment starts and ends, one entry per segment, so the merge loop's
+    /// `live` test bounds every read it makes.
+    starts: &'a [Round],
+    ends: &'a [Round],
+    i: usize,
+}
+
+impl Timeline {
+    /// A cursor at segment `i`.
+    fn cursor(&self, i: usize) -> TimelineCursor<'_> {
+        let n = self.nodes.len();
+        TimelineCursor { t: self, starts: &self.starts[..n], ends: &self.starts[1..n + 1], i }
+    }
+}
+
+impl SegCursor for TimelineCursor<'_> {
+    #[inline(always)]
+    fn live(&self) -> bool {
+        self.i < self.ends.len()
+    }
+    #[inline(always)]
+    fn start(&self) -> Round {
+        self.starts[self.i]
+    }
+    #[inline(always)]
+    fn end(&self) -> Round {
+        self.ends[self.i]
+    }
+    #[inline(always)]
+    fn node(&self) -> u32 {
+        self.t.nodes[self.i]
+    }
+    #[inline(always)]
+    fn advance(&mut self, step: bool) {
+        self.i += usize::from(step);
+    }
+    fn moves(&self) -> u64 {
+        self.t.moves_before(self.i)
+    }
+    fn in_tail(&self) -> bool {
+        self.t.terminated() && self.i + 1 == self.t.nodes.len()
+    }
+    fn totals_up_to(&self, cap: Round) -> (u64, bool) {
+        self.t.totals_up_to(cap)
+    }
+}
+
+/// The [`SimOutcome`] of a STIC under `delay` at `horizon` whose earliest
+/// meeting is at global round `at`, while the earlier agent sits in the
+/// current segment of `earlier` and the later one in that of `later`.
+/// Shared by every merge kernel (always inlined: a call on the exit of the
 /// sort-merge loop measurably slows the loop itself).
 #[inline(always)]
 fn met(
-    earlier: &Timeline,
-    later: &Timeline,
+    earlier: impl SegCursor,
+    later: impl SegCursor,
     delay: Round,
     horizon: Round,
     at: Round,
-    i: usize,
-    j: usize,
 ) -> SimOutcome {
     SimOutcome {
         meeting: Some(Meeting {
             global_round: at,
             later_round: at - delay,
-            node: earlier.nodes[i] as usize,
+            node: earlier.node() as usize,
         }),
-        earlier_moves: earlier.moves_before(i),
-        later_moves: later.moves_before(j),
-        earlier_terminated: earlier.tail_index() == Some(i),
-        later_terminated: later.tail_index() == Some(j),
+        earlier_moves: earlier.moves(),
+        later_moves: later.moves(),
+        earlier_terminated: earlier.in_tail(),
+        later_terminated: later.in_tail(),
         horizon,
     }
 }
 
-/// The [`SimOutcome`] of the STIC `(earlier, later, delay)` at `horizon`
-/// (`delay <= horizon`) when the agents never meet: each agent's totals
-/// at its own cut.  Shared by every merge kernel.
-fn unmet(earlier: &Timeline, later: &Timeline, delay: Round, horizon: Round) -> SimOutcome {
+/// The [`SimOutcome`] of a STIC under `delay` at `horizon` (`delay <=
+/// horizon`) when the agents never meet: each agent's totals at its own
+/// cut.  Shared by every merge kernel.
+fn unmet(
+    earlier: impl SegCursor,
+    later: impl SegCursor,
+    delay: Round,
+    horizon: Round,
+) -> SimOutcome {
     let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
     let (later_moves, later_terminated) = later.totals_up_to(horizon - delay);
     SimOutcome {
@@ -590,50 +668,53 @@ pub fn merge_timelines(
         // the later agent never even appears within the horizon
         return SimOutcome::no_show(horizon);
     }
-    merge_forward(earlier, later, stic.delay, 0, 0, horizon)
+    merge_forward(earlier.cursor(0), later.cursor(0), stic.delay, horizon, horizon)
 }
 
-/// The two-cursor sweep behind [`merge_timelines`] and
-/// [`merge_timelines_extend`]: advance cursors `i` (earlier) and `j`
-/// (later) through the segment arrays, comparing the earlier segment's
-/// global interval `[sa[i], sa[i+1])` against the later segment's
-/// delay-shifted, horizon-clipped interval; the nonempty intersections are
-/// visited in strictly increasing time order, so the first one whose nodes
-/// agree yields the earliest meeting.  The per-step cursor advance is a
-/// pair of flag additions — no data-dependent branch beyond the meeting
-/// test itself.
-fn merge_forward(
-    earlier: &Timeline,
-    later: &Timeline,
+/// The two-cursor sweep behind [`merge_timelines`], [`merge_timelines_extend`]
+/// and the symbolic merges: advance the `earlier` and `later` cursors,
+/// comparing the earlier segment's global interval against the later
+/// segment's delay-shifted interval clipped at global round `search_to`;
+/// the nonempty intersections are visited in strictly increasing time
+/// order, so the first one whose nodes agree yields the earliest meeting.
+/// The per-step cursor advance is a pair of flag additions — no
+/// data-dependent branch beyond the meeting test itself.
+///
+/// The outcome is reported at `horizon >= search_to >= delay`: a symbolic
+/// merge searches only its alignment window, which settles every larger
+/// horizon, while the explicit kernels search the whole horizon.
+///
+/// Always inlined into the caller that builds the cursors: cursors passed
+/// by value to a separate function live in memory, and the loop then
+/// stores its position on every step.
+#[inline(always)]
+pub(crate) fn merge_forward<A: SegCursor, B: SegCursor>(
+    mut earlier: A,
+    mut later: B,
     delay: Round,
-    mut i: usize,
-    mut j: usize,
+    search_to: Round,
     horizon: Round,
 ) -> SimOutcome {
-    // the later agent's run is truncated at this local round
-    let later_cap = horizon - delay;
+    // the later agent's run is searched up to this local round
+    let later_cap = search_to - delay;
     let cap1 = later_cap.saturating_add(1);
-    let na = earlier.nodes.len();
-    let nb = later.nodes.len();
-    let sa = earlier.starts.as_slice();
-    let sb = later.starts.as_slice();
-    while i < na && j < nb {
-        let b_start = sb[j];
+    while earlier.live() && later.live() {
+        let b_start = later.start();
         if b_start > later_cap {
             break;
         }
-        let a_hi = sa[i + 1];
+        let a_hi = earlier.end();
         // clip the later window at the cap *before* shifting: b_start <=
         // later_cap keeps the shift overflow-free and bounds meetings by
-        // the horizon (hi <= horizon + 1)
-        let b_hi = sb[j + 1].min(cap1).saturating_add(delay);
-        let lo = sa[i].max(b_start + delay);
+        // the searched range (hi <= search_to + 1)
+        let b_hi = later.end().min(cap1).saturating_add(delay);
+        let lo = earlier.start().max(b_start + delay);
         let hi = a_hi.min(b_hi);
-        if lo < hi && earlier.nodes[i] == later.nodes[j] {
-            return met(earlier, later, delay, horizon, lo, i, j);
+        if lo < hi && earlier.node() == later.node() {
+            return met(earlier, later, delay, horizon, lo);
         }
-        i += usize::from(a_hi <= b_hi);
-        j += usize::from(b_hi <= a_hi);
+        earlier.advance(a_hi <= b_hi);
+        later.advance(b_hi <= a_hi);
     }
     unmet(earlier, later, delay, horizon)
 }
@@ -678,7 +759,7 @@ pub fn merge_timelines_extend(
     // already ruled out a meeting
     let i = earlier.starts[1..=na].partition_point(|&end| end <= h);
     let j = later.starts[1..=nb].partition_point(|&end| end <= h - stic.delay);
-    let out = merge_forward(earlier, later, stic.delay, i, j, horizon);
+    let out = merge_forward(earlier.cursor(i), later.cursor(j), stic.delay, horizon, horizon);
     debug_assert!(
         out.meeting.is_none_or(|m| m.global_round > h),
         "a meeting at or before the prior horizon contradicts the prior outcome"
@@ -841,8 +922,8 @@ fn merge_deltas_sorted<F: Fn(usize) -> usize>(
         .map(|(slot, &delta)| match best.get(slot) {
             // the later agent never even appears within the horizon
             None => SimOutcome::no_show(horizon),
-            Some(&(INFINITY, ..)) => unmet(earlier, later, delta, horizon),
-            Some(&(at, si, jb)) => met(earlier, later, delta, horizon, at, si, jb),
+            Some(&(INFINITY, ..)) => unmet(earlier.cursor(0), later.cursor(0), delta, horizon),
+            Some(&(at, si, jb)) => met(earlier.cursor(si), later.cursor(jb), delta, horizon, at),
         })
         .collect()
 }

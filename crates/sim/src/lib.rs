@@ -50,12 +50,14 @@
 //!   ([`FiniteStateProgram`]) yields a [`SymbolicTimeline`]
 //!   (`prefix + cycle^∞` in the same flat segment columns), and
 //!   [`merge_symbolic`] resolves any horizon — `2^40` and far beyond — by
-//!   closed-form cycle alignment, bit-identical to the explicit kernels
-//!   (differentially property-tested) with exact meeting rounds, move
-//!   totals that saturate only past `u64::MAX` traversals, and zero
-//!   unrolled rounds; a merge whose alignment window would cost more than
-//!   [`MERGE_SEG_CAP`] materialised segments declines (the caller falls
-//!   back to the explicit path) instead of unrolling;
+//!   closed-form cycle alignment, running the explicit sort-merge loop over
+//!   both sides' `prefix · cycle^k` in place (nothing materialised),
+//!   bit-identical to the explicit kernels (differentially property-tested)
+//!   with exact meeting rounds, move totals that saturate only past
+//!   `u64::MAX` traversals, and zero unrolled rounds; a merge whose
+//!   alignment window would walk more than [`MERGE_SEG_CAP`] segments per
+//!   side declines (the caller falls back to the explicit path) instead of
+//!   unrolling;
 //! * [`trace::record_trace`] materialises a single agent's run-length-encoded
 //!   position trace for tests and analysis.
 //!

@@ -48,31 +48,33 @@
 //!   ([`SymbolicTimeline::totals_up_to`]; the reported counters saturate at
 //!   `u64::MAX` — see that method's docs).
 //!
-//! So a merge materialises at most `min(horizon, P + L)` rounds of explicit
-//! timeline and hands them to the explicit [`merge_timelines`] kernel —
-//! which is also what pins the symbolic path bit-identical to the explicit
-//! engines on unrollable horizons (the differential property suite) and
-//! makes it trivially identical on the window itself.
+//! So a merge searches at most `min(horizon, P + L)` rounds.  It does so
+//! by running the explicit kernels' two-cursor sort-merge directly over
+//! both sides' `prefix · cycle^k` sequences, unrolled one segment at a time
+//! by a cursor that allocates nothing.  The loop that decides an explicit
+//! STIC thus decides the symbolic one, and the differential property suite
+//! pins the two paths bit-identical on unrollable horizons.
 //!
-//! ## Bounded materialisation: oversized windows decline, never unroll
+//! ## Bounded work: oversized windows decline, never unroll
 //!
 //! The alignment window is bounded by the *detected* structure, not by a
 //! constant: two programs with long wait-based cycles can make
 //! `L = lcm(T_a, T_b)` — or, via saturation, the whole window —
-//! astronomically large, and "materialise the window" would then be exactly
-//! the unbounded unroll this module exists to avoid.  Every materialisation
-//! [`merge_symbolic`] performs is therefore gated by its **segment cost**
+//! astronomically large, and walking the whole window would then be
+//! exactly the unbounded unroll this module exists to avoid.  Every merge
+//! [`merge_symbolic`] performs is therefore gated by its **segment count**
 //! (closed-form, [`SymbolicTimeline`]'s cycle structure makes it O(1) to
-//! predict): when either side would expand to more than [`MERGE_SEG_CAP`]
-//! segments, the merge returns `None` and the caller falls back to the
-//! explicit engines — bounded memory, never an OOM or a silent hang.  The
-//! gate is on segments rather than rounds, so sparse timelines (huge waits,
-//! few moves) still resolve symbolically at any horizon.
+//! predict): when either side would step through more than
+//! [`MERGE_SEG_CAP`] segments, the merge returns `None` and the caller
+//! falls back to the explicit engines — bounded work per merge, never a
+//! silent hang.  The gate is on segments rather than rounds, so sparse
+//! timelines (huge waits, few moves) still resolve symbolically at any
+//! horizon.
 //!
 //! ## Delay reduction: astronomical δ, not just astronomical horizons
 //!
 //! `P = max(p_a, p_b + δ)` grows with the delay, so a raw astronomical δ
-//! would drag the window — and the materialisation — back up to `O(δ)`.
+//! would drag the window — and the merge's walk — back up to `O(δ)`.
 //! The earlier agent alone fills the gap `[0, δ)`, and past its own
 //! preperiod it is periodic: shifting the whole merge **back by `k · T_a`
 //! rounds** (any `k` with `δ − k·T_a ≥ p_a`) bijects the meetings.  The
@@ -86,7 +88,7 @@
 
 use anonrv_graph::{NodeId, Port, PortGraph};
 
-use crate::batch::{merge_timelines, Timeline, TimelineParts, TimelineSeg};
+use crate::batch::{merge_forward, SegCursor, Timeline, TimelineParts, TimelineSeg};
 use crate::engine::{Meeting, SimOutcome};
 use crate::navigator::{drive_finite_state, FiniteStateProgram, Navigator, StepAction, Stop};
 use crate::stic::{Round, Stic};
@@ -275,10 +277,11 @@ impl SymbolicTimeline {
 
     /// The explicit [`Timeline`] of this run at local `horizon` —
     /// **bit-identical**, segments included, to recording the program fresh
-    /// at that horizon (pinned by the unit and property suites).  Cost is
-    /// `O(prefix + unrolled cycle segments)`, so callers cap the horizon
-    /// (merges use the alignment window); an astronomical horizon is never
-    /// materialised, only resolved by [`merge_symbolic`].
+    /// at that horizon (pinned by the unit and property suites).  Cost and
+    /// memory are `O(prefix + unrolled cycle segments)`, so only the
+    /// trajectory cache calls this, to serve explicit queries from a held
+    /// symbolic timeline; merges walk the same segments in place
+    /// ([`merge_symbolic`]).
     pub fn materialize(&self, horizon: Round) -> Timeline {
         if self.tail == SymbolicTail::Terminated {
             let finite_end = self.preperiod;
@@ -293,46 +296,13 @@ impl SymbolicTimeline {
                     .truncate(horizon)
             };
         }
+        // the walk a merge takes, cut where a recording at `horizon` ends
+        let mut walk = Unroll::new(self);
         let mut segs: Vec<TimelineSeg> = Vec::new();
-        for i in 0..self.prefix.nodes.len() {
-            let start = self.prefix.starts[i];
-            if start > horizon {
-                break;
-            }
-            segs.push(TimelineSeg {
-                node: self.prefix.nodes[i] as usize,
-                start,
-                end: self.prefix.starts[i + 1].min(horizon + 1),
-            });
-        }
-        match self.tail {
-            SymbolicTail::Parked => {
-                if self.preperiod <= horizon {
-                    segs.push(TimelineSeg {
-                        node: self.cycle.nodes[0] as usize,
-                        start: self.preperiod,
-                        end: horizon + 1,
-                    });
-                }
-            }
-            SymbolicTail::Cycle => {
-                let mut base = self.preperiod;
-                'copies: while base <= horizon {
-                    for i in 0..self.cycle.nodes.len() {
-                        let start = base + self.cycle.starts[i];
-                        if start > horizon {
-                            break 'copies;
-                        }
-                        segs.push(TimelineSeg {
-                            node: self.cycle.nodes[i] as usize,
-                            start,
-                            end: (base + self.cycle.starts[i + 1]).min(horizon + 1),
-                        });
-                    }
-                    base += self.period;
-                }
-            }
-            SymbolicTail::Terminated => unreachable!("handled above"),
+        while walk.live() && walk.start() <= horizon {
+            let end = walk.end().min(horizon + 1);
+            segs.push(TimelineSeg { node: walk.node() as usize, start: walk.start(), end });
+            walk.advance(true);
         }
         Timeline::from_segments(self.n, horizon, segs)
             .expect("symbolic materialisation preserves timeline invariants")
@@ -378,12 +348,12 @@ impl SymbolicTimeline {
         }
     }
 
-    /// Upper bound on the explicit segments [`Self::materialize`] would
-    /// produce at local `horizon` — closed-form (no unrolling) and
-    /// saturating.  This is the cost gate [`merge_symbolic`] applies before
-    /// materialising an alignment window: prediction must stay O(1) even
-    /// when the answer is astronomical.
-    fn materialized_segments(&self, horizon: Round) -> u128 {
+    /// Upper bound on the segments of the explicit run up to local
+    /// `horizon` — closed-form (no unrolling) and saturating.  This is the
+    /// work gate [`merge_symbolic`] applies before walking an alignment
+    /// window: prediction must stay O(1) even when the answer is
+    /// astronomical.
+    fn segments_up_to(&self, horizon: Round) -> u128 {
         let prefix = self.prefix.nodes.len() as u128;
         match self.tail {
             SymbolicTail::Terminated => prefix,
@@ -401,6 +371,104 @@ impl SymbolicTimeline {
 }
 
 const INFINITY: Round = Round::MAX;
+
+/// The starts of a parked tail's one segment, rebased to the preperiod: the
+/// walker never leaves it.
+const PARKED: [Round; 2] = [0, INFINITY];
+
+/// A [`SegCursor`] over a [`SymbolicTimeline`]: the prefix, then cycle
+/// copies (or a parked tail's one open-ended segment) unrolled one segment
+/// at a time.  A merge walks `prefix · cycle^k` in place and allocates
+/// nothing; [`SymbolicTimeline::materialize`] records the same walk cut at
+/// its horizon, which the tests pin to fresh recordings.
+struct Unroll<'a> {
+    s: &'a SymbolicTimeline,
+    /// The block being walked (the prefix, a cycle copy or the parked
+    /// segment), rebased by `base`: segment starts, ends and nodes, one
+    /// entry each, so `live` bounds every read.
+    starts: &'a [Round],
+    ends: &'a [Round],
+    nodes: &'a [u32],
+    base: Round,
+    /// Position in the block and in the whole unrolled sequence.
+    k: usize,
+    index: usize,
+}
+
+impl<'a> Unroll<'a> {
+    fn new(s: &'a SymbolicTimeline) -> Self {
+        let mut cursor = Unroll { s, starts: &[], ends: &[], nodes: &[], base: 0, k: 0, index: 0 };
+        cursor.enter(&s.prefix.starts, &s.prefix.nodes);
+        if s.prefix.nodes.is_empty() {
+            cursor.next_block();
+        }
+        cursor
+    }
+
+    /// Walk `starts`/`nodes` (a block with its sentinel) from its first
+    /// segment.
+    fn enter(&mut self, starts: &'a [Round], nodes: &'a [u32]) {
+        let n = nodes.len();
+        self.starts = &starts[..n];
+        self.ends = &starts[1..n + 1];
+        self.nodes = &nodes[..n];
+        self.k = 0;
+    }
+
+    /// Step from an exhausted block into the next one: a cycle copy follows
+    /// the prefix and every copy, the parked segment follows the prefix.
+    /// Past a terminated prefix or the parked segment nothing follows and
+    /// the cursor stays exhausted.
+    #[cold]
+    fn next_block(&mut self) {
+        let next: &'a [Round] = match self.s.tail {
+            SymbolicTail::Cycle => &self.s.cycle.starts,
+            SymbolicTail::Parked if self.index == self.s.prefix.nodes.len() => &PARKED,
+            _ => return,
+        };
+        // the exhausted block's sentinel is its length in rounds
+        self.base = self.base.saturating_add(self.ends.last().copied().unwrap_or(0));
+        self.enter(next, &self.s.cycle.nodes);
+    }
+}
+
+impl SegCursor for Unroll<'_> {
+    #[inline(always)]
+    fn live(&self) -> bool {
+        self.k < self.ends.len()
+    }
+    #[inline(always)]
+    fn start(&self) -> Round {
+        self.base.saturating_add(self.starts[self.k])
+    }
+    #[inline(always)]
+    fn end(&self) -> Round {
+        self.base.saturating_add(self.ends[self.k])
+    }
+    #[inline(always)]
+    fn node(&self) -> u32 {
+        self.nodes[self.k]
+    }
+    #[inline(always)]
+    fn advance(&mut self, step: bool) {
+        self.k += usize::from(step);
+        self.index += usize::from(step);
+        if self.k == self.ends.len() {
+            self.next_block();
+        }
+    }
+    fn moves(&self) -> u64 {
+        // every segment after the first is opened by one traversal, except
+        // a terminated run's tail, which repeats the final node
+        self.index as u64 - u64::from(self.in_tail())
+    }
+    fn in_tail(&self) -> bool {
+        self.s.tail == SymbolicTail::Terminated && self.index + 1 == self.s.prefix.nodes.len()
+    }
+    fn totals_up_to(&self, cap: Round) -> (u64, bool) {
+        self.s.totals_up_to(cap)
+    }
+}
 
 /// Index of the segment of `parts` occupying local round `local` (which
 /// must be covered by the segments).
@@ -452,6 +520,19 @@ enum Advance {
 /// (the caller falls back to explicit simulation); programs that halt
 /// within the budget come back as terminated symbolic timelines.
 pub fn detect_symbolic(
+    g: &PortGraph,
+    program: &dyn FiniteStateProgram,
+    start: NodeId,
+) -> Option<SymbolicTimeline> {
+    let detected = detect(g, program, start);
+    if detected.is_some() && anonrv_obs::enabled() {
+        anonrv_obs::counter_add("symbolic.detections", 1);
+    }
+    detected
+}
+
+/// The body of [`detect_symbolic`].
+fn detect(
     g: &PortGraph,
     program: &dyn FiniteStateProgram,
     start: NodeId,
@@ -694,7 +775,7 @@ fn gcd(a: Round, b: Round) -> Round {
 }
 
 /// Least common multiple, saturating (a saturated alignment window simply
-/// falls back to explicit materialisation at the requested horizon).
+/// leaves the merge searching the whole requested horizon).
 fn lcm(a: Round, b: Round) -> Round {
     if a == 0 || b == 0 {
         return 0;
@@ -702,10 +783,11 @@ fn lcm(a: Round, b: Round) -> Round {
     (a / gcd(a, b)).saturating_mul(b)
 }
 
-/// Largest number of explicit segments [`merge_symbolic`] will materialise
-/// per side before declining (see the module docs): the same order of work
-/// the explicit engines accept at the unroll cap, so a declined merge hands
-/// the caller a problem no harder than the one it already handles.
+/// Largest number of segments [`merge_symbolic`] will step through per
+/// side before declining (see the module docs): the same order of work the
+/// explicit engines accept at the unroll cap, so a declined merge hands the
+/// caller a problem no harder than the one it already handles.  It bounds
+/// work, not memory: the merge allocates nothing per segment.
 pub const MERGE_SEG_CAP: u128 = 1 << 22;
 
 /// Resolve one STIC from two symbolic timelines at **any** horizon —
@@ -714,8 +796,8 @@ pub const MERGE_SEG_CAP: u128 = 1 << 22;
 /// docs for the alignment-window algebra).
 ///
 /// Returns `None` — never a wrong or truncated outcome — when resolving
-/// exactly would require materialising more than [`MERGE_SEG_CAP`] segments
-/// on either side (an alignment window blown up by long or saturated cycle
+/// exactly would step through more than [`MERGE_SEG_CAP`] segments on
+/// either side (an alignment window blown up by long or saturated cycle
 /// `lcm`s); the caller falls back to the explicit path.  Move counters in
 /// the returned outcome saturate at `u64::MAX`
 /// ([`SymbolicTimeline::totals_up_to`]); everything else is exact.
@@ -733,7 +815,7 @@ pub fn merge_symbolic(
     // its own preperiod, shifting the merge back by whole earlier-cycles
     // bijects the meetings, so an astronomical δ reduces to
     // `δ′ ∈ [p_a, p_a + T_a)` before any window is sized.  Without this the
-    // alignment window — and the materialisation — would grow with δ.
+    // alignment window — and the merge's walk — would grow with δ.
     let mu_a = earlier.aligned_from();
     let lam_a = earlier.alignment_period();
     let shift = match stic.delay.checked_sub(mu_a) {
@@ -769,7 +851,7 @@ pub fn merge_symbolic(
 /// timeline is degenerate), so the alignment window below is bounded by the
 /// detected cycle structure alone — which can still be astronomically large
 /// (long or saturated cycle `lcm`s), hence the [`MERGE_SEG_CAP`] gate on
-/// every materialisation: `None` means "too expensive to resolve exactly",
+/// the segments walked: `None` means "too expensive to resolve exactly",
 /// never a truncated answer.
 fn merge_aligned(
     earlier: &SymbolicTimeline,
@@ -780,50 +862,30 @@ fn merge_aligned(
     let aligned = earlier.aligned_from().max(later.aligned_from().saturating_add(stic.delay));
     let align_period = lcm(earlier.alignment_period(), later.alignment_period());
     let window = aligned.saturating_add(align_period);
-    // everything below materialises both sides at `min(horizon, window)`
-    let probe_horizon = horizon.min(window);
-    if earlier.materialized_segments(probe_horizon) > MERGE_SEG_CAP
-        || later.materialized_segments(probe_horizon) > MERGE_SEG_CAP
+    // the joint pair state is periodic with period `align_period` from
+    // `aligned`, so a first meeting at any horizon lies before `window`:
+    // the merge searches no further
+    let search_to = horizon.min(window);
+    if earlier.segments_up_to(search_to) > MERGE_SEG_CAP
+        || later.segments_up_to(search_to) > MERGE_SEG_CAP
     {
+        if anonrv_obs::enabled() {
+            anonrv_obs::counter_add("symbolic.declines", 1);
+        }
         return None;
-    }
-    if horizon <= window {
-        // small enough to decide exactly on materialised prefixes
-        let me = earlier.materialize(horizon);
-        let ml = later.materialize(horizon);
-        return Some(merge_timelines(&me, &ml, stic, horizon));
     }
     if anonrv_obs::enabled() {
         anonrv_obs::counter_add("symbolic.merges", 1);
     }
-    let me = earlier.materialize(window);
-    let ml = later.materialize(window);
-    let probe = merge_timelines(&me, &ml, stic, window);
-    if probe.meeting.is_some() {
-        // a meeting inside the window is the first meeting at every larger
-        // horizon; only the reporting horizon changes
-        return Some(SimOutcome { horizon, ..probe });
-    }
-    // the joint pair state is periodic with period `align_period` from
-    // `aligned`, and [aligned, window) covers one full period with no
-    // intersection: there is no meeting at any horizon.  Report the exact
-    // (saturating, see `totals_up_to`) closed-form move totals.
-    let (earlier_moves, earlier_terminated) = earlier.totals_up_to(horizon);
-    let (later_moves, later_terminated) = later.totals_up_to(horizon - stic.delay);
-    Some(SimOutcome {
-        meeting: None,
-        earlier_moves,
-        later_moves,
-        earlier_terminated,
-        later_terminated,
-        horizon,
-    })
+    // a meeting found is final at every larger horizon; none found reports
+    // the exact (saturating, see `totals_up_to`) closed-form move totals
+    Some(merge_forward(Unroll::new(earlier), Unroll::new(later), stic.delay, search_to, horizon))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{TrajectoryCache, UNROLL_CAP};
+    use crate::batch::{merge_timelines, TrajectoryCache, UNROLL_CAP};
     use crate::navigator::{drive_finite_state, AgentProgram, StepDecision};
     use crate::workload::SweepWalker;
     use anonrv_graph::generators::{circulant, oriented_ring};
@@ -1128,6 +1190,56 @@ mod tests {
     }
 
     #[test]
+    fn mixed_tail_kinds_merge_exactly_at_every_cut() {
+        // A different program on each side pairs every tail kind with every
+        // other, so the two cursors cross prefix ends, cycle seams, a parked
+        // segment and a terminated run's INFINITY tail against each other
+        // at every cut; each merge must equal the explicit kernel over
+        // fresh recordings at that horizon.  `KThenPark(0)` never moves: its
+        // prefix is empty and the cursor starts on the parked segment.
+        let g = oriented_ring(8).unwrap();
+        let programs: &[&dyn FiniteStateProgram] = &[
+            &SweepWalker { seed: 0x5EED },
+            &WaitMover,
+            &KThenPark(3),
+            &KThenHalt(3),
+            &KThenPark(0),
+        ];
+        let detected: Vec<Vec<SymbolicTimeline>> = programs
+            .iter()
+            .map(|&p| {
+                (0..8).map(|s| detect_symbolic(&g, p, s).expect("detection converges")).collect()
+            })
+            .collect();
+        let pairs = [(0usize, 3usize), (2, 2), (5, 1), (7, 4)];
+        let deltas: &[Round] = &[0, 1, 2, 7, 97, 1000, 59_999];
+        for h in [0 as Round, 1, 2, 3, 5, 17, 99, 256, 1000, 4999, 60_000] {
+            let recorded: Vec<Vec<Timeline>> = programs
+                .iter()
+                .map(|&p| {
+                    let agent = |nav: &mut dyn Navigator| drive_finite_state(p, nav);
+                    (0..8).map(|s| Timeline::record(&g, &agent, s, h)).collect()
+                })
+                .collect();
+            for a in 0..programs.len() {
+                for b in (0..programs.len()).filter(|&b| b != a) {
+                    for (u, v) in pairs {
+                        for &delta in deltas {
+                            let stic = Stic::new(u, v, delta);
+                            let explicit =
+                                merge_timelines(&recorded[a][u], &recorded[b][v], &stic, h);
+                            let symbolic =
+                                merge_symbolic(&detected[a][u], &detected[b][v], &stic, h)
+                                    .expect("window fits the segment cap");
+                            assert_eq!(symbolic, explicit, "programs ({a}, {b}), {stic:?} at {h}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn astronomical_delays_resolve_without_unrolling() {
         // δ ~ 2^40: without delay reduction the alignment window itself
         // grows with the delay and the merge would unroll 2^40 rounds.  On
@@ -1203,8 +1315,8 @@ mod tests {
     fn saturated_windows_with_sparse_segments_still_resolve_exactly() {
         // Wait-based periods near 2^80 make the cycle lcm saturate Round —
         // the alignment window degenerates to Round::MAX — but one cycle is
-        // only 6 segments, so the segment-cost gate admits an *exact*
-        // materialised merge at a 2^90 horizon (and the explicit recorder,
+        // only 6 segments, so the segment-cost gate admits an *exact* merge
+        // over the whole 2^90 horizon (and the explicit recorder,
         // which coalesces waits, can pin it differentially: ~2^10 decisions
         // cover the whole horizon).
         let g = oriented_ring(3).unwrap();
