@@ -1,6 +1,6 @@
 //! Perf-tracking bench for the **timeline-merge kernels** — the inner loop
-//! every warm sweep spends its time in, measured in the three temperatures
-//! the store serves:
+//! every warm sweep spends its time in, measured on the three paths a
+//! sweep merges through:
 //!
 //! * **cold merge** — one sort-merge of two recorded timelines from round
 //!   zero ([`merge_timelines`]);
@@ -8,10 +8,8 @@
 //!   pass of the single δ-sweep kernel, binary-probing the earlier
 //!   timeline's visit index ([`merge_timelines_deltas`], the identity-map
 //!   case of the kernel the streamed sweep runs), what `PlannedSweep::run`
-//!   and `serve_prefix` fan rayon out over;
-//! * **prefix extend** — a horizon-`h` outcome resumed at `H = 2h` instead
-//!   of restarted ([`merge_timelines_extend`]), the warm-extend path of
-//!   `SweepSession::run_plan`;
+//!   and `serve_prefix` (warm-prefix and warm-extend alike) fan rayon out
+//!   over;
 //! * **symbolic window merge** — one STIC past the unroll cap resolved
 //!   from two detected `prefix · cycle^∞` timelines ([`merge_symbolic`]),
 //!   the per-class work of the `symbolic-grid` perfbench workload; the pair
@@ -25,7 +23,6 @@
 //!
 //! [`merge_timelines`]: anonrv_sim::merge_timelines
 //! [`merge_timelines_deltas`]: anonrv_sim::merge_timelines_deltas
-//! [`merge_timelines_extend`]: anonrv_sim::merge_timelines_extend
 //! [`merge_symbolic`]: anonrv_sim::merge_symbolic
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -34,8 +31,7 @@ use std::hint::black_box;
 use anonrv_bench::SweepWalker;
 use anonrv_graph::generators::{grid, oriented_torus};
 use anonrv_sim::{
-    detect_symbolic, merge_symbolic, merge_timelines, merge_timelines_deltas,
-    merge_timelines_extend, Round, Stic, Timeline,
+    detect_symbolic, merge_symbolic, merge_timelines, merge_timelines_deltas, Round, Stic, Timeline,
 };
 
 const HORIZON: Round = 4096;
@@ -59,13 +55,6 @@ fn bench_merge_kernel(c: &mut Criterion) {
 
     group.bench_function("warm-timeline delta sweep (8 deltas, shared pass)", |b| {
         b.iter(|| merge_timelines_deltas(black_box(&earlier), black_box(&later), &deltas, HORIZON))
-    });
-
-    let prior = merge_timelines(&earlier, &later, &stic, HORIZON / 2);
-    group.bench_function("prefix extend (resume 2048 -> 4096)", |b| {
-        b.iter(|| {
-            merge_timelines_extend(black_box(&earlier), black_box(&later), &stic, &prior, HORIZON)
-        })
     });
 
     // the symbolic-grid workload's per-class merge: grid-8x8 walkers at

@@ -836,19 +836,16 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
     // -- full mode: one process executes (or warm-loads) the whole plan -----
     let (outcomes, provenance) = session.run_plan(&plan)?;
     let stats = session.stats();
+    let is_prefix = matches!(provenance, OutcomeProvenance::WarmPrefix { .. });
     if report_json {
         let prov = match provenance {
             OutcomeProvenance::Cold => obs::json::obj([("kind", Value::from("cold"))]),
             OutcomeProvenance::WarmExact => obs::json::obj([("kind", Value::from("warm_exact"))]),
-            OutcomeProvenance::WarmPrefix { recorded, remerged } => obs::json::obj([
-                ("kind", Value::from("warm_prefix")),
+            OutcomeProvenance::WarmPrefix { recorded, remerged }
+            | OutcomeProvenance::WarmExtend { recorded, remerged } => obs::json::obj([
+                ("kind", Value::from(if is_prefix { "warm_prefix" } else { "warm_extend" })),
                 ("recorded", round_json(recorded)),
                 ("remerged", Value::from(remerged)),
-            ]),
-            OutcomeProvenance::WarmExtend { recorded, extended } => obs::json::obj([
-                ("kind", Value::from("warm_extend")),
-                ("recorded", round_json(recorded)),
-                ("extended", Value::from(extended)),
             ]),
             OutcomeProvenance::Symbolic { detected } => obs::json::obj([
                 ("kind", Value::from("symbolic")),
@@ -883,17 +880,16 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
         (Some(_), OutcomeProvenance::WarmExact) => {
             "outcomes warm (trajectory recording and merging skipped)".to_string()
         }
-        (Some(_), OutcomeProvenance::WarmPrefix { recorded, remerged }) => format!(
-            "outcomes warm-prefix (recorded at horizon {recorded}, served at {horizon}: \
-             {remerged} of {} representative merges re-run from warm timelines, {} program \
-             executions)",
+        (
+            Some(_),
+            OutcomeProvenance::WarmPrefix { recorded, remerged }
+            | OutcomeProvenance::WarmExtend { recorded, remerged },
+        ) => format!(
+            "outcomes {} (recorded at horizon {recorded}, served at {horizon}: {remerged} of {} \
+             representative merges re-run, {} program executions)",
+            if is_prefix { "warm-prefix" } else { "warm-extend" },
             plan.num_representative_queries(),
             stats.timeline_misses,
-        ),
-        (Some(_), OutcomeProvenance::WarmExtend { recorded, extended }) => format!(
-            "outcomes warm-extend (recorded at horizon {recorded}, served at {horizon}: \
-             {extended} of {} representative merges resumed at the recorded horizon)",
-            plan.num_representative_queries(),
         ),
         (Some(_), OutcomeProvenance::Cold) => {
             format!("timelines {}, outcomes cold (persisted)", timelines_phrase(&stats))
@@ -1352,6 +1348,32 @@ mod tests {
             "prefix-served table diverged from the cold run"
         );
         assert_eq!(line(&short, "meetings:"), line(&cold, "meetings:"));
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn timelines_materialised_from_a_symbolic_frame_are_not_program_executions() {
+        let _serial = sweep_serial();
+        let dir = std::env::temp_dir()
+            .join(format!("anonrv-cli-materialise-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cache = dir.to_string_lossy().to_string();
+        let sweep = |horizon: &str| {
+            run(&argv(&["sweep", "ring:8", "--horizon", horizon, "--cache-dir", &cache])).unwrap()
+        };
+        let symbolic = sweep("1099511627776");
+        assert!(symbolic.contains("outcomes symbolic"), "{symbolic}");
+        // the prefix re-merges run on timelines materialised from the
+        // symbolic frame: no program runs and nothing new is persisted
+        let short = sweep("256");
+        assert!(short.contains("outcomes warm-prefix (recorded at horizon"), "{short}");
+        assert!(short.contains(" 0 program executions"), "{short}");
+        let timeline_frames = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().starts_with("timelines-"))
+            .count();
+        assert_eq!(timeline_frames, 0);
 
         std::fs::remove_dir_all(&dir).ok();
     }

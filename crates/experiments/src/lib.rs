@@ -45,7 +45,7 @@
 //!   [`anonrv_plan::PlannedSweep`] per group: the instance's pair-orbit
 //!   partition collapses view-equivalent `(pair, δ, horizon)` cases onto one
 //!   representative each ([`runner::run_cases_planned`] /
-//!   `simulate_many`), the underlying `TrajectoryCache` executes each
+//!   `simulate_many_counted`), the underlying `TrajectoryCache` executes each
 //!   canonical start node's deterministic walk exactly once, rayon fans out
 //!   over the representative merges, and the (bit-identical) outcomes are
 //!   broadcast back to every member case.  Each table reports the resulting

@@ -183,87 +183,13 @@ impl<'p> PlannedOutcomes<'p> {
     pub fn met_total(&self) -> usize {
         self.table.iter().filter(|o| o.met()).count() * self.plan.orbits().class_size()
     }
-
-    /// Serve this table at a **smaller** horizon: `plan` must describe the
-    /// same orbits and δ-grid with `plan.horizon() <=` this table's horizon,
-    /// and the result is bit-identical to executing `plan` cold.
-    ///
-    /// Programs propagate `Stop`, so a horizon-`h` run is an exact prefix of
-    /// this table's longer run.  That determines most entries from the table
-    /// alone: a delay beyond `h` is a no-show, and a meeting at global round
-    /// `<= h` happened identically in the prefix (every other outcome field
-    /// is a function of the run up to the meeting).  The one thing a prefix
-    /// *cannot* be read off for is the move/termination totals of a pair
-    /// that has **not** met by `h` — those are totals *at* `h`, which only
-    /// the trajectories know — so such entries are resolved through
-    /// `remerge`, called with the class's representative STIC.  A caller
-    /// holding warm cached timelines answers `remerge` with two timeline
-    /// merges and zero program executions (see `anonrv-store`).
-    pub fn truncate<'q>(
-        &self,
-        plan: &'q SweepPlan,
-        mut remerge: impl FnMut(&Stic) -> SimOutcome,
-    ) -> Result<PlannedOutcomes<'q>, String> {
-        validate_truncation(self.plan, plan)?;
-        let h = plan.horizon();
-        let ndeltas = plan.deltas().len();
-        let table = self
-            .table
-            .iter()
-            .enumerate()
-            .map(|(slot, o)| match prefix_determined(o, plan.deltas()[slot % ndeltas], h) {
-                Some(truncated) => truncated,
-                None => {
-                    let (r, c) = plan.orbits().representative(slot / ndeltas);
-                    remerge(&Stic::new(r, c, plan.deltas()[slot % ndeltas]))
-                }
-            })
-            .collect();
-        Ok(PlannedOutcomes { plan, table })
-    }
 }
 
-/// Check that `plan` is a valid truncation target of `full`: the same
-/// partition and δ-grid at a horizon the recorded table covers.
-fn validate_truncation(full: &SweepPlan, plan: &SweepPlan) -> Result<(), String> {
-    if plan.orbits() != full.orbits() {
-        return Err("cannot truncate onto a different graph / partition".into());
-    }
-    if plan.deltas() != full.deltas() {
-        return Err("cannot truncate onto a different delay grid".into());
-    }
-    if plan.horizon() > full.horizon() {
-        return Err(format!(
-            "cannot extend a horizon-{} table to {}",
-            full.horizon(),
-            plan.horizon()
-        ));
-    }
-    Ok(())
-}
-
-/// Check that `plan` is a valid extension target of `prior`: the same
-/// partition and δ-grid at a horizon at least the recorded one.
-fn validate_extension(prior: &SweepPlan, plan: &SweepPlan) -> Result<(), String> {
-    if plan.orbits() != prior.orbits() {
-        return Err("cannot extend onto a different graph / partition".into());
-    }
-    if plan.deltas() != prior.deltas() {
-        return Err("cannot extend onto a different delay grid".into());
-    }
-    if plan.horizon() < prior.horizon() {
-        return Err(format!(
-            "cannot extend a horizon-{} table down to {}",
-            prior.horizon(),
-            plan.horizon()
-        ));
-    }
-    Ok(())
-}
-
-/// The horizon-`h` outcome a longer-horizon entry determines by the prefix
-/// property alone, or `None` when only the trajectories know (no meeting by
-/// `h`: the move/termination totals are totals *at* `h`).
+/// The horizon-`h` outcome an entry recorded at any other horizon
+/// determines by the prefix property alone, or `None` when only the
+/// trajectories know (no meeting by `h`: the move/termination totals are
+/// totals *at* `h`, and a shorter recording never looked past its own
+/// horizon).
 fn prefix_determined(o: &SimOutcome, delta: Round, h: Round) -> Option<SimOutcome> {
     if delta > h {
         // the later agent never appears within the horizon
@@ -438,12 +364,8 @@ impl<'a> PlannedSweep<'a> {
     /// representative simulation per distinct `(pair class, δ, horizon)`
     /// (rayon over the groups) and broadcasting within each group.
     /// Outcomes are returned in input order, each bit-identical to
-    /// `engine().simulate_capped(...)` on the member itself.
-    pub fn simulate_many(&self, queries: &[(Stic, Round)]) -> Vec<SimOutcome> {
-        self.simulate_many_counted(queries).0
-    }
-
-    /// [`PlannedSweep::simulate_many`] plus the execution statistics.
+    /// `engine().simulate_capped(...)` on the member itself, together with
+    /// the execution statistics.
     pub fn simulate_many_counted(&self, queries: &[(Stic, Round)]) -> (Vec<SimOutcome>, ExecStats) {
         let key =
             |q: &(Stic, Round)| (self.orbits.class_of(q.0.earlier, q.0.later), q.0.delay, q.1);
@@ -501,20 +423,30 @@ impl<'a> PlannedSweep<'a> {
             self.orbits(),
             "plan was built for a different graph / partition"
         );
-        assert!(
-            plan.horizon() <= self.engine.config().horizon,
-            "plan horizon exceeds the engine horizon"
-        );
         let entries = classes.len() * plan.deltas().len();
         anonrv_obs::counter_add("plan.representatives", entries as u64);
-        count_delta_passes(classes.len(), entries);
-        let per_class: Vec<Vec<SimOutcome>> = classes
-            .par_iter()
-            .map(|&class| {
+        self.sweep_classes(classes.len(), |i| (classes[i], plan.deltas()), plan.horizon())
+    }
+
+    /// Resolve `jobs` jobs, job `i` being `job(i) = (class, delays)`, with
+    /// one delta-sweep pass each over the class representative's timelines
+    /// (see `merge_timelines_deltas`), rayon over the jobs.  Outcomes are
+    /// job-major, each job's in the order of its delays.  The one fan-out
+    /// behind cold execution and table serving.
+    fn sweep_classes<'d>(
+        &self,
+        jobs: usize,
+        job: impl Fn(usize) -> (usize, &'d [Round]) + Sync,
+        horizon: Round,
+    ) -> Vec<SimOutcome> {
+        assert!(horizon <= self.engine.config().horizon, "plan horizon exceeds the engine horizon");
+        count_delta_passes(jobs, (0..jobs).map(|i| job(i).1.len()).sum());
+        let per_class: Vec<Vec<SimOutcome>> = (0..jobs)
+            .into_par_iter()
+            .map(|i| {
+                let (class, deltas) = job(i);
                 let (r, c) = self.orbits.representative(class);
-                // one delta-sweep pass per class resolves the whole δ-grid
-                // (see `merge_timelines_deltas`)
-                self.engine.simulate_deltas_capped(r, c, plan.deltas(), plan.horizon())
+                self.engine.simulate_deltas_capped(r, c, deltas, horizon)
             })
             .collect();
         per_class.into_iter().flatten().collect()
@@ -622,103 +554,61 @@ impl<'a> PlannedSweep<'a> {
         Ok(stats)
     }
 
-    /// Serve a longer-horizon outcome table at `plan`'s smaller horizon —
-    /// [`PlannedOutcomes::truncate`] with the undetermined entries
-    /// re-merged **in parallel** (rayon) through this sweep's trajectory
-    /// cache, which on a warm cache costs timeline merges only, never a
-    /// program execution.  The undetermined slots arrive class-major, so
-    /// each class's surviving delays form one contiguous run; every run is
-    /// resolved through a single delta-sweep pass (see
-    /// `merge_timelines_deltas`) rather than one independent merge per
-    /// slot.  Returns the truncated table and the number of entries that
-    /// had to re-merge.
+    /// Serve an outcome table recorded at any horizon at `plan`'s horizon,
+    /// smaller or larger, bit-identically to executing `plan` cold.  `plan`
+    /// must share the recorded table's partition and δ-grid.
+    ///
+    /// Programs propagate `Stop`, so the shorter of the two runs is an exact
+    /// prefix of the longer one.  That determines most entries from the
+    /// table alone: a delay beyond the served horizon `h` is a no-show, and
+    /// a meeting at global round `<= h` happened identically in both runs
+    /// (every other outcome field is a function of the run up to the
+    /// meeting).  Every other entry has no meeting by `h` in the recording:
+    /// its move/termination totals are totals *at* `h`, and a shorter
+    /// recording never looked past its own horizon.  Those entries re-merge
+    /// at `h` through this sweep's trajectory cache.  They arrive
+    /// class-major, so each class's undetermined delays form one run that a
+    /// single delta-sweep pass resolves, rayon over the classes, exactly as
+    /// [`PlannedSweep::run_classes`] resolves a whole class.  On a warm
+    /// cache that costs timeline merges only, never a program execution.
+    /// Returns the served table and the number of entries that re-merged.
     pub fn serve_prefix<'p>(
         &self,
-        full: &PlannedOutcomes<'_>,
+        recorded: &PlannedOutcomes<'_>,
         plan: &'p SweepPlan,
     ) -> Result<(PlannedOutcomes<'p>, usize), String> {
-        validate_truncation(full.plan(), plan)?;
-        let h = plan.horizon();
-        let ndeltas = plan.deltas().len().max(1);
-        // the undetermined slots, in slot (class-major, δ-minor) order
-        let jobs: Vec<Stic> = full
-            .table()
-            .iter()
-            .enumerate()
-            .filter(|(slot, o)| prefix_determined(o, plan.deltas()[slot % ndeltas], h).is_none())
-            .map(|(slot, _)| {
-                let (r, c) = plan.orbits().representative(slot / ndeltas);
-                Stic::new(r, c, plan.deltas()[slot % ndeltas])
-            })
-            .collect();
-        // group the contiguous per-pair runs, then fan rayon out over the
-        // groups: one delta-sweep pass resolves a pair's whole surviving
-        // δ-grid, exactly as a cold `run_classes` would
-        let mut groups: Vec<(NodeId, NodeId, Vec<Round>)> = Vec::new();
-        for stic in &jobs {
-            match groups.last_mut() {
-                Some((r, c, deltas)) if *r == stic.earlier && *c == stic.later => {
-                    deltas.push(stic.delay);
-                }
-                _ => groups.push((stic.earlier, stic.later, vec![stic.delay])),
+        if plan.orbits() != recorded.plan().orbits() {
+            return Err("cannot serve a table onto a different graph / partition".into());
+        }
+        if plan.deltas() != recorded.plan().deltas() {
+            return Err("cannot serve a table onto a different delay grid".into());
+        }
+        let (h, deltas) = (plan.horizon(), plan.deltas());
+        let mut table = Vec::with_capacity(recorded.table().len());
+        // the undetermined slots, and their delays grouped per class
+        let mut pending = Vec::new();
+        let mut jobs: Vec<(usize, Vec<Round>)> = Vec::new();
+        for (slot, o) in recorded.table().iter().enumerate() {
+            let (class, delta) = (slot / deltas.len(), deltas[slot % deltas.len()]);
+            if let Some(served) = prefix_determined(o, delta, h) {
+                table.push(served);
+                continue;
+            }
+            // a placeholder, overwritten by the re-merge below
+            table.push(SimOutcome::no_show(h));
+            pending.push(slot);
+            match jobs.last_mut() {
+                Some((c, class_deltas)) if *c == class => class_deltas.push(delta),
+                _ => jobs.push((class, vec![delta])),
             }
         }
-        count_delta_passes(groups.len(), jobs.len());
-        let per_group: Vec<Vec<SimOutcome>> = groups
-            .par_iter()
-            .map(|(r, c, deltas)| self.engine.simulate_deltas_capped(*r, *c, deltas, h))
-            .collect();
-        let resolved: Vec<SimOutcome> = per_group.into_iter().flatten().collect();
-        // `truncate` visits slots in order, so the resolved outcomes drain
-        // in lockstep with its remerge calls
-        let mut drain = jobs.iter().zip(resolved);
-        let outcomes = full.truncate(plan, |stic| {
-            let (expected, outcome) = drain.next().expect("one resolved outcome per remerge");
-            debug_assert_eq!(stic, expected, "remerge order diverged from the job list");
-            outcome
-        })?;
-        anonrv_obs::counter_add("plan.remerges", jobs.len() as u64);
-        Ok((outcomes, jobs.len()))
-    }
-
-    /// Extend a **shorter**-horizon outcome table to `plan`'s larger horizon
-    /// without restarting any merge from round zero: `prior` must describe
-    /// the same partition and δ-grid at `prior.plan().horizon() <=
-    /// plan.horizon()`, and every entry must be exact at that horizon (the
-    /// contract a checksummed store table satisfies).  Entries that already
-    /// met are final by stop-propagation and are served in O(1); unmet
-    /// entries resume their merge at the recorded horizon through
-    /// [`SweepEngine::simulate_extend`], fanned out with rayon.  The result
-    /// is bit-identical to executing `plan` cold.  Returns the extended
-    /// table and the number of entries that needed a resumed merge.
-    pub fn extend_table<'p>(
-        &self,
-        prior: &PlannedOutcomes<'_>,
-        plan: &'p SweepPlan,
-    ) -> Result<(PlannedOutcomes<'p>, usize), String> {
-        validate_extension(prior.plan(), plan)?;
-        assert!(
-            plan.horizon() <= self.engine.config().horizon,
-            "plan horizon exceeds the engine horizon"
-        );
-        let h = plan.horizon();
-        let ndeltas = plan.deltas().len().max(1);
-        let table: Vec<SimOutcome> = (0..prior.table().len())
-            .into_par_iter()
-            .map(|slot| {
-                let (r, c) = plan.orbits().representative(slot / ndeltas);
-                let stic = Stic::new(r, c, plan.deltas()[slot % ndeltas]);
-                self.engine.simulate_extend(&stic, &prior.table()[slot], h)
-            })
-            .collect();
-        let extended = prior
-            .table()
-            .iter()
-            .enumerate()
-            .filter(|(slot, o)| o.meeting.is_none() && plan.deltas()[slot % ndeltas] <= h)
-            .count();
-        anonrv_obs::counter_add("plan.extends", extended as u64);
-        Ok((PlannedOutcomes::from_table(plan, table)?, extended))
+        let resolved = self.sweep_classes(jobs.len(), |i| (jobs[i].0, &jobs[i].1), h);
+        debug_assert_eq!(resolved.len(), pending.len(), "one re-merged outcome per pending slot");
+        for (&slot, outcome) in pending.iter().zip(resolved) {
+            table[slot] = outcome;
+        }
+        anonrv_obs::counter_add("plan.remerges", pending.len() as u64);
+        Ok((PlannedOutcomes { plan, table }, pending.len()))
     }
 
     /// Validate the broadcast on a deterministic sample: every
@@ -926,84 +816,63 @@ mod tests {
     }
 
     #[test]
-    fn truncated_tables_are_bit_identical_to_cold_runs_at_the_smaller_horizon() {
+    fn served_tables_are_bit_identical_to_cold_runs_at_any_horizon() {
         let g = oriented_torus(3, 4).unwrap();
         let program = Walker { seed: 0x5EED };
         let deltas: Vec<Round> = vec![0, 2, 5, 40];
         let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
-        let full_plan = SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), 64);
-        let full = planned.run(&full_plan);
-        for h in [0 as Round, 1, 3, 10, 30, 64] {
-            let plan = SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), h);
-            let mut remerged = 0usize;
-            let served = full
-                .truncate(&plan, |stic| {
-                    remerged += 1;
-                    planned.engine().simulate_capped(stic, h)
-                })
-                .unwrap();
-            let cold = planned.run(&plan);
-            assert_eq!(served.table(), cold.table(), "horizon {h}");
-            // prefix-determined entries never hit the remerge callback
-            let undetermined = full
-                .table()
-                .iter()
-                .enumerate()
-                .filter(|(slot, o)| {
-                    let delta = deltas[slot % deltas.len()];
-                    delta <= h && o.meeting.is_none_or(|m| m.global_round > h)
-                })
-                .count();
-            assert_eq!(remerged, undetermined, "horizon {h}: remerge call count");
-        }
-        // refusals: longer horizon, different grid, different partition
-        let longer = SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), 65);
-        assert!(full.truncate(&longer, |_| unreachable!()).is_err());
-        let other_grid = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 10);
-        assert!(full.truncate(&other_grid, |_| unreachable!()).is_err());
-        let other_graph = oriented_ring(12).unwrap();
-        let foreign = SweepPlan::new(&other_graph, deltas, 10);
-        assert!(full.truncate(&foreign, |_| unreachable!()).is_err());
-    }
-
-    #[test]
-    fn extended_tables_are_bit_identical_to_cold_runs_at_the_larger_horizon() {
-        let g = oriented_torus(3, 4).unwrap();
-        let program = Walker { seed: 0x5EED };
-        let deltas: Vec<Round> = vec![0, 2, 5, 40];
-        let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
+        let plan_at = |h| SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), h);
         for recorded in [0 as Round, 1, 3, 10, 30, 64] {
-            let prior_plan =
-                SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), recorded);
-            let prior = planned.run(&prior_plan);
-            for h in [recorded, 40, 64] {
-                if h < recorded {
-                    continue;
-                }
-                let plan = SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), h);
-                let (served, extended) = planned.extend_table(&prior, &plan).unwrap();
-                let cold = planned.run(&plan);
-                assert_eq!(served.table(), cold.table(), "{recorded} -> {h}");
-                // met priors are final and never count as resumed merges
-                let unmet = prior
+            let recorded_plan = plan_at(recorded);
+            let table = planned.run(&recorded_plan);
+            for h in [0 as Round, 1, 3, 10, 30, 40, 64] {
+                let plan = plan_at(h);
+                let (served, remerged) = planned.serve_prefix(&table, &plan).unwrap();
+                assert_eq!(served.table(), planned.run(&plan).table(), "{recorded} -> {h}");
+                // entries the recording determines never re-merge
+                let undetermined = table
                     .table()
                     .iter()
                     .enumerate()
-                    .filter(|(slot, o)| o.meeting.is_none() && deltas[slot % deltas.len()] <= h)
+                    .filter(|(slot, o)| {
+                        let delta = deltas[slot % deltas.len()];
+                        delta <= h && o.meeting.is_none_or(|m| m.global_round > h)
+                    })
                     .count();
-                assert_eq!(extended, unmet, "{recorded} -> {h}: resumed-merge count");
+                assert_eq!(remerged, undetermined, "{recorded} -> {h}: re-merge count");
             }
         }
-        // refusals: smaller horizon, different grid, different partition
-        let prior_plan = SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), 30);
-        let prior = planned.run(&prior_plan);
-        let shorter = SweepPlan::from_orbits(planned.orbits().clone(), deltas.clone(), 10);
-        assert!(planned.extend_table(&prior, &shorter).is_err());
-        let other_grid = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 64);
-        assert!(planned.extend_table(&prior, &other_grid).is_err());
+        // refusals: different grid, different partition
+        let table_plan = plan_at(30);
+        let table = planned.run(&table_plan);
+        let other_grid = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 10);
+        assert!(planned.serve_prefix(&table, &other_grid).is_err());
         let other_graph = oriented_ring(12).unwrap();
-        let foreign = SweepPlan::new(&other_graph, deltas, 64);
-        assert!(planned.extend_table(&prior, &foreign).is_err());
+        let foreign = SweepPlan::new(&other_graph, deltas.clone(), 64);
+        assert!(planned.serve_prefix(&table, &foreign).is_err());
+
+        // a table met everywhere serves without recording a timeline: each
+        // agent walks once around the ring and stops one node short of its
+        // start, and a later agent starting after the earlier one stopped
+        // passes the stopped agent's node, so every entry meets
+        let g = oriented_ring(6).unwrap();
+        let lap = |nav: &mut dyn Navigator| -> Result<(), Stop> {
+            for _ in 0..5 {
+                nav.move_via(0)?;
+            }
+            Ok(())
+        };
+        let deltas: Vec<Round> = vec![5, 6, 9];
+        let recording = PlannedSweep::new(&g, &lap, EngineConfig::batch(20));
+        let recorded_plan = SweepPlan::from_orbits(recording.orbits().clone(), deltas.clone(), 20);
+        let table = recording.run(&recorded_plan);
+        assert!(table.table().iter().all(|o| o.met()), "every entry meets by round 20");
+        let planned = PlannedSweep::new(&g, &lap, EngineConfig::batch(64));
+        let plan = SweepPlan::from_orbits(planned.orbits().clone(), deltas, 64);
+        let (served, remerged) = planned.serve_prefix(&table, &plan).unwrap();
+        assert_eq!(remerged, 0);
+        assert_eq!(planned.engine().cache().computed(), 0, "met entries must not record");
+        assert_eq!(served.table(), planned.run(&plan).table());
     }
 
     #[test]

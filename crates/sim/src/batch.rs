@@ -31,10 +31,6 @@
 //!   ids sorted by node, built once per timeline on first use and sized by
 //!   the segments, never by the graph; [`merge_timelines_deltas`] is the
 //!   same kernel under the identity map;
-//! * [`merge_timelines_extend`] — the incremental mode: extend an exact
-//!   horizon-`h` outcome to `H >= h` by resuming the sort-merge at the
-//!   segments still open at `h` instead of restarting, which is what serves
-//!   a stored outcome table recorded at a smaller horizon;
 //! * [`SweepEngine`] — the sweep-facing façade: an [`EngineConfig`] plus a
 //!   cache; [`EngineMode::Auto`] and [`EngineMode::Batch`] answer from the
 //!   cache (constructing a `SweepEngine` *is* the caller's signal that
@@ -54,6 +50,7 @@
 //! [`TrajectoryCache::simulate_capped`] queries at any smaller horizon and
 //! stand in for the later agent's `horizon − δ`-truncated execution.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use anonrv_graph::{NodeId, PortGraph};
@@ -671,10 +668,10 @@ pub fn merge_timelines(
     merge_forward(earlier.cursor(0), later.cursor(0), stic.delay, horizon, horizon)
 }
 
-/// The two-cursor sweep behind [`merge_timelines`], [`merge_timelines_extend`]
-/// and the symbolic merges: advance the `earlier` and `later` cursors,
-/// comparing the earlier segment's global interval against the later
-/// segment's delay-shifted interval clipped at global round `search_to`;
+/// The two-cursor sweep behind [`merge_timelines`] and the symbolic
+/// merges: advance the `earlier` and `later` cursors, comparing the earlier
+/// segment's global interval against the later segment's delay-shifted
+/// interval clipped at global round `search_to`;
 /// the nonempty intersections are visited in strictly increasing time
 /// order, so the first one whose nodes agree yields the earliest meeting.
 /// The per-step cursor advance is a pair of flag additions — no
@@ -717,54 +714,6 @@ pub(crate) fn merge_forward<A: SegCursor, B: SegCursor>(
         later.advance(b_hi <= a_hi);
     }
     unmet(earlier, later, delay, horizon)
-}
-
-/// Extend a horizon-`prior.horizon` merge result of the same
-/// `(earlier, later, stic)` triple to a larger `horizon` **without
-/// restarting**: a met outcome is final (only the reporting horizon
-/// changes), and an unmet one resumes the sort-merge at the segments still
-/// open at the already-answered horizon — the prior outcome being exact
-/// there guarantees no equal-node window opens at or before it.
-/// Bit-identical to `merge_timelines(earlier, later, stic, horizon)`.
-pub fn merge_timelines_extend(
-    earlier: &Timeline,
-    later: &Timeline,
-    stic: &Stic,
-    prior: &SimOutcome,
-    horizon: Round,
-) -> SimOutcome {
-    assert!(
-        prior.horizon <= horizon,
-        "cannot extend a horizon-{} outcome down to {horizon}",
-        prior.horizon
-    );
-    if anonrv_obs::enabled() {
-        anonrv_obs::counter_add("merge.extend.calls", 1);
-    }
-    if prior.meeting.is_some() {
-        return SimOutcome { horizon, ..*prior };
-    }
-    if stic.delay > horizon {
-        return SimOutcome::no_show(horizon);
-    }
-    if stic.delay > prior.horizon {
-        // the prior run never placed the later agent: nothing to resume from
-        return merge_timelines(earlier, later, stic, horizon);
-    }
-    let h = prior.horizon;
-    let na = earlier.nodes.len();
-    let nb = later.nodes.len();
-    // resume at the segments still open at `h`: every skipped pair's
-    // intersection closes at or before `h`, where the (exact) prior outcome
-    // already ruled out a meeting
-    let i = earlier.starts[1..=na].partition_point(|&end| end <= h);
-    let j = later.starts[1..=nb].partition_point(|&end| end <= h - stic.delay);
-    let out = merge_forward(earlier.cursor(i), later.cursor(j), stic.delay, horizon, horizon);
-    debug_assert!(
-        out.meeting.is_none_or(|m| m.global_round > h),
-        "a meeting at or before the prior horizon contradicts the prior outcome"
-    );
-    out
 }
 
 /// Merge two cached timelines for a whole **delay sweep** of one `(u, v)`
@@ -941,6 +890,9 @@ pub struct TrajectoryCache<'a> {
     /// finite-state programs; `Some(None)` caches a failed detection so the
     /// budgeted search runs at most once per start.
     symbolic: Vec<OnceLock<Option<SymbolicTimeline>>>,
+    /// Timelines recorded by running the program (preloaded and
+    /// materialised slots excluded).
+    recorded: AtomicUsize,
 }
 
 /// Largest horizon the batch engine resolves by explicit unrolling.  Queries
@@ -956,7 +908,7 @@ impl<'a> TrajectoryCache<'a> {
     pub fn new(graph: &'a PortGraph, program: &'a dyn AgentProgram, horizon: Round) -> Self {
         let slots = (0..graph.num_nodes()).map(|_| OnceLock::new()).collect();
         let symbolic = (0..graph.num_nodes()).map(|_| OnceLock::new()).collect();
-        TrajectoryCache { graph, program, horizon, slots, symbolic }
+        TrajectoryCache { graph, program, horizon, slots, symbolic, recorded: AtomicUsize::new(0) }
     }
 
     /// The cache horizon: every query must use a horizon `<=` this.
@@ -984,13 +936,24 @@ impl<'a> TrajectoryCache<'a> {
     pub fn timeline(&self, start: NodeId) -> &Timeline {
         self.slots[start].get_or_init(|| match self.get_symbolic(start) {
             Some(s) => s.materialize(self.horizon),
-            None => Timeline::record(self.graph, self.program, start, self.horizon),
+            None => {
+                self.recorded.fetch_add(1, Ordering::Relaxed);
+                Timeline::record(self.graph, self.program, start, self.horizon)
+            }
         })
     }
 
-    /// Number of start nodes whose timeline has been recorded so far.
+    /// Number of start nodes holding a timeline so far: recorded,
+    /// preloaded or materialised.
     pub fn computed(&self) -> usize {
         self.slots.iter().filter(|s| s.get().is_some()).count()
+    }
+
+    /// Number of timelines this cache recorded by running the program —
+    /// [`TrajectoryCache::computed`] less the preloaded and materialised
+    /// ones.
+    pub fn recorded(&self) -> usize {
+        self.recorded.load(Ordering::Relaxed)
     }
 
     /// The already-recorded timeline of `start`, without recording one.
@@ -1130,47 +1093,6 @@ impl<'a> TrajectoryCache<'a> {
         merge_timelines(self.timeline(stic.earlier), self.timeline(stic.later), stic, horizon)
     }
 
-    /// Extend a previously computed outcome of `stic` (exact at
-    /// `prior.horizon`) to a larger `horizon <= self.horizon()` without
-    /// restarting the merge (see [`merge_timelines_extend`]); bit-identical
-    /// to `simulate_capped(stic, horizon)`.  A met prior outcome is served
-    /// without touching (or recording) any timeline.
-    pub fn simulate_extend(&self, stic: &Stic, prior: &SimOutcome, horizon: Round) -> SimOutcome {
-        assert!(
-            horizon <= self.horizon,
-            "query horizon {horizon} exceeds the cache horizon {}",
-            self.horizon
-        );
-        assert!(
-            prior.horizon <= horizon,
-            "cannot extend a horizon-{} outcome down to {horizon}",
-            prior.horizon
-        );
-        assert!(stic.earlier < self.graph.num_nodes(), "earlier start node out of range");
-        assert!(stic.later < self.graph.num_nodes(), "later start node out of range");
-        if prior.meeting.is_some() {
-            // a meeting is final: only the reporting horizon changes
-            return SimOutcome { horizon, ..*prior };
-        }
-        if stic.delay > horizon {
-            return SimOutcome::no_show(horizon);
-        }
-        if horizon > UNROLL_CAP {
-            // extending an unmet outcome is bit-identical to a full merge,
-            // so the closed-form path can serve it without any timeline
-            if let Some(outcome) = self.simulate_symbolic(stic, horizon) {
-                return outcome;
-            }
-        }
-        merge_timelines_extend(
-            self.timeline(stic.earlier),
-            self.timeline(stic.later),
-            stic,
-            prior,
-            horizon,
-        )
-    }
-
     /// Simulate one `(u, v)` pair under **every** delay in `deltas` in a
     /// single pass over the cached timelines (see
     /// [`merge_timelines_deltas`]); outcome `i` is bit-identical to
@@ -1296,21 +1218,6 @@ impl<'a> SweepEngine<'a> {
                 .iter()
                 .map(|&delta| self.simulate_capped(&Stic::new(u, v, delta), horizon))
                 .collect(),
-        }
-    }
-
-    /// Extend a previously computed outcome of `stic` (exact at
-    /// `prior.horizon`) to `horizon <= config.horizon` — bit-identical to
-    /// `simulate_capped(stic, horizon)`.  The batch path resumes the merge
-    /// where the prior horizon left off
-    /// ([`TrajectoryCache::simulate_extend`]); pinned per-call modes
-    /// recompute from scratch, as they have no merge to resume.
-    pub fn simulate_extend(&self, stic: &Stic, prior: &SimOutcome, horizon: Round) -> SimOutcome {
-        match self.config.mode {
-            EngineMode::Auto | EngineMode::Batch => {
-                self.cache.simulate_extend(stic, prior, horizon)
-            }
-            EngineMode::Streaming | EngineMode::Lockstep => self.simulate_capped(stic, horizon),
         }
     }
 }
@@ -1439,6 +1346,7 @@ mod tests {
         assert_eq!(cache.computed(), 2);
         cache.warm_all();
         assert_eq!(cache.computed(), g.num_nodes());
+        assert_eq!(cache.recorded(), g.num_nodes());
     }
 
     #[test]
@@ -1671,8 +1579,7 @@ mod tests {
         let b = Timeline::from_parts(g.num_nodes(), 40, parts).unwrap();
         let c = a.truncate(20);
         let stic = Stic::new(0, 0, 3);
-        let prior = merge_timelines(&a, &b, &stic, 20);
-        merge_timelines_extend(&a, &b, &stic, &prior, 40);
+        merge_timelines(&a, &b, &stic, 40);
         merge_timelines(&c, &a, &stic, 20);
         assert!([&a, &b, &c].iter().all(|t| t.visits.get().is_none()));
         // the first δ-sweep builds the earlier timeline's index, and only it
@@ -1751,6 +1658,7 @@ mod tests {
             vec![2, 4],
             "computed_timelines reports recorded slots in node order"
         );
+        assert_eq!(cache.recorded(), 1, "the preloaded slot was not recorded");
     }
 
     #[test]
@@ -1768,63 +1676,6 @@ mod tests {
         assert_eq!(batch, reference);
         assert!(batch.earlier_terminated);
         assert_eq!(batch.meeting.unwrap().node, 2);
-    }
-
-    #[test]
-    fn extending_a_merge_matches_a_full_merge_at_the_larger_horizon() {
-        let g = oriented_torus(3, 4).unwrap();
-        let n = g.num_nodes();
-        let full: Round = 60;
-        for lifetime in [None, Some(6)] {
-            let program = ScriptedStepper { lifetime };
-            let timelines: Vec<Timeline> =
-                (0..n).map(|u| Timeline::record(&g, &program, u, full)).collect();
-            for u in 0..n {
-                for v in [0usize, 4, 11] {
-                    for delta in [0 as Round, 1, 5, 20] {
-                        let stic = Stic::new(u, v, delta);
-                        for h in [0 as Round, 1, 4, 15, 33, full] {
-                            let prior = merge_timelines(&timelines[u], &timelines[v], &stic, h);
-                            for target in [h, (h + full) / 2, full] {
-                                let extended = merge_timelines_extend(
-                                    &timelines[u],
-                                    &timelines[v],
-                                    &stic,
-                                    &prior,
-                                    target,
-                                );
-                                let direct =
-                                    merge_timelines(&timelines[u], &timelines[v], &stic, target);
-                                assert_eq!(
-                                    extended, direct,
-                                    "extend {h} -> {target} diverged on {stic}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cache_extend_reuses_met_outcomes_without_recording() {
-        let g = oriented_ring(6).unwrap();
-        let program = mover();
-        let reference = TrajectoryCache::new(&g, &program, 100);
-        let stic = Stic::new(0, 3, 3);
-        let prior = reference.simulate_capped(&stic, 50);
-        assert!(prior.met(), "the ring movers meet within 50 rounds");
-        // a met prior is served without touching any timeline
-        let cache = TrajectoryCache::new(&g, &program, 100);
-        let extended = cache.simulate_extend(&stic, &prior, 100);
-        assert_eq!(extended, reference.simulate_capped(&stic, 100));
-        assert_eq!(cache.computed(), 0, "met outcomes must not record timelines");
-        // an unmet prior resumes the merge (recording on demand)
-        let unmet = reference.simulate_capped(&Stic::new(0, 0, 99), 99);
-        assert!(!unmet.met());
-        let resumed = cache.simulate_extend(&Stic::new(0, 0, 99), &unmet, 100);
-        assert_eq!(resumed, reference.simulate_capped(&Stic::new(0, 0, 99), 100));
     }
 
     #[test]

@@ -76,8 +76,8 @@ pub mod trace;
 pub mod workload;
 
 pub use batch::{
-    merge_timelines, merge_timelines_deltas, merge_timelines_deltas_mapped, merge_timelines_extend,
-    simulate_batch, SweepEngine, Timeline, TimelineParts, TimelineSeg, TrajectoryCache, UNROLL_CAP,
+    merge_timelines, merge_timelines_deltas, merge_timelines_deltas_mapped, simulate_batch,
+    SweepEngine, Timeline, TimelineParts, TimelineSeg, TrajectoryCache, UNROLL_CAP,
 };
 pub use engine::{simulate, simulate_with, EngineConfig, EngineMode, Meeting, SimOutcome};
 pub use navigator::{

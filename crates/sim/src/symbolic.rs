@@ -1133,6 +1133,17 @@ mod tests {
     }
 
     #[test]
+    fn a_materialised_timeline_is_not_a_recording() {
+        let g = oriented_ring(8).unwrap();
+        let walker = SweepWalker { seed: 0x5EED };
+        let cache = TrajectoryCache::new(&g, &walker, 256);
+        assert!(cache.preload_symbolic(0, detect_symbolic(&g, &walker, 0).unwrap()));
+        // node 0 materialises from its symbolic timeline, node 1 records
+        cache.simulate(&Stic::new(0, 1, 2));
+        assert_eq!((cache.computed(), cache.recorded()), (2, 1));
+    }
+
+    #[test]
     fn astronomical_horizons_resolve_without_unrolling() {
         let g = oriented_ring(8).unwrap();
         let walker = SweepWalker { seed: 0x5EED };

@@ -21,12 +21,15 @@
 //! Horizons are deliberately **not** part of any artifact key: they are
 //! recorded *inside* the frame (per timeline entry, and once per outcome
 //! table).  Programs propagate `Stop`, so a horizon-`h` run is an exact
-//! prefix of a horizon-`H >= h` run — which makes one recording at the
-//! largest horizon ever requested serve every smaller one, bit-identically,
-//! by prefix truncation ([`Timeline::truncate`],
-//! [`anonrv_plan::PlannedOutcomes::truncate`]).  Lookups therefore hit
-//! whenever `recorded >= needed`; writes supersede shorter recordings in
-//! place (a longer recording replaces a shorter one, never the reverse); and
+//! prefix of a horizon-`H >= h` run — which makes one timeline recording at
+//! the largest horizon ever requested serve every smaller one,
+//! bit-identically, by prefix truncation ([`Timeline::truncate`]), so
+//! timeline lookups hit whenever `recorded >= needed`.  An outcome table
+//! recorded at any horizon serves any other
+//! ([`anonrv_plan::PlannedSweep::serve_prefix`]: entries that met by the
+//! served horizon copy over, the rest re-merge).  Writes supersede shorter
+//! recordings in place (a longer recording replaces a shorter one, never
+//! the reverse); and
 //! [`Store::gc`] garbage-collects frames that can no longer serve anything
 //! (corrupt, version-stale, or shard partials superseded by a merged table).
 //!
@@ -635,26 +638,12 @@ impl Store {
     }
 
     /// Load the representative-outcome table of `(g, program_key, plan)` —
-    /// the result of a previous [`anonrv_plan::PlannedSweep::run`] at a
-    /// horizon of **at least** `plan.horizon()` — or `None` on any miss.
-    /// Returns the table together with the horizon it was recorded at:
-    /// equal to `plan.horizon()` on an exact hit, larger on a prefix hit
-    /// (truncate it down with [`anonrv_plan::PlannedOutcomes::truncate`]).
-    pub fn load_plan_outcomes(
-        &self,
-        g: &PortGraph,
-        program_key: &str,
-        plan: &SweepPlan,
-    ) -> Option<(Vec<SimOutcome>, Round)> {
-        let (table, recorded) = self.load_plan_outcomes_any(g, program_key, plan)?;
-        (recorded >= plan.horizon()).then_some((table, recorded))
-    }
-
-    /// Like [`Store::load_plan_outcomes`], but **without** the
-    /// `recorded >= plan.horizon()` gate: a table recorded at a *shorter*
-    /// horizon is returned too.  This is what the warm-extend path feeds to
-    /// [`anonrv_sim::SweepEngine::simulate_extend`] — a shorter recording
-    /// is not a miss, it is a resumable prefix of the requested sweep.
+    /// the result of a previous [`anonrv_plan::PlannedSweep::run`] at
+    /// **any** horizon — or `None` on any miss.  Returns the table together
+    /// with the horizon it was recorded at: equal to `plan.horizon()` on an
+    /// exact hit, and otherwise a table that
+    /// [`anonrv_plan::PlannedSweep::serve_prefix`] serves at
+    /// `plan.horizon()`, larger or smaller.
     pub fn load_plan_outcomes_any(
         &self,
         g: &PortGraph,
@@ -1806,7 +1795,7 @@ mod tests {
                 bytes[body..].copy_from_slice(&sum);
                 fs::write(&path, bytes).unwrap();
             }
-            assert!(store.load_plan_outcomes(&g, key, &plan).is_none());
+            assert!(store.load_plan_outcomes_any(&g, key, &plan).is_none());
             let served = SweepEngine::new(&g, &program, EngineConfig::batch(50));
             assert_eq!(store.warm_engine(&served, key).installed, 0);
             // the survey classifies them as invalid rather than refusing to run
@@ -1815,7 +1804,7 @@ mod tests {
             // the recompute path supersedes the stale files in place
             store.save_plan_outcomes(&g, key, &plan, outcomes.table()).unwrap();
             store.persist_engine(planned.engine(), key).unwrap();
-            let healed = store.load_plan_outcomes(&g, key, &plan);
+            let healed = store.load_plan_outcomes_any(&g, key, &plan);
             assert_eq!(healed, Some((outcomes.table().to_vec(), 50)));
             assert!(store.load_timelines(&g, key).is_some());
         }
@@ -1833,20 +1822,20 @@ mod tests {
         let outcomes = planned.run(&plan);
         store.save_plan_outcomes(&g, key, &plan, outcomes.table()).unwrap();
         assert_eq!(
-            store.load_plan_outcomes(&g, key, &plan),
+            store.load_plan_outcomes_any(&g, key, &plan),
             Some((outcomes.table().to_vec(), 100))
         );
         // a *smaller* horizon is served by the same artifact (prefix hit)
         let shorter = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 2, 5], 40);
         assert_eq!(
-            store.load_plan_outcomes(&g, key, &shorter),
+            store.load_plan_outcomes_any(&g, key, &shorter),
             Some((outcomes.table().to_vec(), 100))
         );
         // saving the shorter table leaves the longer recording in place
         let shorter_outcomes = planned.run(&shorter);
         store.save_plan_outcomes(&g, key, &shorter, shorter_outcomes.table()).unwrap();
         assert_eq!(
-            store.load_plan_outcomes(&g, key, &plan),
+            store.load_plan_outcomes_any(&g, key, &plan),
             Some((outcomes.table().to_vec(), 100)),
             "a shorter write must not supersede a longer recording"
         );
@@ -1854,13 +1843,17 @@ mod tests {
         let longer = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 2, 5], 100);
         let longer_outcomes = planned.run(&longer);
         store.save_plan_outcomes(&g, key, &longer, longer_outcomes.table()).unwrap();
-        // a larger horizon than anything recorded, a different delta grid
-        // and a different program key all miss
+        // a larger horizon than anything recorded gets the shorter table
+        // back with its horizon; a different delta grid and a different
+        // program key miss
         let beyond = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 2, 5], 101);
-        assert!(store.load_plan_outcomes(&g, key, &beyond).is_none());
+        assert_eq!(
+            store.load_plan_outcomes_any(&g, key, &beyond),
+            Some((outcomes.table().to_vec(), 100))
+        );
         let other = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 2, 6], 100);
-        assert!(store.load_plan_outcomes(&g, key, &other).is_none());
-        assert!(store.load_plan_outcomes(&g, "other-key", &plan).is_none());
+        assert!(store.load_plan_outcomes_any(&g, key, &other).is_none());
+        assert!(store.load_plan_outcomes_any(&g, "other-key", &plan).is_none());
     }
 
     #[test]
@@ -1932,7 +1925,7 @@ mod tests {
         assert_eq!(after.timelines.files + after.outcomes.files, 2);
         // the surviving artifacts still serve
         assert!(store.load_timelines(&g, key).is_some());
-        assert_eq!(store.load_plan_outcomes(&g, key, &plan), Some((merged, 64)));
+        assert_eq!(store.load_plan_outcomes_any(&g, key, &plan), Some((merged, 64)));
         // a second pass finds nothing to do
         assert_eq!(store.gc_with_min_age(std::time::Duration::ZERO).unwrap().removed_files, 0);
     }
@@ -1982,7 +1975,7 @@ mod tests {
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x10;
         fs::write(&path, &corrupt).unwrap();
-        assert!(store.load_plan_outcomes(&g, key, &plan).is_none());
+        assert!(store.load_plan_outcomes_any(&g, key, &plan).is_none());
         assert!(!path.exists(), "the corrupt frame must move to quarantine/");
         let moved: Vec<PathBuf> = fs::read_dir(store.quarantine_dir())
             .unwrap()
@@ -2004,13 +1997,13 @@ mod tests {
 
         // recompute-and-overwrite heals the cache
         store.save_plan_outcomes(&g, key, &plan, &table).unwrap();
-        assert_eq!(store.load_plan_outcomes(&g, key, &plan), Some((table.clone(), 32)));
+        assert_eq!(store.load_plan_outcomes_any(&g, key, &plan), Some((table.clone(), 32)));
 
         // version-stale: superseded in place, never quarantined
         let mut stale = fs::read(&path).unwrap();
         stale[8] = stale[8].wrapping_add(1);
         fs::write(&path, &stale).unwrap();
-        assert!(store.load_plan_outcomes(&g, key, &plan).is_none());
+        assert!(store.load_plan_outcomes_any(&g, key, &plan).is_none());
         assert!(path.exists(), "a version-stale frame is not corruption");
         assert_eq!(store.stats().unwrap().quarantined.files, 1, "still just the one");
     }

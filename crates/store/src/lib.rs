@@ -25,11 +25,12 @@
 //!   [`SymbolicTimeline::from_raw`](anonrv_sim::SymbolicTimeline::from_raw)
 //!   on load), full representative-outcome tables and shard partials.
 //!   Horizons live *inside* the frames, not
-//!   in the keys: a lookup hits whenever `recorded >= needed` (longer
-//!   recordings serve as-is — the merge kernels clip per query), a shorter
-//!   table **extends** up instead of restarting, writes supersede shorter
-//!   recordings in place, and [`Store::gc`] compacts what can no longer
-//!   serve anything.  Symbolic artifacts take the longest-wins rule to
+//!   in the keys: a timeline lookup hits whenever `recorded >= needed`
+//!   (longer recordings serve as-is — the merge kernels clip per query),
+//!   an outcome table recorded at any horizon serves any other (only its
+//!   entries unmet at the served horizon re-merge), writes supersede
+//!   shorter recordings in place, and [`Store::gc`] compacts what can no
+//!   longer serve anything.  Symbolic artifacts take the longest-wins rule to
 //!   its limit: they are **horizon-free** — one detection serves every
 //!   horizon, superseding explicit frames for any horizon they cannot
 //!   reach, and warming engines beyond the unroll cap where explicit
@@ -133,7 +134,7 @@
 //! let (outcomes, provenance) = session.run_plan(&plan).unwrap();
 //! assert_eq!(provenance, OutcomeProvenance::Cold);
 //!
-//! // warm, smaller horizon: the recorded table serves by prefix truncation —
+//! // warm, smaller horizon: the recorded table serves as a prefix —
 //! // bit-identical to a cold horizon-20 sweep, with zero program executions
 //! let mut warm = SweepSession::new(Some(&store), &g, &program, &key, EngineConfig::batch(20));
 //! let small = SweepPlan::from_orbits(warm.orbits().clone(), vec![0, 1, 2], 20);

@@ -31,18 +31,16 @@
 //!
 //! ## Horizon genericity
 //!
-//! The store records horizons inside its frames, not in its keys, so a
-//! session asking for horizon `h` is served by any recording at `H >= h`:
-//! timelines preload **as-is** (the merge kernels clip at each query's
-//! horizon) and outcome tables truncate through
-//! [`PlannedOutcomes::truncate`] — both exact, because `Stop` propagation
-//! makes the `h`-run a bit-identical prefix of the `H`-run.  A prefix
-//! outcome hit re-runs only the merges the prefix alone cannot determine,
-//! through warm timelines: **zero program executions**.  The opposite
-//! direction is served too: a table recorded at `H < h` is **extended** up
-//! ([`anonrv_plan::PlannedSweep::extend_table`]) — met entries are final by
-//! stop-propagation and cost O(1), only the unmet ones resume their merge
-//! at the recorded horizon.
+//! The store records horizons inside its frames, not in its keys.  A
+//! session asking for horizon `h` preloads timelines recorded at any `H >=
+//! h` **as-is** (the merge kernels clip at each query's horizon), and an
+//! outcome table recorded at any other horizon serves it through
+//! [`PlannedSweep::serve_prefix`] — exact, because `Stop` propagation makes
+//! the shorter run a bit-identical prefix of the longer one.  Entries that
+//! met by `h` copy over; only the others re-merge at `h`, through warm
+//! timelines: **zero program executions**.  A longer table is a
+//! prefix hit; a shorter one is an extend hit, and the served table then
+//! supersedes it on disk.
 
 use std::cell::Cell;
 use std::time::{Duration, Instant};
@@ -64,23 +62,23 @@ pub enum OutcomeProvenance {
     /// Loaded from a table recorded at exactly the requested horizon —
     /// recording and merging skipped.
     WarmExact,
-    /// Loaded from a table recorded at a longer horizon and truncated down;
-    /// `remerged` entries were re-derived from warm cached timelines (no
-    /// program execution).
+    /// Served from a table recorded at a longer horizon; `remerged`
+    /// entries were re-derived from warm cached timelines (no program
+    /// execution).
     WarmPrefix {
         /// The horizon the serving table was recorded at.
         recorded: Round,
-        /// Entries the prefix alone could not determine (re-merged warm).
+        /// Entries the recording alone could not determine (re-merged warm).
         remerged: usize,
     },
-    /// Loaded from a table recorded at a **shorter** horizon and extended
-    /// up: met entries are final by stop-propagation and served in O(1);
-    /// only the unmet ones resumed their merge at the recorded horizon.
+    /// Served from a table recorded at a **shorter** horizon, which the
+    /// served table then supersedes on disk: met entries are final by
+    /// stop-propagation and copy over; only the unmet ones re-merged.
     WarmExtend {
         /// The horizon the serving table was recorded at.
         recorded: Round,
-        /// Unmet entries whose merge resumed at the recorded horizon.
-        extended: usize,
+        /// Entries the recording alone could not determine (re-merged).
+        remerged: usize,
     },
     /// Executed through the symbolic (prefix + cycle) path: the plan's
     /// horizon exceeds the unroll cap, so outcomes were resolved by
@@ -100,8 +98,8 @@ impl std::fmt::Display for OutcomeProvenance {
             OutcomeProvenance::WarmPrefix { recorded, remerged } => {
                 write!(f, "warm-prefix (recorded at horizon {recorded}, {remerged} re-merged)")
             }
-            OutcomeProvenance::WarmExtend { recorded, extended } => {
-                write!(f, "warm-extend (recorded at horizon {recorded}, {extended} extended)")
+            OutcomeProvenance::WarmExtend { recorded, remerged } => {
+                write!(f, "warm-extend (recorded at horizon {recorded}, {remerged} re-merged)")
             }
             OutcomeProvenance::Symbolic { detected } => {
                 write!(f, "symbolic ({detected} cycle structures, 0 unrolled rounds)")
@@ -119,7 +117,8 @@ pub struct SessionStats {
     /// The subset of [`SessionStats::timeline_hits`] served by prefix
     /// truncation of a longer recording.
     pub timeline_prefix_hits: usize,
-    /// Timelines recorded cold by executing the agent program.
+    /// Timelines recorded cold by executing the agent program (one
+    /// materialised from a held symbolic timeline is not a miss).
     pub timeline_misses: usize,
     /// Symbolic (prefix + cycle) timelines the engine holds — detected this
     /// session or preloaded from the store.
@@ -271,12 +270,7 @@ impl<'a> SweepSession<'a> {
         SessionStats {
             timeline_hits: self.timeline_hits,
             timeline_prefix_hits: self.timeline_prefix_hits,
-            timeline_misses: self
-                .planned
-                .engine()
-                .cache()
-                .computed()
-                .saturating_sub(self.timeline_hits),
+            timeline_misses: self.planned.engine().cache().recorded(),
             symbolic_timelines: self.planned.engine().cache().computed_symbolic(),
             executed: self.executed,
             answered: self.answered,
@@ -304,13 +298,13 @@ impl<'a> SweepSession<'a> {
         }
     }
 
-    /// Delta-flush timeline misses (cold recordings accrued inside the
+    /// Delta-flush timeline misses (program recordings accrued inside the
     /// engine cache since the last flush) into the metrics registry.
     fn flush_timeline_metrics(&self) {
         if !obs::enabled() {
             return;
         }
-        let misses = self.planned.engine().cache().computed().saturating_sub(self.timeline_hits);
+        let misses = self.planned.engine().cache().recorded();
         let delta = misses.saturating_sub(self.reported_misses.get());
         if delta > 0 {
             obs::counter_add("session.timeline.misses", delta as u64);
@@ -341,11 +335,12 @@ impl<'a> SweepSession<'a> {
         }
     }
 
-    /// `true` when the engine holds timelines the store has not seen —
-    /// everything beyond the preloaded ones was recorded by this session.
+    /// `true` when the engine holds timelines the store has not seen: a
+    /// program recording, or a symbolic timeline beyond the preloaded ones.
+    /// A timeline materialised from a preloaded symbolic one is not new.
     fn has_new_recordings(&self) -> bool {
         let cache = self.planned.engine().cache();
-        cache.computed() > self.timeline_hits || cache.computed_symbolic() > self.symbolic_hits
+        cache.recorded() > 0 || cache.computed_symbolic() > self.symbolic_hits
     }
 
     /// Persist every timeline recorded so far (best effort: a failed write
@@ -411,40 +406,28 @@ impl<'a> SweepSession<'a> {
                     self.note_outcome(provenance, 0, plan.num_member_queries());
                     return Ok((outcomes, provenance));
                 }
+                // a table recorded at another horizon: entries it determines
+                // copy over, the rest re-merge (rayon) through warm timelines
                 let recorded_plan =
                     SweepPlan::from_orbits(plan.orbits().clone(), plan.deltas().to_vec(), recorded);
                 self.ensure_warm();
-                if recorded > plan.horizon() {
-                    // prefix hit: truncate the longer table; entries the
-                    // prefix alone cannot determine re-merge (rayon)
-                    // through warm timelines
-                    let full = PlannedOutcomes::from_table(&recorded_plan, table)?;
-                    let execute_span = obs::span("session.execute");
-                    let (outcomes, remerged) = self.planned.serve_prefix(&full, plan)?;
-                    drop(execute_span);
-                    // self-heal: a re-merge over a missing timeline recorded it
-                    self.persist_timelines()?;
-                    let provenance = OutcomeProvenance::WarmPrefix { recorded, remerged };
-                    self.note_outcome(provenance, remerged, plan.num_member_queries());
-                    return Ok((outcomes, provenance));
-                }
-                // extend hit: the stored table is shorter; met entries are
-                // final by stop-propagation, unmet entries resume their
-                // merge at the recorded horizon (rayon) and the superseding
-                // table persists back
-                let prior = PlannedOutcomes::from_table(&recorded_plan, table)?;
+                let recorded_outcomes = PlannedOutcomes::from_table(&recorded_plan, table)?;
                 let execute_span = obs::span("session.execute");
-                let (outcomes, extended) = self.planned.extend_table(&prior, plan)?;
+                let (outcomes, remerged) = self.planned.serve_prefix(&recorded_outcomes, plan)?;
                 drop(execute_span);
+                // self-heal: a re-merge over a missing timeline recorded it
                 self.persist_timelines()?;
-                {
+                let provenance = if recorded > plan.horizon() {
+                    OutcomeProvenance::WarmPrefix { recorded, remerged }
+                } else {
+                    // the served table supersedes the shorter one on disk
                     let _persist_span = obs::span("session.persist");
                     store
                         .save_plan_outcomes(self.graph, &self.program_key, plan, outcomes.table())
                         .map_err(|e| format!("cannot persist outcomes: {e}"))?;
-                }
-                let provenance = OutcomeProvenance::WarmExtend { recorded, extended };
-                self.note_outcome(provenance, extended, plan.num_member_queries());
+                    OutcomeProvenance::WarmExtend { recorded, remerged }
+                };
+                self.note_outcome(provenance, remerged, plan.num_member_queries());
                 return Ok((outcomes, provenance));
             }
         }
@@ -846,7 +829,7 @@ mod tests {
     }
 
     #[test]
-    fn extend_hits_resume_merges_and_supersede_the_shorter_table() {
+    fn extend_hits_remerge_unmet_entries_and_supersede_the_shorter_table() {
         let dir = TempDir::new("session-extend");
         let store = Store::open(&dir.0).unwrap();
         let g = oriented_torus(3, 4).unwrap();
@@ -859,19 +842,19 @@ mod tests {
         let (short_outcomes, prov) = seed.run_plan(&short_plan).unwrap();
         assert_eq!(prov, OutcomeProvenance::Cold);
 
-        // ask for a longer horizon: the short table extends up instead of
-        // the session restarting every merge from round zero
+        // ask for a longer horizon: the short table serves it, re-merging
+        // only its unmet entries
         let mut session =
             SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
         let long_plan = SweepPlan::from_orbits(session.orbits().clone(), deltas.clone(), 64);
         let (served, prov) = session.run_plan(&long_plan).unwrap();
-        let OutcomeProvenance::WarmExtend { recorded, extended } = prov else {
+        let OutcomeProvenance::WarmExtend { recorded, remerged } = prov else {
             panic!("expected an extend hit, got {prov:?}");
         };
         assert_eq!(recorded, 12);
         let unmet = short_outcomes.table().iter().filter(|o| o.meeting.is_none()).count();
-        assert_eq!(extended, unmet, "only unmet entries resume their merge");
-        assert_eq!(session.stats().executed, extended);
+        assert_eq!(remerged, unmet, "only unmet entries re-merge");
+        assert_eq!(session.stats().executed, remerged);
         let reference = SweepSession::in_memory(&g, &program, EngineConfig::batch(64))
             .run_plan(&long_plan)
             .unwrap()

@@ -1,8 +1,7 @@
 //! Differential property tests of the **timeline-merge kernels**: the
-//! branch-light sort-merge ([`merge_timelines`]), the δ-sweep kernel
+//! branch-light sort-merge ([`merge_timelines`]) and the δ-sweep kernel
 //! ([`merge_timelines_deltas`], the identity-map case of
-//! [`merge_timelines_deltas_mapped`]) and the resumable extension
-//! ([`merge_timelines_extend`]) are each pinned bit-identical to
+//! [`merge_timelines_deltas_mapped`]) are each pinned bit-identical to
 //!
 //! * a **reference oracle** defined here — a plain quadratic scan over the
 //!   timelines' public `starts()`/`seg_nodes()` columns, sharing no code
@@ -16,15 +15,14 @@
 //! [`merge_timelines`]: anonrv::sim::merge_timelines
 //! [`merge_timelines_deltas`]: anonrv::sim::merge_timelines_deltas
 //! [`merge_timelines_deltas_mapped`]: anonrv::sim::merge_timelines_deltas_mapped
-//! [`merge_timelines_extend`]: anonrv::sim::merge_timelines_extend
 
 use proptest::prelude::*;
 
 use anonrv::graph::generators::{oriented_ring, oriented_torus, random_connected};
 use anonrv::graph::NodeId;
 use anonrv::sim::{
-    merge_timelines, merge_timelines_deltas, merge_timelines_extend, simulate_with, AgentProgram,
-    EngineConfig, Meeting, Navigator, Round, SimOutcome, Stic, Stop, Timeline,
+    merge_timelines, merge_timelines_deltas, simulate_with, AgentProgram, EngineConfig, Meeting,
+    Navigator, Round, SimOutcome, Stic, Stop, Timeline,
 };
 
 /// Earliest visit of `t` to `node` within the local window `[lo, hi)`: the
@@ -213,39 +211,6 @@ proptest! {
                 prop_assert_eq!(swept[i], direct, "{} sweep slot vs engine", stic);
             }
         }
-    }
-
-    /// Extension resumes instead of restarting, bit-identically: merging at
-    /// `h`, then extending the outcome to `H >= h`, equals merging at `H`
-    /// directly — for every `(h, H)` cut of one recorded pair, met or not.
-    #[test]
-    fn extension_is_bit_identical_to_a_direct_merge_at_the_larger_horizon(
-        n in 2usize..10,
-        extra in 0usize..5,
-        graph_seed in 0u64..200,
-        walker_seed in 0u64..1_000,
-        lifetime_sel in 0u64..80,
-        long_horizon in 0u64..160,
-        short_frac in 0u64..101,
-        delay in 0u64..180,
-    ) {
-        let extra = extra.min(n * (n - 1) / 2 - (n - 1));
-        let g = random_connected(n, extra, graph_seed).expect("valid generator parameters");
-        let lifetime = (lifetime_sel < 40).then_some(lifetime_sel + 1);
-        let program = ScriptedWalker { seed: walker_seed, lifetime };
-        let long_horizon = long_horizon as Round;
-        let short = (short_frac as Round * long_horizon) / 100; // <= long
-        let stic = Stic::new(0, (1 + graph_seed as usize) % n, delay as Round);
-
-        let earlier = Timeline::record(&g, &program, stic.earlier, long_horizon);
-        let later = Timeline::record(&g, &program, stic.later, long_horizon);
-        let prior = merge_timelines(&earlier, &later, &stic, short);
-        let extended = merge_timelines_extend(&earlier, &later, &stic, &prior, long_horizon);
-        let direct = merge_timelines(&earlier, &later, &stic, long_horizon);
-        prop_assert_eq!(extended, direct, "{} extended {} -> {}", stic, short, long_horizon);
-        // extending to the same horizon is the identity
-        let same = merge_timelines_extend(&earlier, &later, &stic, &prior, short);
-        prop_assert_eq!(same, prior, "{} self-extension", stic);
     }
 }
 

@@ -117,7 +117,7 @@ proptest! {
 
         // a direct load of the damaged kind is a miss or the truth — a
         // single flipped bit can never pass the end-to-end checksum
-        if let Some((table, recorded)) = store.load_plan_outcomes(&g, KEY, &plan) {
+        if let Some((table, recorded)) = store.load_plan_outcomes_any(&g, KEY, &plan) {
             prop_assert_eq!((table.as_slice(), recorded), (reference.as_slice(), 16));
         }
         if let Some(timelines) = store.load_timelines(&g, KEY) {
@@ -236,7 +236,7 @@ fn frames_of_every_other_format_version_miss_recompute_and_heal() {
         }
         // every direct load misses — too old and too new alike, never a
         // misparse
-        assert!(store.load_plan_outcomes(&g, KEY, &plan).is_none(), "version {stale}");
+        assert!(store.load_plan_outcomes_any(&g, KEY, &plan).is_none(), "version {stale}");
         assert!(store.load_timelines(&g, KEY).is_none(), "version {stale}");
 
         // the sweep recomputes from scratch and serves the right table
