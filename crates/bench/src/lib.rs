@@ -80,7 +80,7 @@ pub fn sweep_per_call_lockstep(
 }
 
 /// Run the symm-sweep workload (all ordered pairs × `deltas` delays)
-/// through one batch [`SweepEngine`]: each start node's trajectory is
+/// through one batch [`SweepEngine`]: each node orbit's trajectory is
 /// recorded once and each pair's whole delay sweep is one cached-timeline
 /// pass (`simulate_deltas`).  Returns the number of meetings.
 pub fn sweep_batch_engine(

@@ -1237,7 +1237,8 @@ mod tests {
         anonrv_obs::report::validate_report(&v).unwrap();
         let counters = v.get("metrics").unwrap().get("counters").unwrap();
         let count = |name: &str| counters.get(name).and_then(|c| c.as_u64());
-        assert_eq!(count("symbolic.detections"), Some(9), "one per start node: {report}");
+        // the grid's group is trivial: nine node orbits, one detection each
+        assert_eq!(count("symbolic.detections"), Some(9), "one per node orbit: {report}");
         assert_eq!(count("symbolic.merges"), Some(162), "one per (class, δ): {report}");
         assert_eq!(count("symbolic.declines"), None, "{report}");
         assert_eq!(count("merge.calls"), None, "no explicit merge runs: {report}");

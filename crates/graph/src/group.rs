@@ -360,6 +360,185 @@ impl SymmetryGroup {
     }
 }
 
+/// The partition of the nodes into orbits of a port-preserving automorphism
+/// group, with the witnessing automorphism of every node.
+///
+/// By freeness (see the module docs) each node `a` has exactly one
+/// automorphism `π_a` carrying it to its orbit **representative** `rep(a)`,
+/// the smallest node of its orbit; `π_a` is the identity exactly when `a` is
+/// its own representative.  The program an agent runs observes only
+/// degrees, entry ports and its clock, all `π`-invariant, so the walk from
+/// `a` is `π_a⁻¹` applied to the walk from `rep(a)`: one recording per orbit
+/// serves every node of it.
+///
+/// On a closed-form group (all of which are transitive) the structure is a
+/// few machine words — `rep(a) = 0` and `π_a` is the group inverse of
+/// element `a` — with no per-node table; an explicit group stores three
+/// `n`-entry tables.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeOrbits {
+    group: SymmetryGroup,
+    witness: Option<OrbitWitness>,
+}
+
+/// The explicit per-node tables of a [`NodeOrbits`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct OrbitWitness {
+    /// Dense index (`0..num_orbits`) of each node's orbit.
+    orbit: Vec<u32>,
+    /// Dense index → representative node, ascending.
+    reps: Vec<u32>,
+    /// `canon[a]` = index of the unique automorphism with
+    /// `apply(canon[a], a) = rep(a)`.
+    canon: Vec<u32>,
+}
+
+impl NodeOrbits {
+    /// The node orbits of `g` under its group ([`SymmetryGroup::of`]).
+    pub fn compute(g: &PortGraph) -> Self {
+        Self::from_group(SymmetryGroup::of(g))
+    }
+
+    /// The node orbits of a symmetry group in either representation.
+    pub fn from_group(group: SymmetryGroup) -> Self {
+        let n = group.num_nodes();
+        let witness = group.automorphisms().map(|autos| {
+            let mut canon = vec![0u32; n];
+            let mut rep = vec![0u32; n];
+            for a in 0..n {
+                let (mut best, mut best_k) = (autos.apply(0, a), 0usize);
+                for k in 1..autos.order() {
+                    let img = autos.apply(k, a);
+                    if img < best {
+                        best = img;
+                        best_k = k;
+                    }
+                }
+                rep[a] = best as u32;
+                canon[a] = best_k as u32;
+            }
+            let mut dense = vec![UNSET; n];
+            let mut reps = Vec::new();
+            for v in 0..n {
+                if rep[v] as usize == v {
+                    dense[v] = reps.len() as u32;
+                    reps.push(v as u32);
+                }
+            }
+            let orbit = rep.iter().map(|&r| dense[r as usize]).collect();
+            OrbitWitness { orbit, reps, canon }
+        });
+        debug_assert!(
+            witness.is_some() || group.is_transitive(),
+            "implicit families are vertex-transitive by construction"
+        );
+        NodeOrbits { group, witness }
+    }
+
+    /// Number of nodes of the underlying graph.
+    pub fn num_nodes(&self) -> usize {
+        self.group.num_nodes()
+    }
+
+    /// The symmetry group the orbits are taken under.
+    pub fn group(&self) -> &SymmetryGroup {
+        &self.group
+    }
+
+    /// `true` when every query is closed-form arithmetic (no stored table).
+    pub fn is_implicit(&self) -> bool {
+        self.witness.is_none()
+    }
+
+    /// Number of node orbits (`n / |Aut|`, by freeness).
+    pub fn num_orbits(&self) -> usize {
+        self.witness.as_ref().map_or(1, |w| w.reps.len())
+    }
+
+    /// Dense index of `u`'s orbit, in `0..num_orbits` (orbits numbered in
+    /// ascending order of their representatives).
+    #[inline]
+    pub fn orbit_index(&self, u: NodeId) -> usize {
+        self.witness.as_ref().map_or(0, |w| w.orbit[u] as usize)
+    }
+
+    /// The representative node of the orbit with dense index `i`.
+    #[inline]
+    pub fn orbit_representative(&self, i: usize) -> NodeId {
+        self.witness.as_ref().map_or(0, |w| w.reps[i] as usize)
+    }
+
+    /// The orbit representative (smallest image) of node `u`.
+    #[inline]
+    pub fn representative(&self, u: NodeId) -> NodeId {
+        self.orbit_representative(self.orbit_index(u))
+    }
+
+    /// `true` iff `u` is its orbit's representative (`π_u` the identity).
+    #[inline]
+    pub fn is_representative(&self, u: NodeId) -> bool {
+        self.representative(u) == u
+    }
+
+    /// Index of `π_u`, the unique automorphism carrying `u` to its orbit
+    /// representative.
+    #[inline]
+    fn canon(&self, u: NodeId) -> usize {
+        match &self.witness {
+            Some(w) => w.canon[u] as usize,
+            // transitive: rep(u) = 0, and the element carrying u to 0 is the
+            // group inverse of element u
+            None => self.group.inverse(u),
+        }
+    }
+
+    /// `π_u(x)`: a node of `u`'s world in the world of its representative.
+    #[inline]
+    pub fn to_representative(&self, u: NodeId, x: NodeId) -> NodeId {
+        self.group.apply(self.canon(u), x)
+    }
+
+    /// `π_u⁻¹(x)`: a node of the representative's world back in `u`'s.
+    #[inline]
+    pub fn from_representative(&self, u: NodeId, x: NodeId) -> NodeId {
+        match &self.witness {
+            Some(w) => self.group.apply_inv(w.canon[u] as usize, x),
+            // π_u = (element u)⁻¹, so π_u⁻¹ = element u
+            None => self.group.apply(u, x),
+        }
+    }
+
+    /// The node map `x ↦ π_u(π_v⁻¹(x))` of an ordered pair `(u, v)`; a side
+    /// whose node is its own representative (`π` the identity) is skipped.
+    /// It reads the walk recorded from `rep(v)` as the walk from `v` seen in
+    /// the world where `u` sits at `rep(u)`, so merging `rep(u)`'s recording
+    /// against `rep(v)`'s read through it, and pulling the meeting node back
+    /// through `π_u⁻¹`, answers the pair `(u, v)`.
+    pub fn relabel(&self, u: NodeId, v: NodeId) -> Relabel<'_> {
+        let moved = |a: NodeId| (!self.is_representative(a)).then_some(a);
+        Relabel { orbits: self, into: moved(u), from: moved(v) }
+    }
+}
+
+/// The node map of [`NodeOrbits::relabel`].
+#[derive(Debug, Clone, Copy)]
+pub struct Relabel<'a> {
+    orbits: &'a NodeOrbits,
+    /// `u`, when `π_u` is not the identity.
+    into: Option<NodeId>,
+    /// `v`, when `π_v` is not the identity.
+    from: Option<NodeId>,
+}
+
+impl Relabel<'_> {
+    /// `π_u(π_v⁻¹(x))`.
+    #[inline]
+    pub fn apply(&self, x: NodeId) -> NodeId {
+        let x = self.from.map_or(x, |v| self.orbits.from_representative(v, x));
+        self.into.map_or(x, |u| self.orbits.to_representative(u, x))
+    }
+}
+
 /// Verify that `phi` is a port-preserving automorphism of `g`: for every
 /// node `v` and port `p`, `succ(phi(v), p)` must be `(phi(w), q)` where
 /// `(w, q) = succ(v, p)`.  `phi` is only probed on `0..n`; a map that is
@@ -471,6 +650,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every node's witness carries it to its representative, the dense
+    /// orbit index is consistent with the representatives, and the pair
+    /// relabelling is `π_u ∘ π_v⁻¹` — the identity when both nodes are
+    /// representatives.
+    #[test]
+    fn node_orbits_witness_every_node_and_relabel_pairs() {
+        let (tree, _) = symmetric_double_tree(2, 2).unwrap();
+        let torus = oriented_torus(3, 4).unwrap();
+        let rigid = lollipop(4, 3).unwrap();
+        for (g, orbits) in [
+            (&tree, NodeOrbits::compute(&tree)),
+            (&torus, NodeOrbits::compute(&torus)),
+            (&torus, NodeOrbits::from_group(SymmetryGroup::explicit(&torus))),
+            (&rigid, NodeOrbits::compute(&rigid)),
+        ] {
+            let n = g.num_nodes();
+            assert_eq!(orbits.num_orbits() * orbits.group().order(), n);
+            for i in 0..orbits.num_orbits() {
+                let rep = orbits.orbit_representative(i);
+                assert_eq!((orbits.orbit_index(rep), orbits.representative(rep)), (i, rep));
+            }
+            for u in 0..n {
+                let rep = orbits.representative(u);
+                assert!(rep <= u);
+                assert_eq!(orbits.orbit_index(u), orbits.orbit_index(rep));
+                assert_eq!(orbits.to_representative(u, u), rep);
+                for v in 0..n {
+                    let back = orbits.from_representative(u, orbits.to_representative(u, v));
+                    assert_eq!(back, v);
+                    let map = orbits.relabel(u, v);
+                    // π_u(π_v⁻¹(rep(v))) = π_u(v)
+                    let rv = orbits.representative(v);
+                    assert_eq!(map.apply(rv), orbits.to_representative(u, v));
+                    if orbits.is_representative(u) && orbits.is_representative(v) {
+                        assert!(g.nodes().all(|x| map.apply(x) == x));
+                    }
+                }
+            }
+        }
+        // the closed form stores nothing per node
+        assert!(NodeOrbits::compute(&torus).is_implicit());
     }
 
     #[test]

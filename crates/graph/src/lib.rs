@@ -28,7 +28,9 @@
 //!   for the structured families (ring/circulant rotations, torus
 //!   translations, hypercube XOR-translations), verified generator-by-
 //!   generator against the actual graph so million-node instances plan
-//!   without ever materialising an `|Aut|·n` table;
+//!   without ever materialising an `|Aut|·n` table — and the node orbits
+//!   under either ([`group::NodeOrbits`]), one representative and one
+//!   witnessing automorphism per node;
 //! * [`shrink`] — the paper's `Shrink(u, v)` quantity (Definition 3.1);
 //! * [`pairspace`] — the flat product-space engine behind `Shrink`: a dense
 //!   CSR pair graph with a precomputed distance matrix, answering single
@@ -74,7 +76,7 @@ pub mod view;
 pub use builder::PortGraphBuilder;
 pub use error::GraphError;
 pub use graph::{NodeId, Port, PortGraph, SymmetryHint};
-pub use group::{Automorphisms, SymmetryGroup};
+pub use group::{Automorphisms, NodeOrbits, SymmetryGroup};
 
 /// Convenient `Result` alias used across the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -55,8 +55,10 @@
 //!   [`anonrv_sim::SweepEngine`]: executes representative queries only
 //!   (rayon over classes), broadcasts outcomes (including meeting nodes)
 //!   back to member pairs, and offers a sampling [`ValidationReport`] mode
-//!   that re-runs non-representatives through the batch engine and checks
-//!   bit-identity.
+//!   that re-runs non-representatives through the per-call streaming
+//!   engine and checks bit-identity.  The engine is built over the plan's
+//!   own node orbits, so its trajectory cache records one timeline per
+//!   node orbit.
 //!
 //! On vertex-transitive families the compression equals the group order:
 //! `oriented_torus(16, 16)` collapses 65 536 ordered pairs to 256 classes,
@@ -106,7 +108,7 @@
 pub mod orbits;
 pub mod sweep;
 
-pub use orbits::{Automorphisms, PairOrbits, SymmetryGroup};
+pub use orbits::{Automorphisms, NodeOrbits, PairOrbits, SymmetryGroup};
 pub use sweep::{
     ExecStats, PlannedOutcomes, PlannedSweep, StreamStats, SweepPlan, ValidationReport,
 };

@@ -87,41 +87,27 @@
 //! refinement for a coarser compression, route it through the asynchronous
 //! (independent-moves) pair product instead — see ROADMAP.md.
 
+use std::sync::Arc;
+
 use anonrv_graph::{NodeId, PortGraph};
 
-pub use anonrv_graph::group::{Automorphisms, SymmetryGroup};
-
-const UNSET: u32 = u32::MAX;
-
-/// The explicit canonicalisation tables: per-node orbit representatives and
-/// the index of the witnessing automorphism.  Only materialised for
-/// [`SymmetryGroup::Explicit`] groups — implicit families derive all four
-/// maps from closed-form arithmetic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Witness {
-    /// Smallest image of each node under the group (its orbit
-    /// representative).
-    node_rep: Vec<u32>,
-    /// Dense index of each orbit-representative node (`UNSET` elsewhere).
-    rep_dense: Vec<u32>,
-    /// Dense index → representative node.
-    node_reps: Vec<u32>,
-    /// `canon[a]` = index of the unique automorphism with
-    /// `apply(canon[a], a) = node_rep[a]`.
-    canon: Vec<u32>,
-}
+pub use anonrv_graph::group::{Automorphisms, NodeOrbits, SymmetryGroup};
 
 /// The partition of all `n²` **ordered** node pairs into orbits of the
 /// automorphism group, with the canonicalisation witnesses needed to
 /// broadcast simulation outcomes (meeting nodes included) from a class
 /// representative to every member.
 ///
-/// Class identifiers are laid out as `rep_index(u) · n + c`: the canonical
+/// Class identifiers are laid out as `orbit_index(u) · n + c`: the canonical
 /// form of `(u, v)` is the pair `(rep(u), π_u(v))` where `rep(u)` is the
 /// smallest node in `u`'s orbit and `π_u` the unique automorphism carrying
 /// `u` there.  Every class therefore contains exactly one pair whose first
 /// coordinate is an orbit representative, and that pair *is* the class
 /// representative.
+///
+/// The node half — `rep`, `π_u` and the dense orbit index — is a
+/// [`NodeOrbits`], shared (not copied) with the trajectory cache of every
+/// engine planned over this partition.
 ///
 /// Built on an implicit [`SymmetryGroup`] (see
 /// [`PairOrbits::is_implicit`]), the same queries are answered by O(1)
@@ -137,8 +123,7 @@ struct Witness {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairOrbits {
     n: usize,
-    group: SymmetryGroup,
-    witness: Option<Witness>,
+    nodes: Arc<NodeOrbits>,
 }
 
 impl PairOrbits {
@@ -157,37 +142,8 @@ impl PairOrbits {
 
     /// Build the partition from a symmetry group in either representation.
     pub fn from_group(group: SymmetryGroup) -> Self {
-        let n = group.num_nodes();
-        let witness = group.automorphisms().map(|autos| {
-            let mut node_rep = vec![0u32; n];
-            let mut canon = vec![0u32; n];
-            for a in 0..n {
-                let (mut best, mut best_k) = (autos.apply(0, a), 0usize);
-                for k in 1..autos.order() {
-                    let img = autos.apply(k, a);
-                    if img < best {
-                        best = img;
-                        best_k = k;
-                    }
-                }
-                node_rep[a] = best as u32;
-                canon[a] = best_k as u32;
-            }
-            let mut rep_dense = vec![UNSET; n];
-            let mut node_reps = Vec::new();
-            for v in 0..n {
-                if node_rep[v] as usize == v {
-                    rep_dense[v] = node_reps.len() as u32;
-                    node_reps.push(v as u32);
-                }
-            }
-            Witness { node_rep, rep_dense, node_reps, canon }
-        });
-        debug_assert!(
-            witness.is_some() || group.is_transitive(),
-            "implicit families are vertex-transitive by construction"
-        );
-        PairOrbits { n, group, witness }
+        let nodes = NodeOrbits::from_group(group);
+        PairOrbits { n: nodes.num_nodes(), nodes: Arc::new(nodes) }
     }
 
     /// Number of nodes of the underlying graph.
@@ -197,27 +153,29 @@ impl PairOrbits {
 
     /// The symmetry group the partition is built on.
     pub fn group(&self) -> &SymmetryGroup {
-        &self.group
+        self.nodes.group()
+    }
+
+    /// The node orbits the pair classes are built from.
+    pub fn node_orbits(&self) -> &Arc<NodeOrbits> {
+        &self.nodes
     }
 
     /// `true` when every query is answered by closed-form arithmetic with no
     /// stored permutations or witness tables.
     pub fn is_implicit(&self) -> bool {
-        self.witness.is_none()
+        self.nodes.is_implicit()
     }
 
     /// Order of the automorphism group — by freeness also the size of
     /// *every* node orbit and every pair class.
     pub fn group_order(&self) -> usize {
-        self.group.order()
+        self.group().order()
     }
 
     /// Number of node orbits (`n / group_order`).
     pub fn num_node_orbits(&self) -> usize {
-        match &self.witness {
-            Some(w) => w.node_reps.len(),
-            None => 1,
-        }
+        self.nodes.num_orbits()
     }
 
     /// Number of ordered-pair classes (`n² / group_order`).
@@ -227,7 +185,7 @@ impl PairOrbits {
 
     /// Size of every pair class (uniform, by freeness of the action).
     pub fn class_size(&self) -> usize {
-        self.group.order()
+        self.group_order()
     }
 
     /// The compression ratio `n² / num_pair_classes` (= the group order).
@@ -238,22 +196,7 @@ impl PairOrbits {
     /// Orbit representative (smallest image) of node `u`.
     #[inline]
     pub fn node_representative(&self, u: NodeId) -> NodeId {
-        match &self.witness {
-            Some(w) => w.node_rep[u] as usize,
-            None => 0,
-        }
-    }
-
-    /// Index of the unique automorphism carrying `u` to its orbit
-    /// representative (`π_u`).
-    #[inline]
-    fn canon_of(&self, u: NodeId) -> usize {
-        match &self.witness {
-            Some(w) => w.canon[u] as usize,
-            // transitive: rep(u) = 0, and the element carrying u to 0 is
-            // the group inverse of element u
-            None => self.group.inverse(u),
-        }
+        self.nodes.representative(u)
     }
 
     /// Class identifier of the ordered pair `(u, v)`, in
@@ -281,29 +224,21 @@ impl PairOrbits {
     /// ```
     #[inline]
     pub fn class_of(&self, u: NodeId, v: NodeId) -> usize {
-        match &self.witness {
-            Some(w) => {
-                let k = w.canon[u] as usize;
-                w.rep_dense[w.node_rep[u] as usize] as usize * self.n + self.group.apply(k, v)
-            }
-            None => self.group.apply(self.group.inverse(u), v),
-        }
+        self.nodes.orbit_index(u) * self.n + self.nodes.to_representative(u, v)
     }
 
     /// The canonical representative pair of a class.
     #[inline]
     pub fn representative(&self, class: usize) -> (NodeId, NodeId) {
-        match &self.witness {
-            Some(w) => (w.node_reps[class / self.n] as usize, class % self.n),
-            None => (0, class),
-        }
+        (self.nodes.orbit_representative(class / self.n), class % self.n)
     }
 
     /// All member pairs of a class (each exactly once, the representative
     /// among them), enumerated lazily from the group action.
     pub fn members(&self, class: usize) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         let (r, c) = self.representative(class);
-        (0..self.group.order()).map(move |k| (self.group.apply(k, r), self.group.apply(k, c)))
+        let group = self.group();
+        (0..group.order()).map(move |k| (group.apply(k, r), group.apply(k, c)))
     }
 
     /// `true` iff `(u, v)` and `(u2, v2)` lie in the same pair orbit.
@@ -315,7 +250,7 @@ impl PairOrbits {
     /// class representative (`π_u`, the witnessing automorphism).
     #[inline]
     pub fn to_canonical(&self, u: NodeId, x: NodeId) -> NodeId {
-        self.group.apply(self.canon_of(u), x)
+        self.nodes.to_representative(u, x)
     }
 
     /// Map a node of the canonical world back into `(u, ·)`'s world
@@ -323,11 +258,7 @@ impl PairOrbits {
     /// meeting nodes bit-identically.
     #[inline]
     pub fn from_canonical(&self, u: NodeId, x: NodeId) -> NodeId {
-        match &self.witness {
-            Some(w) => self.group.apply_inv(w.canon[u] as usize, x),
-            // π_u = (element u)⁻¹, so π_u⁻¹ = element u
-            None => self.group.apply(u, x),
-        }
+        self.nodes.from_representative(u, x)
     }
 }
 

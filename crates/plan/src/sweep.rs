@@ -7,10 +7,15 @@
 //! orbit's witnessing automorphisms, so every member outcome — meeting node
 //! included — is **bit-identical** to simulating the member directly.
 //!
+//! The engine is built over the partition's own node orbits, so its
+//! trajectory cache records one timeline per node orbit and reads every
+//! other start's walk through the witnessing automorphism.
+//!
 //! The validate mode ([`PlannedSweep::validate_sample`]) re-runs a sampled
-//! fraction of non-representative member queries through the underlying
-//! batch engine and checks that bit-identity, which is the executable form
-//! of the planner's soundness argument (see the crate docs).
+//! fraction of non-representative member queries through the per-call
+//! streaming engine — which shares no cache and no orbit map with the
+//! planned answer — and checks that bit-identity, which is the executable
+//! form of the planner's soundness argument (see the crate docs).
 
 use std::borrow::Cow;
 
@@ -18,8 +23,8 @@ use rayon::prelude::*;
 
 use anonrv_graph::{NodeId, PortGraph};
 use anonrv_sim::{
-    merge_timelines_deltas_mapped, AgentProgram, EngineConfig, EngineMode, Round, SimOutcome, Stic,
-    SweepEngine, UNROLL_CAP,
+    simulate_with, AgentProgram, EngineConfig, EngineMode, Round, SimOutcome, Stic, SweepEngine,
+    UNROLL_CAP,
 };
 
 use crate::orbits::PairOrbits;
@@ -250,10 +255,11 @@ impl ValidationReport {
 }
 
 /// The planned-execution façade in front of [`SweepEngine`]: canonicalises
-/// every query onto its class representative, so the underlying trajectory
-/// cache records only representative-world timelines and equivalent queries
+/// every query onto its class representative, so equivalent queries
 /// collapse onto one merge; [`PlannedSweep::run`] executes a whole
-/// [`SweepPlan`] with rayon over classes.
+/// [`SweepPlan`] with rayon over classes.  The engine shares the
+/// partition's node orbits, so its trajectory cache records one timeline
+/// per node orbit.
 pub struct PlannedSweep<'a> {
     engine: SweepEngine<'a>,
     orbits: Cow<'a, PairOrbits>,
@@ -263,12 +269,7 @@ impl<'a> PlannedSweep<'a> {
     /// Build a planned sweep for `graph` under `program`, computing the
     /// pair-orbit partition.
     pub fn new(graph: &'a PortGraph, program: &'a dyn AgentProgram, config: EngineConfig) -> Self {
-        let orbits = PairOrbits::compute(graph);
-        assert_eq!(orbits.num_nodes(), graph.num_nodes(), "orbit partition of a different graph");
-        PlannedSweep {
-            engine: SweepEngine::new(graph, program, config),
-            orbits: Cow::Owned(orbits),
-        }
+        Self::from_orbits(PairOrbits::compute(graph), graph, program, config)
     }
 
     /// Build from an *owned* precomputed partition (must belong to
@@ -281,11 +282,7 @@ impl<'a> PlannedSweep<'a> {
         program: &'a dyn AgentProgram,
         config: EngineConfig,
     ) -> Self {
-        assert_eq!(orbits.num_nodes(), graph.num_nodes(), "orbit partition of a different graph");
-        PlannedSweep {
-            engine: SweepEngine::new(graph, program, config),
-            orbits: Cow::Owned(orbits),
-        }
+        Self::assemble(Cow::Owned(orbits), graph, program, config)
     }
 
     /// Build from a precomputed partition (must belong to `graph`); the
@@ -297,11 +294,20 @@ impl<'a> PlannedSweep<'a> {
         program: &'a dyn AgentProgram,
         config: EngineConfig,
     ) -> Self {
+        Self::assemble(Cow::Borrowed(orbits), graph, program, config)
+    }
+
+    /// The engine over the partition's node orbits (shared, not
+    /// recomputed).
+    fn assemble(
+        orbits: Cow<'a, PairOrbits>,
+        graph: &'a PortGraph,
+        program: &'a dyn AgentProgram,
+        config: EngineConfig,
+    ) -> Self {
         assert_eq!(orbits.num_nodes(), graph.num_nodes(), "orbit partition of a different graph");
-        PlannedSweep {
-            engine: SweepEngine::new(graph, program, config),
-            orbits: Cow::Borrowed(orbits),
-        }
+        let nodes = orbits.node_orbits().clone();
+        PlannedSweep { engine: SweepEngine::with_orbits(graph, program, config, nodes), orbits }
     }
 
     /// The underlying sweep engine.
@@ -329,35 +335,22 @@ impl<'a> PlannedSweep<'a> {
         )
     }
 
-    /// Pull a canonical-world outcome back into the world of the member pair
-    /// whose earlier node is `u`.
-    fn pull_back(&self, u: NodeId, outcome: SimOutcome) -> SimOutcome {
-        pull_back(&self.orbits, u, outcome)
-    }
-
-    /// Simulate one STIC at the configured horizon (canonicalise, run the
-    /// representative, pull the outcome back) — bit-identical to
-    /// `engine().simulate(stic)`.
+    /// Simulate one STIC at the configured horizon.  The engine's cache
+    /// already reads both starts off their node orbits' recordings, so
+    /// this is `engine().simulate(stic)`.
     pub fn simulate(&self, stic: &Stic) -> SimOutcome {
         self.simulate_capped(stic, self.engine.config().horizon)
     }
 
     /// Simulate one STIC at `horizon <= config.horizon`.
     pub fn simulate_capped(&self, stic: &Stic, horizon: Round) -> SimOutcome {
-        let canonical = self.canonical_stic(stic);
-        self.pull_back(stic.earlier, self.engine.simulate_capped(&canonical, horizon))
+        self.engine.simulate_capped(stic, horizon)
     }
 
     /// Simulate one `(u, v)` pair under every delay in `deltas` (one
-    /// canonical delta-sweep pass).
+    /// delta-sweep pass).
     pub fn simulate_deltas(&self, u: NodeId, v: NodeId, deltas: &[Round]) -> Vec<SimOutcome> {
-        let r = self.orbits.node_representative(u);
-        let c = self.orbits.to_canonical(u, v);
-        self.engine
-            .simulate_deltas(r, c, deltas)
-            .into_iter()
-            .map(|o| self.pull_back(u, o))
-            .collect()
+        self.engine.simulate_deltas(u, v, deltas)
     }
 
     /// Answer a batch of `(stic, horizon)` queries, executing **one**
@@ -391,7 +384,7 @@ impl<'a> PlannedSweep<'a> {
         let mut outcomes: Vec<Option<SimOutcome>> = vec![None; queries.len()];
         for (group, canonical) in groups.iter().zip(per_group) {
             for &i in *group {
-                outcomes[i] = Some(self.pull_back(queries[i].0.earlier, canonical));
+                outcomes[i] = Some(pull_back(&self.orbits, queries[i].0.earlier, canonical));
             }
         }
         let outcomes = outcomes.into_iter().map(|o| o.expect("every query is grouped")).collect();
@@ -432,7 +425,7 @@ impl<'a> PlannedSweep<'a> {
     /// one delta-sweep pass each over the class representative's timelines
     /// (see `merge_timelines_deltas`), rayon over the jobs.  Outcomes are
     /// job-major, each job's in the order of its delays.  The one fan-out
-    /// behind cold execution and table serving.
+    /// behind cold execution, streamed chunks and table serving.
     fn sweep_classes<'d>(
         &self,
         jobs: usize,
@@ -459,17 +452,13 @@ impl<'a> PlannedSweep<'a> {
     /// This is the million-node path.  It requires an *implicit* orbit
     /// partition ([`PairOrbits::is_implicit`]), whose group is regular: node
     /// 0 represents every node class and class `c` is represented by the
-    /// pair `(0, c)`.  Vertex-transitivity then gives `timeline(c) =
-    /// φ_c(timeline(0))` — the recorded trajectory from any start `c` is the
-    /// node 0 trajectory with every node mapped through the group element
-    /// `φ_c` (the agent observes only degree, entry port and clock, all
-    /// `φ`-invariant).  So instead of recording `n` timelines the sweep
-    /// records **one** and answers class `c` by merging `timeline(0)`
-    /// against *itself* with the later agent's nodes read through
-    /// `φ_c` ([`merge_timelines_deltas_mapped`]) — bit-identical to the
-    /// materialised merge (differentially pinned in `anonrv-sim`), with
-    /// `O(|timeline(0)| + chunk · |δ|)` live memory instead of
-    /// `O(n · |timeline|)` cache plus an `n · |δ|` table.
+    /// pair `(0, c)`.  Each chunk of classes goes through the same per-class
+    /// δ-sweep query as [`PlannedSweep::run_classes`]; the engine's cache
+    /// holds the one node orbit's recording, `timeline(0)`, and reads the
+    /// later agent's walk from `c` through the group element `φ_c`
+    /// (vertex-transitivity: the walk from `c` is the `φ_c`-image of the walk
+    /// from 0), so live memory is `O(|timeline(0)| + chunk · |δ|)` instead of
+    /// an `n · |δ|` table.
     ///
     /// `visit(base, outcomes)` receives each chunk's first class index and
     /// its `(class, δ)` outcomes in the exact slot order of
@@ -512,45 +501,24 @@ impl<'a> PlannedSweep<'a> {
         if !matches!(self.engine.config().mode, EngineMode::Auto | EngineMode::Batch) {
             return Err("streamed execution requires the batch engine (mode Auto or Batch)".into());
         }
-        let group = self.orbits.group().clone();
         let chunk = chunk_classes.max(1);
         let num_classes = self.orbits.num_pair_classes();
-        let ndeltas = plan.deltas().len();
-        // the one and only recorded trajectory: every class merges this
-        // timeline against its φ_c-mapped self
-        let t0 = self.engine.cache().timeline(0);
         let mut stats = StreamStats::default();
-        let class_size = self.orbits.class_size();
-        let mut buf: Vec<SimOutcome> = Vec::with_capacity(chunk * ndeltas);
         let mut base = 0;
         while base < num_classes {
             let hi = (base + chunk).min(num_classes);
-            let per_class: Vec<Vec<SimOutcome>> = (base..hi)
-                .into_par_iter()
-                .map(|class| {
-                    merge_timelines_deltas_mapped(
-                        t0,
-                        t0,
-                        |v| group.apply(class, v),
-                        plan.deltas(),
-                        plan.horizon(),
-                    )
-                })
-                .collect();
-            buf.clear();
-            for outcomes in per_class {
-                buf.extend(outcomes);
-            }
+            let outcomes =
+                self.sweep_classes(hi - base, |i| (base + i, plan.deltas()), plan.horizon());
             stats.classes += hi - base;
-            stats.entries += buf.len();
-            stats.met_entries += buf.iter().filter(|o| o.meeting.is_some()).count();
-            visit(base, &buf);
+            stats.entries += outcomes.len();
+            stats.met_entries += outcomes.iter().filter(|o| o.meeting.is_some()).count();
+            visit(base, &outcomes);
             base = hi;
         }
+        let class_size = self.orbits.class_size();
         stats.answered = stats.entries * class_size;
         stats.met_total = stats.met_entries * class_size;
         anonrv_obs::counter_add("plan.representatives", stats.entries as u64);
-        count_delta_passes(stats.classes, stats.entries);
         Ok(stats)
     }
 
@@ -613,9 +581,9 @@ impl<'a> PlannedSweep<'a> {
 
     /// Validate the broadcast on a deterministic sample: every
     /// `sample_every`-th non-representative member query of the plan's grid
-    /// is re-simulated *directly* through the underlying engine (no
-    /// canonicalisation) and compared bit-for-bit against the planned
-    /// answer.
+    /// is re-simulated *directly* through the per-call streaming engine at
+    /// the plan's horizon — no canonicalisation, no trajectory cache, no
+    /// orbit map — and compared bit-for-bit against the planned answer.
     pub fn validate_sample(&self, plan: &SweepPlan, sample_every: usize) -> ValidationReport {
         assert!(sample_every >= 1, "sample_every must be at least 1");
         let outcomes = self.run(plan);
@@ -634,7 +602,13 @@ impl<'a> PlannedSweep<'a> {
                     }
                     let stic = Stic::new(u, v, delta);
                     let planned = outcomes.get(u, v, di);
-                    let direct = self.engine.simulate_capped(&stic, plan.horizon());
+                    let direct = simulate_with(
+                        self.engine.cache().graph(),
+                        self.program(),
+                        self.program(),
+                        &stic,
+                        EngineConfig::streaming(plan.horizon()),
+                    );
                     report.checked += 1;
                     if planned != direct {
                         report.mismatches += 1;
@@ -684,7 +658,11 @@ mod tests {
         for u in g.nodes() {
             for v in g.nodes() {
                 for (di, &delta) in deltas.iter().enumerate() {
-                    let direct = planned.engine().simulate(&Stic::new(u, v, delta));
+                    // per-call lockstep: it shares no cache and no orbit map
+                    // with the planned answer
+                    let stic = Stic::new(u, v, delta);
+                    let direct =
+                        simulate_with(&g, &program, &program, &stic, EngineConfig::lockstep(64));
                     assert_eq!(outcomes.get(u, v, di), direct, "({u}, {v}) delta {delta}");
                 }
             }
@@ -711,7 +689,8 @@ mod tests {
         // 8 rotations collapse the 64 pairs to 8 classes per (delta, horizon)
         assert_eq!(stats.executed, 8 * 3);
         for (i, (stic, horizon)) in queries.iter().enumerate() {
-            let direct = planned.engine().simulate_capped(stic, *horizon);
+            let direct =
+                simulate_with(&g, &program, &program, stic, EngineConfig::lockstep(*horizon));
             assert_eq!(outcomes[i], direct, "{stic} horizon {horizon}");
         }
     }
@@ -887,7 +866,10 @@ mod tests {
         for u in g.nodes() {
             for v in g.nodes() {
                 for &delta in &deltas {
-                    if planned.engine().simulate(&Stic::new(u, v, delta)).met() {
+                    let stic = Stic::new(u, v, delta);
+                    if simulate_with(&g, &program, &program, &stic, EngineConfig::lockstep(64))
+                        .met()
+                    {
                         direct += 1;
                     }
                 }

@@ -6,24 +6,28 @@
 //! trace the same position timeline, and the delay `δ` merely shifts when
 //! the later agent's copy begins.  Sweeps that evaluate many STICs of one
 //! graph therefore re-execute the same `n` trajectories over and over —
-//! `O(n²·Δ)` full program runs for an all-pairs × delays sweep.
+//! `O(n²·Δ)` full program runs for an all-pairs × delays sweep — and on a
+//! symmetric graph those `n` are only one trajectory per node orbit, read
+//! through automorphisms.
 //!
-//! This module computes each start node's wait-compressed timeline **once**
+//! This module computes each node orbit's wait-compressed timeline **once**
 //! ([`Timeline::record`], the same segment representation the lockstep
 //! engine materialises per call) and answers any `(u, v, δ)` STIC by merging
 //! two cached timelines:
 //!
 //! * [`TrajectoryCache`] — per `(graph, program, horizon)` store of lazily
-//!   recorded [`Timeline`]s, one per start node, thread-safe (`OnceLock`
-//!   slots) so rayon sweeps can fan out over merges directly;
+//!   recorded [`Timeline`]s, one per **node orbit** of the graph's
+//!   automorphism group (a node's walk is its orbit representative's read
+//!   through the witnessing automorphism), thread-safe (`OnceLock` slots)
+//!   so rayon sweeps can fan out over merges directly;
 //! * [`merge_timelines`] — meeting detection over two cached timelines as a
 //!   branch-light **two-cursor sort-merge** over the flat `starts`/`nodes`
 //!   arrays: the intersection windows of the two segment sequences are
 //!   visited in increasing time order, so the first equal-node window *is*
 //!   the earliest meeting and a query costs `O(segments(earlier) +
 //!   segments(later))` with no binary probes.  The loop is generic over a
-//!   segment cursor, and [`merge_symbolic`] runs the same loop over
-//!   symbolic timelines unrolled in place;
+//!   segment cursor, and [`merge_symbolic`](crate::symbolic::merge_symbolic)
+//!   runs the same loop over symbolic timelines unrolled in place;
 //! * [`merge_timelines_deltas_mapped`] — the one **δ-sweep kernel**: a whole
 //!   δ-grid of one pair in one pass over the later timeline (optionally
 //!   viewed through a node relabelling), each later segment resolved by a
@@ -35,9 +39,7 @@
 //!   cache; [`EngineMode::Auto`] and [`EngineMode::Batch`] answer from the
 //!   cache (constructing a `SweepEngine` *is* the caller's signal that
 //!   timelines will be reused), while pinning `Streaming`/`Lockstep` falls
-//!   back to per-call simulation (the differential-testing escape hatch);
-//! * [`simulate_batch`] — one-shot convenience for a single STIC through
-//!   the batch path.
+//!   back to per-call simulation (the differential-testing escape hatch).
 //!
 //! Outcomes are **bit-identical** to the streaming and lockstep engines
 //! (asserted by `tests/property_engine_batch.rs`, by the reference-oracle
@@ -51,14 +53,14 @@
 //! stand in for the later agent's `horizon − δ`-truncated execution.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use anonrv_graph::{NodeId, PortGraph};
+use anonrv_graph::{NodeId, NodeOrbits, PortGraph};
 
 use crate::engine::{simulate_with, EngineConfig, EngineMode, Meeting, SimOutcome};
 use crate::navigator::{AgentProgram, Event, EventSink, GraphNavigator, Stop};
 use crate::stic::{Round, Stic};
-use crate::symbolic::{detect_symbolic, merge_symbolic, SymbolicTimeline};
+use crate::symbolic::{detect_symbolic, merge_symbolic_mapped, SymbolicTimeline};
 
 const INFINITY: Round = Round::MAX;
 
@@ -588,6 +590,48 @@ impl SegCursor for TimelineCursor<'_> {
     }
 }
 
+/// A [`SegCursor`] whose nodes are read through a node map: the later
+/// agent's walk seen in another node labelling (see
+/// [`merge_timelines_deltas_mapped`] for why a relabelled recording is
+/// another start's walk).  Under the identity closure it compiles to the
+/// bare cursor.
+pub(crate) struct Relabelled<C, F> {
+    pub(crate) cursor: C,
+    pub(crate) map: F,
+}
+
+impl<C: SegCursor, F: Fn(usize) -> usize> SegCursor for Relabelled<C, F> {
+    #[inline(always)]
+    fn live(&self) -> bool {
+        self.cursor.live()
+    }
+    #[inline(always)]
+    fn start(&self) -> Round {
+        self.cursor.start()
+    }
+    #[inline(always)]
+    fn end(&self) -> Round {
+        self.cursor.end()
+    }
+    #[inline(always)]
+    fn node(&self) -> u32 {
+        (self.map)(self.cursor.node() as usize) as u32
+    }
+    #[inline(always)]
+    fn advance(&mut self, step: bool) {
+        self.cursor.advance(step)
+    }
+    fn moves(&self) -> u64 {
+        self.cursor.moves()
+    }
+    fn in_tail(&self) -> bool {
+        self.cursor.in_tail()
+    }
+    fn totals_up_to(&self, cap: Round) -> (u64, bool) {
+        self.cursor.totals_up_to(cap)
+    }
+}
+
 /// The [`SimOutcome`] of a STIC under `delay` at `horizon` whose earliest
 /// meeting is at global round `at`, while the earlier agent sits in the
 /// current segment of `earlier` and the later one in that of `later`.
@@ -656,6 +700,21 @@ pub fn merge_timelines(
     stic: &Stic,
     horizon: Round,
 ) -> SimOutcome {
+    merge_timelines_mapped(earlier, later, |v| v, stic, horizon)
+}
+
+/// [`merge_timelines`] against a **node-relabelled** `later`: bit-identical
+/// to merging against a copy of `later` whose nodes were rewritten through
+/// `map` (the single-STIC counterpart of
+/// [`merge_timelines_deltas_mapped`]).  The meeting node comes from
+/// `earlier`'s segments.
+pub(crate) fn merge_timelines_mapped(
+    earlier: &Timeline,
+    later: &Timeline,
+    map: impl Fn(usize) -> usize,
+    stic: &Stic,
+    horizon: Round,
+) -> SimOutcome {
     if anonrv_obs::enabled() {
         anonrv_obs::counter_add("merge.calls", 1);
         // upper bound: the two-cursor sweep visits at most every segment
@@ -665,7 +724,8 @@ pub fn merge_timelines(
         // the later agent never even appears within the horizon
         return SimOutcome::no_show(horizon);
     }
-    merge_forward(earlier.cursor(0), later.cursor(0), stic.delay, horizon, horizon)
+    let later = Relabelled { cursor: later.cursor(0), map };
+    merge_forward(earlier.cursor(0), later, stic.delay, horizon, horizon)
 }
 
 /// The two-cursor sweep behind [`merge_timelines`] and the symbolic
@@ -744,14 +804,14 @@ pub fn merge_timelines_deltas(
 /// earlier visit to the whole range of delays it serves.  Nothing here is
 /// sized by the graph, so the kernel has no per-call setup.
 ///
-/// The relabelling is what **streaming all-pairs planning** needs on
-/// vertex-transitive graphs: the walk from node `φ(0)` is the `φ`-image of
-/// the walk from node `0` (the program observes only degrees, entry ports
-/// and its clock — all `φ`-invariant), so the later agent's timeline for
-/// class `c` is `timeline(0)` with nodes mapped through the group element
-/// `c`, and one recorded timeline serves all `n` classes.  Meeting nodes
-/// come from `earlier`'s segments and are therefore true graph nodes.  The
-/// kernel emits no telemetry; its drivers count their passes.
+/// The relabelling is what lets one recording serve a whole node orbit:
+/// for a port-preserving automorphism `φ`, the walk from node `φ(a)` is the
+/// `φ`-image of the walk from node `a` (the program observes only degrees,
+/// entry ports and its clock — all `φ`-invariant), so the later agent's
+/// timeline from any node is its orbit representative's with nodes mapped
+/// through the witnessing automorphism ([`TrajectoryCache`] does this for
+/// every query).  Meeting nodes come from `earlier`'s segments.  The kernel
+/// emits no telemetry; its callers count their passes.
 pub fn merge_timelines_deltas_mapped(
     earlier: &Timeline,
     later: &Timeline,
@@ -877,18 +937,30 @@ fn merge_deltas_sorted<F: Fn(usize) -> usize>(
         .collect()
 }
 
-/// Per-`(graph, program, horizon)` store of start-node timelines, computed
-/// lazily (at most once per node) and shared across threads: `timeline`
-/// takes `&self`, so a rayon sweep can fan out over
-/// [`TrajectoryCache::simulate`] calls directly.
+/// Per-`(graph, program, horizon)` store of start-node timelines, one per
+/// **node orbit**, computed lazily (at most once per orbit) and shared
+/// across threads: `timeline` takes `&self`, so a rayon sweep can fan out
+/// over [`TrajectoryCache::simulate`] calls directly.
+///
+/// The walk from node `a` is `π_a⁻¹` applied to the walk from its orbit
+/// representative `rep(a)` (see [`NodeOrbits`]), so the cache holds one
+/// explicit and one symbolic slot per representative and answers a query
+/// `(u, v, δ)` by merging `rep(u)`'s recording against `rep(v)`'s read
+/// through `x ↦ π_u(π_v⁻¹(x))` ([`NodeOrbits::relabel`]), pulling the
+/// meeting node back through `π_u⁻¹` (both maps are the identity for a
+/// start that is its own representative).  Every per-node accessor
+/// (`timeline`, `get`, `has_timeline`, `symbolic_timeline`, `get_symbolic`)
+/// resolves to the node's orbit representative.
 pub struct TrajectoryCache<'a> {
     graph: &'a PortGraph,
     program: &'a dyn AgentProgram,
     horizon: Round,
+    orbits: Arc<NodeOrbits>,
+    /// One explicit timeline per orbit, by dense orbit index.
     slots: Vec<OnceLock<Timeline>>,
-    /// Per-start symbolic (prefix + cycle) timelines, detected lazily for
+    /// Per-orbit symbolic (prefix + cycle) timelines, detected lazily for
     /// finite-state programs; `Some(None)` caches a failed detection so the
-    /// budgeted search runs at most once per start.
+    /// budgeted search runs at most once per orbit.
     symbolic: Vec<OnceLock<Option<SymbolicTimeline>>>,
     /// Timelines recorded by running the program (preloaded and
     /// materialised slots excluded).
@@ -904,11 +976,33 @@ pub struct TrajectoryCache<'a> {
 pub const UNROLL_CAP: Round = 1 << 22;
 
 impl<'a> TrajectoryCache<'a> {
-    /// Create an empty cache; no trajectory is computed until queried.
+    /// Create an empty cache over the node orbits of `graph`'s group
+    /// ([`NodeOrbits::compute`]); no trajectory is computed until queried.
     pub fn new(graph: &'a PortGraph, program: &'a dyn AgentProgram, horizon: Round) -> Self {
-        let slots = (0..graph.num_nodes()).map(|_| OnceLock::new()).collect();
-        let symbolic = (0..graph.num_nodes()).map(|_| OnceLock::new()).collect();
-        TrajectoryCache { graph, program, horizon, slots, symbolic, recorded: AtomicUsize::new(0) }
+        Self::with_orbits(graph, program, horizon, Arc::new(NodeOrbits::compute(graph)))
+    }
+
+    /// Create an empty cache over node orbits the caller already holds
+    /// (they must belong to `graph`), so a planner does not compute the
+    /// group twice.
+    pub(crate) fn with_orbits(
+        graph: &'a PortGraph,
+        program: &'a dyn AgentProgram,
+        horizon: Round,
+        orbits: Arc<NodeOrbits>,
+    ) -> Self {
+        assert_eq!(orbits.num_nodes(), graph.num_nodes(), "node orbits of a different graph");
+        let slots = (0..orbits.num_orbits()).map(|_| OnceLock::new()).collect();
+        let symbolic = (0..orbits.num_orbits()).map(|_| OnceLock::new()).collect();
+        TrajectoryCache {
+            graph,
+            program,
+            horizon,
+            orbits,
+            slots,
+            symbolic,
+            recorded: AtomicUsize::new(0),
+        }
     }
 
     /// The cache horizon: every query must use a horizon `<=` this.
@@ -926,24 +1020,39 @@ impl<'a> TrajectoryCache<'a> {
         self.program
     }
 
-    /// The timeline of the agent started at `start`, produced on first use:
-    /// materialised from the node's symbolic (prefix + cycle) timeline when
-    /// one is already held (warm-loaded or previously detected) —
-    /// bit-identical to a fresh recording and free of program execution —
-    /// and recorded by running the program otherwise.  Laziness is the
-    /// point: a store warming thousands of symbolic entries pays nothing
-    /// here until a node's explicit path is actually queried.
+    /// The node orbits the slots are keyed by.
+    pub fn node_orbits(&self) -> &NodeOrbits {
+        &self.orbits
+    }
+
+    /// The slot index of `start`: its dense orbit index.
+    fn slot(&self, start: NodeId) -> usize {
+        assert!(start < self.graph.num_nodes(), "start node out of range");
+        self.orbits.orbit_index(start)
+    }
+
+    /// The timeline serving `start` — its orbit representative's — produced
+    /// on first use: materialised from the representative's symbolic
+    /// (prefix + cycle) timeline when one is already held (warm-loaded or
+    /// previously detected) — bit-identical to a fresh recording and free
+    /// of program execution — and recorded by running the program from the
+    /// representative otherwise.  Laziness is the point: a store warming
+    /// symbolic entries pays nothing here until an orbit's explicit path is
+    /// actually queried.
     pub fn timeline(&self, start: NodeId) -> &Timeline {
-        self.slots[start].get_or_init(|| match self.get_symbolic(start) {
-            Some(s) => s.materialize(self.horizon),
-            None => {
-                self.recorded.fetch_add(1, Ordering::Relaxed);
-                Timeline::record(self.graph, self.program, start, self.horizon)
+        self.slots[self.slot(start)].get_or_init(|| {
+            let rep = self.orbits.representative(start);
+            match self.get_symbolic(rep) {
+                Some(s) => s.materialize(self.horizon),
+                None => {
+                    self.recorded.fetch_add(1, Ordering::Relaxed);
+                    Timeline::record(self.graph, self.program, rep, self.horizon)
+                }
             }
         })
     }
 
-    /// Number of start nodes holding a timeline so far: recorded,
+    /// Number of node orbits holding a timeline so far: recorded,
     /// preloaded or materialised.
     pub fn computed(&self) -> usize {
         self.slots.iter().filter(|s| s.get().is_some()).count()
@@ -956,95 +1065,116 @@ impl<'a> TrajectoryCache<'a> {
         self.recorded.load(Ordering::Relaxed)
     }
 
-    /// The already-recorded timeline of `start`, without recording one.
+    /// The already-recorded timeline serving `start` (its orbit
+    /// representative's), without recording one.
     pub fn get(&self, start: NodeId) -> Option<&Timeline> {
-        self.slots[start].get()
+        self.slots[self.slot(start)].get()
     }
 
-    /// Every recorded `(start node, timeline)` pair, in node order — what a
-    /// persistent store serialises after a sweep.
+    /// Every recorded `(representative, timeline)` pair, in node order —
+    /// what a persistent store serialises after a sweep.
     pub fn computed_timelines(&self) -> impl Iterator<Item = (NodeId, &Timeline)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(u, slot)| slot.get().map(|t| (u, t)))
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| slot.get().map(|t| (self.orbits.orbit_representative(i), t)))
     }
 
-    /// `true` when `start` already holds an explicit timeline (recorded or
-    /// preloaded), without recording one.
+    /// `true` when `start`'s orbit already holds an explicit timeline
+    /// (recorded or preloaded), without recording one.
     pub fn has_timeline(&self, start: NodeId) -> bool {
-        self.slots[start].get().is_some()
+        self.get(start).is_some()
     }
 
-    /// Install a previously recorded timeline for `start` (a warm persistent
-    /// cache restoring trajectories from disk), so later queries skip the
-    /// program execution entirely.
+    /// Install a previously recorded timeline of the orbit representative
+    /// `start` (a warm persistent cache restoring trajectories from disk),
+    /// so later queries skip the program execution entirely.
     ///
     /// Returns `false` — leaving the cache untouched — when the timeline
-    /// cannot stand in for a fresh recording: wrong graph size, a recorded
-    /// horizon below this cache's, or a slot that is already populated.
-    /// Rejection is not an error; the affected node simply falls back to
-    /// recording on first use.
+    /// cannot stand in for a fresh recording: a start that is not its
+    /// orbit's representative, wrong graph size, a recorded horizon below
+    /// this cache's, or a slot that is already populated.  Rejection is not
+    /// an error; the affected orbit simply falls back to recording on first
+    /// use.
     pub fn preload(&self, start: NodeId, timeline: Timeline) -> bool {
         if start >= self.graph.num_nodes()
+            || !self.orbits.is_representative(start)
             || timeline.num_graph_nodes() != self.graph.num_nodes()
             || timeline.recorded_horizon() < self.horizon
         {
             return false;
         }
-        self.slots[start].set(timeline).is_ok()
+        self.slots[self.slot(start)].set(timeline).is_ok()
     }
 
-    /// Record every start node's timeline (sequentially; parallel callers
-    /// can equivalently fan `timeline` calls out over their own thread
-    /// pool).
+    /// Record every orbit representative's timeline (sequentially; parallel
+    /// callers can equivalently fan `timeline` calls out over their own
+    /// thread pool).
     pub fn warm_all(&self) {
-        for u in 0..self.graph.num_nodes() {
-            self.timeline(u);
+        for i in 0..self.slots.len() {
+            self.timeline(self.orbits.orbit_representative(i));
         }
     }
 
-    /// The symbolic (prefix + cycle) timeline of `start`, detecting it on
-    /// first use.  `None` when the program has no finite-state view or the
-    /// budgeted cycle detection did not converge; the failure is cached, so
-    /// the search runs at most once per start.
+    /// The symbolic (prefix + cycle) timeline serving `start` — its orbit
+    /// representative's — detecting it on first use.  `None` when the
+    /// program has no finite-state view or the budgeted cycle detection did
+    /// not converge; the failure is cached, so the search runs at most once
+    /// per orbit.
     pub fn symbolic_timeline(&self, start: NodeId) -> Option<&SymbolicTimeline> {
-        assert!(start < self.graph.num_nodes(), "start node out of range");
+        let slot = self.slot(start);
         let fs = self.program.finite_state()?;
-        self.symbolic[start].get_or_init(|| detect_symbolic(self.graph, fs, start)).as_ref()
+        let rep = self.orbits.representative(start);
+        self.symbolic[slot].get_or_init(|| detect_symbolic(self.graph, fs, rep)).as_ref()
     }
 
-    /// The already-detected symbolic timeline of `start`, without running a
-    /// detection.
+    /// The already-detected symbolic timeline serving `start`, without
+    /// running a detection.
     pub fn get_symbolic(&self, start: NodeId) -> Option<&SymbolicTimeline> {
-        self.symbolic[start].get().and_then(|s| s.as_ref())
+        self.symbolic[self.slot(start)].get().and_then(|s| s.as_ref())
     }
 
-    /// Number of start nodes holding a symbolic timeline (detected or
+    /// Number of node orbits holding a symbolic timeline (detected or
     /// preloaded) so far.
     pub fn computed_symbolic(&self) -> usize {
         self.symbolic.iter().filter(|s| s.get().is_some_and(|o| o.is_some())).count()
     }
 
-    /// Every held `(start node, symbolic timeline)` pair, in node order —
-    /// what a persistent store serialises after a symbolic sweep.
+    /// Every held `(representative, symbolic timeline)` pair, in node order
+    /// — what a persistent store serialises after a symbolic sweep.
     pub fn computed_symbolic_timelines(
         &self,
     ) -> impl Iterator<Item = (NodeId, &SymbolicTimeline)> + '_ {
-        self.symbolic
-            .iter()
-            .enumerate()
-            .filter_map(|(u, slot)| slot.get().and_then(|o| o.as_ref()).map(|s| (u, s)))
+        self.symbolic.iter().enumerate().filter_map(|(i, slot)| {
+            slot.get().and_then(|o| o.as_ref()).map(|s| (self.orbits.orbit_representative(i), s))
+        })
     }
 
-    /// Install a previously detected symbolic timeline for `start` (a warm
-    /// persistent cache restoring cycle structure from disk), so later
-    /// symbolic queries skip the detection entirely.  Returns `false` —
-    /// leaving the cache untouched — on a graph-size mismatch or an already
-    /// populated slot; rejection is not an error, the node simply falls back
-    /// to detection on first use.
+    /// Install a previously detected symbolic timeline of the orbit
+    /// representative `start` (a warm persistent cache restoring cycle
+    /// structure from disk), so later symbolic queries skip the detection
+    /// entirely.  Returns `false` — leaving the cache untouched — for a
+    /// start that is not its orbit's representative, on a graph-size
+    /// mismatch or for an already populated slot; rejection is not an
+    /// error, the orbit simply falls back to detection on first use.
     pub fn preload_symbolic(&self, start: NodeId, symbolic: SymbolicTimeline) -> bool {
-        if start >= self.graph.num_nodes() || symbolic.num_graph_nodes() != self.graph.num_nodes() {
+        if start >= self.graph.num_nodes()
+            || !self.orbits.is_representative(start)
+            || symbolic.num_graph_nodes() != self.graph.num_nodes()
+        {
             return false;
         }
-        self.symbolic[start].set(Some(symbolic)).is_ok()
+        self.symbolic[self.slot(start)].set(Some(symbolic)).is_ok()
+    }
+
+    /// Pull an outcome of the world where `u` sits at its representative
+    /// back into `u`'s world: the meeting node is the only orbit-variant
+    /// field, and it maps through `π_u⁻¹`.
+    fn pull_back(&self, u: NodeId, mut outcome: SimOutcome) -> SimOutcome {
+        if let Some(m) = outcome.meeting.as_mut() {
+            m.node = self.orbits.from_representative(u, m.node);
+        }
+        outcome
     }
 
     /// Resolve one STIC through the symbolic path at an arbitrary `horizon`
@@ -1061,7 +1191,9 @@ impl<'a> TrajectoryCache<'a> {
         }
         let earlier = self.symbolic_timeline(stic.earlier)?;
         let later = self.symbolic_timeline(stic.later)?;
-        merge_symbolic(earlier, later, stic, horizon)
+        let map = self.orbits.relabel(stic.earlier, stic.later);
+        merge_symbolic_mapped(earlier, later, |x| map.apply(x), stic, horizon)
+            .map(|o| self.pull_back(stic.earlier, o))
     }
 
     /// Simulate one STIC at the cache horizon.
@@ -1090,7 +1222,10 @@ impl<'a> TrajectoryCache<'a> {
                 return outcome;
             }
         }
-        merge_timelines(self.timeline(stic.earlier), self.timeline(stic.later), stic, horizon)
+        let (earlier, later) = (self.timeline(stic.earlier), self.timeline(stic.later));
+        let map = self.orbits.relabel(stic.earlier, stic.later);
+        let outcome = merge_timelines_mapped(earlier, later, |x| map.apply(x), stic, horizon);
+        self.pull_back(stic.earlier, outcome)
     }
 
     /// Simulate one `(u, v)` pair under **every** delay in `deltas` in a
@@ -1132,7 +1267,12 @@ impl<'a> TrajectoryCache<'a> {
                 return outcomes;
             }
         }
-        merge_timelines_deltas(self.timeline(u), self.timeline(v), deltas, horizon)
+        let (earlier, later) = (self.timeline(u), self.timeline(v));
+        let map = self.orbits.relabel(u, v);
+        merge_timelines_deltas_mapped(earlier, later, |x| map.apply(x), deltas, horizon)
+            .into_iter()
+            .map(|o| self.pull_back(u, o))
+            .collect()
     }
 }
 
@@ -1152,9 +1292,23 @@ pub struct SweepEngine<'a> {
 }
 
 impl<'a> SweepEngine<'a> {
-    /// Create an engine for sweeping STICs of `graph` under `program`.
+    /// Create an engine for sweeping STICs of `graph` under `program`; its
+    /// cache computes the node orbits of `graph`'s group.
     pub fn new(graph: &'a PortGraph, program: &'a dyn AgentProgram, config: EngineConfig) -> Self {
         SweepEngine { cache: TrajectoryCache::new(graph, program, config.horizon), config }
+    }
+
+    /// Create an engine over node orbits the caller already holds (they
+    /// must belong to `graph`) — what a planner that computed the group
+    /// passes down.
+    pub fn with_orbits(
+        graph: &'a PortGraph,
+        program: &'a dyn AgentProgram,
+        config: EngineConfig,
+        orbits: Arc<NodeOrbits>,
+    ) -> Self {
+        let cache = TrajectoryCache::with_orbits(graph, program, config.horizon, orbits);
+        SweepEngine { cache, config }
     }
 
     /// The underlying trajectory cache.
@@ -1222,19 +1376,6 @@ impl<'a> SweepEngine<'a> {
     }
 }
 
-/// Simulate a single STIC through the batch engine (both agents run
-/// `program`).  One-shot convenience over [`TrajectoryCache`]; sweeps should
-/// hold on to a cache (or a [`SweepEngine`]) instead, which is where the
-/// `O(n)`-executions-per-graph payoff comes from.
-pub fn simulate_batch(
-    g: &PortGraph,
-    program: &dyn AgentProgram,
-    stic: &Stic,
-    horizon: Round,
-) -> SimOutcome {
-    TrajectoryCache::new(g, program, horizon).simulate(stic)
-}
-
 /// Batch path of [`simulate_with`] (`EngineMode::Batch` with possibly
 /// different programs per agent): record the two timelines and merge.
 pub(crate) fn simulate_batch_with(
@@ -1254,7 +1395,9 @@ mod tests {
     use super::*;
     use crate::engine::simulate;
     use crate::navigator::Navigator;
-    use anonrv_graph::generators::{oriented_ring, oriented_torus, two_node_graph};
+    use anonrv_graph::generators::{
+        oriented_ring, oriented_torus, symmetric_double_tree, two_node_graph,
+    };
 
     fn mover() -> impl AgentProgram {
         |nav: &mut dyn Navigator| -> Result<(), Stop> {
@@ -1312,7 +1455,7 @@ mod tests {
             (&ring, Stic::new(0, 2, 1_000), 10),
         ];
         for (g, stic, horizon) in cases {
-            let batch = simulate_batch(g, &mover(), &stic, horizon);
+            let batch = TrajectoryCache::new(g, &mover(), horizon).simulate(&stic);
             let reference = simulate(g, &mover(), &stic, horizon);
             assert_eq!(batch, reference, "{stic} horizon {horizon}");
         }
@@ -1335,18 +1478,33 @@ mod tests {
 
     #[test]
     fn cache_records_each_start_node_at_most_once() {
-        let g = oriented_torus(3, 4).unwrap();
-        let program = mover();
-        let cache = TrajectoryCache::new(&g, &program, 64);
-        assert_eq!(cache.computed(), 0);
-        cache.simulate(&Stic::new(0, 5, 1));
-        assert_eq!(cache.computed(), 2);
-        cache.simulate(&Stic::new(0, 5, 3));
-        cache.simulate(&Stic::new(5, 0, 2));
-        assert_eq!(cache.computed(), 2);
-        cache.warm_all();
-        assert_eq!(cache.computed(), g.num_nodes());
-        assert_eq!(cache.recorded(), g.num_nodes());
+        // one recording per node orbit: the torus translations make every
+        // node one orbit, the double-tree mirror pairs them up
+        let torus = oriented_torus(3, 4).unwrap();
+        let (tree, _) = symmetric_double_tree(2, 2).unwrap();
+        for (g, orbits) in [(&torus, 1), (&tree, tree.num_nodes() / 2)] {
+            let program = mover();
+            let cache = TrajectoryCache::new(g, &program, 64);
+            assert_eq!(cache.node_orbits().num_orbits(), orbits);
+            assert_eq!(cache.computed(), 0);
+            let (u, v) = (0, g.num_nodes() - 1);
+            cache.simulate(&Stic::new(u, v, 1));
+            let first = cache.computed();
+            let same_orbit =
+                cache.node_orbits().orbit_index(u) == cache.node_orbits().orbit_index(v);
+            assert_eq!(first, if same_orbit { 1 } else { 2 });
+            cache.simulate(&Stic::new(u, v, 3));
+            cache.simulate(&Stic::new(v, u, 2));
+            assert_eq!(cache.computed(), first);
+            cache.warm_all();
+            assert_eq!(cache.computed(), orbits);
+            assert_eq!(cache.recorded(), orbits);
+            // every node resolves to its representative's recording
+            for a in g.nodes() {
+                let rep = cache.node_orbits().representative(a);
+                assert!(std::ptr::eq(cache.timeline(a), cache.timeline(rep)));
+            }
+        }
     }
 
     #[test]
@@ -1358,7 +1516,8 @@ mod tests {
             for delay in [0 as Round, 1, 5] {
                 let stic = Stic::new(0, 3, delay);
                 let capped = cache.simulate_capped(&stic, horizon);
-                let fresh = simulate_batch(&g, &program, &stic, horizon);
+                let fresh =
+                    simulate_with(&g, &program, &program, &stic, EngineConfig::batch(horizon));
                 let lockstep =
                     simulate_with(&g, &program, &program, &stic, EngineConfig::lockstep(horizon));
                 assert_eq!(capped, fresh, "{stic} horizon {horizon}");
@@ -1377,7 +1536,8 @@ mod tests {
         let a = auto.simulate(&stic);
         let b = pinned.simulate(&stic);
         assert_eq!(a, b);
-        assert_eq!(auto.cache().computed(), 2);
+        // the ring's rotations make both starts one orbit
+        assert_eq!(auto.cache().computed(), 1);
         assert_eq!(pinned.cache().computed(), 0);
     }
 
@@ -1631,31 +1791,44 @@ mod tests {
 
     #[test]
     fn preload_installs_compatible_timelines_and_rejects_the_rest() {
-        let g = oriented_ring(6).unwrap();
+        // the double-tree mirror pairs the nodes into orbits of two
+        let (g, mirror) = symmetric_double_tree(2, 2).unwrap();
         let program = mover();
         let cache = TrajectoryCache::new(&g, &program, 50);
+        let orbits = cache.node_orbits();
+        let (a, b) = (0, 1);
+        assert!(orbits.is_representative(a) && orbits.is_representative(b));
+        assert_ne!(mirror[a], a);
         // a timeline recorded at a *larger* horizon is an exact superset
-        let longer = Timeline::record(&g, &program, 2, 80);
-        assert!(cache.preload(2, longer));
+        let longer = Timeline::record(&g, &program, a, 80);
+        assert!(cache.preload(a, longer));
         assert_eq!(cache.computed(), 1);
-        assert!(cache.get(2).is_some());
-        assert!(cache.get(3).is_none());
+        assert!(cache.get(a).is_some());
+        // the mirror image of `a` is served by `a`'s recording
+        assert!(cache.get(mirror[a]).is_some());
+        assert!(cache.get(b).is_none());
         // occupied slot
-        assert!(!cache.preload(2, Timeline::record(&g, &program, 2, 80)));
+        assert!(!cache.preload(a, Timeline::record(&g, &program, a, 80)));
+        // not a representative: its walk is not the one the slot serves
+        let fresh = TrajectoryCache::new(&g, &program, 50);
+        assert!(!fresh.preload(mirror[b], Timeline::record(&g, &program, mirror[b], 80)));
         // too-short recording
-        assert!(!cache.preload(3, Timeline::record(&g, &program, 3, 10)));
+        assert!(!cache.preload(b, Timeline::record(&g, &program, b, 10)));
         // wrong graph size
         let other = oriented_ring(5).unwrap();
-        assert!(!cache.preload(4, Timeline::record(&other, &program, 4, 80)));
-        // the preloaded slot answers queries bit-identically to a fresh cache
-        let fresh = TrajectoryCache::new(&g, &program, 50);
-        for delta in [0 as Round, 2, 5] {
-            let stic = Stic::new(2, 4, delta);
-            assert_eq!(cache.simulate(&stic), fresh.simulate(&stic));
+        assert!(!cache.preload(b, Timeline::record(&other, &program, b, 80)));
+        // the preloaded slot answers queries bit-identically to a fresh
+        // cache and to the per-call engine, on both sides of the mirror
+        for (u, v) in [(a, b), (mirror[a], b), (mirror[a], mirror[b]), (b, mirror[a])] {
+            for delta in [0 as Round, 2, 5] {
+                let stic = Stic::new(u, v, delta);
+                assert_eq!(cache.simulate(&stic), fresh.simulate(&stic));
+                assert_eq!(cache.simulate(&stic), simulate(&g, &program, &stic, 50));
+            }
         }
         assert_eq!(
             cache.computed_timelines().map(|(u, _)| u).collect::<Vec<_>>(),
-            vec![2, 4],
+            vec![a, b],
             "computed_timelines reports recorded slots in node order"
         );
         assert_eq!(cache.recorded(), 1, "the preloaded slot was not recorded");

@@ -17,8 +17,8 @@
 //! * **Batch** ([`crate::batch`]) — records *both* agents' timelines in the
 //!   lockstep engine's segment representation and merges them; on its own it
 //!   buys nothing over lockstep, but the recorded timelines are exactly what
-//!   [`crate::batch::TrajectoryCache`] memoizes per start node, turning an
-//!   all-pairs sweep's `O(n²·Δ)` program executions into `O(n)`.
+//!   [`crate::batch::TrajectoryCache`] memoizes per node orbit, turning an
+//!   all-pairs sweep's `O(n²·Δ)` program executions into `|V/Aut| <= n`.
 //!
 //! [`EngineMode`] selects the strategy; the default [`EngineMode::Auto`]
 //! uses lockstep whenever `horizon ≤ 2¹⁶` (so the recorded timeline stays

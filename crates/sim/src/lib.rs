@@ -31,15 +31,17 @@
 //!     timeline and streams the later agent against it on a single thread —
 //!     no thread/channel setup, which is what dominates short-horizon
 //!     per-call sweeps;
-//!   * the **batch** engine ([`batch`]) records *every* start node's
-//!     timeline at most once in a [`TrajectoryCache`] and answers each
-//!     `(u, v, δ)` STIC by merging two cached timelines — a two-cursor
-//!     sort-merge per STIC ([`merge_timelines`]), or one δ-sweep pass per
-//!     pair that binary-probes the earlier timeline's segment-sized visit
-//!     index ([`merge_timelines_deltas_mapped`]) — `O(n)` program
-//!     executions per graph instead of `O(n²·Δ)`, and nothing per timeline
+//!   * the **batch** engine ([`batch`]) records one timeline per node orbit
+//!     of the graph's automorphism group, at most once, in a
+//!     [`TrajectoryCache`] and answers each `(u, v, δ)` STIC by merging the
+//!     two starts' orbit recordings, the later one read through the
+//!     witnessing automorphisms — a two-cursor sort-merge per STIC
+//!     ([`merge_timelines`]), or one δ-sweep pass per pair that
+//!     binary-probes the earlier timeline's segment-sized visit index
+//!     ([`merge_timelines_deltas_mapped`]) — `|V/Aut|` program executions
+//!     per graph instead of `O(n²·Δ)`, and nothing per timeline
 //!     sized by the graph, which is what all-pairs × delays sweep workloads
-//!     need ([`SweepEngine`], [`simulate_batch`]);
+//!     need ([`SweepEngine`]);
 //!
 //!   [`EngineMode::Auto`] (the default) picks lockstep for per-call horizons
 //!   up to `2¹⁶`, streaming beyond, and the batch path whenever the caller
@@ -76,8 +78,8 @@ pub mod trace;
 pub mod workload;
 
 pub use batch::{
-    merge_timelines, merge_timelines_deltas, merge_timelines_deltas_mapped, simulate_batch,
-    SweepEngine, Timeline, TimelineParts, TimelineSeg, TrajectoryCache, UNROLL_CAP,
+    merge_timelines, merge_timelines_deltas, merge_timelines_deltas_mapped, SweepEngine, Timeline,
+    TimelineParts, TimelineSeg, TrajectoryCache, UNROLL_CAP,
 };
 pub use engine::{simulate, simulate_with, EngineConfig, EngineMode, Meeting, SimOutcome};
 pub use navigator::{

@@ -88,7 +88,7 @@
 
 use anonrv_graph::{NodeId, Port, PortGraph};
 
-use crate::batch::{merge_forward, SegCursor, Timeline, TimelineParts, TimelineSeg};
+use crate::batch::{merge_forward, Relabelled, SegCursor, Timeline, TimelineParts, TimelineSeg};
 use crate::engine::{Meeting, SimOutcome};
 use crate::navigator::{drive_finite_state, FiniteStateProgram, Navigator, StepAction, Stop};
 use crate::stic::{Round, Stic};
@@ -807,6 +807,21 @@ pub fn merge_symbolic(
     stic: &Stic,
     horizon: Round,
 ) -> Option<SimOutcome> {
+    merge_symbolic_mapped(earlier, later, |v| v, stic, horizon)
+}
+
+/// [`merge_symbolic`] against a **node-relabelled** `later`: bit-identical
+/// to merging against a copy of `later` whose nodes were rewritten through
+/// `map`.  The relabelling touches nodes only, never the cycle structure,
+/// so the delay reduction and the alignment window are those of the
+/// unmapped timelines.  The meeting node comes from `earlier`.
+pub(crate) fn merge_symbolic_mapped(
+    earlier: &SymbolicTimeline,
+    later: &SymbolicTimeline,
+    map: impl Fn(usize) -> usize,
+    stic: &Stic,
+    horizon: Round,
+) -> Option<SimOutcome> {
     debug_assert_eq!(earlier.n, later.n, "timelines of one graph");
     if stic.delay > horizon {
         return Some(SimOutcome::no_show(horizon));
@@ -824,7 +839,7 @@ pub fn merge_symbolic(
     };
     if shift > 0 {
         let reduced = Stic { delay: stic.delay - shift, ..*stic };
-        let probe = merge_aligned(earlier, later, &reduced, horizon - shift)?;
+        let probe = merge_aligned(earlier, later, &map, &reduced, horizon - shift)?;
         // Map back: the meeting (if any) moves forward by `shift` global
         // rounds on the same node at the same later-agent local round, and
         // the earlier agent walks `shift / T_a` extra cycles — each worth
@@ -844,7 +859,7 @@ pub fn merge_symbolic(
             ..probe
         });
     }
-    merge_aligned(earlier, later, stic, horizon)
+    merge_aligned(earlier, later, &map, stic, horizon)
 }
 
 /// [`merge_symbolic`] after delay reduction: `δ < p_a + T_a` (or the earlier
@@ -856,6 +871,7 @@ pub fn merge_symbolic(
 fn merge_aligned(
     earlier: &SymbolicTimeline,
     later: &SymbolicTimeline,
+    map: impl Fn(usize) -> usize,
     stic: &Stic,
     horizon: Round,
 ) -> Option<SimOutcome> {
@@ -879,7 +895,8 @@ fn merge_aligned(
     }
     // a meeting found is final at every larger horizon; none found reports
     // the exact (saturating, see `totals_up_to`) closed-form move totals
-    Some(merge_forward(Unroll::new(earlier), Unroll::new(later), stic.delay, search_to, horizon))
+    let later = Relabelled { cursor: Unroll::new(later), map };
+    Some(merge_forward(Unroll::new(earlier), later, stic.delay, search_to, horizon))
 }
 
 #[cfg(test)]
@@ -888,7 +905,7 @@ mod tests {
     use crate::batch::{merge_timelines, TrajectoryCache, UNROLL_CAP};
     use crate::navigator::{drive_finite_state, AgentProgram, StepDecision};
     use crate::workload::SweepWalker;
-    use anonrv_graph::generators::{circulant, oriented_ring};
+    use anonrv_graph::generators::{circulant, grid, oriented_ring};
 
     /// Always traverse port 0; machine state is constant.
     struct Rotor;
@@ -1134,9 +1151,11 @@ mod tests {
 
     #[test]
     fn a_materialised_timeline_is_not_a_recording() {
-        let g = oriented_ring(8).unwrap();
+        // a grid's group is trivial: every node is its own orbit
+        let g = grid(3, 3).unwrap();
         let walker = SweepWalker { seed: 0x5EED };
         let cache = TrajectoryCache::new(&g, &walker, 256);
+        assert_eq!(cache.node_orbits().num_orbits(), g.num_nodes());
         assert!(cache.preload_symbolic(0, detect_symbolic(&g, &walker, 0).unwrap()));
         // node 0 materialises from its symbolic timeline, node 1 records
         cache.simulate(&Stic::new(0, 1, 2));
@@ -1166,9 +1185,10 @@ mod tests {
                 }
             }
         }
-        // no explicit timeline was ever recorded at the astronomical horizon
+        // no explicit timeline was ever recorded at the astronomical horizon,
+        // and the ring's one node orbit detected its cycle structure once
         assert_eq!(cache.computed(), 0);
-        assert_eq!(cache.computed_symbolic(), 8);
+        assert_eq!(cache.computed_symbolic(), 1);
     }
 
     #[test]

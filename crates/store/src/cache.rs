@@ -73,6 +73,7 @@
 //! one way to poison this cache; key discipline is the caller's contract,
 //! everything else is verified.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -124,9 +125,14 @@ pub struct WarmedTimelines {
     /// trajectory cache.  A symbolic timeline is horizon-free, so it serves
     /// every query horizon; on the explicit merge path (engine horizons
     /// within the unroll cap) the trajectory cache materialises its
-    /// engine-horizon prefix lazily on the node's first query — never
+    /// engine-horizon prefix lazily on the orbit's first query — never
     /// counted in `installed`, which only covers explicit frames.
     pub symbolic: usize,
+    /// Stored entries (explicit or symbolic) of nodes that are not their
+    /// orbit's representative — frames written by builds that recorded
+    /// every start node hold them.  Never installed; the next
+    /// [`Store::persist_engine`] drops them.
+    pub foreign: usize,
 }
 
 /// A content-addressed directory of planning artifacts.  See the module
@@ -432,18 +438,26 @@ impl Store {
     }
 
     /// Preload a sweep engine's trajectory cache from the store.  Every
-    /// stored timeline whose recorded horizon covers the engine's is
-    /// installed **as-is** — a recording longer than the engine horizon is
-    /// not copied down, because the merge kernels clip every query at its
-    /// own horizon, which is exact (and bit-identical to a cold recording
-    /// at that horizon) because truncated runs are prefixes.  Queries on
-    /// installed start nodes skip program execution entirely.
+    /// stored timeline of a node-orbit representative whose recorded
+    /// horizon covers the engine's is installed **as-is** — a recording
+    /// longer than the engine horizon is not copied down, because the merge
+    /// kernels clip every query at its own horizon, which is exact (and
+    /// bit-identical to a cold recording at that horizon) because truncated
+    /// runs are prefixes.  Queries on installed orbits skip program
+    /// execution entirely.  Entries of other nodes — frames written by
+    /// builds that recorded every start node hold them — are not installed
+    /// (the cache serves those nodes from their representative's).
     pub fn warm_engine(&self, engine: &SweepEngine<'_>, program_key: &str) -> WarmedTimelines {
         let cache = engine.cache();
         let horizon = cache.horizon();
         let mut warmed = WarmedTimelines::default();
+        let orbits = cache.node_orbits();
         if let Some(timelines) = self.load_timelines(cache.graph(), program_key) {
             for (u, t) in timelines {
+                if !orbits.is_representative(u) {
+                    warmed.foreign += 1;
+                    continue;
+                }
                 if t.recorded_horizon() < horizon {
                     continue; // too short to stand in for a fresh recording
                 }
@@ -459,13 +473,15 @@ impl Store {
         // cycle merge directly; within it the symbolic artifact supersedes
         // an absent (or too-short) explicit recording — the trajectory
         // cache materialises the engine-horizon prefix **lazily, on the
-        // first explicit-path query of the node** (exact, and free of
+        // first explicit-path query of the orbit** (exact, and free of
         // program execution; see `TrajectoryCache::timeline`).  Warm time
         // therefore stays proportional to the artifact, not to
-        // `nodes × horizon` of unrolled segments nobody may ever query.
+        // `orbits × horizon` of unrolled segments nobody may ever query.
         if let Some(symbolics) = self.load_symbolic_timelines(cache.graph(), program_key) {
             for (u, s) in symbolics {
-                if cache.preload_symbolic(u, s) {
+                if !orbits.is_representative(u) {
+                    warmed.foreign += 1;
+                } else if cache.preload_symbolic(u, s) {
                     warmed.symbolic += 1;
                 }
             }
@@ -473,47 +489,46 @@ impl Store {
         warmed
     }
 
-    /// Persist every timeline a sweep engine has recorded so far, merged
-    /// with whatever the store already holds for the same key (so shard
-    /// processes touching different classes accumulate one shared
-    /// artifact).  Per start node the **longer** recording wins — a fresh
-    /// recording supersedes a shorter one on disk in place, and a longer
-    /// recording on disk is never clobbered by a shorter in-memory one
-    /// (both are prefixes of the same run, so nothing is ever lost).  The
-    /// read-merge-write sequence runs under an advisory lock so concurrent
-    /// shards cannot drop each other's contributions.  Returns the number
-    /// of timelines in the written artifact.
+    /// Persist every timeline a sweep engine has recorded so far — one per
+    /// node orbit, keyed by its representative — merged with whatever the
+    /// store already holds for the same key (so shard processes touching
+    /// different classes accumulate one shared artifact).  Per
+    /// representative the **longer** recording wins — a fresh recording
+    /// supersedes a shorter one on disk in place, and a longer recording on
+    /// disk is never clobbered by a shorter in-memory one (both are
+    /// prefixes of the same run, so nothing is ever lost).  Entries of
+    /// non-representative nodes on disk are dropped: the written frame
+    /// holds one entry per node orbit.  An engine holding no explicit
+    /// timeline (a purely symbolic sweep) rewrites the artifact only to drop
+    /// such entries.  The read-merge-write sequence runs under an advisory
+    /// lock so concurrent shards cannot drop each other's contributions.
+    /// Returns the number of timelines in the artifact.
     pub fn persist_engine(&self, engine: &SweepEngine<'_>, program_key: &str) -> io::Result<usize> {
         let cache = engine.cache();
         let g = cache.graph();
         if cache.computed_symbolic() > 0 {
             self.persist_symbolic(engine, program_key)?;
         }
-        if cache.computed() == 0 {
-            // a purely symbolic sweep recorded no explicit timelines; skip
-            // the read-merge-write round trip on the explicit artifact
-            return Ok(0);
-        }
+        let orbits = cache.node_orbits();
         self.with_lock(&self.timelines_path(g, program_key), || {
-            let mut merged: Vec<Option<Timeline>> = vec![None; g.num_nodes()];
-            if let Some(existing) = self.load_timelines(g, program_key) {
-                for (u, t) in existing {
-                    merged[u] = Some(t);
-                }
+            let existing = self.load_timelines(g, program_key).unwrap_or_default();
+            let stale = existing.iter().any(|(u, _)| !orbits.is_representative(*u));
+            if cache.computed() == 0 && !stale {
+                // nothing to add and nothing to drop: the artifact stands
+                return Ok(existing.len());
             }
+            let mut merged: BTreeMap<NodeId, Timeline> =
+                existing.into_iter().filter(|(u, _)| orbits.is_representative(*u)).collect();
             for (u, t) in cache.computed_timelines() {
                 // keep the longer recording; at equal horizons the contents
                 // are identical (programs being deterministic)
-                let keep_fresh = merged[u]
-                    .as_ref()
-                    .is_none_or(|old| old.recorded_horizon() <= t.recorded_horizon());
+                let keep_fresh =
+                    merged.get(&u).is_none_or(|old| old.recorded_horizon() <= t.recorded_horizon());
                 if keep_fresh {
-                    merged[u] = Some(t.clone());
+                    merged.insert(u, t.clone());
                 }
             }
-            let owned: Vec<(NodeId, Timeline)> =
-                merged.into_iter().enumerate().filter_map(|(u, t)| t.map(|t| (u, t))).collect();
-            let borrowed: Vec<(NodeId, &Timeline)> = owned.iter().map(|(u, t)| (*u, t)).collect();
+            let borrowed: Vec<(NodeId, &Timeline)> = merged.iter().map(|(u, t)| (*u, t)).collect();
             self.save_timelines(g, program_key, &borrowed)?;
             Ok(borrowed.len())
         })
@@ -572,14 +587,16 @@ impl Store {
         Ok(path)
     }
 
-    /// Persist every symbolic timeline a sweep engine has detected so far,
-    /// merged with whatever the store already holds for the same key.  A
-    /// symbolic timeline is horizon-free (it already serves every horizon),
-    /// so there is no longest-wins comparison: per start node an existing
+    /// Persist every symbolic timeline a sweep engine has detected so far
+    /// (one per node orbit, keyed by its representative), merged with
+    /// whatever the store already holds for the same key.  A symbolic
+    /// timeline is horizon-free (it already serves every horizon), so there
+    /// is no longest-wins comparison: per representative an existing
     /// on-disk entry is kept as-is (detection being deterministic, a fresh
-    /// one is identical) and only absent nodes are added.  Runs under the
-    /// same advisory-lock discipline as [`Store::persist_engine`].  Returns
-    /// the number of entries in the written artifact.
+    /// one is identical) and only absent ones are added; entries of
+    /// non-representative nodes on disk are dropped.  Runs under the same
+    /// advisory-lock discipline as [`Store::persist_engine`].  Returns the
+    /// number of entries in the written artifact.
     pub fn persist_symbolic(
         &self,
         engine: &SweepEngine<'_>,
@@ -587,22 +604,17 @@ impl Store {
     ) -> io::Result<usize> {
         let cache = engine.cache();
         let g = cache.graph();
+        let orbits = cache.node_orbits();
         self.with_lock(&self.symbolic_path(g, program_key), || {
-            let mut merged: Vec<Option<SymbolicTimeline>> = vec![None; g.num_nodes()];
+            let mut merged: BTreeMap<NodeId, SymbolicTimeline> = BTreeMap::new();
             if let Some(existing) = self.load_symbolic_timelines(g, program_key) {
-                for (u, s) in existing {
-                    merged[u] = Some(s);
-                }
+                merged.extend(existing.into_iter().filter(|(u, _)| orbits.is_representative(*u)));
             }
             for (u, s) in cache.computed_symbolic_timelines() {
-                if merged[u].is_none() {
-                    merged[u] = Some(s.clone());
-                }
+                merged.entry(u).or_insert_with(|| s.clone());
             }
-            let owned: Vec<(NodeId, SymbolicTimeline)> =
-                merged.into_iter().enumerate().filter_map(|(u, s)| s.map(|s| (u, s))).collect();
             let borrowed: Vec<(NodeId, &SymbolicTimeline)> =
-                owned.iter().map(|(u, s)| (*u, s)).collect();
+                merged.iter().map(|(u, s)| (*u, s)).collect();
             self.save_symbolic_timelines(g, program_key, &borrowed)?;
             Ok(borrowed.len())
         })
@@ -1625,8 +1637,9 @@ impl TableFingerprinter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{OutcomeProvenance, SweepSession};
     use crate::testutil::{TempDir, Walker};
-    use anonrv_graph::generators::{oriented_ring, oriented_torus};
+    use anonrv_graph::generators::{grid, oriented_ring, oriented_torus, symmetric_double_tree};
     use anonrv_plan::PlannedSweep;
     use anonrv_sim::{EngineConfig, Stic};
 
@@ -1703,7 +1716,8 @@ mod tests {
     fn longer_recordings_supersede_shorter_ones_in_place_and_never_vice_versa() {
         let dir = TempDir::new("timeline-supersede");
         let store = store_in(&dir);
-        let g = oriented_ring(8).unwrap();
+        // a grid's group is trivial: every node is its own orbit
+        let g = grid(3, 4).unwrap();
         let program = Walker { seed: 7 };
         let key = "test-walker-7";
 
@@ -1738,7 +1752,8 @@ mod tests {
     fn concurrent_persists_union_instead_of_last_writer_wins() {
         let dir = TempDir::new("concurrent-persist");
         let store = store_in(&dir);
-        let g = oriented_torus(3, 4).unwrap();
+        // a grid's group is trivial: every node is its own orbit
+        let g = grid(3, 4).unwrap();
         let program = Walker { seed: 3 };
         let key = "test-walker-3";
         // two "shard processes" record disjoint start nodes ...
@@ -2144,6 +2159,126 @@ mod tests {
         let report = store.fsck(true).unwrap();
         assert_eq!((report.valid, report.corrupt, report.quarantined), (1, 0, 0), "{report:?}");
         assert_eq!(store.load_timelines(&g, key).map(|t| t.len()), Some(1));
+    }
+
+    #[test]
+    fn per_node_frames_of_older_builds_warm_their_representatives_and_shrink_on_persist() {
+        // builds that recorded every start node wrote one entry per node;
+        // such a frame is still format-valid, serves its representative
+        // entries, and the next persist keeps only those
+        let torus = oriented_torus(3, 4).unwrap();
+        let (tree, _) = symmetric_double_tree(2, 2).unwrap();
+        for g in [&torus, &tree] {
+            let dir = TempDir::new("per-node-frame");
+            let store = store_in(&dir);
+            let program = Walker { seed: 0x5EED };
+            let key = "test-walker-5eed";
+            let per_node: Vec<Timeline> =
+                g.nodes().map(|u| Timeline::record(g, &program, u, 64)).collect();
+            let entries: Vec<(NodeId, &Timeline)> = per_node.iter().enumerate().collect();
+            store.save_timelines(g, key, &entries).unwrap();
+            assert_eq!(store.fsck(false).unwrap().corrupt, 0, "a per-node frame is well-formed");
+
+            let engine = SweepEngine::new(g, &program, EngineConfig::batch(64));
+            let orbits = engine.cache().node_orbits();
+            assert!(orbits.num_orbits() < g.num_nodes());
+            let warmed = store.warm_engine(&engine, key);
+            assert_eq!(warmed.installed, orbits.num_orbits());
+            assert_eq!(warmed.foreign, g.num_nodes() - orbits.num_orbits());
+            let reps: Vec<NodeId> = engine.cache().computed_timelines().map(|(u, _)| u).collect();
+            assert!(reps.iter().all(|&u| orbits.is_representative(u)));
+            assert_eq!(reps.len(), orbits.num_orbits());
+            // the warm engine answers every pair without recording
+            for u in g.nodes() {
+                for v in g.nodes() {
+                    let stic = Stic::new(u, v, 3);
+                    let direct = anonrv_sim::simulate_with(
+                        g,
+                        &program,
+                        &program,
+                        &stic,
+                        EngineConfig::streaming(64),
+                    );
+                    assert_eq!(engine.simulate(&stic), direct, "{stic}");
+                }
+            }
+            assert_eq!(engine.cache().recorded(), 0);
+
+            assert_eq!(store.persist_engine(&engine, key).unwrap(), orbits.num_orbits());
+            let rewritten: Vec<NodeId> =
+                store.load_timelines(g, key).unwrap().into_iter().map(|(u, _)| u).collect();
+            assert_eq!(rewritten, reps);
+            let report = store.fsck(false).unwrap();
+            assert_eq!((report.valid, report.corrupt), (1, 0), "{report:?}");
+
+            // a session that records nothing still rewrites such a frame
+            // once, so later runs stop decoding the per-node entries
+            store.save_timelines(g, key, &entries).unwrap();
+            let mut session =
+                SweepSession::new(Some(&store), g, &program, key, EngineConfig::batch(64));
+            let plan = SweepPlan::from_orbits(session.orbits().clone(), vec![0, 1], 64);
+            session.run_plan(&plan).unwrap();
+            assert_eq!(session.stats().timeline_misses, 0);
+            let trimmed: Vec<NodeId> =
+                store.load_timelines(g, key).unwrap().into_iter().map(|(u, _)| u).collect();
+            assert_eq!(trimmed, reps);
+        }
+    }
+
+    #[test]
+    fn a_symbolic_session_trims_a_per_node_frame_and_the_next_one_writes_nothing() {
+        // beyond the unroll cap a sweep holds no explicit timeline, yet its
+        // persist still drops the per-node entries of an older build's
+        // frame, so a later session finds nothing to persist
+        let (g, _) = symmetric_double_tree(2, 2).unwrap();
+        let dir = TempDir::new("per-node-symbolic");
+        let store = store_in(&dir);
+        let program = Walker { seed: 0x5EED };
+        let key = "test-walker-5eed";
+        let per_node: Vec<Timeline> =
+            g.nodes().map(|u| Timeline::record(&g, &program, u, 64)).collect();
+        let entries: Vec<(NodeId, &Timeline)> = per_node.iter().enumerate().collect();
+        store.save_timelines(&g, key, &entries).unwrap();
+        let frame = store.timelines_path(&g, key);
+        let per_node_bytes = fs::metadata(&frame).unwrap().len();
+
+        let horizon: Round = 1 << 40;
+        let config = EngineConfig::batch(horizon);
+        let mut first = SweepSession::new(Some(&store), &g, &program, key, config);
+        let plan = SweepPlan::from_orbits(first.orbits().clone(), vec![0, 1], horizon);
+        let (_, provenance) = first.run_plan(&plan).unwrap();
+        assert!(matches!(provenance, OutcomeProvenance::Symbolic { .. }), "{provenance:?}");
+        assert_eq!(first.engine().cache().computed(), 0, "no explicit timeline held");
+        let orbits = first.engine().cache().node_orbits();
+        let trimmed: Vec<NodeId> =
+            store.load_timelines(&g, key).unwrap().into_iter().map(|(u, _)| u).collect();
+        assert_eq!(trimmed.len(), orbits.num_orbits());
+        assert!(trimmed.iter().all(|&u| orbits.is_representative(u)));
+        assert!(fs::metadata(&frame).unwrap().len() < per_node_bytes);
+
+        // every file keeps its length and modification time: nothing written
+        let snapshot = || {
+            let mut files: Vec<(PathBuf, u64, std::time::SystemTime)> = fs::read_dir(&dir.0)
+                .unwrap()
+                .map(|e| {
+                    let e = e.unwrap();
+                    let meta = e.metadata().unwrap();
+                    (e.path(), meta.len(), meta.modified().unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = snapshot();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let mut second = SweepSession::new(Some(&store), &g, &program, key, config);
+        let queries: Vec<(Stic, Round)> =
+            g.nodes().flat_map(|u| g.nodes().map(move |v| (Stic::new(u, v, 1), horizon))).collect();
+        let warm = second.simulate_cases(&queries);
+        let cold = SweepSession::new(None, &g, &program, key, config).simulate_cases(&queries);
+        assert_eq!(warm, cold);
+        assert_eq!(second.stats().timeline_misses, 0);
+        assert_eq!(snapshot(), before, "a session with nothing new wrote to the store");
     }
 
     #[test]

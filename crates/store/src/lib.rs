@@ -20,7 +20,7 @@
 //!   [`PortGraph::canonical_hash`](anonrv_graph::PortGraph::canonical_hash))
 //!   holding recorded wait-compressed [`Timeline`](anonrv_sim::Timeline)s,
 //!   detected [`SymbolicTimeline`](anonrv_sim::SymbolicTimeline)s (per
-//!   start node a prefix and a cycle in the same flat-array columns,
+//!   node orbit a prefix and a cycle in the same flat-array columns,
 //!   shape-re-validated through
 //!   [`SymbolicTimeline::from_raw`](anonrv_sim::SymbolicTimeline::from_raw)
 //!   on load), full representative-outcome tables and shard partials.

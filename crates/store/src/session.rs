@@ -166,6 +166,9 @@ pub struct SweepSession<'a> {
     timeline_hits: usize,
     timeline_prefix_hits: usize,
     symbolic_hits: usize,
+    /// The warmed frames held entries of non-representative nodes, which
+    /// the next persist drops.
+    foreign_entries: bool,
     executed: usize,
     answered: usize,
     outcome: Option<OutcomeProvenance>,
@@ -237,6 +240,7 @@ impl<'a> SweepSession<'a> {
             timeline_hits: 0,
             timeline_prefix_hits: 0,
             symbolic_hits: 0,
+            foreign_entries: false,
             executed: 0,
             answered: 0,
             outcome: None,
@@ -292,6 +296,7 @@ impl<'a> SweepSession<'a> {
             self.timeline_hits = warmed.installed;
             self.timeline_prefix_hits = warmed.prefix;
             self.symbolic_hits = warmed.symbolic;
+            self.foreign_entries = warmed.foreign > 0;
             obs::counter_add("session.timeline.hits", warmed.installed as u64);
             obs::counter_add("session.timeline.prefix_hits", warmed.prefix as u64);
             obs::counter_add("session.symbolic.hits", warmed.symbolic as u64);
@@ -335,12 +340,17 @@ impl<'a> SweepSession<'a> {
         }
     }
 
-    /// `true` when the engine holds timelines the store has not seen: a
-    /// program recording, or a symbolic timeline beyond the preloaded ones.
-    /// A timeline materialised from a preloaded symbolic one is not new.
+    /// `true` when the store's timeline frames are out of date: the engine
+    /// holds a program recording or a symbolic timeline beyond the
+    /// preloaded ones, or the warmed frames hold entries of
+    /// non-representative nodes (written by builds that recorded every
+    /// start node), which a persist drops.  A timeline materialised from a
+    /// preloaded symbolic one is not new.
     fn has_new_recordings(&self) -> bool {
         let cache = self.planned.engine().cache();
-        cache.recorded() > 0 || cache.computed_symbolic() > self.symbolic_hits
+        cache.recorded() > 0
+            || cache.computed_symbolic() > self.symbolic_hits
+            || self.foreign_entries
     }
 
     /// Persist every timeline recorded so far (best effort: a failed write

@@ -8,10 +8,16 @@
 
 use proptest::prelude::*;
 
-use anonrv_graph::generators::{oriented_torus, random_connected};
+use std::sync::Arc;
+
+use anonrv_graph::generators::{
+    oriented_ring, oriented_torus, random_connected, symmetric_double_tree,
+};
+use anonrv_graph::{NodeOrbits, PortGraph};
+use anonrv_plan::PairOrbits;
 use anonrv_sim::{
-    simulate_with, AgentProgram, EngineConfig, Navigator, Round, Stic, Stop, SweepEngine,
-    TrajectoryCache,
+    merge_timelines, simulate_with, AgentProgram, EngineConfig, Navigator, Round, Stic, Stop,
+    SweepEngine, SweepWalker, Timeline, TrajectoryCache,
 };
 
 /// Deterministic scripted agent: a seeded LCG decides each round between
@@ -198,19 +204,25 @@ proptest! {
     }
 }
 
-/// Exhaustive differential check on `oriented_torus(3, 4)`: every ordered
-/// `(u, v)` pair × every delay in `{0..4}` × terminating and non-terminating
-/// programs, batch (shared engine) vs lockstep vs streaming.
-#[test]
-fn exhaustive_torus_3x4_sweep_is_bit_identical_across_all_three_engines() {
-    let g = oriented_torus(3, 4).unwrap();
+/// Exhaustive differential check on one graph: every ordered `(u, v)` pair
+/// × every delay in `{0..4}` × terminating and non-terminating programs,
+/// batch single-STIC and batch δ-sweep (one shared engine) vs lockstep vs
+/// streaming.  The engine records one timeline per node orbit and reads
+/// every other start's walk through its witnessing automorphism, so on a
+/// symmetric graph almost every query takes a mapped merge.  Returns
+/// `(compared, met)`.
+fn exhaustive_sweep(g: &PortGraph, orbits: Option<Arc<NodeOrbits>>) -> (usize, usize) {
     let n = g.num_nodes();
     let horizon: Round = 60;
     let mut compared = 0usize;
     let mut met = 0usize;
     for (walker_seed, lifetime) in [(11u64, None), (42, Some(25u64))] {
         let program = ScriptedWalker { seed: walker_seed, lifetime };
-        let engine = SweepEngine::new(&g, &program, EngineConfig::with_horizon(horizon));
+        let config = EngineConfig::with_horizon(horizon);
+        let engine = match &orbits {
+            Some(orbits) => SweepEngine::with_orbits(g, &program, config, orbits.clone()),
+            None => SweepEngine::new(g, &program, config),
+        };
         let deltas: Vec<Round> = (0..5).collect();
         for u in 0..n {
             for v in 0..n {
@@ -219,14 +231,14 @@ fn exhaustive_torus_3x4_sweep_is_bit_identical_across_all_three_engines() {
                     let stic = Stic::new(u, v, delta as Round);
                     let batch = engine.simulate(&stic);
                     let lockstep = simulate_with(
-                        &g,
+                        g,
                         &program,
                         &program,
                         &stic,
                         EngineConfig::lockstep(horizon),
                     );
                     let streaming = simulate_with(
-                        &g,
+                        g,
                         &program,
                         &program,
                         &stic,
@@ -242,9 +254,73 @@ fn exhaustive_torus_3x4_sweep_is_bit_identical_across_all_three_engines() {
                 }
             }
         }
-        // the cache must have recorded exactly one timeline per start node
-        assert_eq!(engine.cache().computed(), n);
+        // the cache must have recorded exactly one timeline per node orbit
+        let orbits = engine.cache().node_orbits().num_orbits();
+        assert_eq!(engine.cache().computed(), orbits);
+        assert_eq!(engine.cache().recorded(), orbits);
     }
     assert_eq!(compared, 2 * n * n * 5);
     assert!(met > 0 && met < compared, "sweep must mix outcomes, met {met}/{compared}");
+    (compared, met)
+}
+
+/// `oriented_torus(3, 4)` under its implicit (closed-form) translation
+/// group and again under the explicit BFS group of the same graph: one
+/// recording serves all twelve starts either way, and both answer
+/// identically.
+#[test]
+fn exhaustive_torus_3x4_sweep_is_bit_identical_across_all_three_engines() {
+    let g = oriented_torus(3, 4).unwrap();
+    let implicit = PairOrbits::compute(&g);
+    let explicit = PairOrbits::compute_explicit(&g);
+    assert!(implicit.is_implicit() && !explicit.is_implicit());
+    assert_eq!(explicit.num_node_orbits(), 1);
+    let closed_form = exhaustive_sweep(&g, None);
+    let bfs = exhaustive_sweep(&g, Some(explicit.node_orbits().clone()));
+    assert_eq!(closed_form, bfs);
+}
+
+/// `symmetric_double_tree(2, 3)`: an explicit group of order 2 (the
+/// mirror), so half the starts are representatives and queries mix the
+/// identity path with maps on either side.
+#[test]
+fn exhaustive_double_tree_sweep_is_bit_identical_across_all_three_engines() {
+    let (g, _) = symmetric_double_tree(2, 3).unwrap();
+    let orbits = PairOrbits::compute(&g);
+    assert!(!orbits.is_implicit());
+    assert_eq!(orbits.group_order(), 2);
+    exhaustive_sweep(&g, None);
+}
+
+/// The symbolic path reads starts through the same orbit maps: for every
+/// ordered pair of `ring:8` (one orbit) and `double-tree:2x3` (mirror
+/// pairs), at horizons from 1 to 60 000, `simulate_symbolic` equals the
+/// explicit kernel over fresh per-node recordings.
+#[test]
+fn symbolic_merges_through_orbit_maps_match_fresh_per_node_recordings() {
+    let ring = oriented_ring(8).unwrap();
+    let (tree, _) = symmetric_double_tree(2, 3).unwrap();
+    let program = SweepWalker { seed: 0x5EED };
+    for g in [&ring, &tree] {
+        let n = g.num_nodes();
+        let cache = TrajectoryCache::new(g, &program, 60_000);
+        assert!(cache.node_orbits().num_orbits() < n);
+        for h in [1 as Round, 17, 256, 60_000] {
+            let fresh: Vec<Timeline> =
+                (0..n).map(|u| Timeline::record(g, &program, u, h)).collect();
+            for u in 0..n {
+                for v in 0..n {
+                    for delta in [0 as Round, 2, 5] {
+                        let stic = Stic::new(u, v, delta);
+                        let symbolic = cache
+                            .simulate_symbolic(&stic, h)
+                            .expect("the sweep walker is finite-state; detection must converge");
+                        let explicit = merge_timelines(&fresh[u], &fresh[v], &stic, h);
+                        assert_eq!(symbolic, explicit, "{stic} at horizon {h}");
+                    }
+                }
+            }
+        }
+        assert_eq!(cache.computed_symbolic(), cache.node_orbits().num_orbits());
+    }
 }

@@ -171,7 +171,9 @@ fn unstamped_graphs_fall_back_to_explicit_enumeration() {
         for u in g.nodes() {
             for v in g.nodes() {
                 for (di, &delta) in plan.deltas().iter().enumerate() {
-                    let direct = planned.engine().simulate(&anonrv_sim::Stic::new(u, v, delta));
+                    let stic = anonrv_sim::Stic::new(u, v, delta);
+                    let config = EngineConfig::lockstep(32);
+                    let direct = anonrv_sim::simulate_with(&g, &program, &program, &stic, config);
                     assert_eq!(
                         outcomes.get(u, v, di),
                         direct,

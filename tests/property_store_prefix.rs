@@ -103,29 +103,32 @@ proptest! {
         let dir = TempDir::new("prefix");
         let store = Store::open(&dir.0).unwrap();
 
-        // record every start node at the long horizon and persist
+        // record every node orbit at the long horizon and persist
         let long_engine = SweepEngine::new(&g, &program, EngineConfig::batch(long_horizon));
         long_engine.cache().warm_all();
         store.persist_engine(&long_engine, &key).unwrap();
 
         // serve at the shorter horizon: every preload is a prefix hit ...
         let served = SweepEngine::new(&g, &program, EngineConfig::batch(short));
+        let orbits = served.cache().node_orbits().num_orbits();
         let warmed = store.warm_engine(&served, &key);
-        prop_assert_eq!(warmed.installed, g.num_nodes());
-        prop_assert_eq!(warmed.prefix, g.num_nodes());
+        prop_assert_eq!(warmed.installed, orbits);
+        prop_assert_eq!(warmed.prefix, orbits);
 
         // ... installed as-is (no copy-down: the merge kernels clip per
         // query), and clipping each one to the short horizon is
         // byte-identical to a cold recording at that horizon (the segment
-        // list IS the byte layout)
+        // list IS the byte layout); every node is served by its orbit
+        // representative's recording
         for u in g.nodes() {
-            let cold = Timeline::record(&g, &program, u, short);
+            let rep = served.cache().node_orbits().representative(u);
+            let cold = Timeline::record(&g, &program, rep, short);
             let warm = served.cache().get(u).expect("preloaded");
             prop_assert_eq!(warm.recorded_horizon(), long_horizon);
             prop_assert_eq!(
                 warm.truncate(short).segments().collect::<Vec<_>>(),
                 cold.segments().collect::<Vec<_>>(),
-                "start {} at horizon {}: served segments diverged", u, short
+                "start {} (representative {}) at horizon {}: served segments diverged", u, rep, short
             );
         }
 
@@ -139,7 +142,8 @@ proptest! {
             prop_assert_eq!(answered, direct, "{} at horizon {} diverged", stic, short);
         }
         // no program execution happened on the served engine beyond preloads
-        prop_assert_eq!(served.cache().computed(), g.num_nodes());
+        prop_assert_eq!(served.cache().computed(), orbits);
+        prop_assert_eq!(served.cache().recorded(), 0);
     }
 
     /// A full session round trip: populate at `H`, serve a plan at `h < H`
