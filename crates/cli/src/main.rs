@@ -1199,13 +1199,15 @@ mod tests {
         assert_eq!(summary.mode.as_deref(), Some("streamed"));
         let fp = summary.table_fingerprint.unwrap();
         assert!(full.contains(&format!("outcome table fingerprint: {fp}")), "{full}");
-        // the streamed driver counts one δ-sweep pass per class, and one
-        // merged entry per (class, δ)
+        // the streamed driver counts one δ-sweep pass per class, and every
+        // (class, δ) entry either merged or, at δ = 0, derived from its
+        // transposed class's merge
         let classes = v.get("stream").unwrap().get("classes").unwrap().as_u64().unwrap();
         let entries = v.get("stream").unwrap().get("entries").unwrap().as_u64().unwrap();
         let counters = v.get("metrics").unwrap().get("counters").unwrap();
-        assert_eq!(counters.get("merge.delta_passes").and_then(|c| c.as_u64()), Some(classes));
-        assert_eq!(counters.get("merge.deltas").and_then(|c| c.as_u64()), Some(entries));
+        let count = |name: &str| counters.get(name).and_then(|c| c.as_u64()).unwrap();
+        assert_eq!(count("merge.delta_passes"), classes);
+        assert_eq!(count("merge.deltas") + count("plan.transposed"), entries);
 
         // flag validation: streaming is single-process and needs an
         // implicit group
@@ -1237,9 +1239,12 @@ mod tests {
         anonrv_obs::report::validate_report(&v).unwrap();
         let counters = v.get("metrics").unwrap().get("counters").unwrap();
         let count = |name: &str| counters.get(name).and_then(|c| c.as_u64());
-        // the grid's group is trivial: nine node orbits, one detection each
+        // the grid's group is trivial: nine node orbits, one detection each;
+        // one merge per (class, δ), except that δ = 0 merges once per
+        // unordered pair: 9 diagonal pairs and 36 of the 72 others
         assert_eq!(count("symbolic.detections"), Some(9), "one per node orbit: {report}");
-        assert_eq!(count("symbolic.merges"), Some(162), "one per (class, δ): {report}");
+        assert_eq!(count("symbolic.merges"), Some(81 + 45), "{report}");
+        assert_eq!(count("plan.transposed"), Some(36), "{report}");
         assert_eq!(count("symbolic.declines"), None, "{report}");
         assert_eq!(count("merge.calls"), None, "no explicit merge runs: {report}");
         assert_eq!(count("merge.segments"), None, "{report}");

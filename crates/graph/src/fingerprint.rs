@@ -64,6 +64,9 @@ impl PortGraph {
     /// see the [`crate::fingerprint`] module docs for why an
     /// isomorphism-invariant certificate would be the wrong cache key.
     ///
+    /// The graph is immutable, so the hash is computed once, on the first
+    /// call, and every later call (and every clone) reads it back.
+    ///
     /// ```
     /// use anonrv_graph::generators::{oriented_ring, oriented_torus};
     ///
@@ -73,6 +76,10 @@ impl PortGraph {
     /// assert_ne!(a.canonical_hash(), oriented_ring(16).unwrap().canonical_hash());
     /// ```
     pub fn canonical_hash(&self) -> u128 {
+        *self.hash.get_or_init(|| self.hash_adjacency())
+    }
+
+    fn hash_adjacency(&self) -> u128 {
         let mut h = Fnv128::new();
         // domain-separation tag + layout version: bump if the hashed
         // presentation ever changes, so stale cache files can never be
@@ -129,5 +136,22 @@ mod tests {
             let again = oriented_ring(6).unwrap();
             again.canonical_hash()
         });
+        assert_eq!(oriented_ring(6).unwrap().canonical_hash(), 0xb0a86f1e21b70a1e7eb6120404c6c57d);
+        assert_eq!(grid(8, 8).unwrap().canonical_hash(), 0x6060ce6296d897a7a5fd2d12ec5374fb);
+    }
+
+    #[test]
+    fn the_hash_is_computed_once_and_kept_by_clones() {
+        let hashed = oriented_torus(3, 4).unwrap();
+        let hash = hashed.canonical_hash();
+        assert_eq!(hashed.hash.get(), Some(&hash));
+        // equality stays structural: a fresh, never-hashed build is equal
+        let fresh = oriented_torus(3, 4).unwrap();
+        assert_eq!(fresh.hash.get(), None);
+        assert_eq!(hashed, fresh);
+        assert_eq!(fresh.canonical_hash(), hash);
+        let clone = hashed.clone();
+        assert_eq!(clone.hash.get(), Some(&hash));
+        assert_eq!(clone.canonical_hash(), hash);
     }
 }

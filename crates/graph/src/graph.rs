@@ -1,5 +1,7 @@
 //! The immutable port-labelled graph representation.
 
+use std::sync::OnceLock;
+
 use crate::error::GraphError;
 use crate::Result;
 
@@ -57,6 +59,9 @@ pub struct PortGraph {
     /// advisory annotation, *not* part of the graph's identity (see the
     /// manual [`PartialEq`] below) and always verified before use.
     symmetry: Option<SymmetryHint>,
+    /// [`PortGraph::canonical_hash`], computed on first use.  A function of
+    /// `adj`, so it is not part of the identity either; a clone keeps it.
+    pub(crate) hash: OnceLock<u128>,
 }
 
 /// Equality is purely structural (adjacency); the symmetry hint is advisory
@@ -73,7 +78,7 @@ impl PortGraph {
     /// builder and the generators; performs full validation.
     pub(crate) fn from_adjacency(adj: Vec<Box<[(NodeId, Port)]>>) -> Result<Self> {
         let m: usize = adj.iter().map(|l| l.len()).sum::<usize>() / 2;
-        let g = PortGraph { adj, m, symmetry: None };
+        let g = PortGraph { adj, m, symmetry: None, hash: OnceLock::new() };
         g.validate()?;
         Ok(g)
     }

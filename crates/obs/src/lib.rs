@@ -53,7 +53,8 @@
 //! | `supervisor.*` | shard supervisor | `supervisor.attempts`, `supervisor.retries`, event `supervisor.attempt` |
 //! | `store.*` | store I/O | `store.read.bytes` (histogram), `store.lock.takeover`, event `store.quarantine` |
 //! | `fault.trip.*` | failpoint registry, when armed | `fault.trip.store.rename`, event `fault.trip` |
-//! | `merge.*` / `record.*` | explicit single-STIC merges, δ-sweep drivers (one add per call) / timeline recording | `merge.segments`, `merge.delta_passes` |
+//! | `merge.*` / `record.*` | explicit single-STIC merges, δ-sweep drivers (one add per call; merged entries only) / timeline recording | `merge.segments`, `merge.delta_passes`, `merge.deltas` |
+//! | `plan.*` | planner bookkeeping: entries planned, re-served, or derived at δ = 0 from the transposed class's merge | `plan.representatives`, `plan.remerges`, `plan.transposed` |
 //! | `symbolic.*` | cycle detections that converge, symbolic merges resolved or declined at the segment cap | `symbolic.detections`, `symbolic.merges`, `symbolic.declines` |
 //! | `event.*` | bumped once per emitted event | `event.supervisor.attempt` |
 //!

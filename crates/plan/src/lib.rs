@@ -45,6 +45,24 @@
 //! are a refinement of pair-view equivalence and are therefore always sound;
 //! the counterexample is pinned by a test in [`orbits`].
 //!
+//! ## Simultaneous starts are unordered
+//!
+//! Both agents run one program, and at delay `δ = 0` they also start in
+//! the same round.  The STIC `[(v, u), 0]` then runs exactly the two walks
+//! of `[(u, v), 0]` with the agents' names exchanged, so the meeting
+//! (round, `later_round`, node) is shared and the per-agent fields swap
+//! ([`anonrv_sim::SimOutcome::transposed`]) — the paper's remark that
+//! symmetric positions with a simultaneous start are infeasible, read as
+//! an equivalence.  At `δ = 0` the planner therefore works modulo
+//! `Aut × Z₂`: [`PairOrbits::transpose`] names the class of the reversed
+//! pair, and of a class and its transpose only the smaller one merges its
+//! `δ = 0` entry.  The other entry is derived when the table is assembled;
+//! every execution path ([`PlannedSweep::run`], shard
+//! [`PlannedSweep::run_classes`] slices, [`PlannedSweep::serve_prefix`],
+//! streamed chunks) derives it whenever one call holds both classes.  No
+//! coarsening is taken for `δ > 0`: the earlier agent is distinguished,
+//! and `[(v, u), δ]` is a different execution.
+//!
 //! ## The planning layer
 //!
 //! * [`PairOrbits`] — the orbit partition of ordered pairs with O(1)
@@ -99,6 +117,7 @@
 //! [`PlannedOutcomes::from_table`]: sweep::PlannedOutcomes::from_table
 //! [`PlannedOutcomes::table`]: sweep::PlannedOutcomes::table
 //! [`PlannedSweep::run_classes`]: sweep::PlannedSweep::run_classes
+//! [`PlannedSweep::serve_prefix`]: sweep::PlannedSweep::serve_prefix
 //! [`PlannedSweep::run_streamed`]: sweep::PlannedSweep::run_streamed
 //! [`PlannedSweep::from_orbits`]: sweep::PlannedSweep::from_orbits
 

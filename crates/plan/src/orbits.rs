@@ -233,6 +233,31 @@ impl PairOrbits {
         (self.nodes.orbit_representative(class / self.n), class % self.n)
     }
 
+    /// The class of `(v, u)` for the representative `(u, v)` of `class`:
+    /// the same pair with its two nodes exchanged.  An automorphism maps a
+    /// pair's reversal to the reversal of its image, so this is well
+    /// defined on classes, and it is an involution.  Its fixed points are
+    /// the classes an automorphism maps onto their own reversal, the
+    /// diagonal `(u, u)` among them.  O(1): one
+    /// [`PairOrbits::class_of`] of the reversed representative.
+    ///
+    /// ```
+    /// use anonrv_graph::generators::oriented_ring;
+    /// use anonrv_plan::PairOrbits;
+    ///
+    /// let orbits = PairOrbits::compute(&oriented_ring(8).unwrap());
+    /// // (0, 2) reversed is (2, 0), the rotation of (0, 6)
+    /// assert_eq!(orbits.transpose(orbits.class_of(0, 2)), orbits.class_of(0, 6));
+    /// // the antipodal pair and the diagonal are their own reversals
+    /// assert_eq!(orbits.transpose(orbits.class_of(0, 4)), orbits.class_of(0, 4));
+    /// assert_eq!(orbits.transpose(orbits.class_of(3, 3)), orbits.class_of(3, 3));
+    /// ```
+    #[inline]
+    pub fn transpose(&self, class: usize) -> usize {
+        let (u, v) = self.representative(class);
+        self.class_of(v, u)
+    }
+
     /// All member pairs of a class (each exactly once, the representative
     /// among them), enumerated lazily from the group action.
     pub fn members(&self, class: usize) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
@@ -294,6 +319,29 @@ mod tests {
                     }
                 }
                 assert!(seen.iter().all(|&s| s == 1), "every ordered pair in exactly one class");
+            }
+        }
+    }
+
+    /// `transpose` is the class of every member pair's reversal, in both
+    /// representations, and an involution.
+    #[test]
+    fn transpose_is_the_class_of_the_reversed_pair() {
+        for g in [
+            oriented_ring(8).unwrap(),
+            oriented_torus(3, 4).unwrap(),
+            hypercube(3).unwrap(),
+            symmetric_double_tree(2, 3).unwrap().0,
+            lollipop(4, 3).unwrap(),
+        ] {
+            for orbits in [PairOrbits::compute(&g), PairOrbits::compute_explicit(&g)] {
+                for u in g.nodes() {
+                    for v in g.nodes() {
+                        let class = orbits.class_of(u, v);
+                        assert_eq!(orbits.transpose(class), orbits.class_of(v, u), "({u}, {v})");
+                        assert_eq!(orbits.transpose(orbits.transpose(class)), class);
+                    }
+                }
             }
         }
     }

@@ -11,6 +11,16 @@
 //! trajectory cache records one timeline per node orbit and reads every
 //! other start's walk through the witnessing automorphism.
 //!
+//! At δ = 0 the two agents' runs are exchangeable: one program and one
+//! start round make `[(v, u), 0]` the run of `[(u, v), 0]` with the
+//! agents' names swapped, so the meeting is shared and the per-agent
+//! fields swap.  The one fan-out behind every execution path,
+//! `sweep_classes`, merges δ = 0 for the smaller class of each transposed
+//! pair a call holds and derives the other entry while it assembles the
+//! table: `run` and whole-table chunks derive the full column, a shard
+//! slice or a served table the pairs it holds.  For δ > 0 the earlier
+//! agent is distinguished and every class merges.
+//!
 //! The validate mode ([`PlannedSweep::validate_sample`]) re-runs a sampled
 //! fraction of non-representative member queries through the per-call
 //! streaming engine — which shares no cache and no orbit map with the
@@ -18,6 +28,7 @@
 //! form of the planner's soundness argument (see the crate docs).
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rayon::prelude::*;
 
@@ -263,6 +274,8 @@ impl ValidationReport {
 pub struct PlannedSweep<'a> {
     engine: SweepEngine<'a>,
     orbits: Cow<'a, PairOrbits>,
+    /// Running total of `(class, δ)` entries resolved by a merge.
+    merged: AtomicUsize,
 }
 
 impl<'a> PlannedSweep<'a> {
@@ -307,7 +320,11 @@ impl<'a> PlannedSweep<'a> {
     ) -> Self {
         assert_eq!(orbits.num_nodes(), graph.num_nodes(), "orbit partition of a different graph");
         let nodes = orbits.node_orbits().clone();
-        PlannedSweep { engine: SweepEngine::with_orbits(graph, program, config, nodes), orbits }
+        PlannedSweep {
+            engine: SweepEngine::with_orbits(graph, program, config, nodes),
+            orbits,
+            merged: AtomicUsize::new(0),
+        }
     }
 
     /// The underlying sweep engine.
@@ -323,6 +340,14 @@ impl<'a> PlannedSweep<'a> {
     /// The program both agents run.
     pub fn program(&self) -> &'a dyn AgentProgram {
         self.engine.program()
+    }
+
+    /// `(class, δ)` entries this sweep has resolved by a merge so far, over
+    /// every plan execution, shard slice, streamed chunk and served table.
+    /// Entries derived from a transposed class's δ = 0 merge are not
+    /// counted (see [`PlannedSweep::run`]).
+    pub fn merged(&self) -> usize {
+        self.merged.load(Ordering::Relaxed)
     }
 
     /// The canonical-world image of a STIC: the class representative pair at
@@ -394,6 +419,16 @@ impl<'a> PlannedSweep<'a> {
     /// Execute a whole plan: run only the representative queries and return
     /// the broadcastable outcome table.  The plan must describe the same
     /// graph (same orbit partition) as this sweep.
+    ///
+    /// At δ = 0 the work halves again.  Both agents run one program and
+    /// start in the same round, so `[(v, u), 0]` runs the two walks of
+    /// `[(u, v), 0]` under exchanged names: the meeting is shared and the
+    /// per-agent fields swap ([`SimOutcome::transposed`]).  So of a class
+    /// and its transpose ([`PairOrbits::transpose`]) only the smaller one
+    /// merges δ = 0, and the other's entry is derived from it.  At δ > 0
+    /// the earlier agent is distinguished and every class merges.  The
+    /// table is the same either way; shards, streamed chunks and served
+    /// tables derive wherever one call holds both classes at δ = 0.
     pub fn run<'p>(&self, plan: &'p SweepPlan) -> PlannedOutcomes<'p> {
         let classes: Vec<usize> = (0..self.orbits.num_pair_classes()).collect();
         let table = self.run_classes(plan, &classes);
@@ -425,7 +460,12 @@ impl<'a> PlannedSweep<'a> {
     /// one delta-sweep pass each over the class representative's timelines
     /// (see `merge_timelines_deltas`), rayon over the jobs.  Outcomes are
     /// job-major, each job's in the order of its delays.  The one fan-out
-    /// behind cold execution, streamed chunks and table serving.
+    /// behind cold execution, shards, streamed chunks and table serving.
+    ///
+    /// Simultaneous starts are unordered: when two jobs resolve δ = 0 for
+    /// a class and for its transpose, only the smaller class merges it, and
+    /// the other entry is its transposed outcome, read in the pass that
+    /// assembles the table.  A job left with no delay runs no pass.
     fn sweep_classes<'d>(
         &self,
         jobs: usize,
@@ -433,16 +473,82 @@ impl<'a> PlannedSweep<'a> {
         horizon: Round,
     ) -> Vec<SimOutcome> {
         assert!(horizon <= self.engine.config().horizon, "plan horizon exceeds the engine horizon");
-        count_delta_passes(jobs, (0..jobs).map(|i| job(i).1.len()).sum());
+        let sources: Vec<Option<usize>> =
+            (0..jobs).map(|i| self.transposed_source(&job, i)).collect();
         let per_class: Vec<Vec<SimOutcome>> = (0..jobs)
             .into_par_iter()
             .map(|i| {
                 let (class, deltas) = job(i);
+                let deltas: Cow<'_, [Round]> = match sources[i] {
+                    None => Cow::Borrowed(deltas),
+                    // δ = 0 is left to the transposed class's merge
+                    Some(_) => deltas.iter().copied().filter(|&d| d != 0).collect(),
+                };
+                if deltas.is_empty() {
+                    return Vec::new();
+                }
                 let (r, c) = self.orbits.representative(class);
-                self.engine.simulate_deltas_capped(r, c, deltas, horizon)
+                self.engine.simulate_deltas_capped(r, c, &deltas, horizon)
             })
             .collect();
-        per_class.into_iter().flatten().collect()
+        let merged: usize = per_class.iter().map(Vec::len).sum();
+        count_delta_passes(per_class.iter().filter(|o| !o.is_empty()).count(), merged);
+        // each job's first slot in the table; a source job precedes the
+        // jobs that derive from it, so its outcomes are already there
+        let mut offsets = Vec::with_capacity(jobs);
+        let mut table = Vec::with_capacity((0..jobs).map(|i| job(i).1.len()).sum());
+        for (i, outcomes) in per_class.into_iter().enumerate() {
+            offsets.push(table.len());
+            let Some(j) = sources[i] else {
+                table.extend(outcomes);
+                continue;
+            };
+            // (u, v)'s δ = 0 outcome is (v, u)'s transposed, and (v, u) is
+            // the member of the source's class whose earlier node is v
+            let (class, deltas) = job(i);
+            let k = job(j).1.iter().position(|&d| d == 0).expect("the source resolves δ = 0");
+            let v = self.orbits.representative(class).1;
+            let derived = pull_back(&self.orbits, v, table[offsets[j] + k]).transposed();
+            let mut outcomes = outcomes.into_iter();
+            table.extend(deltas.iter().map(|&delta| match delta {
+                0 => derived,
+                _ => outcomes.next().expect("one merged outcome per other delay"),
+            }));
+        }
+        anonrv_obs::counter_add("plan.transposed", (table.len() - merged) as u64);
+        self.merged.fetch_add(merged, Ordering::Relaxed);
+        table
+    }
+
+    /// The job whose δ = 0 merge answers job `i`'s δ = 0 entries, if any:
+    /// both jobs resolve δ = 0, their classes are each other's transposes,
+    /// and job `i`'s class is the larger.  Jobs ascend by class (every
+    /// caller lists them so), so the smaller class's job precedes job `i`
+    /// and a binary search over the jobs before it finds it; out of order,
+    /// a pair may miss each other and both merge, which changes no entry.
+    fn transposed_source<'d>(
+        &self,
+        job: &impl Fn(usize) -> (usize, &'d [Round]),
+        i: usize,
+    ) -> Option<usize> {
+        let (class, deltas) = job(i);
+        if !deltas.contains(&0) {
+            return None;
+        }
+        let transpose = self.orbits.transpose(class);
+        if transpose >= class {
+            return None;
+        }
+        let (mut lo, mut hi) = (0, i);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if job(mid).0 < transpose {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo < i && job(lo).0 == transpose && job(lo).1.contains(&0)).then_some(lo)
     }
 
     /// Execute a whole plan **without ever materialising the outcome
@@ -539,7 +645,9 @@ impl<'a> PlannedSweep<'a> {
     /// single delta-sweep pass resolves, rayon over the classes, exactly as
     /// [`PlannedSweep::run_classes`] resolves a whole class.  On a warm
     /// cache that costs timeline merges only, never a program execution.
-    /// Returns the served table and the number of entries that re-merged.
+    /// Returns the served table and the number of entries that re-merged
+    /// (at δ = 0 one of them may be the transpose of another's merge, see
+    /// [`PlannedSweep::run`]; [`PlannedSweep::merged`] counts the merges).
     pub fn serve_prefix<'p>(
         &self,
         recorded: &PlannedOutcomes<'_>,
@@ -584,6 +692,8 @@ impl<'a> PlannedSweep<'a> {
     /// is re-simulated *directly* through the per-call streaming engine at
     /// the plan's horizon — no canonicalisation, no trajectory cache, no
     /// orbit map — and compared bit-for-bit against the planned answer.
+    /// Every representative δ = 0 entry [`PlannedSweep::run`] derived from
+    /// its transpose is checked too: it was not executed either.
     pub fn validate_sample(&self, plan: &SweepPlan, sample_every: usize) -> ValidationReport {
         assert!(sample_every >= 1, "sample_every must be at least 1");
         let outcomes = self.run(plan);
@@ -591,14 +701,19 @@ impl<'a> PlannedSweep<'a> {
         let mut counter = 0usize;
         for class in 0..self.orbits.num_pair_classes() {
             let rep = self.orbits.representative(class);
+            let derived = self.orbits.transpose(class) < class;
             for (u, v) in self.orbits.members(class) {
-                if (u, v) == rep {
-                    continue; // representatives were executed, not broadcast
-                }
                 for (di, &delta) in plan.deltas().iter().enumerate() {
-                    counter += 1;
-                    if !counter.is_multiple_of(sample_every) {
-                        continue;
+                    if (u, v) == rep {
+                        // representatives were executed, not broadcast
+                        if !(derived && delta == 0) {
+                            continue;
+                        }
+                    } else {
+                        counter += 1;
+                        if !counter.is_multiple_of(sample_every) {
+                            continue;
+                        }
                     }
                     let stic = Stic::new(u, v, delta);
                     let planned = outcomes.get(u, v, di);
@@ -624,7 +739,7 @@ impl<'a> PlannedSweep<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anonrv_graph::generators::{oriented_ring, oriented_torus};
+    use anonrv_graph::generators::{grid, oriented_ring, oriented_torus};
     use anonrv_sim::{Navigator, Stop};
 
     /// Deterministic mover/waiter mix (same idiom as the sim crate's tests).
@@ -703,6 +818,32 @@ mod tests {
         let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1, 3], 64);
         let report = planned.validate_sample(&plan, 3);
         assert!(report.checked > 0);
+        assert!(report.is_valid(), "{:?}", report.first_mismatch);
+    }
+
+    #[test]
+    fn simultaneous_starts_merge_once_per_unordered_pair() {
+        let g = oriented_torus(3, 4).unwrap();
+        let program = Walker { seed: 0x5EED };
+        let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
+        // Z3 × Z4 has two self-inverse elements; each of the other ten
+        // pairs up with its inverse, so five classes take their δ = 0
+        // entry from a smaller transpose
+        for (deltas, merges) in [(vec![0], 12 - 5), (vec![2, 0, 1], 36 - 5), (vec![1, 2], 24)] {
+            let plan = SweepPlan::from_orbits(planned.orbits().clone(), deltas, 64);
+            let before = planned.merged();
+            let outcomes = planned.run(&plan);
+            assert_eq!(planned.merged() - before, merges, "{:?}", plan.deltas());
+            assert_eq!(outcomes.table().len(), plan.num_representative_queries());
+        }
+
+        // every class of a trivial group is its own representative, so
+        // validation checks exactly the 36 derived entries of grid 3×3
+        let g = grid(3, 3).unwrap();
+        let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
+        let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 64);
+        let report = planned.validate_sample(&plan, 1);
+        assert_eq!(report.checked, 36);
         assert!(report.is_valid(), "{:?}", report.first_mismatch);
     }
 

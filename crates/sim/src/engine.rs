@@ -154,6 +154,23 @@ impl SimOutcome {
         }
     }
 
+    /// The outcome with the two agents' names exchanged: the outcome of
+    /// `[(v, u), 0]` given that of `[(u, v), 0]`.  Both agents run one
+    /// program and, at delay 0, start in the same round, so the two STICs
+    /// run the same two walks: the meeting (global round, `later_round`
+    /// and node) is shared, and the per-agent move totals and termination
+    /// flags swap.  At a positive delay the earlier agent is distinguished
+    /// and no such identity holds.
+    pub fn transposed(self) -> SimOutcome {
+        SimOutcome {
+            earlier_moves: self.later_moves,
+            later_moves: self.earlier_moves,
+            earlier_terminated: self.later_terminated,
+            later_terminated: self.earlier_terminated,
+            ..self
+        }
+    }
+
     /// `true` iff rendezvous was achieved within the horizon.
     pub fn met(&self) -> bool {
         self.meeting.is_some()

@@ -68,7 +68,8 @@ pub enum OutcomeProvenance {
     WarmPrefix {
         /// The horizon the serving table was recorded at.
         recorded: Round,
-        /// Entries the recording alone could not determine (re-merged warm).
+        /// Entries the recording alone could not determine (re-merged warm,
+        /// or at δ = 0 derived from the transposed class's re-merge).
         remerged: usize,
     },
     /// Served from a table recorded at a **shorter** horizon, which the
@@ -77,7 +78,8 @@ pub enum OutcomeProvenance {
     WarmExtend {
         /// The horizon the serving table was recorded at.
         recorded: Round,
-        /// Entries the recording alone could not determine (re-merged).
+        /// Entries the recording alone could not determine (re-merged, or
+        /// at δ = 0 derived from the transposed class's re-merge).
         remerged: usize,
     },
     /// Executed through the symbolic (prefix + cycle) path: the plan's
@@ -123,7 +125,9 @@ pub struct SessionStats {
     /// Symbolic (prefix + cycle) timelines the engine holds — detected this
     /// session or preloaded from the store.
     pub symbolic_timelines: usize,
-    /// Representative simulations (recordings or merges) executed.
+    /// Representative simulations executed.  A plan entry derived at δ = 0
+    /// from its transposed class's merge is not one (see
+    /// [`anonrv_plan::PlannedSweep::run`]).
     pub executed: usize,
     /// Member queries answered.
     pub answered: usize,
@@ -423,7 +427,9 @@ impl<'a> SweepSession<'a> {
                 self.ensure_warm();
                 let recorded_outcomes = PlannedOutcomes::from_table(&recorded_plan, table)?;
                 let execute_span = obs::span("session.execute");
+                let merged = self.planned.merged();
                 let (outcomes, remerged) = self.planned.serve_prefix(&recorded_outcomes, plan)?;
+                let merged = self.planned.merged() - merged;
                 drop(execute_span);
                 // self-heal: a re-merge over a missing timeline recorded it
                 self.persist_timelines()?;
@@ -437,14 +443,16 @@ impl<'a> SweepSession<'a> {
                         .map_err(|e| format!("cannot persist outcomes: {e}"))?;
                     OutcomeProvenance::WarmExtend { recorded, remerged }
                 };
-                self.note_outcome(provenance, remerged, plan.num_member_queries());
+                self.note_outcome(provenance, merged, plan.num_member_queries());
                 return Ok((outcomes, provenance));
             }
         }
         // cold: execute the representatives, persist everything
         self.ensure_warm();
         let execute_span = obs::span("session.execute");
+        let merged = self.planned.merged();
         let outcomes = self.planned.run(plan);
+        let merged = self.planned.merged() - merged;
         drop(execute_span);
         self.persist_timelines()?;
         if let Some(store) = self.store {
@@ -461,7 +469,7 @@ impl<'a> SweepSession<'a> {
         } else {
             OutcomeProvenance::Cold
         };
-        self.note_outcome(provenance, plan.num_representative_queries(), plan.num_member_queries());
+        self.note_outcome(provenance, merged, plan.num_member_queries());
         Ok((outcomes, provenance))
     }
 
@@ -493,14 +501,16 @@ impl<'a> SweepSession<'a> {
         let execute_span = obs::span("session.execute");
         let total = plan.orbits().num_pair_classes() * plan.deltas().len();
         let mut fingerprint = TableFingerprinter::new(total);
+        let merged = self.planned.merged();
         let stats =
             self.planned.run_streamed(plan, chunk_classes, |_, chunk| fingerprint.extend(chunk))?;
+        let merged = self.planned.merged() - merged;
         drop(execute_span);
-        self.executed += stats.entries;
+        self.executed += merged;
         self.answered += stats.answered;
         if obs::enabled() {
             obs::counter_add("session.outcome.streamed", 1);
-            obs::counter_add("session.executed", stats.entries as u64);
+            obs::counter_add("session.executed", merged as u64);
             obs::counter_add("session.answered", stats.answered as u64);
         }
         self.persist_timelines_soft();
@@ -528,11 +538,12 @@ impl<'a> SweepSession<'a> {
         self.ensure_warm();
         let classes = spec.classes(plan.orbits().num_pair_classes());
         let execute_span = obs::span("session.execute");
+        let merged = self.planned.merged();
         let table = self.planned.run_classes(plan, &classes);
+        let executed = self.planned.merged() - merged;
         drop(execute_span);
         let part = ShardOutcomes { spec, classes, table };
-        let executed = part.classes.len() * plan.deltas().len();
-        let answered = executed * plan.orbits().class_size();
+        let answered = part.table.len() * plan.orbits().class_size();
         self.executed += executed;
         self.answered += answered;
         obs::counter_add("session.executed", executed as u64);
@@ -788,6 +799,23 @@ mod tests {
 
     const KEY: &str = "test-walker-5eed";
 
+    /// Classes whose δ = 0 entry a sweep derives from its transpose's merge
+    /// instead of merging it: the larger class of each transposed pair
+    /// that one call holds (`together`) with δ = 0 still to resolve
+    /// (`pending`).
+    fn derived(
+        orbits: &PairOrbits,
+        together: impl Fn(usize, usize) -> bool,
+        pending: impl Fn(usize) -> bool,
+    ) -> usize {
+        (0..orbits.num_pair_classes())
+            .filter(|&c| {
+                let t = orbits.transpose(c);
+                t < c && together(t, c) && pending(c)
+            })
+            .count()
+    }
+
     fn walker() -> Walker {
         Walker { seed: 0x5EED }
     }
@@ -807,7 +835,10 @@ mod tests {
         assert_eq!(prov, OutcomeProvenance::Cold);
         let cold_stats = cold.stats();
         assert!(cold_stats.timeline_misses > 0);
-        assert_eq!(cold_stats.executed, plan.num_representative_queries());
+        // one merge per (class, δ), but one per transposed pair at δ = 0
+        let transposed = derived(plan.orbits(), |_, _| true, |_| true);
+        assert!(transposed > 0);
+        assert_eq!(cold_stats.executed + transposed, plan.num_representative_queries());
 
         // exact hit: nothing executes, not even timeline preloading
         let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
@@ -830,7 +861,8 @@ mod tests {
         let stats = prefix.stats();
         assert_eq!(stats.timeline_misses, 0, "a prefix hit must not record");
         assert_eq!(stats.timeline_prefix_hits, stats.timeline_hits);
-        assert_eq!(stats.executed, remerged);
+        let unmet_at_0 = |c: usize| !served.representative_outcome(c, 0).met();
+        assert_eq!(stats.executed + derived(small.orbits(), |_, _| true, unmet_at_0), remerged);
         let reference = SweepSession::in_memory(&g, &program, EngineConfig::batch(20))
             .run_plan(&small)
             .unwrap()
@@ -864,7 +896,9 @@ mod tests {
         assert_eq!(recorded, 12);
         let unmet = short_outcomes.table().iter().filter(|o| o.meeting.is_none()).count();
         assert_eq!(remerged, unmet, "only unmet entries re-merge");
-        assert_eq!(session.stats().executed, remerged);
+        let unmet_at_0 = |c: usize| !short_outcomes.representative_outcome(c, 0).met();
+        let transposed = derived(long_plan.orbits(), |_, _| true, unmet_at_0);
+        assert_eq!(session.stats().executed + transposed, remerged);
         let reference = SweepSession::in_memory(&g, &program, EngineConfig::batch(64))
             .run_plan(&long_plan)
             .unwrap()
@@ -1028,7 +1062,10 @@ mod tests {
         assert_eq!(summary.met_entries, table.iter().filter(|o| o.meeting.is_some()).count());
         assert_eq!(summary.answered, plan.num_member_queries());
         let stats = session.stats();
-        assert_eq!(stats.executed, summary.entries);
+        // chunks of 5 classes: a transposed pair derives only within one
+        let transposed = derived(plan.orbits(), |t, c| t / 5 == c / 5, |_| true);
+        assert!(transposed > 0);
+        assert_eq!(stats.executed + transposed, summary.entries);
         assert_eq!(stats.answered, summary.answered);
         assert_eq!(stats.outcome, None, "a streamed run has no table provenance");
         // node 0's recording persisted: a second streamed session replays

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use anonrv_graph::generators::{
-    oriented_ring, oriented_torus, random_connected, symmetric_double_tree,
+    grid, oriented_ring, oriented_torus, random_connected, symmetric_double_tree,
 };
 use anonrv_graph::{NodeOrbits, PortGraph};
 use anonrv_plan::PairOrbits;
@@ -42,6 +42,41 @@ impl AgentProgram for ScriptedWalker {
             let roll = state >> 33;
             if roll.is_multiple_of(4) {
                 nav.wait((roll % 9 + 1) as Round)?;
+            } else {
+                nav.move_via(roll as usize % nav.degree())?;
+            }
+            actions += 1;
+        }
+    }
+}
+
+/// Observation-driven agent: like [`ScriptedWalker`], but each wait lasts
+/// as many rounds as the current node's degree, and with a lifetime `l`
+/// it stops on the first node of degree at most 2 it stands on after `l`
+/// actions (after `2l` at the latest, so it stops on every graph).  Two
+/// agents started on different nodes fall out of step:
+/// by a common round they have made different numbers of moves, and one
+/// may be met parked by the other, still walking.  The per-agent fields of
+/// an outcome then differ, which the seeded walkers' position-blind timing
+/// never shows.
+struct DegreeWalker {
+    seed: u64,
+    lifetime: Option<u64>,
+}
+
+impl AgentProgram for DegreeWalker {
+    fn run(&self, nav: &mut dyn Navigator) -> Result<(), Stop> {
+        let mut state = self.seed | 1;
+        let mut actions = 0u64;
+        loop {
+            let parked = |l| actions >= 2 * l || (actions >= l && nav.degree() <= 2);
+            if self.lifetime.is_some_and(parked) {
+                return Ok(());
+            }
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let roll = state >> 33;
+            if roll.is_multiple_of(4) {
+                nav.wait(nav.degree() as Round)?;
             } else {
                 nav.move_via(roll as usize % nav.degree())?;
             }
@@ -323,4 +358,63 @@ fn symbolic_merges_through_orbit_maps_match_fresh_per_node_recordings() {
         }
         assert_eq!(cache.computed_symbolic(), cache.node_orbits().num_orbits());
     }
+}
+
+/// Simultaneous starts are unordered: both agents run one program and, at
+/// δ = 0, start in the same round, so `[(v, u), 0]` runs the two walks of
+/// `[(u, v), 0]` under exchanged names and its outcome is the transpose.
+/// The planner derives half the δ = 0 column from this identity; here the
+/// two per-call engines, which share no code with the planner, check it on
+/// every ordered pair of an implicit group (torus), an explicit one (the
+/// double tree's mirror), a trivial one (grid) and a ring.  The per-call
+/// engines walk every round, so the astronomical horizon runs programs
+/// that terminate; the degree-timed walker makes the two agents' move
+/// totals and stopping rounds differ.  On the torus and the ring only the
+/// diagonal meets:
+/// a translation carries one agent's walk onto the other's, which is the
+/// paper's infeasibility of symmetric positions at δ = 0.
+#[test]
+fn simultaneous_starts_are_unordered_on_every_ordered_pair() {
+    let graphs = [
+        ("torus-3x4", oriented_torus(3, 4).unwrap()),
+        ("double-tree-2-3", symmetric_double_tree(2, 3).unwrap().0),
+        ("grid-3x4", grid(3, 4).unwrap()),
+        ("ring-8", oriented_ring(8).unwrap()),
+    ];
+    let runs: [(&dyn AgentProgram, Round); 6] = [
+        (&ScriptedWalker { seed: 0x5EED, lifetime: None }, 256),
+        (&ScriptedWalker { seed: 0xBEE, lifetime: Some(30) }, 256),
+        (&ScriptedWalker { seed: 0xBEE, lifetime: Some(30) }, 1 << 40),
+        (&DegreeWalker { seed: 0x5EED, lifetime: None }, 256),
+        (&DegreeWalker { seed: 0xBEE, lifetime: Some(6) }, 256),
+        (&DegreeWalker { seed: 0xBEE, lifetime: Some(6) }, 1 << 40),
+    ];
+    let (mut off_diagonal, mut unmet, mut asymmetric) = (0, 0, 0);
+    for (label, g) in &graphs {
+        let n = g.num_nodes();
+        for &(program, horizon) in &runs {
+            for config in [EngineConfig::streaming(horizon), EngineConfig::lockstep(horizon)] {
+                let outcome =
+                    |u, v| simulate_with(g, program, program, &Stic::new(u, v, 0), config);
+                let table: Vec<_> = (0..n * n).map(|i| outcome(i / n, i % n)).collect();
+                let met = table.iter().filter(|o| o.met()).count();
+                assert!(met >= n, "{label}: the diagonal meets, met {met}");
+                off_diagonal += met - n;
+                unmet += n * n - met;
+                asymmetric += table.iter().filter(|o| *o != &o.transposed()).count();
+                for u in 0..n {
+                    for v in 0..n {
+                        assert_eq!(
+                            table[v * n + u],
+                            table[u * n + v].transposed(),
+                            "{label}: ({v}, {u}) vs ({u}, {v}) at horizon {horizon}, {:?}",
+                            config.mode
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(off_diagonal > 0 && unmet > 0, "outcomes must mix");
+    assert!(asymmetric > 0, "some outcomes must tell the two agents apart");
 }

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use anonrv_graph::generators::{
-    circulant, hypercube, lollipop, oriented_ring, oriented_torus, qh_hat, random_connected,
+    circulant, grid, hypercube, lollipop, oriented_ring, oriented_torus, qh_hat, random_connected,
     symmetric_double_tree,
 };
 use anonrv_graph::PortGraph;
@@ -48,6 +48,41 @@ impl AgentProgram for ScriptedWalker {
     }
 }
 
+/// Observation-driven agent: like [`ScriptedWalker`], but each wait lasts
+/// as many rounds as the current node's degree, and with a lifetime `l`
+/// it stops on the first node of degree at most 2 it stands on after `l`
+/// actions (after `2l` at the latest, so it stops on every graph).  Two
+/// agents started on different nodes fall out of step:
+/// by a common round they have made different numbers of moves, and one
+/// may be met parked by the other, still walking.  The per-agent fields of
+/// an outcome then differ, which the seeded walkers' position-blind timing
+/// never shows.
+struct DegreeWalker {
+    seed: u64,
+    lifetime: Option<u64>,
+}
+
+impl AgentProgram for DegreeWalker {
+    fn run(&self, nav: &mut dyn Navigator) -> Result<(), Stop> {
+        let mut state = self.seed | 1;
+        let mut actions = 0u64;
+        loop {
+            let parked = |l| actions >= 2 * l || (actions >= l && nav.degree() <= 2);
+            if self.lifetime.is_some_and(parked) {
+                return Ok(());
+            }
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let roll = state >> 33;
+            if roll.is_multiple_of(4) {
+                nav.wait(nav.degree() as Round)?;
+            } else {
+                nav.move_via(roll as usize % nav.degree())?;
+            }
+            actions += 1;
+        }
+    }
+}
+
 /// Map the meeting node of `outcome` through `f`, leaving every other field
 /// untouched (the only field an automorphism may change).
 fn map_node(mut outcome: SimOutcome, f: impl Fn(usize) -> usize) -> SimOutcome {
@@ -77,9 +112,14 @@ fn differential_families() -> Vec<(&'static str, PortGraph)> {
 /// simulation bit-for-bit (the batch engine's cache reads starts through
 /// the same orbit maps the planner broadcasts with, so it is no
 /// independent reference).
-fn exhaustive_differential(g: &PortGraph, label: &str, deltas: &[Round], horizon: Round) {
-    let program = ScriptedWalker { seed: 0xC0FFEE, lifetime: None };
-    let planned = PlannedSweep::new(g, &program, EngineConfig::batch(horizon));
+fn exhaustive_differential(
+    g: &PortGraph,
+    program: &dyn AgentProgram,
+    label: &str,
+    deltas: &[Round],
+    horizon: Round,
+) {
+    let planned = PlannedSweep::new(g, program, EngineConfig::batch(horizon));
     let plan = SweepPlan::from_orbits(planned.orbits().clone(), deltas.to_vec(), horizon);
     let outcomes = planned.run(&plan);
     for u in g.nodes() {
@@ -87,7 +127,7 @@ fn exhaustive_differential(g: &PortGraph, label: &str, deltas: &[Round], horizon
             for (di, &delta) in deltas.iter().enumerate() {
                 let stic = Stic::new(u, v, delta);
                 let config = EngineConfig::lockstep(horizon);
-                let direct = simulate_with(g, &program, &program, &stic, config);
+                let direct = simulate_with(g, program, program, &stic, config);
                 assert_eq!(
                     outcomes.get(u, v, di),
                     direct,
@@ -100,8 +140,9 @@ fn exhaustive_differential(g: &PortGraph, label: &str, deltas: &[Round], horizon
 
 #[test]
 fn planned_sweeps_are_bit_identical_to_unplanned_on_every_family() {
+    let program = ScriptedWalker { seed: 0xC0FFEE, lifetime: None };
     for (label, g) in differential_families() {
-        exhaustive_differential(&g, label, &[0, 1, 2, 5], 48);
+        exhaustive_differential(&g, &program, label, &[0, 1, 2, 5], 48);
     }
 }
 
@@ -109,8 +150,86 @@ fn planned_sweeps_are_bit_identical_to_unplanned_on_every_family() {
 fn exhaustive_differential_on_torus_3x4_and_qhat_4() {
     // the two instances the issue pins: a vertex-transitive torus and the
     // paper's 4-regular lower-bound graph Q̂_4 (161 nodes)
-    exhaustive_differential(&oriented_torus(3, 4).unwrap(), "torus-3x4", &[0, 1, 2, 3, 4], 96);
-    exhaustive_differential(&qh_hat(4).unwrap().graph, "qhat-4", &[0, 2], 40);
+    let program = ScriptedWalker { seed: 0xC0FFEE, lifetime: None };
+    let torus = oriented_torus(3, 4).unwrap();
+    exhaustive_differential(&torus, &program, "torus-3x4", &[0, 1, 2, 3, 4], 96);
+    exhaustive_differential(&qh_hat(4).unwrap().graph, &program, "qhat-4", &[0, 2], 40);
+}
+
+/// Every other execution path of a plan — a 3-shard `run_classes`
+/// concatenation, `serve_prefix` from tables recorded at a smaller and at a
+/// larger horizon, and (on an implicit group) `run_streamed` one class per
+/// chunk and all classes in one — reproduces `run`'s table.  Each path
+/// derives δ = 0 entries only from transposed classes its own call holds.
+fn every_path_reproduces_the_run_table(
+    g: &PortGraph,
+    program: &dyn AgentProgram,
+    label: &str,
+    deltas: &[Round],
+    h: Round,
+) {
+    let planned = PlannedSweep::new(g, program, EngineConfig::batch(2 * h));
+    let plan_at = |h| SweepPlan::from_orbits(planned.orbits().clone(), deltas.to_vec(), h);
+    let plan = plan_at(h);
+    let table = planned.run(&plan).table().to_vec();
+    let classes = planned.orbits().num_pair_classes();
+    let k = deltas.len();
+
+    // round-robin slices, as the store's shards take them
+    let mut sharded = vec![None; table.len()];
+    for index in 0..3 {
+        let slice: Vec<usize> = (index..classes).step_by(3).collect();
+        let block = planned.run_classes(&plan, &slice);
+        for (i, &class) in slice.iter().enumerate() {
+            for di in 0..k {
+                sharded[class * k + di] = Some(block[i * k + di]);
+            }
+        }
+    }
+    let sharded: Vec<_> = sharded.into_iter().map(|o| o.expect("the shards cover it")).collect();
+    assert_eq!(sharded, table, "{label} {deltas:?}: 3 shards");
+
+    for recorded in [h / 3, 2 * h] {
+        let recording = plan_at(recorded);
+        let (served, _) = planned.serve_prefix(&planned.run(&recording), &plan).unwrap();
+        assert_eq!(served.table(), table, "{label} {deltas:?}: served from {recorded}");
+    }
+
+    if planned.orbits().is_implicit() {
+        for chunk in [1, classes] {
+            let mut streamed = Vec::new();
+            planned.run_streamed(&plan, chunk, |_, o| streamed.extend_from_slice(o)).unwrap();
+            assert_eq!(streamed, table, "{label} {deltas:?}: streamed in chunks of {chunk}");
+        }
+    }
+}
+
+/// δ-grids that hold 0 alone, hold it in the middle, and lack it, on an
+/// implicit group (torus), an explicit one (the double tree's mirror) and a
+/// trivial one (grid): the planner derives the δ = 0 column's larger
+/// transposed classes, and every path must still answer every member query
+/// as direct simulation does.  The degree-timed walkers make the derived
+/// entries' per-agent fields differ from their sources'.
+#[test]
+fn delta_grids_with_and_without_simultaneous_starts_on_every_kind_of_group() {
+    let graphs = [
+        ("torus-3x4", oriented_torus(3, 4).unwrap()),
+        ("double-tree-2-3", symmetric_double_tree(2, 3).unwrap().0),
+        ("grid-3x4", grid(3, 4).unwrap()),
+    ];
+    let programs: [&dyn AgentProgram; 3] = [
+        &ScriptedWalker { seed: 0xC0FFEE, lifetime: None },
+        &DegreeWalker { seed: 0xC0FFEE, lifetime: None },
+        &DegreeWalker { seed: 0xBEE, lifetime: Some(6) },
+    ];
+    for (label, g) in &graphs {
+        for program in programs {
+            for deltas in [&[0][..], &[2, 0, 1], &[1, 2]] {
+                exhaustive_differential(g, program, label, deltas, 48);
+                every_path_reproduces_the_run_table(g, program, label, deltas, 48);
+            }
+        }
+    }
 }
 
 #[test]
