@@ -27,12 +27,13 @@
 //!                                              (anonrv.report/v1) on stdout and
 //!                                              --trace-out writes a JSONL span/
 //!                                              event trace (anonrv.trace/v1);
-//!                                              --stream runs the implicit orbit
-//!                                              planner: chunks of (class, δ)
-//!                                              entries visit a fingerprinter
+//!                                              --stream runs the plan in
+//!                                              chunks of (class, δ) entries
+//!                                              that visit a fingerprinter
 //!                                              instead of materialising the
-//!                                              table, so all-pairs sweeps scale
-//!                                              to million-node stamped graphs
+//!                                              table, on any graph and at any
+//!                                              horizon, so all-pairs sweeps
+//!                                              scale to million-node tori
 //! anonrv cache    <dir> stats|gc|fsck [--repair] [--json]
 //!                                              survey / compact / deep-verify a
 //!                                              plan-cache dir (--json: the same
@@ -94,9 +95,9 @@ fn usage() -> &'static str {
      prefix truncation),\n  --shards/--shard-index executes one slice, --merge reassembles the \
      slices bit-identically,\n  --shards/--supervised runs every slice in-process with bounded \
      retry + backoff, re-running\n  only slices whose artifact is missing, then merges.\n  \
-     --stream executes the plan through the implicit orbit planner (stamped vertex-transitive\n  \
-     graphs only): chunks of C classes (default 1024) stream through a fingerprinter with\n  \
-     bounded memory — the path that completes all-pairs sweeps on torus:1024x1024.\n  \
+     --stream executes the plan in chunks of C classes (default 1024) that stream through a\n  \
+     fingerprinter with bounded memory, on any graph and at any horizon — the path that\n  \
+     completes all-pairs sweeps on torus:1024x1024.\n  \
      --report json prints one anonrv.report/v1 JSON object (plan, provenance, session stats,\n  \
      supervisor attempt rows, metrics snapshot, outcome-table fingerprint) instead of text;\n  \
      --trace-out FILE streams every timing span and structured event as anonrv.trace/v1 JSONL.\n\n\
@@ -616,7 +617,7 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
         };
 
     if stream {
-        // -- streamed mode: the implicit orbit planner, nothing materialised
+        // -- streamed mode: chunked execution, nothing materialised
         if merge || supervised || shards.is_some() || shard_index.is_some() {
             return Err("--stream is a single-process mode; drop --shards/--shard-index/--merge/\
                  --supervised"
@@ -654,7 +655,7 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
             if store.is_some() {
                 "timelines persisted (streamed tables are fingerprinted, not stored)"
             } else {
-                "disabled (pass --cache-dir to persist the representative timeline)"
+                "disabled (pass --cache-dir to persist the representative timelines)"
             },
             summary.met_total,
             summary.answered,
@@ -886,9 +887,11 @@ fn cmd_sweep(args: &[String]) -> Result<String, String> {
             | OutcomeProvenance::WarmExtend { recorded, remerged },
         ) => format!(
             "outcomes {} (recorded at horizon {recorded}, served at {horizon}: {remerged} of {} \
-             representative merges re-run, {} program executions)",
+             entries re-resolved ({} merged, {} derived), {} program executions)",
             if is_prefix { "warm-prefix" } else { "warm-extend" },
             plan.num_representative_queries(),
+            stats.executed,
+            remerged - stats.executed,
             stats.timeline_misses,
         ),
         (Some(_), OutcomeProvenance::Cold) => {
@@ -1209,13 +1212,19 @@ mod tests {
         assert_eq!(count("merge.delta_passes"), classes);
         assert_eq!(count("merge.deltas") + count("plan.transposed"), entries);
 
-        // flag validation: streaming is single-process and needs an
-        // implicit group
+        // an explicit (BFS) group streams through the same mapped merges
+        let lollipop = ["sweep", "lollipop:3x2", "--deltas", "3", "--horizon", "256"];
+        let full = run(&argv(&lollipop)).unwrap();
+        let streamed = run(&argv(&[&lollipop[..], &["--stream"]].concat())).unwrap();
+        assert!(streamed.contains("mode: streamed sweep"), "{streamed}");
+        for prefix in ["outcome table fingerprint:", "meetings:"] {
+            assert_eq!(line(&streamed, prefix), line(&full, prefix));
+        }
+
+        // flag validation: streaming is single-process
         let mut with_shards = streamed_args.clone();
         with_shards.extend(["--shards".to_string(), "2".to_string()]);
         assert!(run(&with_shards).is_err());
-        let explicit = run(&argv(&["sweep", "lollipop:3x2", "--stream"]));
-        assert!(explicit.unwrap_err().contains("implicit"), "explicit partitions cannot stream");
         assert!(run(&argv(&["sweep", "ring:6", "--stream", "--chunk", "0"])).is_err());
     }
 
@@ -1354,6 +1363,22 @@ mod tests {
             "prefix-served table diverged from the cold run"
         );
         assert_eq!(line(&short, "meetings:"), line(&cold, "meetings:"));
+
+        // the re-resolved entries split into merges and δ = 0 derivations;
+        // the same sweep's JSON report counts the merges as
+        // `session.executed` and the derivations as `plan.transposed`
+        let counts = short.split_once("entries re-resolved (").expect("the split").1;
+        let (merged, counts) = counts.split_once(" merged, ").unwrap();
+        let derived = counts.split_once(" derived)").unwrap().0;
+        let (merged, derived): (u64, u64) = (merged.parse().unwrap(), derived.parse().unwrap());
+        let report = run(&argv(&[&short_args[..], &["--report", "json"]].concat())).unwrap();
+        let v = anonrv_obs::json::parse(&report).unwrap();
+        let member = |path: &[&str]| {
+            path.iter().fold(&v, |v, key| v.get(key).unwrap_or_else(|| panic!("{key}"))).as_u64()
+        };
+        assert_eq!(Some(merged), member(&["session", "executed"]), "{short}");
+        assert_eq!(Some(derived), member(&["metrics", "counters", "plan.transposed"]), "{short}");
+        assert_eq!(Some(merged + derived), member(&["provenance", "remerged"]), "{short}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,16 +1,18 @@
 //! Lightweight tabular reports.
 //!
 //! Every experiment produces one or more [`Table`]s: the same rows that
-//! EXPERIMENTS.md records, printable as aligned ASCII and serialisable to
-//! JSON for archival.  Keeping this in-crate (rather than pulling a table
-//! crate) keeps the dependency set to the pre-approved list.
+//! EXPERIMENTS.md records, printable as aligned ASCII and archivable as
+//! JSON.  The JSON goes through [`anonrv_obs::json`], the codec behind
+//! every other artifact of the workspace, as one compact line.  Keeping
+//! this in-crate (rather than pulling a table crate) keeps the dependency
+//! set to the pre-approved list.
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
+use anonrv_obs::json::{self, Value};
 
 /// A titled table with a header row, data rows and free-form notes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Experiment identifier, e.g. `"EXP-L32"`.
     pub id: String,
@@ -104,9 +106,18 @@ impl Table {
         out
     }
 
-    /// Serialise to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("table serialisation cannot fail")
+    /// The table as a JSON object with the members `id`, `title`,
+    /// `headers`, `rows` and `notes`, in that order.
+    pub fn to_value(&self) -> Value {
+        let strings =
+            |cells: &[String]| Value::Arr(cells.iter().map(|c| c.as_str().into()).collect());
+        json::obj([
+            ("id", Value::from(self.id.as_str())),
+            ("title", Value::from(self.title.as_str())),
+            ("headers", strings(&self.headers)),
+            ("rows", Value::Arr(self.rows.iter().map(|row| strings(row)).collect())),
+            ("notes", strings(&self.notes)),
+        ])
     }
 }
 
@@ -117,7 +128,7 @@ impl std::fmt::Display for Table {
 }
 
 /// A group of tables produced by one experiment binary (or by `exp_all`).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Report {
     /// The tables, in presentation order.
     pub tables: Vec<Table>,
@@ -139,9 +150,11 @@ impl Report {
         self.tables.iter().map(Table::render).collect::<Vec<_>>().join("\n")
     }
 
-    /// Serialise to pretty JSON.
+    /// Serialise to one compact line of JSON: `{"tables": [...]}`, each
+    /// table as [`Table::to_value`] builds it.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
+        json::obj([("tables", Value::Arr(self.tables.iter().map(Table::to_value).collect()))])
+            .to_string()
     }
 
     /// Find a table by id.
@@ -154,7 +167,7 @@ impl Report {
 /// compressed its STIC batch, plus the cache and shard provenance that make
 /// `--exhaustive` runs auditable (which work was actually re-executed, and
 /// by which slice of a sharded run).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanCompression {
     /// Instance label.
     pub label: String,
@@ -181,7 +194,7 @@ pub struct PlanCompression {
 }
 
 /// Which slice of a sharded run produced an instance's numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardProvenance {
     /// Shard index, in `0..shards`.
     pub index: usize,
@@ -340,15 +353,42 @@ mod tests {
         assert!(t.column_values("missing").is_empty());
     }
 
+    /// Read a parsed table object back, checking its five members and
+    /// their order.
+    fn decode_table(v: &Value) -> Table {
+        let keys: Vec<&str> = v.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["id", "title", "headers", "rows", "notes"]);
+        let member = |key| v.get(key).unwrap();
+        let text = |v: &Value| v.as_str().unwrap().to_string();
+        let texts = |v: &Value| v.as_array().unwrap().iter().map(text).collect::<Vec<_>>();
+        Table {
+            id: text(member("id")),
+            title: text(member("title")),
+            headers: texts(member("headers")),
+            rows: member("rows").as_array().unwrap().iter().map(texts).collect(),
+            notes: texts(member("notes")),
+        }
+    }
+
     #[test]
     fn report_round_trips_through_json() {
         let mut r = Report::new();
         let mut t = Table::new("EXP-Y", "json", &["a"]);
         t.push_row(["1"]);
         r.push(t);
+        // strings the encoder must escape, and non-ASCII text it must not mangle
+        let mut t = Table::new("EXP-ESC", "a \"quoted\" title — Q̂_2", &["Q̂_h", "path"]);
+        t.push_row(["say \"hi\"", "C:\\dir\\file"]);
+        t.push_row(["two\nlines", "—"]);
+        t.push_note("tab\tand \\ backslash — Q̂");
+        r.push(t);
         let json = r.to_json();
-        let back: Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
+        assert!(!json.contains('\n'), "the report is one compact line: {json}");
+        let back = json::parse(&json).unwrap();
+        assert_eq!(back.as_object().unwrap().len(), 1, "the report's one member is `tables`");
+        let tables: Vec<Table> =
+            back.get("tables").unwrap().as_array().unwrap().iter().map(decode_table).collect();
+        assert_eq!(tables, r.tables);
         assert!(r.table("EXP-Y").is_some());
         assert!(r.table("EXP-Z").is_none());
     }

@@ -31,7 +31,6 @@
 //! one-off cases.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use anonrv_core::feasibility::{FeasibilityOracle, SticClass};
 use anonrv_graph::{NodeId, PortGraph};
@@ -39,7 +38,7 @@ use anonrv_sim::{simulate, AgentProgram, Round, Stic, SweepEngine};
 use anonrv_store::SweepSession;
 
 /// One simulated STIC and its outcome.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunRecord {
     /// Workload family (e.g. `"oriented-torus"`).
     pub family: String,

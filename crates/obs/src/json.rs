@@ -1,6 +1,7 @@
-//! A minimal JSON codec — the serialization substrate of every telemetry
-//! artifact this crate produces (trace records, metrics snapshots, CLI
-//! reports) and of the `report_check` validator that consumes them.
+//! A minimal JSON codec — the workspace's one: the serialization substrate
+//! of every telemetry artifact this crate produces (trace records, metrics
+//! snapshots, CLI reports), of the experiment reports `anonrv-experiments`
+//! archives, and of the `report_check` validator.
 //!
 //! The crate is deliberately dependency-free (see the crate docs), so this
 //! module hand-rolls the two halves it actually needs and nothing more:

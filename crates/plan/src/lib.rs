@@ -91,14 +91,17 @@
 //! maps and the witnessing automorphism in O(1) arithmetic, so nothing
 //! `n`- or `n²`-sized is ever allocated — under a free transitive group
 //! every ordered pair is equivalent to exactly one `(0, d)` and the class
-//! *is* the difference `d`.  [`PlannedSweep::run_streamed`] then walks the
-//! `(class, δ)` work-list in bounded chunks, folding meeting counts and a
-//! running table fingerprint instead of materialising the outcome table:
-//! the all-pairs sweep on `oriented_torus(1024, 1024)` — 2²⁰ classes,
-//! 2.2 × 10¹² member STICs — completes in seconds inside a 2 GiB cap.
-//! Unstamped graphs keep the explicit BFS path unchanged; the two modes
-//! are pinned pointwise-equal and bit-identical in execution by
-//! `tests/property_implicit_orbits.rs`.
+//! *is* the difference `d`.  Unstamped graphs keep the explicit BFS path
+//! unchanged; the two modes are pinned pointwise-equal and bit-identical
+//! in execution by `tests/property_implicit_orbits.rs`.
+//!
+//! [`PlannedSweep::run_streamed`] walks the `(class, δ)` work-list in
+//! bounded chunks, folding meeting counts and a running table fingerprint
+//! instead of materialising the outcome table.  Each chunk goes through
+//! the same fan-out as a whole run, so any partition, implicit or
+//! explicit, streams at any horizon.  The all-pairs sweep on
+//! `oriented_torus(1024, 1024)` — 2²⁰ classes, 2.2 × 10¹² member STICs —
+//! completes in seconds inside a 2 GiB cap.
 //!
 //! ## Beyond one process
 //!

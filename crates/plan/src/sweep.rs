@@ -35,7 +35,6 @@ use rayon::prelude::*;
 use anonrv_graph::{NodeId, PortGraph};
 use anonrv_sim::{
     simulate_with, AgentProgram, EngineConfig, EngineMode, Round, SimOutcome, Stic, SweepEngine,
-    UNROLL_CAP,
 };
 
 use crate::orbits::PairOrbits;
@@ -555,16 +554,14 @@ impl<'a> PlannedSweep<'a> {
     /// table**: stream class-major, δ-minor outcome chunks to `visit` and
     /// return only aggregate [`StreamStats`].
     ///
-    /// This is the million-node path.  It requires an *implicit* orbit
-    /// partition ([`PairOrbits::is_implicit`]), whose group is regular: node
-    /// 0 represents every node class and class `c` is represented by the
-    /// pair `(0, c)`.  Each chunk of classes goes through the same per-class
-    /// δ-sweep query as [`PlannedSweep::run_classes`]; the engine's cache
-    /// holds the one node orbit's recording, `timeline(0)`, and reads the
-    /// later agent's walk from `c` through the group element `φ_c`
-    /// (vertex-transitivity: the walk from `c` is the `φ_c`-image of the walk
-    /// from 0), so live memory is `O(|timeline(0)| + chunk · |δ|)` instead of
-    /// an `n · |δ|` table.
+    /// This is the million-node path, and it runs on any partition and at
+    /// any horizon.  Each chunk of classes goes through the same fan-out as
+    /// [`PlannedSweep::run_classes`]: the engine's cache holds one recording
+    /// per node orbit and reads every other start's walk through the
+    /// witnessing automorphism, and a horizon past the unroll cap resolves
+    /// through the symbolic merge.  On a vertex-transitive graph the cache
+    /// holds one recording, so live memory is `O(|timeline| + chunk · |δ|)`
+    /// instead of an `n · |δ|` table.
     ///
     /// `visit(base, outcomes)` receives each chunk's first class index and
     /// its `(class, δ)` outcomes in the exact slot order of
@@ -572,10 +569,10 @@ impl<'a> PlannedSweep<'a> {
     /// table bit-identically.  `chunk_classes` bounds peak memory
     /// (`chunk_classes × |δ|` outcomes live at once).
     ///
-    /// Errors (rather than silently falling back) when the partition is
-    /// explicit, when the plan does not match this sweep, or when the
-    /// horizon needs the symbolic engine (`> UNROLL_CAP`) — callers decide
-    /// the fallback policy.
+    /// Errors (rather than silently falling back) when the plan does not
+    /// match this sweep, when the plan's horizon exceeds the engine's, or
+    /// when the engine is pinned to a per-call mode — callers decide the
+    /// fallback policy.
     pub fn run_streamed<F>(
         &self,
         plan: &SweepPlan,
@@ -590,19 +587,6 @@ impl<'a> PlannedSweep<'a> {
         }
         if plan.horizon() > self.engine.config().horizon {
             return Err("plan horizon exceeds the engine horizon".into());
-        }
-        if plan.horizon() > UNROLL_CAP {
-            return Err(format!(
-                "streamed execution unrolls timelines explicitly; horizon {} exceeds the \
-                 unroll cap 2^{} (use the symbolic path)",
-                plan.horizon(),
-                UNROLL_CAP.trailing_zeros()
-            ));
-        }
-        if !self.orbits.is_implicit() {
-            return Err("streamed execution needs an implicit (closed-form, transitive) symmetry \
-                 group; this sweep's partition is explicit — use `run` / `run_classes`"
-                .into());
         }
         if !matches!(self.engine.config().mode, EngineMode::Auto | EngineMode::Batch) {
             return Err("streamed execution requires the batch engine (mode Auto or Batch)".into());
@@ -881,12 +865,27 @@ mod tests {
 
     #[test]
     fn run_streamed_chunks_concatenate_to_the_full_table() {
-        for g in [oriented_torus(3, 4).unwrap(), oriented_ring(8).unwrap()] {
-            let program = Walker { seed: 0x5EED };
-            let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
-            assert!(planned.orbits().is_implicit(), "generator should stamp an implicit group");
-            let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 2, 3, 40], 64);
+        let walker = Walker { seed: 0x5EED };
+        // finite-state, so a horizon past the unroll cap resolves symbolically
+        let finite = anonrv_sim::SweepWalker { seed: 0x5EED };
+        let torus = oriented_torus(3, 4).unwrap();
+        let ring = oriented_ring(8).unwrap();
+        // a trivial group: every ordered pair is its own class
+        let trivial = grid(3, 3).unwrap();
+        let cases: [(&PortGraph, &dyn AgentProgram, Round); 5] = [
+            (&torus, &walker, 64),
+            (&ring, &walker, 64),
+            (&trivial, &walker, 64),
+            (&ring, &finite, 1 << 40),
+            (&trivial, &finite, 1 << 40),
+        ];
+        for (g, program, horizon) in cases {
+            let planned = PlannedSweep::new(g, program, EngineConfig::batch(horizon));
+            let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 2, 3, 40], horizon);
             let full = planned.run(&plan);
+            if horizon > anonrv_sim::UNROLL_CAP {
+                assert!(planned.engine().cache().computed_symbolic() > 0, "symbolic path");
+            }
             for chunk in [1usize, 2, 5, 100] {
                 let mut table = Vec::new();
                 let mut bases = Vec::new();
@@ -896,16 +895,16 @@ mod tests {
                         table.extend_from_slice(outcomes);
                     })
                     .unwrap();
-                assert_eq!(table, full.table(), "chunk size {chunk} diverged");
+                assert_eq!(table, full.table(), "chunk size {chunk} at horizon {horizon} diverged");
                 assert_eq!(stats.classes, planned.orbits().num_pair_classes());
                 assert_eq!(stats.entries, full.table().len());
                 assert_eq!(
                     stats.met_entries,
                     full.table().iter().filter(|o| o.meeting.is_some()).count()
                 );
-                // the implicit groups here are regular: class size = n
+                // the group acts freely, so the classes cover every pair once
                 assert_eq!(stats.answered, g.num_nodes() * g.num_nodes() * plan.deltas().len());
-                assert_eq!(stats.met_total, stats.met_entries * g.num_nodes());
+                assert_eq!(stats.met_total, full.met_total());
                 // chunks arrive in class order, each δ-complete
                 let mut expect_base = 0;
                 for &(base, len) in &bases {
@@ -922,17 +921,20 @@ mod tests {
     fn run_streamed_refuses_unsupported_configurations() {
         let g = oriented_ring(6).unwrap();
         let program = Walker { seed: 3 };
-        // explicit partition: no closed-form action to stream through
-        let explicit = PairOrbits::compute_explicit(&g);
-        let planned = PlannedSweep::with_orbits(&explicit, &g, &program, EngineConfig::batch(64));
-        let plan = SweepPlan::from_orbits(explicit.clone(), vec![0, 1], 64);
-        let err = planned.run_streamed(&plan, 4, |_, _| {}).unwrap_err();
-        assert!(err.contains("implicit"), "{err}");
         // plan horizon above the engine horizon
         let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
         let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 128);
         let err = planned.run_streamed(&plan, 4, |_, _| {}).unwrap_err();
         assert!(err.contains("exceeds the engine horizon"), "{err}");
+        // a plan over another graph's partition
+        let foreign = SweepPlan::new(&oriented_ring(7).unwrap(), vec![0, 1], 64);
+        let err = planned.run_streamed(&foreign, 4, |_, _| {}).unwrap_err();
+        assert!(err.contains("different graph"), "{err}");
+        // an engine pinned to a per-call mode
+        let pinned = PlannedSweep::new(&g, &program, EngineConfig::lockstep(64));
+        let plan = SweepPlan::from_orbits(pinned.orbits().clone(), vec![0, 1], 64);
+        let err = pinned.run_streamed(&plan, 4, |_, _| {}).unwrap_err();
+        assert!(err.contains("batch engine"), "{err}");
     }
 
     #[test]

@@ -87,7 +87,9 @@ use anonrv_sim::{
     TimelineParts,
 };
 
-use crate::codec::{fnv64, peek_frame, unframe, unframe_checked, Dec, Enc, FrameFailure, Kind};
+use crate::codec::{
+    fnv64, fnv64_extend, peek_frame, unframe, unframe_checked, Dec, Enc, FrameFailure, Kind,
+};
 use crate::fault;
 
 /// Process-local monotonic counter distinguishing this process's transient
@@ -1573,51 +1575,42 @@ pub(crate) fn decode_outcome_table(d: &mut Dec<'_>) -> Option<Vec<SimOutcome>> {
 /// Deliberately **not** the on-disk column layout, so fingerprints stay
 /// comparable across format versions.
 pub fn table_fingerprint(table: &[SimOutcome]) -> u64 {
-    let mut e = Enc::new();
-    e.usize(table.len());
-    for o in table {
-        encode_outcome(&mut e, o);
-    }
-    fnv64(e.payload())
+    let mut f = TableFingerprinter::new(table.len());
+    f.extend(table);
+    f.finish()
 }
 
-/// Streaming [`table_fingerprint`]: feed outcome chunks as they are
-/// produced and never hold the table.  Seeded with the total entry count up
-/// front (the count is the encoding's length prefix, and a streamed sweep
-/// knows it before the first chunk: `classes × |δ|`), then fed each entry's
-/// canonical encoding in slot order — [`TableFingerprinter::finish`] equals
-/// `table_fingerprint(&concatenated_chunks)` exactly, which is what lets a
-/// million-node streamed sweep print the same fingerprint a materialised
-/// run would.
+/// The encoder behind [`table_fingerprint`], fed outcome chunks as they are
+/// produced so a streamed sweep never holds the table.  Seeded with the
+/// total entry count up front (the count is the encoding's length prefix,
+/// and a streamed sweep knows it before the first chunk: `classes × |δ|`),
+/// then fed each entry's canonical encoding in slot order — so any
+/// chunking of a table fingerprints like the whole table, which is what
+/// lets a million-node streamed sweep print the same fingerprint a
+/// materialised run would.
 #[derive(Debug, Clone)]
 pub struct TableFingerprinter {
     hash: u64,
     declared: usize,
     fed: usize,
+    /// One entry's encoding, reused for every entry.
+    entry: Enc,
 }
 
 impl TableFingerprinter {
     /// Start a fingerprint over exactly `len` upcoming entries.
     pub fn new(len: usize) -> Self {
-        let mut f = TableFingerprinter { hash: 0xcbf29ce484222325, declared: len, fed: 0 };
-        f.feed(&(len as u64).to_le_bytes());
-        f
-    }
-
-    fn feed(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(0x100000001b3);
-        }
+        let hash = fnv64(&(len as u64).to_le_bytes());
+        TableFingerprinter { hash, declared: len, fed: 0, entry: Enc::new() }
     }
 
     /// Absorb the next chunk of outcomes, in slot order.
     pub fn extend(&mut self, outcomes: &[SimOutcome]) {
-        let mut e = Enc::new();
         for o in outcomes {
-            encode_outcome(&mut e, o);
+            self.entry.clear();
+            encode_outcome(&mut self.entry, o);
+            self.hash = fnv64_extend(self.hash, self.entry.payload());
         }
-        self.feed(e.payload());
         self.fed += outcomes.len();
     }
 
@@ -1649,22 +1642,45 @@ mod tests {
 
     #[test]
     fn streaming_fingerprinter_matches_the_one_shot_table_fingerprint() {
-        let g = oriented_torus(3, 4).unwrap();
-        let program = Walker { seed: 0x5EED };
-        let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
-        let plan =
-            anonrv_plan::SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1, 2, 5], 64);
-        let table = planned.run(&plan).table().to_vec();
-        let expect = table_fingerprint(&table);
-        for chunk in [1usize, 3, 7, table.len()] {
+        // The constants pin the canonical encoding: FNV-1a-64 over the
+        // little-endian entry count, then per entry the flag byte, the
+        // meeting (u128 rounds, u64 node) when present, both u64 move
+        // counts and the u128 horizon.  CI and perfbench compare
+        // committed fingerprints, so these must never change.
+        assert_eq!(table_fingerprint(&[]), 0xa8c7f832281a39c5);
+        assert_eq!(TableFingerprinter::new(0).finish(), 0xa8c7f832281a39c5);
+        let entry = |meeting, moves: (u64, u64), terminated: (bool, bool), horizon| SimOutcome {
+            meeting,
+            earlier_moves: moves.0,
+            later_moves: moves.1,
+            earlier_terminated: terminated.0,
+            later_terminated: terminated.1,
+            horizon,
+        };
+        let near = Meeting { global_round: 12, later_round: 9, node: 5 };
+        let far = Meeting { global_round: 1 << 41, later_round: (1 << 41) - 2, node: 63 };
+        let table = [
+            entry(Some(near), (7, 4), (false, false), 64),
+            entry(None, (40, 38), (false, false), 64),
+            entry(None, (3, 2), (true, true), 64),
+            entry(Some(far), (u64::MAX, 1 << 40), (false, true), 1 << 70),
+            SimOutcome::no_show(64),
+        ];
+        const PINNED: u64 = 0x751593fafba96b2d;
+        assert_eq!(table_fingerprint(&table), PINNED);
+        // every chunking of the table: bit i of `cuts` splits after entry i
+        for cuts in 0u32..1 << (table.len() - 1) {
             let mut f = TableFingerprinter::new(table.len());
-            for block in table.chunks(chunk) {
-                f.extend(block);
+            let mut start = 0;
+            for end in 1..=table.len() {
+                if end == table.len() || cuts & (1 << (end - 1)) != 0 {
+                    f.extend(&table[start..end]);
+                    start = end;
+                }
             }
-            assert_eq!(f.finish(), expect, "chunk size {chunk} diverged");
+            f.extend(&[]);
+            assert_eq!(f.finish(), PINNED, "chunking {cuts:#06b} diverged");
         }
-        // the empty table fingerprints consistently too
-        assert_eq!(TableFingerprinter::new(0).finish(), table_fingerprint(&[]));
     }
 
     #[test]

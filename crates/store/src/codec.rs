@@ -74,7 +74,12 @@ pub(crate) enum Kind {
 /// 64-bit FNV-1a over a byte slice (the frame checksum and the filename
 /// key hash).
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    fnv64_extend(0xcbf29ce484222325, bytes)
+}
+
+/// Continue an FNV-1a hash `h` over more bytes: `fnv64(a ++ b)` is
+/// `fnv64_extend(fnv64(a), b)`.
+pub(crate) fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
@@ -83,6 +88,7 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Append-only payload encoder.
+#[derive(Debug, Clone)]
 pub(crate) struct Enc {
     buf: Vec<u8>,
 }
@@ -90,6 +96,11 @@ pub(crate) struct Enc {
 impl Enc {
     pub(crate) fn new() -> Self {
         Enc { buf: Vec::new() }
+    }
+
+    /// Drop the payload, keeping the allocation for the next one.
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
     }
 
     pub(crate) fn u8(&mut self, x: u8) {

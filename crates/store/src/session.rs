@@ -480,18 +480,17 @@ impl<'a> SweepSession<'a> {
     /// entry point for sweeps whose table cannot exist in memory: a
     /// 1024×1024 torus has 2²⁰ pair classes, so even the class-compressed
     /// table is gigabytes at any realistic δ-grid, while the streamed
-    /// summary stays O(1) and peak memory is `O(|timeline(0)| +
-    /// chunk_classes · |δ|)`.
+    /// summary stays O(1) and peak memory is the trajectory cache plus
+    /// `O(chunk_classes · |δ|)`.
     ///
-    /// Requires an implicit orbit partition
-    /// ([`anonrv_plan::PairOrbits::is_implicit`]); see
+    /// Any partition and any horizon stream; see
     /// [`PlannedSweep::run_streamed`] for the mapped-merge mechanics and
     /// the remaining guards.  The summary's fingerprint equals
     /// [`crate::table_fingerprint`] of the table [`SweepSession::run_plan`]
     /// would have produced, which is how small instances pin this path
     /// bit-for-bit against the materialised one.  Timelines recorded along
-    /// the way (exactly one: node 0's) persist back best-effort, so a
-    /// repeated streamed sweep skips its single program execution.
+    /// the way (one per node orbit) persist back best-effort, so a
+    /// repeated streamed sweep skips its program executions.
     pub fn run_streamed(
         &mut self,
         plan: &SweepPlan,

@@ -158,8 +158,8 @@ fn exhaustive_differential_on_torus_3x4_and_qhat_4() {
 
 /// Every other execution path of a plan — a 3-shard `run_classes`
 /// concatenation, `serve_prefix` from tables recorded at a smaller and at a
-/// larger horizon, and (on an implicit group) `run_streamed` one class per
-/// chunk and all classes in one — reproduces `run`'s table.  Each path
+/// larger horizon, and `run_streamed` one class per chunk and all classes
+/// in one — reproduces `run`'s table.  Each path
 /// derives δ = 0 entries only from transposed classes its own call holds.
 fn every_path_reproduces_the_run_table(
     g: &PortGraph,
@@ -195,12 +195,10 @@ fn every_path_reproduces_the_run_table(
         assert_eq!(served.table(), table, "{label} {deltas:?}: served from {recorded}");
     }
 
-    if planned.orbits().is_implicit() {
-        for chunk in [1, classes] {
-            let mut streamed = Vec::new();
-            planned.run_streamed(&plan, chunk, |_, o| streamed.extend_from_slice(o)).unwrap();
-            assert_eq!(streamed, table, "{label} {deltas:?}: streamed in chunks of {chunk}");
-        }
+    for chunk in [1, classes] {
+        let mut streamed = Vec::new();
+        planned.run_streamed(&plan, chunk, |_, o| streamed.extend_from_slice(o)).unwrap();
+        assert_eq!(streamed, table, "{label} {deltas:?}: streamed in chunks of {chunk}");
     }
 }
 
