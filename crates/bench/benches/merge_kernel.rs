@@ -13,8 +13,12 @@
 //! * **symbolic window merge** — one STIC past the unroll cap resolved
 //!   from two detected `prefix · cycle^∞` timelines ([`merge_symbolic`]),
 //!   the per-class work of the `symbolic-grid` perfbench workload; the pair
-//!   never meets, so the same sort-merge loop walks the whole alignment
-//!   window.
+//!   never meets, and both grid walkers are dense and unmapped, so the
+//!   compare of their round columns decides it with no walk;
+//! * **mapped symbolic window merge** — an unmet pair of torus-16x16
+//!   walkers through [`TrajectoryCache::simulate_symbolic`]: the later walk
+//!   is read through a node map, so the sort-merge loop still walks the
+//!   whole alignment window segment by segment.
 //!
 //! Timelines are recorded (or detected) once outside the timing loops (the
 //! trajectory cache's job), and the earlier timeline's visit index is built
@@ -24,6 +28,7 @@
 //! [`merge_timelines`]: anonrv_sim::merge_timelines
 //! [`merge_timelines_deltas`]: anonrv_sim::merge_timelines_deltas
 //! [`merge_symbolic`]: anonrv_sim::merge_symbolic
+//! [`TrajectoryCache::simulate_symbolic`]: anonrv_sim::TrajectoryCache::simulate_symbolic
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -31,7 +36,8 @@ use std::hint::black_box;
 use anonrv_bench::SweepWalker;
 use anonrv_graph::generators::{grid, oriented_torus};
 use anonrv_sim::{
-    detect_symbolic, merge_symbolic, merge_timelines, merge_timelines_deltas, Round, Stic, Timeline,
+    detect_symbolic, merge_symbolic, merge_timelines, merge_timelines_deltas, Round, Stic,
+    Timeline, TrajectoryCache,
 };
 
 const HORIZON: Round = 4096;
@@ -65,10 +71,21 @@ fn bench_merge_kernel(c: &mut Criterion) {
     let sym_stic = Stic::new(0, 1, 0);
     let huge: Round = 1 << 40;
     let probe = merge_symbolic(&sym_earlier, &sym_later, &sym_stic, huge);
-    assert!(!probe.expect("within the segment cap").met(), "the row must walk the whole window");
+    assert!(!probe.expect("within the segment cap").met(), "the row must search the whole window");
     group.bench_function("symbolic window merge (grid 8x8, horizon 2^40, unmet pair)", |b| {
         b.iter(|| merge_symbolic(black_box(&sym_earlier), black_box(&sym_later), &sym_stic, huge))
     });
+
+    // the same search on the torus, whose one node orbit makes every
+    // query but (0, 0) read the later walk through a node map: it walks
+    let cache = TrajectoryCache::new(&torus, &program, huge);
+    let mapped_stic = Stic::new(0, 137, 1);
+    let probe = cache.simulate_symbolic(&mapped_stic, huge);
+    assert!(!probe.expect("within the segment cap").met(), "the row must walk the whole window");
+    group.bench_function(
+        "mapped symbolic window merge (torus 16x16, horizon 2^40, unmet pair)",
+        |b| b.iter(|| black_box(&cache).simulate_symbolic(&mapped_stic, huge)),
+    );
     group.finish();
 }
 

@@ -1232,7 +1232,7 @@ mod tests {
     fn symbolic_sweeps_count_detections_and_merges_not_explicit_merges() {
         let _serial = sweep_serial();
         // 2^40 rounds is past the unroll cap: every (class, δ) resolves
-        // symbolically, walking its alignment window in place
+        // symbolically, never through the explicit merge kernels
         let report = run(&argv(&[
             "sweep",
             "grid:3x3",
@@ -1253,6 +1253,9 @@ mod tests {
         // unordered pair: 9 diagonal pairs and 36 of the 72 others
         assert_eq!(count("symbolic.detections"), Some(9), "one per node orbit: {report}");
         assert_eq!(count("symbolic.merges"), Some(81 + 45), "{report}");
+        // every query is unmapped and every walker dense: the round-column
+        // compare decides each merge
+        assert_eq!(count("symbolic.dense"), Some(81 + 45), "{report}");
         assert_eq!(count("plan.transposed"), Some(36), "{report}");
         assert_eq!(count("symbolic.declines"), None, "{report}");
         assert_eq!(count("merge.calls"), None, "no explicit merge runs: {report}");

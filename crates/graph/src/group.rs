@@ -537,6 +537,12 @@ impl Relabel<'_> {
         let x = self.from.map_or(x, |v| self.orbits.from_representative(v, x));
         self.into.map_or(x, |u| self.orbits.to_representative(u, x))
     }
+
+    /// `true` when both nodes are their orbits' representatives, so
+    /// [`Relabel::apply`] is the identity.
+    pub fn is_identity(&self) -> bool {
+        self.into.is_none() && self.from.is_none()
+    }
 }
 
 /// Verify that `phi` is a port-preserving automorphism of `g`: for every
@@ -685,7 +691,9 @@ mod tests {
                     // π_u(π_v⁻¹(rep(v))) = π_u(v)
                     let rv = orbits.representative(v);
                     assert_eq!(map.apply(rv), orbits.to_representative(u, v));
-                    if orbits.is_representative(u) && orbits.is_representative(v) {
+                    let identity = orbits.is_representative(u) && orbits.is_representative(v);
+                    assert_eq!(map.is_identity(), identity, "({u}, {v})");
+                    if identity {
                         assert!(g.nodes().all(|x| map.apply(x) == x));
                     }
                 }

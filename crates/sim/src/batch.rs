@@ -662,7 +662,7 @@ fn met(
 /// The [`SimOutcome`] of a STIC under `delay` at `horizon` (`delay <=
 /// horizon`) when the agents never meet: each agent's totals at its own
 /// cut.  Shared by every merge kernel.
-fn unmet(
+pub(crate) fn unmet(
     earlier: impl SegCursor,
     later: impl SegCursor,
     delay: Round,
@@ -1192,7 +1192,7 @@ impl<'a> TrajectoryCache<'a> {
         let earlier = self.symbolic_timeline(stic.earlier)?;
         let later = self.symbolic_timeline(stic.later)?;
         let map = self.orbits.relabel(stic.earlier, stic.later);
-        merge_symbolic_mapped(earlier, later, |x| map.apply(x), stic, horizon)
+        merge_symbolic_mapped(earlier, later, |x| map.apply(x), map.is_identity(), stic, horizon)
             .map(|o| self.pull_back(stic.earlier, o))
     }
 

@@ -53,7 +53,9 @@
 //!   (`prefix + cycle^∞` in the same flat segment columns), and
 //!   [`merge_symbolic`] resolves any horizon — `2^40` and far beyond — by
 //!   closed-form cycle alignment, running the explicit sort-merge loop over
-//!   both sides' `prefix · cycle^k` in place (nothing materialised),
+//!   both sides' `prefix · cycle^k` in place (nothing materialised; two
+//!   dense, unmapped timelines first compare per-round node columns, and
+//!   the loop then runs only up to the meeting the compare found),
 //!   bit-identical to the explicit kernels (differentially property-tested)
 //!   with exact meeting rounds, move totals that saturate only past
 //!   `u64::MAX` traversals, and zero unrolled rounds; a merge whose

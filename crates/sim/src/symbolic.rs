@@ -55,6 +55,31 @@
 //! STIC thus decides the symbolic one, and the differential property suite
 //! pins the two paths bit-identical on unrollable horizons.
 //!
+//! ## Dense windows: the compare decides, the walk reports
+//!
+//! The walk pays per segment, and a walker that moves often has about as
+//! many segments as rounds.  A *dense* timeline — its prefix and its cycle
+//! each span at most four rounds per segment — therefore carries a **round
+//! column**: its node at every local round of
+//! `[0, aligned_from + alignment_period)` as `u32`, built lazily, at most
+//! once, by the first merge that compares it.  At four rounds per segment
+//! the column is no larger in bytes than the 16-byte `starts` entries it
+//! shadows.  It is derived, so equality ignores it and the store never
+//! persists it.
+//!
+//! When both timelines are dense and the query's node map is the identity
+//! (both starts are their orbits' representatives), a merge that passes
+//! the [`MERGE_SEG_CAP`] gate first compares the two columns over the
+//! searched rounds `[δ, search_to]`.  Each column is indexed cyclically
+//! past its `aligned_from`, so the range is a few contiguous runs between
+//! wrap points, tested sixteen rounds at a time.  No common round proves
+//! the pair unmet, and the closed-form totals answer with no walk; a first
+//! common round `t*` bounds the walk to `[0, t*]`, and the walk builds the
+//! met outcome exactly as before.  The compare decides, the walk reports,
+//! so every outcome is the walk's, bit for bit.  Mapped pairs and sparse
+//! timelines keep the plain walk: a mapped column would pay the node map
+//! on every round, and a sparse one would outgrow its segments.
+//!
 //! ## Bounded work: oversized windows decline, never unroll
 //!
 //! The alignment window is bounded by the *detected* structure, not by a
@@ -86,9 +111,13 @@
 //! window quantity is bounded by the *detected* structure
 //! (`p_a + T_a + p_b + lcm`), independent of both horizon and delay.
 
+use std::sync::OnceLock;
+
 use anonrv_graph::{NodeId, Port, PortGraph};
 
-use crate::batch::{merge_forward, Relabelled, SegCursor, Timeline, TimelineParts, TimelineSeg};
+use crate::batch::{
+    merge_forward, unmet, Relabelled, SegCursor, Timeline, TimelineParts, TimelineSeg,
+};
 use crate::engine::{Meeting, SimOutcome};
 use crate::navigator::{drive_finite_state, FiniteStateProgram, Navigator, StepAction, Stop};
 use crate::stic::{Round, Stic};
@@ -155,7 +184,10 @@ impl SymbolicTail {
 /// * `Terminated` — `prefix` is the *full* explicit run including its
 ///   `INFINITY` tail, `preperiod` is its finite end, `cycle` is empty,
 ///   `period == 0`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A dense timeline's round column (see the module docs) is derived, built
+/// on first use and ignored by equality.
+#[derive(Debug, Clone)]
 pub struct SymbolicTimeline {
     n: usize,
     preperiod: Round,
@@ -163,7 +195,24 @@ pub struct SymbolicTimeline {
     tail: SymbolicTail,
     prefix: TimelineParts,
     cycle: TimelineParts,
+    /// The node at every local round of `[0, aligned_from +
+    /// alignment_period)` — built at most once, by the first merge that
+    /// compares this (dense) timeline's rounds.
+    rounds: OnceLock<Vec<u32>>,
 }
+
+impl PartialEq for SymbolicTimeline {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.preperiod == other.preperiod
+            && self.period == other.period
+            && self.tail == other.tail
+            && self.prefix == other.prefix
+            && self.cycle == other.cycle
+    }
+}
+
+impl Eq for SymbolicTimeline {}
 
 impl SymbolicTimeline {
     /// Rebuild a symbolic timeline from its serialised form, validating
@@ -225,7 +274,7 @@ impl SymbolicTimeline {
                 }
             }
         }
-        Ok(SymbolicTimeline { n, preperiod, period, tail, prefix, cycle })
+        Ok(SymbolicTimeline { n, preperiod, period, tail, prefix, cycle, rounds: OnceLock::new() })
     }
 
     /// Node count of the graph the timeline was detected on.
@@ -368,6 +417,94 @@ impl SymbolicTimeline {
             }
         }
     }
+
+    /// `true` when the prefix and the periodic tail each span at most
+    /// [`DENSE_ROUNDS_PER_SEGMENT`] rounds per segment: the timeline may
+    /// carry a round column (see the module docs).
+    fn is_dense(&self) -> bool {
+        // a terminated prefix ends in its parked-forever tail segment
+        let (prefix_segs, tail_segs) = match self.tail {
+            SymbolicTail::Terminated => (self.prefix.nodes.len() - 1, 1),
+            SymbolicTail::Cycle | SymbolicTail::Parked => {
+                (self.prefix.nodes.len(), self.cycle.nodes.len())
+            }
+        };
+        let spans = |rounds: Round, segs: usize| rounds <= DENSE_ROUNDS_PER_SEGMENT * segs as Round;
+        spans(self.aligned_from(), prefix_segs) && spans(self.alignment_period(), tail_segs)
+    }
+
+    /// The round column of a dense timeline: the node at every local round
+    /// of `[0, aligned_from + alignment_period)`, built on first use by
+    /// walking the unrolled segments once.
+    fn column(&self) -> &[u32] {
+        debug_assert!(self.is_dense(), "only a dense timeline carries a round column");
+        self.rounds.get_or_init(|| {
+            let len = (self.aligned_from() + self.alignment_period()) as usize;
+            let mut rounds = Vec::with_capacity(len);
+            let mut walk = Unroll::new(self);
+            while rounds.len() < len {
+                rounds.resize(walk.end().min(len as Round) as usize, walk.node());
+                walk.advance(true);
+            }
+            rounds
+        })
+    }
+}
+
+/// Most rounds per segment a dense timeline's prefix and tail may span:
+/// at four, a `u32` per round costs no more than the 16-byte segment
+/// start it shadows.
+const DENSE_ROUNDS_PER_SEGMENT: Round = 4;
+
+/// Lanes of one column-compare chunk: sixteen `u32` compares folded with
+/// `|`, which the compiler turns into a few vector compares.
+const LANES: usize = 16;
+
+/// The first global round `t ∈ [delay, search_to]` at which the earlier
+/// walker (at `t`) and the later one (at local round `t − delay`) stand on
+/// the same node, read off the two dense timelines' round columns; `None`
+/// when they share no round there.
+fn first_common_round(
+    earlier: &SymbolicTimeline,
+    later: &SymbolicTimeline,
+    delay: Round,
+    search_to: Round,
+) -> Option<Round> {
+    let (a, b) = (earlier.column(), later.column());
+    // a local round's column entry: itself, or past the column its
+    // periodic image beyond `aligned_from`
+    let entry = |s: &SymbolicTimeline, column: &[u32], t: Round| -> usize {
+        if t < column.len() as Round {
+            t as usize
+        } else {
+            (s.aligned_from() + (t - s.aligned_from()) % s.alignment_period()) as usize
+        }
+    };
+    let mut t = delay;
+    while t <= search_to {
+        let (i, j) = (entry(earlier, a, t), entry(later, b, t - delay));
+        // both columns advance one entry per round until either wraps
+        let run = ((a.len() - i).min(b.len() - j) as Round).min(search_to - t + 1) as usize;
+        if let Some(k) = first_equal(&a[i..i + run], &b[j..j + run]) {
+            return Some(t + k as Round);
+        }
+        t += run as Round;
+    }
+    None
+}
+
+/// The first index at which two equal-length columns hold the same node:
+/// whole chunks of [`LANES`] are tested at once, then a scalar scan pins
+/// the exact index in the first chunk that hit (or in the remainder).
+fn first_equal(a: &[u32], b: &[u32]) -> Option<usize> {
+    let (chunks_a, _) = a.as_chunks::<LANES>();
+    let (chunks_b, _) = b.as_chunks::<LANES>();
+    let hit = chunks_a
+        .iter()
+        .zip(chunks_b)
+        .position(|(x, y)| x.iter().zip(y).fold(false, |any, (p, q)| any | (p == q)));
+    let from = hit.map_or(chunks_a.len() * LANES, |c| c * LANES);
+    a[from..].iter().zip(&b[from..]).position(|(p, q)| p == q).map(|k| from + k)
 }
 
 const INFINITY: Round = Round::MAX;
@@ -582,6 +719,7 @@ fn detect(
             tail: SymbolicTail::Terminated,
             prefix,
             cycle: TimelineParts { starts: vec![0], nodes: vec![] },
+            rounds: OnceLock::new(),
         })
     };
 
@@ -710,6 +848,7 @@ fn detect(
                 tail: SymbolicTail::Parked,
                 prefix,
                 cycle,
+                rounds: OnceLock::new(),
             })
         }
         Some(j) => {
@@ -745,6 +884,7 @@ fn detect(
                 tail: SymbolicTail::Cycle,
                 prefix: split_arrays(&segs[..cut_seg], 0, cut_time),
                 cycle: split_arrays(&segs[cut_seg..], cut_time, period),
+                rounds: OnceLock::new(),
             })
         }
     }
@@ -807,18 +947,21 @@ pub fn merge_symbolic(
     stic: &Stic,
     horizon: Round,
 ) -> Option<SimOutcome> {
-    merge_symbolic_mapped(earlier, later, |v| v, stic, horizon)
+    merge_symbolic_mapped(earlier, later, |v| v, true, stic, horizon)
 }
 
 /// [`merge_symbolic`] against a **node-relabelled** `later`: bit-identical
 /// to merging against a copy of `later` whose nodes were rewritten through
 /// `map`.  The relabelling touches nodes only, never the cycle structure,
 /// so the delay reduction and the alignment window are those of the
-/// unmapped timelines.  The meeting node comes from `earlier`.
+/// unmapped timelines.  The meeting node comes from `earlier`.  `identity`
+/// says that `map` is the identity, which lets two dense timelines decide
+/// the merge by comparing their round columns (see the module docs).
 pub(crate) fn merge_symbolic_mapped(
     earlier: &SymbolicTimeline,
     later: &SymbolicTimeline,
     map: impl Fn(usize) -> usize,
+    identity: bool,
     stic: &Stic,
     horizon: Round,
 ) -> Option<SimOutcome> {
@@ -839,7 +982,7 @@ pub(crate) fn merge_symbolic_mapped(
     };
     if shift > 0 {
         let reduced = Stic { delay: stic.delay - shift, ..*stic };
-        let probe = merge_aligned(earlier, later, &map, &reduced, horizon - shift)?;
+        let probe = merge_aligned(earlier, later, &map, identity, &reduced, horizon - shift)?;
         // Map back: the meeting (if any) moves forward by `shift` global
         // rounds on the same node at the same later-agent local round, and
         // the earlier agent walks `shift / T_a` extra cycles — each worth
@@ -859,7 +1002,7 @@ pub(crate) fn merge_symbolic_mapped(
             ..probe
         });
     }
-    merge_aligned(earlier, later, &map, stic, horizon)
+    merge_aligned(earlier, later, &map, identity, stic, horizon)
 }
 
 /// [`merge_symbolic`] after delay reduction: `δ < p_a + T_a` (or the earlier
@@ -867,11 +1010,14 @@ pub(crate) fn merge_symbolic_mapped(
 /// detected cycle structure alone — which can still be astronomically large
 /// (long or saturated cycle `lcm`s), hence the [`MERGE_SEG_CAP`] gate on
 /// the segments walked: `None` means "too expensive to resolve exactly",
-/// never a truncated answer.
+/// never a truncated answer.  Under the identity map two dense timelines
+/// compare their round columns first, and the walk runs only up to the
+/// first common round the compare finds (see the module docs).
 fn merge_aligned(
     earlier: &SymbolicTimeline,
     later: &SymbolicTimeline,
     map: impl Fn(usize) -> usize,
+    identity: bool,
     stic: &Stic,
     horizon: Round,
 ) -> Option<SimOutcome> {
@@ -881,7 +1027,7 @@ fn merge_aligned(
     // the joint pair state is periodic with period `align_period` from
     // `aligned`, so a first meeting at any horizon lies before `window`:
     // the merge searches no further
-    let search_to = horizon.min(window);
+    let mut search_to = horizon.min(window);
     if earlier.segments_up_to(search_to) > MERGE_SEG_CAP
         || later.segments_up_to(search_to) > MERGE_SEG_CAP
     {
@@ -892,6 +1038,19 @@ fn merge_aligned(
     }
     if anonrv_obs::enabled() {
         anonrv_obs::counter_add("symbolic.merges", 1);
+    }
+    if identity && earlier.is_dense() && later.is_dense() {
+        if anonrv_obs::enabled() {
+            anonrv_obs::counter_add("symbolic.dense", 1);
+        }
+        // the compare decides, the walk reports: the walk runs only up to
+        // the first common round, and without one it never runs
+        match first_common_round(earlier, later, stic.delay, search_to) {
+            Some(t) => search_to = t,
+            None => {
+                return Some(unmet(Unroll::new(earlier), Unroll::new(later), stic.delay, horizon))
+            }
+        }
     }
     // a meeting found is final at every larger horizon; none found reports
     // the exact (saturating, see `totals_up_to`) closed-form move totals
@@ -905,7 +1064,7 @@ mod tests {
     use crate::batch::{merge_timelines, TrajectoryCache, UNROLL_CAP};
     use crate::navigator::{drive_finite_state, AgentProgram, StepDecision};
     use crate::workload::SweepWalker;
-    use anonrv_graph::generators::{circulant, grid, oriented_ring};
+    use anonrv_graph::generators::{circulant, grid, oriented_ring, oriented_torus};
 
     /// Always traverse port 0; machine state is constant.
     struct Rotor;
@@ -1052,6 +1211,44 @@ mod tests {
         fn finite_state(&self) -> Option<&dyn FiniteStateProgram> {
             Some(self)
         }
+    }
+
+    /// Traverse port 0 `k` times, then alternate `Wait(1000)` and `Move(0)`:
+    /// a dense prefix before a sparse cycle.
+    struct KThenSlow(u64);
+
+    impl FiniteStateProgram for KThenSlow {
+        fn initial_state(&self) -> u64 {
+            0
+        }
+        fn decide(&self, state: u64, _degree: usize, _entry: Option<Port>) -> StepDecision {
+            if state < self.0 {
+                StepDecision { action: StepAction::Move(0), next: state + 1 }
+            } else if state == self.0 {
+                StepDecision { action: StepAction::Wait(1000), next: state + 1 }
+            } else {
+                StepDecision { action: StepAction::Move(0), next: self.0 }
+            }
+        }
+    }
+
+    impl AgentProgram for KThenSlow {
+        fn run(&self, nav: &mut dyn Navigator) -> Result<(), Stop> {
+            drive_finite_state(self, nav)
+        }
+        fn finite_state(&self) -> Option<&dyn FiniteStateProgram> {
+            Some(self)
+        }
+    }
+
+    /// `true` once `s` has built its round column.
+    fn has_column(s: &SymbolicTimeline) -> bool {
+        s.rounds.get().is_some()
+    }
+
+    /// The node of `t` at local round `r`.
+    fn node_at(t: &Timeline, r: Round) -> u32 {
+        t.seg_nodes()[t.starts().partition_point(|&start| start <= r) - 1]
     }
 
     #[test]
@@ -1372,6 +1569,131 @@ mod tests {
             h,
         );
         assert_eq!(out, explicit, "saturated-window merge must stay bit-identical");
+    }
+
+    #[test]
+    fn dense_timelines_build_a_round_column_and_sparse_ones_walk() {
+        let huge: Round = 1 << 40;
+        let g = oriented_ring(8).unwrap();
+        let dense: &[&dyn FiniteStateProgram] =
+            &[&SweepWalker { seed: 0x5EED }, &Rotor, &WaitMover, &KThenPark(3), &KThenHalt(3)];
+        for &program in dense {
+            let a = detect_symbolic(&g, program, 0).expect("detection converges");
+            let b = detect_symbolic(&g, program, 3).expect("detection converges");
+            assert!(!has_column(&a) && !has_column(&b), "built on first use only");
+            merge_symbolic(&a, &b, &Stic::new(0, 3, 1), huge).expect("window fits the cap");
+            assert!(has_column(&a) && has_column(&b), "{:?} tail", a.tail());
+            // the column reads the recording's node at every round it covers
+            let column = a.column();
+            assert_eq!(column.len() as Round, a.aligned_from() + a.alignment_period());
+            let recorded = a.materialize(column.len() as Round);
+            for (r, &node) in column.iter().enumerate() {
+                assert_eq!(node, node_at(&recorded, r as Round), "{:?} tail, round {r}", a.tail());
+            }
+        }
+
+        // 2^80-round waits: a column would outgrow the segments, so the
+        // merge walks
+        let ring3 = oriented_ring(3).unwrap();
+        let a = detect_symbolic(&ring3, &SlowRotor(1 << 80), 0).expect("sparse rotor cycles");
+        let b = detect_symbolic(&ring3, &SlowRotor(1 << 80), 1).expect("sparse rotor cycles");
+        merge_symbolic(&a, &b, &Stic::new(0, 1, 2), 1 << 90).expect("sparse sides fit the cap");
+        assert!(!has_column(&a) && !has_column(&b));
+
+        // a dense prefix does not make a sparse cycle dense, and one sparse
+        // side leaves the dense side's column unbuilt too
+        let mixed = detect_symbolic(&g, &KThenSlow(3), 0).expect("detection converges");
+        assert_eq!((mixed.preperiod(), mixed.prefix().nodes.len()), (3, 3), "a dense prefix");
+        let rotor = detect_symbolic(&g, &Rotor, 3).expect("rotor cycles");
+        let both = [(&mixed, &rotor), (&rotor, &mixed), (&mixed, &mixed)];
+        for (earlier, later) in both {
+            merge_symbolic(earlier, later, &Stic::new(0, 3, 1), huge).expect("fits the cap");
+        }
+        assert!(!has_column(&mixed) && !has_column(&rotor));
+    }
+
+    #[test]
+    fn the_column_compare_agrees_with_the_walk_on_every_grid_pair() {
+        // grid 3x3's group is trivial, so the sweep queries every pair under
+        // the identity map; the compare must reproduce the walk's outcome
+        // for met and unmet pairs alike.  A compare that misplaces its
+        // first common round can still end in the walk's outcome (the walk
+        // re-finds an earlier meeting, and a round it cannot confirm ends
+        // unmet), so the compare's own decision is pinned too: scanned over
+        // a whole unrollable horizon, it is the walk's first meeting round.
+        let g = grid(3, 3).unwrap();
+        let walker = SweepWalker { seed: 0x5EED };
+        let tls: Vec<SymbolicTimeline> = (0..g.num_nodes())
+            .map(|s| detect_symbolic(&g, &walker, s).expect("detection converges"))
+            .collect();
+        let (mut met, mut never) = (0, 0);
+        for h in [60_000 as Round, 1 << 40] {
+            for (u, earlier) in tls.iter().enumerate() {
+                for (v, later) in tls.iter().enumerate() {
+                    for delta in [0 as Round, 1, 2, 7, 97] {
+                        let stic = Stic::new(u, v, delta);
+                        let walk = merge_symbolic_mapped(earlier, later, |x| x, false, &stic, h)
+                            .expect("window fits the cap");
+                        let compare = merge_symbolic_mapped(earlier, later, |x| x, true, &stic, h)
+                            .expect("window fits the cap");
+                        assert_eq!(compare, walk, "{stic:?} at {h}");
+                        if h == 60_000 {
+                            assert_eq!(
+                                first_common_round(earlier, later, delta, h),
+                                walk.meeting.map(|m| m.global_round),
+                                "{stic:?}"
+                            );
+                        }
+                        if walk.met() {
+                            met += 1;
+                        } else {
+                            never += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(tls.iter().all(has_column), "every merge compared");
+        assert!(met > 0 && never > 0, "both outcomes are exercised: {met} met, {never} unmet");
+    }
+
+    #[test]
+    fn mapped_queries_walk_and_leave_the_column_unbuilt() {
+        // the torus is one node orbit: every query but those from node 0 to
+        // node 0 reads the later walk through a non-identity map
+        let g = oriented_torus(3, 4).unwrap();
+        let walker = SweepWalker { seed: 0x5EED };
+        let huge: Round = 1 << 40;
+        let cache = TrajectoryCache::new(&g, &walker, huge);
+        for v in 1..g.num_nodes() {
+            cache.simulate_symbolic(&Stic::new(0, v, 1), huge).expect("walker is finite-state");
+        }
+        let s = cache.get_symbolic(0).expect("detected");
+        assert!(s.is_dense() && !has_column(s), "mapped queries walk");
+        cache.simulate_symbolic(&Stic::new(0, 0, 1), huge).expect("walker is finite-state");
+        assert!(has_column(s), "the identity query compares");
+    }
+
+    #[test]
+    fn equality_ignores_a_built_column_and_from_raw_round_trips_it() {
+        let g = grid(3, 3).unwrap();
+        let s = detect_symbolic(&g, &SweepWalker { seed: 0x5EED }, 4).expect("converges");
+        let fresh = s.clone();
+        s.column();
+        assert!(has_column(&s) && !has_column(&fresh));
+        assert_eq!(s, fresh);
+        let rebuilt = SymbolicTimeline::from_raw(
+            s.num_graph_nodes(),
+            s.preperiod(),
+            s.period(),
+            s.tail(),
+            s.prefix().clone(),
+            s.cycle().clone(),
+        )
+        .expect("round-trips");
+        assert_eq!(rebuilt, s);
+        assert!(!has_column(&rebuilt), "the column is derived, never carried over");
+        assert_eq!(rebuilt.column(), s.column());
     }
 
     #[test]

@@ -2298,6 +2298,32 @@ mod tests {
     }
 
     #[test]
+    fn a_dense_merge_leaves_the_symbolic_frame_bytes_unchanged() {
+        // grid 3x3 walkers are dense and every query of the trivial group
+        // is unmapped, so merges build round columns; those are in memory
+        // only, and the frame written after them matches one written before
+        let g = grid(3, 3).unwrap();
+        let program = Walker { seed: 0x5EED };
+        let key = "test-walker-5eed";
+        let horizon: Round = 1 << 40;
+        let frame = |merge: bool| {
+            let dir = TempDir::new("dense-symbolic-frame");
+            let store = store_in(&dir);
+            let engine = SweepEngine::new(&g, &program, EngineConfig::batch(horizon));
+            for u in g.nodes() {
+                engine.cache().symbolic_timeline(u).expect("the walker cycles");
+                if merge {
+                    let stic = Stic::new(u, (u + 4) % g.num_nodes(), 1);
+                    engine.cache().simulate_symbolic(&stic, horizon).expect("fits the cap");
+                }
+            }
+            assert_eq!(store.persist_symbolic(&engine, key).unwrap(), g.num_nodes());
+            fs::read(store.symbolic_path(&g, key)).unwrap()
+        };
+        assert_eq!(frame(true), frame(false));
+    }
+
+    #[test]
     fn fsck_flags_a_repeated_start_node_as_corrupt() {
         let dir = TempDir::new("fsck-repeated-start");
         let store = store_in(&dir);

@@ -13,13 +13,16 @@
 //! * materialising a symbolic timeline at any horizon must equal a cold
 //!   explicit recording at that horizon (the symbolic form of the
 //!   prefix-truncation law `Timeline::truncate` is pinned against);
-//! * an exhaustive sweep over **every** `(u, v, δ)` of ring-8 and
-//!   torus-3×4 crosschecks the closed-form merge on a dense grid of
+//! * an exhaustive sweep over **every** `(u, v, δ)` of ring-8, torus-3×4
+//!   and grid-3×4 crosschecks the closed-form merge on a dense grid of
 //!   horizons, including ones beyond each walker's cycle alignment window.
+//!   The grid's group is trivial, so every query there is unmapped and two
+//!   dense timelines decide it by comparing their round columns; the ring
+//!   and the torus keep covering the walk through a node map.
 
 use proptest::prelude::*;
 
-use anonrv_graph::generators::{oriented_ring, oriented_torus, random_connected};
+use anonrv_graph::generators::{grid, oriented_ring, oriented_torus, random_connected};
 use anonrv_sim::{
     detect_symbolic, merge_timelines, simulate_with, EngineConfig, Round, SimOutcome, Stic,
     SweepWalker, Timeline, TrajectoryCache,
@@ -153,5 +156,11 @@ fn exhaustive_ring8_symbolic_equals_explicit() {
 #[test]
 fn exhaustive_torus_3x4_symbolic_equals_explicit() {
     let g = oriented_torus(3, 4).unwrap();
+    exhaustive_crosscheck(&g, 0x5EED, &[0, 1, 2, 17, 256, 9999, 60_000]);
+}
+
+#[test]
+fn exhaustive_grid_3x4_symbolic_equals_explicit() {
+    let g = grid(3, 4).unwrap();
     exhaustive_crosscheck(&g, 0x5EED, &[0, 1, 2, 17, 256, 9999, 60_000]);
 }
