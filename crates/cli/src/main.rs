@@ -3,49 +3,60 @@
 //! ```text
 //! anonrv shrink   <graph> <u> <v>              Shrink(u, v), witness and distance
 //! anonrv feasible <graph> <u> <v> <delta>      Corollary 3.1 classification of a STIC
-//! anonrv simulate <graph> <u> <v> <delta> [--algo universal|symm|asymm]
+//! anonrv simulate <graph> <u> <v> <delta> [--algo universal|symm|asymm] [--horizon H]
 //!                                              run a rendezvous algorithm on the STIC
 //! anonrv orbits   <graph> [--json]             view-equivalence classes, symmetry
 //!                                              group descriptor (closed form on
 //!                                              stamped families — million-node
 //!                                              tori answer without enumerating
 //!                                              a single permutation)
-//! anonrv sweep    <graph> [--deltas D] [--horizon H] [--seed S]
-//!                 [--cache-dir DIR] [--shards K --shard-index I] [--merge]
-//!                 [--shards K --supervised] [--stream [--chunk C]]
-//!                 [--report text|json] [--trace-out FILE]
-//!                                              exhaustive planned all-pairs sweep:
-//!                                              resumable (persistent plan cache,
-//!                                              horizon-generic: longer recordings
-//!                                              serve shorter sweeps by prefix),
-//!                                              shardable across processes, merged
-//!                                              bit-identically; --supervised runs
-//!                                              every shard in-process with
-//!                                              retry/backoff over the store's
-//!                                              missing-shard probe; --report json
-//!                                              emits one schema-versioned report
-//!                                              (anonrv.report/v1) on stdout and
-//!                                              --trace-out writes a JSONL span/
-//!                                              event trace (anonrv.trace/v1);
-//!                                              --stream runs the plan in
-//!                                              chunks of (class, δ) entries
-//!                                              that visit a fingerprinter
-//!                                              instead of materialising the
-//!                                              table, on any graph and at any
-//!                                              horizon, so all-pairs sweeps
-//!                                              scale to million-node tori
+//! anonrv sweep    <graph> [--deltas D] [--horizon H] [--seed S] [--cache-dir DIR]
+//!                 [--report text|json] [--trace-out FILE] [mode flags]
+//!                                              exhaustive planned all-pairs sweep
 //! anonrv cache    <dir> stats|gc|fsck [--repair] [--json]
 //!                                              survey / compact / deep-verify a
 //!                                              plan-cache dir (--json: the same
-//!                                              data as an anonrv.report/v1 object)
+//!                                              data as an anonrv.report/v1 object;
+//!                                              --repair only with fsck)
 //! anonrv figure1  [h]                          ASCII rendering of Q̂_h (default h = 2)
 //! ```
+//!
+//! `sweep` runs in one of five modes.  Every mode reads the flags listed
+//! with `sweep` above; the mode flags select the mode, and each mode reads
+//! only its own:
+//!
+//! ```text
+//! full        (no mode flag)               execute (or warm-load) the whole plan;
+//!                                          --cache-dir makes it resumable and
+//!                                          horizon-generic (longer recordings
+//!                                          serve shorter sweeps by prefix)
+//! streamed    --stream [--chunk C]         run the plan in chunks of C classes
+//!                                          (default 1024) that visit a
+//!                                          fingerprinter instead of materialising
+//!                                          the table, on any graph and at any
+//!                                          horizon: all-pairs sweeps scale to
+//!                                          million-node tori
+//! shard       --shards K --shard-index I   execute slice I of K into --cache-dir
+//! merge       --merge --shards K           reassemble the K slices bit-identically
+//! supervised  --supervised --shards K      run every slice in-process with
+//!                                          retry/backoff over the store's
+//!                                          missing-shard probe, then merge
+//! ```
+//!
+//! Shard, merge and supervised runs need `--cache-dir` (the slices meet
+//! there).  `--report json` prints one schema-versioned report
+//! (`anonrv.report/v1`) on stdout instead of text, and `--trace-out` writes
+//! a JSONL span/event trace (`anonrv.trace/v1`).  Every command reads its
+//! arguments through one reader ([`Args`]): an unknown flag, a flag without
+//! its value, a flag the command (or the chosen sweep mode) does not read
+//! and a surplus positional argument are errors.
 //!
 //! Graph specifications: `ring:8`, `path:5`, `star:4`, `complete:5`,
 //! `hypercube:3`, `torus:3x4`, `grid:2x3`, `lollipop:4x2`,
 //! `caterpillar:4x2`, `double-tree:2x3`, `random:10x4x7` (n, extra edges,
 //! seed), `circulant:12x1x3` (n, then the shifts), `qhat:4`.
 
+use std::collections::VecDeque;
 use std::process::ExitCode;
 
 use anonrv_core::asymm_rv::AsymmRv;
@@ -61,7 +72,15 @@ use anonrv_graph::render::figure1_text;
 use anonrv_graph::shrink::shrink_detailed;
 use anonrv_graph::symmetry::OrbitPartition;
 use anonrv_graph::PortGraph;
+use anonrv_obs::json::{obj, Value};
+use anonrv_obs::report::REPORT_SCHEMA;
+use anonrv_obs::{snapshot, ObsConfig};
+use anonrv_plan::{PlannedOutcomes, SweepPlan};
 use anonrv_sim::{simulate, Round, Stic};
+use anonrv_store::{
+    table_fingerprint, OutcomeProvenance, SessionStats, ShardSpec, Store, SuperviseConfig,
+    SuperviseReport, SweepSession,
+};
 use anonrv_uxs::{LengthRule, PseudorandomUxs, UxsProvider};
 
 fn main() -> ExitCode {
@@ -85,22 +104,29 @@ fn usage() -> &'static str {
      anonrv simulate <graph> <u> <v> <delta> [--algo universal|symm|asymm] [--horizon H]\n  \
      anonrv orbits   <graph> [--json]\n  \
      anonrv sweep    <graph> [--deltas D] [--horizon H] [--seed S] [--cache-dir DIR]\n                  \
-     [--shards K --shard-index I] [--merge] [--shards K --supervised]\n                  \
-     [--stream [--chunk C]] [--report text|json] [--trace-out FILE]\n  \
+     [--report text|json] [--trace-out FILE] [mode flags]\n  \
      anonrv cache    <dir> stats|gc|fsck [--repair] [--json]\n  \
      anonrv figure1  [h]\n\n\
      sweep: exhaustive all-pairs x delay-grid planned sweep (D = count `5` for {0..4} or list \
      `0,2,7`;\n  S = walker seed, decimal or 0x-hex); --cache-dir makes it resumable \
      (timelines/outcomes\n  persist; recordings at a longer horizon serve shorter sweeps by \
-     prefix truncation),\n  --shards/--shard-index executes one slice, --merge reassembles the \
-     slices bit-identically,\n  --shards/--supervised runs every slice in-process with bounded \
-     retry + backoff, re-running\n  only slices whose artifact is missing, then merges.\n  \
-     --stream executes the plan in chunks of C classes (default 1024) that stream through a\n  \
-     fingerprinter with bounded memory, on any graph and at any horizon — the path that\n  \
-     completes all-pairs sweeps on torus:1024x1024.\n  \
+     prefix truncation).\n  \
+     Every mode reads the flags above; the mode flags pick one of five modes, and each mode\n  \
+     reads only its own:\n    \
+     full        (no mode flag)              execute (or warm-load) the whole plan\n    \
+     streamed    --stream [--chunk C]        run the plan in C-class chunks (default 1024)\n    \
+     shard       --shards K --shard-index I  execute slice I of K\n    \
+     merge       --merge --shards K          reassemble the K slices bit-identically\n    \
+     supervised  --supervised --shards K     run every slice in-process, then merge\n  \
+     Shard, merge and supervised sweeps need --cache-dir (the slices meet there). A streamed\n  \
+     sweep's chunks stream through a fingerprinter with bounded memory, on any graph and at\n  \
+     any horizon: the path that completes torus:1024x1024. A supervised sweep retries failed\n  \
+     slices with bounded backoff, re-running only slices whose artifact is missing.\n  \
      --report json prints one anonrv.report/v1 JSON object (plan, provenance, session stats,\n  \
      supervisor attempt rows, metrics snapshot, outcome-table fingerprint) instead of text;\n  \
-     --trace-out FILE streams every timing span and structured event as anonrv.trace/v1 JSONL.\n\n\
+     --trace-out FILE streams every timing span and structured event as anonrv.trace/v1 JSONL.\n  \
+     An unknown flag, a flag without its value, or a flag the chosen mode does not read is an\n  \
+     error.\n\n\
      cache: stats surveys artifact counts/bytes per kind (quarantined frames included) and\n  \
      recorded horizons; gc deletes corrupt/stale frames, orphaned temp/lock files and shard\n  \
      partials superseded by a merged table, reporting reclaimed bytes; fsck reads every frame\n  \
@@ -123,6 +149,84 @@ fn run(args: &[String]) -> Result<String, String> {
         "figure1" => cmd_figure1(&args[1..]),
         "help" | "--help" | "-h" => Ok(usage().to_string()),
         other => Err(format!("unknown command '{other}'")),
+    }
+}
+
+/// One command's arguments, read once.  [`Args::parse`] splits them into
+/// positionals and the flags the command declares, rejecting an unknown
+/// flag and a valued flag without its value; each read then takes what it
+/// asks for, and [`Args::finish`] rejects whatever no read took, so an
+/// argument the command does not read is an error, never silently dropped.
+struct Args {
+    positional: VecDeque<String>,
+    /// `(flag, value)` in command-line order; a switch has no value.
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Split `args` by `flags`, the command's flags separated by spaces, a
+    /// valued one with a trailing `=` (`"--horizon= --json"`); an argument
+    /// not starting with `--` is positional.
+    fn parse(args: &[String], flags: &'static str) -> Result<Self, String> {
+        let mut parsed = Args { positional: VecDeque::new(), flags: Vec::new() };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                parsed.positional.push_back(arg.clone());
+                continue;
+            }
+            let declared = flags.split_whitespace().find(|f| f.trim_end_matches('=') == arg);
+            let declared = declared.ok_or_else(|| format!("unknown flag '{arg}'"))?;
+            let flag = declared.trim_end_matches('=');
+            let value = if declared.ends_with('=') {
+                let value = args.next().filter(|v| !v.starts_with("--"));
+                Some(value.ok_or_else(|| format!("{flag} needs a value"))?.clone())
+            } else {
+                None
+            };
+            if parsed.flags.iter().any(|(f, _)| *f == flag) {
+                return Err(format!("{flag} is given twice"));
+            }
+            parsed.flags.push((flag, value));
+        }
+        Ok(parsed)
+    }
+
+    /// Take the next positional argument (`<name>` when it is missing).
+    fn positional(&mut self, name: &str) -> Result<String, String> {
+        self.positional.pop_front().ok_or_else(|| format!("missing <{name}>"))
+    }
+
+    /// Take `flag`: `None` when it is not given, else its value (`None`
+    /// for a switch).
+    fn take(&mut self, flag: &str) -> Option<Option<String>> {
+        let at = self.flags.iter().position(|(f, _)| *f == flag)?;
+        Some(self.flags.remove(at).1)
+    }
+
+    /// Take a valued flag's value, if given.
+    fn value(&mut self, flag: &str) -> Option<String> {
+        self.take(flag).flatten()
+    }
+
+    /// Take a switch: whether it is given.
+    fn switch(&mut self, flag: &str) -> bool {
+        self.take(flag).is_some()
+    }
+
+    /// Take a valued flag and parse its value, if given.
+    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Result<Option<T>, String> {
+        let parse = |v: String| v.parse().map_err(|_| format!("bad {flag} value '{v}'"));
+        self.value(flag).map(parse).transpose()
+    }
+
+    /// Reject every argument no read took; `reader` names what ignored it.
+    fn finish(self, reader: &str) -> Result<(), String> {
+        match (self.flags.first(), self.positional.front()) {
+            (Some((flag, _)), _) => Err(format!("{flag} does not apply to {reader}")),
+            (None, Some(extra)) => Err(format!("unexpected argument '{extra}' to {reader}")),
+            (None, None) => Ok(()),
+        }
     }
 }
 
@@ -203,21 +307,28 @@ fn parse_graph(spec: &str) -> Result<PortGraph, String> {
     }
 }
 
-fn parse_node(g: &PortGraph, arg: Option<&String>, name: &str) -> Result<usize, String> {
-    let v: usize = arg
-        .ok_or_else(|| format!("missing node argument <{name}>"))?
-        .parse()
-        .map_err(|_| format!("<{name}> must be a node index"))?;
+/// Take the next positional argument as a node of `g`.
+fn parse_node(g: &PortGraph, args: &mut Args, name: &str) -> Result<usize, String> {
+    let v: usize =
+        args.positional(name)?.parse().map_err(|_| format!("<{name}> must be a node index"))?;
     if v >= g.num_nodes() {
         return Err(format!("node {v} out of range (graph has {} nodes)", g.num_nodes()));
     }
     Ok(v)
 }
 
+/// Take the next positional argument as the delay `<delta>`.
+fn parse_delta(args: &mut Args) -> Result<Round, String> {
+    let delta = args.positional("delta")?;
+    delta.parse().map_err(|_| "<delta> must be a non-negative integer".to_string())
+}
+
 fn cmd_shrink(args: &[String]) -> Result<String, String> {
-    let g = parse_graph(args.first().ok_or("missing <graph>")?)?;
-    let u = parse_node(&g, args.get(1), "u")?;
-    let v = parse_node(&g, args.get(2), "v")?;
+    let mut args = Args::parse(args, "")?;
+    let g = parse_graph(&args.positional("graph")?)?;
+    let u = parse_node(&g, &mut args, "u")?;
+    let v = parse_node(&g, &mut args, "v")?;
+    args.finish("shrink")?;
     let partition = OrbitPartition::compute(&g);
     let result = shrink_detailed(&g, u, v, usize::MAX).expect("unbounded search completes");
     let distance = anonrv_graph::distance::distance(&g, u, v);
@@ -236,14 +347,12 @@ fn cmd_shrink(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_feasible(args: &[String]) -> Result<String, String> {
-    let g = parse_graph(args.first().ok_or("missing <graph>")?)?;
-    let u = parse_node(&g, args.get(1), "u")?;
-    let v = parse_node(&g, args.get(2), "v")?;
-    let delta: Round = args
-        .get(3)
-        .ok_or("missing <delta>")?
-        .parse()
-        .map_err(|_| "<delta> must be a non-negative integer")?;
+    let mut args = Args::parse(args, "")?;
+    let g = parse_graph(&args.positional("graph")?)?;
+    let u = parse_node(&g, &mut args, "u")?;
+    let v = parse_node(&g, &mut args, "v")?;
+    let delta = parse_delta(&mut args)?;
+    args.finish("feasible")?;
     let class = classify(&g, u, v, delta);
     let verdict = match class {
         SticClass::Nonsymmetric => {
@@ -261,19 +370,14 @@ fn cmd_feasible(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<String, String> {
-    let g = parse_graph(args.first().ok_or("missing <graph>")?)?;
-    let u = parse_node(&g, args.get(1), "u")?;
-    let v = parse_node(&g, args.get(2), "v")?;
-    let delta: Round = args
-        .get(3)
-        .ok_or("missing <delta>")?
-        .parse()
-        .map_err(|_| "<delta> must be a non-negative integer")?;
-    let algo_name = flag_value(args, "--algo").unwrap_or("universal");
-    let horizon_override: Option<Round> = match flag_value(args, "--horizon") {
-        Some(h) => Some(h.parse().map_err(|_| "bad --horizon value")?),
-        None => None,
-    };
+    let mut args = Args::parse(args, "--algo= --horizon=")?;
+    let g = parse_graph(&args.positional("graph")?)?;
+    let u = parse_node(&g, &mut args, "u")?;
+    let v = parse_node(&g, &mut args, "v")?;
+    let delta = parse_delta(&mut args)?;
+    let algo_name = args.value("--algo").unwrap_or_else(|| "universal".to_string());
+    let horizon_override: Option<Round> = args.parsed("--horizon")?;
+    args.finish("simulate")?;
 
     let n = g.num_nodes();
     let stic = Stic::new(u, v, delta);
@@ -281,7 +385,7 @@ fn cmd_simulate(args: &[String]) -> Result<String, String> {
     let uxs = PseudorandomUxs::with_rule(LengthRule::Quadratic { c: 1, min_len: 16 });
     let scheme = TrailSignature::new(uxs);
 
-    let (outcome, algo_label) = match algo_name {
+    let (outcome, algo_label) = match algo_name.as_str() {
         "universal" => {
             let algo = UniversalRv::new(&uxs, &scheme);
             let d_hint = match class {
@@ -345,11 +449,11 @@ fn cmd_simulate(args: &[String]) -> Result<String, String> {
 const ORBIT_LISTING_CAP: usize = 4096;
 
 fn cmd_orbits(args: &[String]) -> Result<String, String> {
-    use anonrv_obs::json::{obj, Value};
-
-    let spec_arg = args.first().ok_or("missing <graph>")?;
-    let g = parse_graph(spec_arg)?;
-    let json_out = args.iter().any(|a| a == "--json");
+    let mut args = Args::parse(args, "--json")?;
+    let spec_arg = args.positional("graph")?;
+    let json_out = args.switch("--json");
+    args.finish("orbits")?;
+    let g = parse_graph(&spec_arg)?;
     let n = g.num_nodes();
 
     // The pair-orbit view first: on stamped families (rings, tori,
@@ -370,33 +474,20 @@ fn cmd_orbits(args: &[String]) -> Result<String, String> {
     let num_node_classes = partition.as_ref().map_or(1, |p| p.classes().len());
 
     if json_out {
-        let report = Value::Obj(vec![
-            ("schema".into(), Value::from(anonrv_obs::report::REPORT_SCHEMA)),
-            ("command".into(), Value::from("orbits")),
-            (
-                "graph".into(),
-                obj([
-                    ("spec", Value::from(spec_arg.as_str())),
-                    ("nodes", Value::from(n)),
-                    ("edges", Value::from(g.num_edges())),
-                    ("hash", Value::from(format!("{:032x}", g.canonical_hash()))),
-                ]),
-            ),
-            (
-                "orbits".into(),
-                obj([
-                    ("family", Value::from(group.family())),
-                    ("implicit", Value::from(group.is_implicit())),
-                    ("generators", Value::from(group.generator_description())),
-                    ("group_order", Value::from(orbits.group_order())),
-                    ("node_classes", Value::from(num_node_classes)),
-                    ("pair_classes", Value::from(orbits.num_pair_classes())),
-                    ("ordered_pairs", Value::from(n * n)),
-                    ("compression", Value::from(orbits.compression())),
-                ]),
-            ),
+        let summary = obj([
+            ("family", Value::from(group.family())),
+            ("implicit", Value::from(group.is_implicit())),
+            ("generators", Value::from(group.generator_description())),
+            ("group_order", Value::from(orbits.group_order())),
+            ("node_classes", Value::from(num_node_classes)),
+            ("pair_classes", Value::from(orbits.num_pair_classes())),
+            ("ordered_pairs", Value::from(n * n)),
+            ("compression", Value::from(orbits.compression())),
         ]);
-        return Ok(report.to_string());
+        return Ok(report(
+            "orbits",
+            vec![("graph", graph_json(&spec_arg, &g)), ("orbits", summary)],
+        ));
     }
 
     let mut out = format!(
@@ -448,504 +539,366 @@ fn parse_seed(spec: &str) -> Result<u64, String> {
 /// Parse `--deltas`: a count `5` means the grid `{0..4}`, a comma list
 /// `0,2,7` is taken verbatim (sorted ascending for the fast sweep path).
 fn parse_deltas(spec: &str) -> Result<Vec<Round>, String> {
-    let bad = |s: &str| format!("bad --deltas value '{s}'");
-    if spec.contains(',') {
-        let mut deltas: Vec<Round> = spec
-            .split(',')
-            .map(|p| p.trim().parse::<Round>().map_err(|_| bad(spec)))
-            .collect::<Result<_, _>>()?;
-        deltas.sort_unstable();
-        deltas.dedup();
-        if deltas.is_empty() {
-            return Err(bad(spec));
-        }
-        Ok(deltas)
+    let bad = |_| format!("bad --deltas value '{spec}'");
+    let mut deltas: Vec<Round> = if spec.contains(',') {
+        spec.split(',').map(|p| p.trim().parse().map_err(bad)).collect::<Result<_, _>>()?
     } else {
-        let count: Round = spec.parse().map_err(|_| bad(spec))?;
-        if count == 0 {
-            return Err("--deltas needs at least one delay".to_string());
-        }
-        Ok((0..count).collect())
+        (0..spec.parse().map_err(bad)?).collect()
+    };
+    deltas.sort_unstable();
+    deltas.dedup();
+    if deltas.is_empty() {
+        return Err("--deltas needs at least one delay".to_string());
     }
+    Ok(deltas)
 }
 
 /// The timelines phrase of a cache report line (`"3 warm (2 by prefix) / 5
 /// recorded"`).
-fn timelines_phrase(stats: &anonrv_store::SessionStats) -> String {
-    if stats.timeline_prefix_hits > 0 {
-        format!(
-            "{} warm ({} by prefix) / {} recorded",
-            stats.timeline_hits, stats.timeline_prefix_hits, stats.timeline_misses
-        )
-    } else {
-        format!("{} warm / {} recorded", stats.timeline_hits, stats.timeline_misses)
+fn timelines_phrase(stats: &SessionStats) -> String {
+    let (hits, prefix, misses) =
+        (stats.timeline_hits, stats.timeline_prefix_hits, stats.timeline_misses);
+    let by_prefix = if prefix > 0 { format!(" ({prefix} by prefix)") } else { String::new() };
+    format!("{hits} warm{by_prefix} / {misses} recorded")
+}
+
+/// The five ways `anonrv sweep` executes its plan.
+#[derive(Clone, Copy)]
+enum SweepMode {
+    /// No mode flag: execute (or warm-load) the whole plan.
+    Full,
+    /// `--stream [--chunk C]`: chunks of C classes visit a fingerprinter.
+    Streamed { chunk: usize },
+    /// `--shards K --shard-index I`: execute one slice into the store.
+    Shard(ShardSpec),
+    /// `--merge --shards K`: reassemble the K slices from the store.
+    Merge { shards: usize },
+    /// `--supervised --shards K`: run every slice with retry, then merge.
+    Supervised { shards: usize },
+}
+
+impl SweepMode {
+    /// The mode's name, the report's `mode` member.
+    fn name(self) -> &'static str {
+        match self {
+            SweepMode::Full => "full",
+            SweepMode::Streamed { .. } => "streamed",
+            SweepMode::Shard(_) => "shard",
+            SweepMode::Merge { .. } => "merge",
+            SweepMode::Supervised { .. } => "supervised",
+        }
     }
+}
+
+/// A `sweep` command line, resolved before anything runs.
+struct SweepArgs {
+    spec: String,
+    deltas: Vec<Round>,
+    horizon: Round,
+    seed: u64,
+    cache_dir: Option<String>,
+    report_json: bool,
+    trace_out: Option<String>,
+    mode: SweepMode,
+}
+
+impl SweepArgs {
+    /// Read the shared flags, then the mode flags and the flags only the
+    /// chosen mode reads; any other argument is an error.
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut args = Args::parse(
+            args,
+            "--deltas= --horizon= --seed= --cache-dir= --report= --trace-out= \
+             --stream --chunk= --shards= --shard-index= --merge --supervised",
+        )?;
+        let spec = args.positional("graph")?;
+        let deltas = parse_deltas(args.value("--deltas").as_deref().unwrap_or("5"))?;
+        let horizon = args.parsed("--horizon")?.unwrap_or(256);
+        let seed = args.value("--seed").map_or(Ok(0x5EED), |s| parse_seed(&s))?;
+        let (cache_dir, trace_out) = (args.value("--cache-dir"), args.value("--trace-out"));
+        let report_json = match args.value("--report").as_deref() {
+            None | Some("text") => false,
+            Some("json") => true,
+            Some(other) => return Err(format!("bad --report value '{other}' (text|json)")),
+        };
+        let mode = if args.switch("--stream") {
+            let chunk = args.parsed("--chunk")?.map_or(1024, std::num::NonZeroUsize::get);
+            SweepMode::Streamed { chunk }
+        } else if args.switch("--supervised") {
+            let shards = args.parsed("--shards")?.ok_or("--supervised requires --shards")?;
+            SweepMode::Supervised { shards }
+        } else if args.switch("--merge") {
+            let shards = args.parsed("--shards")?.ok_or("--merge requires --shards")?;
+            SweepMode::Merge { shards }
+        } else if let Some(shards) = args.parsed("--shards")? {
+            let index = args.parsed("--shard-index")?.ok_or("--shards requires --shard-index")?;
+            SweepMode::Shard(ShardSpec::new(shards, index)?)
+        } else {
+            SweepMode::Full
+        };
+        let name = mode.name();
+        args.finish(&format!("a {name} sweep"))?;
+        if cache_dir.is_none() && !matches!(mode, SweepMode::Full | SweepMode::Streamed { .. }) {
+            return Err(format!("a {name} sweep requires --cache-dir (shards meet there)"));
+        }
+        Ok(SweepArgs { spec, deltas, horizon, seed, cache_dir, report_json, trace_out, mode })
+    }
+
+    /// Print `result` of `session` as text, or as one `anonrv.report/v1`
+    /// object: the shared members, the mode's own, then the session stats
+    /// and the metrics snapshot.
+    fn render(&self, session: &SweepSession<'_>, result: SweepResult) -> String {
+        let (g, orbits, stats) = (session.graph(), session.orbits(), session.stats());
+        let (n, classes, compression) =
+            (g.num_nodes(), orbits.num_pair_classes(), orbits.compression());
+        let SweepResult { totals: (meetings, member_stics, fingerprint), text, members } = result;
+        if self.report_json {
+            let deltas = self.deltas.iter().map(|&d| round_json(d)).collect();
+            let plan = obj([
+                ("ordered_pairs", Value::from(n * n)),
+                ("classes", Value::from(classes)),
+                ("compression", Value::from(compression)),
+                ("deltas", Value::Arr(deltas)),
+                ("horizon", round_json(self.horizon)),
+            ]);
+            let session_stats = obj([
+                ("timeline_hits", stats.timeline_hits),
+                ("timeline_prefix_hits", stats.timeline_prefix_hits),
+                ("timeline_misses", stats.timeline_misses),
+                ("executed", stats.executed),
+                ("answered", stats.answered),
+            ]);
+            let mut report_members = vec![
+                ("graph", graph_json(&self.spec, g)),
+                ("plan", plan),
+                ("mode", Value::from(self.mode.name())),
+                ("meetings", Value::from(meetings)),
+                ("member_stics", Value::from(member_stics)),
+                ("table_fingerprint", Value::from(format!("{fingerprint:016x}"))),
+            ];
+            report_members.extend(members);
+            report_members.extend([("session", session_stats), ("metrics", snapshot().to_json())]);
+            return report("sweep", report_members);
+        }
+        let mut out = format!(
+            "graph: {n} nodes, {} edges (hash {:032x})\nplan: {} ordered pairs -> {classes} \
+             classes ({compression:.1}x), {} delays, horizon {}\n{text}",
+            g.num_edges(),
+            g.canonical_hash(),
+            n * n,
+            self.deltas.len(),
+            self.horizon,
+        );
+        // a shard's text reports its slice, not the totals of a partial table
+        if !matches!(self.mode, SweepMode::Shard(_)) {
+            out += &format!(
+                "\nmeetings: {meetings} of {member_stics} member STICs\noutcome table \
+                 fingerprint: {fingerprint:016x}"
+            );
+        }
+        if matches!(self.mode, SweepMode::Merge { .. } | SweepMode::Supervised { .. }) {
+            out += "\nmerged outcome table persisted; subsequent `anonrv sweep` runs are warm";
+        }
+        out
+    }
+}
+
+/// What one sweep mode produced, for either rendering.
+struct SweepResult {
+    /// `(meetings, member STICs, fingerprint)` of the table (or shard slice).
+    totals: (usize, usize, u64),
+    /// The mode's text lines, between the plan header and the totals.
+    text: String,
+    /// The mode's report members, after the totals.
+    members: Vec<(&'static str, Value)>,
+}
+
+/// The totals of a whole outcome table.
+fn table_totals(outcomes: &PlannedOutcomes<'_>) -> (usize, usize, u64) {
+    let members = outcomes.plan().num_member_queries();
+    (outcomes.met_total(), members, table_fingerprint(outcomes.table()))
 }
 
 fn cmd_sweep(args: &[String]) -> Result<String, String> {
-    use anonrv_obs as obs;
-    use anonrv_obs::json::Value;
-    use anonrv_plan::SweepPlan;
-    use anonrv_sim::EngineConfig;
-    use anonrv_store::{
-        table_fingerprint, OutcomeProvenance, ShardSpec, Store, SuperviseConfig, SweepSession,
-    };
-
-    let spec_arg = args.first().ok_or("missing <graph>")?;
-    let g = parse_graph(spec_arg)?;
-    let deltas = parse_deltas(flag_value(args, "--deltas").unwrap_or("5"))?;
-    let horizon: Round = flag_value(args, "--horizon")
-        .unwrap_or("256")
-        .parse()
-        .map_err(|_| "bad --horizon value")?;
-    let seed: u64 = match flag_value(args, "--seed") {
-        Some(s) => parse_seed(s)?,
-        None => 0x5EED,
-    };
-    let store = match flag_value(args, "--cache-dir") {
-        Some(dir) => Some(Store::open(dir).map_err(|e| format!("cannot open cache dir: {e}"))?),
-        None => None,
-    };
-    let shards: Option<usize> = match flag_value(args, "--shards") {
-        Some(s) => Some(s.parse().map_err(|_| "bad --shards value")?),
-        None => None,
-    };
-    let shard_index: Option<usize> = match flag_value(args, "--shard-index") {
-        Some(s) => Some(s.parse().map_err(|_| "bad --shard-index value")?),
-        None => None,
-    };
-    let merge = args.iter().any(|a| a == "--merge");
-    let supervised = args.iter().any(|a| a == "--supervised");
-    let stream = args.iter().any(|a| a == "--stream");
-    let chunk: usize = match flag_value(args, "--chunk") {
-        Some(s) => match s.parse() {
-            Ok(c) if c > 0 => c,
-            _ => return Err("bad --chunk value (classes per streamed chunk, >= 1)".to_string()),
-        },
-        None => 1024,
-    };
-    let report_json = match flag_value(args, "--report") {
-        None | Some("text") => false,
-        Some("json") => true,
-        Some(other) => return Err(format!("bad --report value '{other}' (text|json)")),
-    };
-    let trace_out = flag_value(args, "--trace-out");
-
+    let args = SweepArgs::parse(args)?;
+    let g = parse_graph(&args.spec)?;
+    let store = args.cache_dir.as_ref().map(Store::open).transpose();
+    let store = store.map_err(|e| format!("cannot open cache dir: {e}"))?;
+    let cached = store.is_some();
     // `--report json` / `--trace-out` install a telemetry pipeline for the
     // duration of this sweep; without them every instrumentation site in the
     // stack stays a single relaxed atomic load (see anonrv-obs)
-    let _obs = match (report_json, trace_out) {
-        (false, None) => None,
-        (_, Some(path)) => Some(
-            obs::install(obs::ObsConfig::trace_file(path))
-                .map_err(|e| format!("cannot create --trace-out file: {e}"))?,
-        ),
-        (true, None) => Some(
-            obs::install(obs::ObsConfig::metrics_only())
-                .map_err(|e| format!("cannot install telemetry: {e}"))?,
-        ),
+    let telemetry = match (&args.trace_out, args.report_json) {
+        (Some(path), _) => Some(ObsConfig::trace_file(path)),
+        (None, json) => json.then(ObsConfig::metrics_only),
     };
+    let _obs = telemetry.map(anonrv_obs::install).transpose();
+    let _obs = _obs.map_err(|e| format!("cannot create --trace-out file: {e}"))?;
 
-    let program = anonrv_sim::SweepWalker { seed };
+    let program = anonrv_sim::SweepWalker { seed: args.seed };
     // the canonical walker key: benchmark-recorded artifacts warm CLI
     // sweeps of the same seed, and vice versa
     let program_key = program.program_key();
-    let n = g.num_nodes();
-
     // one session drives every mode: plan → cache-probe → execute →
     // record → broadcast, all inside `anonrv_store::SweepSession`
-    let mut session =
-        SweepSession::new(store.as_ref(), &g, &program, &program_key, EngineConfig::batch(horizon));
-    let plan = SweepPlan::from_orbits(session.orbits().clone(), deltas.clone(), horizon);
-    let classes = plan.orbits().num_pair_classes();
-    let mut out = format!(
-        "graph: {n} nodes, {} edges (hash {:032x})\nplan: {} ordered pairs -> {classes} classes \
-         ({:.1}x), {} delays, horizon {horizon}\n",
-        g.num_edges(),
-        g.canonical_hash(),
-        n * n,
-        plan.orbits().compression(),
-        deltas.len(),
-    );
-
-    // Assemble one `anonrv.report/v1` object: the shared prefix (schema,
-    // command, graph, plan, mode), the caller's mode-specific members, then
-    // the session stats and the full metrics snapshot.  The shape contract
-    // lives in `anonrv_obs::report::validate_report`, which `report_check`
-    // and CI enforce.
-    let round_json =
-        |r: Round| u64::try_from(r).map(Value::Uint).unwrap_or_else(|_| Value::Str(r.to_string()));
-    let finish_json =
-        |mode: &str, extra: Vec<(String, Value)>, stats: &anonrv_store::SessionStats| -> String {
-            let mut members: Vec<(String, Value)> = vec![
-                ("schema".into(), Value::from(obs::report::REPORT_SCHEMA)),
-                ("command".into(), Value::from("sweep")),
-                (
-                    "graph".into(),
-                    obs::json::obj([
-                        ("spec", Value::from(spec_arg.as_str())),
-                        ("nodes", Value::from(n)),
-                        ("edges", Value::from(g.num_edges())),
-                        ("hash", Value::from(format!("{:032x}", g.canonical_hash()))),
-                    ]),
+    let config = anonrv_sim::EngineConfig::batch(args.horizon);
+    let mut session = SweepSession::new(store.as_ref(), &g, &program, &program_key, config);
+    let plan = SweepPlan::from_orbits(session.orbits().clone(), args.deltas.clone(), args.horizon);
+    let result = match args.mode {
+        SweepMode::Full => {
+            use OutcomeProvenance::*;
+            let (outcomes, provenance) = session.run_plan(&plan)?;
+            let stats = session.stats();
+            let mut json = vec![("kind", Value::from(provenance.kind()))];
+            let cache = match provenance {
+                // a storeless session neither probes nor persists
+                Cold if !cached => "disabled (pass --cache-dir to make sweeps resumable)".into(),
+                Cold => {
+                    format!("timelines {}, outcomes cold (persisted)", timelines_phrase(&stats))
+                }
+                WarmExact => "outcomes warm (trajectory recording and merging skipped)".into(),
+                WarmPrefix { recorded, remerged } | WarmExtend { recorded, remerged } => {
+                    json.push(("recorded", round_json(recorded)));
+                    json.push(("remerged", remerged.into()));
+                    format!(
+                        "outcomes {} (recorded at horizon {recorded}, served at {}: {remerged} of \
+                         {} entries re-resolved ({} merged, {} derived), {} program executions)",
+                        provenance.kind().replace('_', "-"),
+                        plan.horizon(),
+                        plan.num_representative_queries(),
+                        stats.executed,
+                        remerged - stats.executed,
+                        stats.timeline_misses,
+                    )
+                }
+                // the symbolic line prints with or without a store: the
+                // closed-form cycle merges run in-process either way, and
+                // the horizon being beyond the unroll cap is the headline
+                Symbolic { detected } => {
+                    json.push(("detected", detected.into()));
+                    json.push(("unrolled_rounds", 0usize.into()));
+                    format!(
+                        "outcomes symbolic ({detected} of {} cycle structures detected, 0 \
+                         unrolled rounds{})",
+                        plan.orbits().num_nodes(),
+                        if cached { "; timelines persisted" } else { "" },
+                    )
+                }
+            };
+            SweepResult {
+                totals: table_totals(&outcomes),
+                text: format!("mode: full sweep\ncache: {cache}"),
+                members: vec![("cached", Value::from(cached)), ("provenance", obj(json))],
+            }
+        }
+        SweepMode::Streamed { chunk } => {
+            let (stream, fingerprint) = session.run_streamed(&plan, chunk)?;
+            let cache = match cached {
+                true => "timelines persisted (streamed tables are fingerprinted, not stored)",
+                false => "disabled (pass --cache-dir to persist the representative timelines)",
+            };
+            let (classes, entries) = (stream.classes, stream.entries);
+            let json = obj([("classes", classes), ("entries", entries), ("chunk_classes", chunk)]);
+            SweepResult {
+                totals: (stream.met_total, stream.answered, fingerprint),
+                text: format!(
+                    "mode: streamed sweep ({classes} classes in chunks of {chunk}; outcome table \
+                     never materialised)\ncache: {cache}"
                 ),
-                (
-                    "plan".into(),
-                    obs::json::obj([
-                        ("ordered_pairs", Value::from(n * n)),
-                        ("classes", Value::from(classes)),
-                        ("compression", Value::from(plan.orbits().compression())),
-                        ("deltas", Value::Arr(deltas.iter().map(|&d| round_json(d)).collect())),
-                        ("horizon", round_json(horizon)),
-                    ]),
+                members: vec![("stream", json)],
+            }
+        }
+        SweepMode::Shard(spec) => {
+            let part = session.run_shard(&plan, spec)?;
+            let (executed, size) = (part.classes.len(), plan.orbits().class_size());
+            let met = part.table.iter().filter(|o| o.met()).count();
+            let (index, shards) = (spec.index(), spec.shards());
+            let json = obj([("index", index), ("shards", shards), ("classes_executed", executed)]);
+            SweepResult {
+                totals: (met * size, part.table.len() * size, table_fingerprint(&part.table)),
+                text: format!(
+                    "mode: shard {spec}\nclasses executed: {executed} of {}\ncache: timelines {}\n\
+                     shard artifact persisted; run every shard, then `--merge --shards {shards}`",
+                    plan.orbits().num_pair_classes(),
+                    timelines_phrase(&session.stats()),
                 ),
-                ("mode".into(), Value::from(mode)),
-            ];
-            members.extend(extra);
-            members.push((
-                "session".into(),
-                obs::json::obj([
-                    ("timeline_hits", Value::from(stats.timeline_hits)),
-                    ("timeline_prefix_hits", Value::from(stats.timeline_prefix_hits)),
-                    ("timeline_misses", Value::from(stats.timeline_misses)),
-                    ("executed", Value::from(stats.executed)),
-                    ("answered", Value::from(stats.answered)),
-                ]),
-            ));
-            members.push(("metrics".into(), obs::snapshot().to_json()));
-            Value::Obj(members).to_string()
-        };
-
-    if stream {
-        // -- streamed mode: chunked execution, nothing materialised
-        if merge || supervised || shards.is_some() || shard_index.is_some() {
-            return Err("--stream is a single-process mode; drop --shards/--shard-index/--merge/\
-                 --supervised"
-                .to_string());
+                members: vec![("shard", json)],
+            }
         }
-        let summary = session.run_streamed(&plan, chunk)?;
-        let stats = session.stats();
-        if report_json {
-            return Ok(finish_json(
-                "streamed",
-                vec![
-                    ("meetings".into(), Value::from(summary.met_total)),
-                    ("member_stics".into(), Value::from(summary.answered)),
-                    (
-                        "table_fingerprint".into(),
-                        Value::from(format!("{:016x}", summary.fingerprint)),
-                    ),
-                    (
-                        "stream".into(),
-                        obs::json::obj([
-                            ("classes", Value::from(summary.classes)),
-                            ("entries", Value::from(summary.entries)),
-                            ("chunk_classes", Value::from(chunk)),
-                        ]),
-                    ),
-                ],
-                &stats,
-            ));
-        }
-        out.push_str(&format!(
-            "mode: streamed sweep ({} classes in chunks of {chunk}; outcome table never \
-             materialised)\ncache: {}\nmeetings: {} of {} member STICs\noutcome table \
-             fingerprint: {:016x}",
-            summary.classes,
-            if store.is_some() {
-                "timelines persisted (streamed tables are fingerprinted, not stored)"
-            } else {
-                "disabled (pass --cache-dir to persist the representative timelines)"
-            },
-            summary.met_total,
-            summary.answered,
-            summary.fingerprint,
-        ));
-        return Ok(out);
-    }
-
-    if supervised {
-        // -- supervised mode: run every slice with retry/backoff, then merge
-        if merge {
-            return Err("--supervised already merges; drop --merge".to_string());
-        }
-        if shard_index.is_some() {
-            return Err("--supervised runs every shard; drop --shard-index".to_string());
-        }
-        if store.is_none() {
-            return Err(
-                "--supervised requires --cache-dir (shard artifacts meet there)".to_string()
+        SweepMode::Merge { shards } => SweepResult {
+            totals: table_totals(&session.merge_shards(&plan, shards)?),
+            text: format!("mode: merge of {shards} shard(s)"),
+            members: vec![("shards", Value::from(shards))],
+        },
+        SweepMode::Supervised { shards } => {
+            let config = SuperviseConfig::default();
+            let (outcomes, report) = session.run_sharded_supervised(&plan, shards, config)?;
+            let SuperviseReport { attempts, timed_out, already_present, .. } = report;
+            let mut text = format!(
+                "mode: supervised sweep over {shards} shard(s)\nsupervisor: {attempts} \
+                 attempt(s), {} shard(s) retried, {timed_out} timed out, {already_present} \
+                 already present",
+                report.retried.len(),
             );
-        }
-        let shards = shards.ok_or("--supervised requires --shards")?;
-        let (outcomes, report) =
-            session.run_sharded_supervised(&plan, shards, SuperviseConfig::default())?;
-        if report_json {
-            // per-attempt rows: the same `ShardAttempt` records the text
-            // mode prints and the `supervisor.attempt` trace events carry
-            let rows: Vec<Value> = report
-                .attempts_log
-                .iter()
-                .map(|r| {
-                    obs::json::obj([
-                        ("shard", Value::from(r.shard)),
-                        ("attempt", Value::from(r.attempt)),
-                        ("backoff_ms", Value::from(r.backoff_ms)),
-                        ("elapsed_ms", Value::from(r.elapsed_ms)),
-                        ("timed_out", Value::from(r.timed_out)),
-                        ("outcome", Value::from(r.outcome())),
-                        ("error", Value::from(r.error.clone())),
-                    ])
-                })
-                .collect();
-            let supervisor = obs::json::obj([
-                ("shards", Value::from(report.shards)),
-                ("attempts", Value::from(report.attempts)),
-                ("retried", Value::Arr(report.retried.iter().map(|&i| Value::from(i)).collect())),
-                ("timed_out", Value::from(report.timed_out)),
-                ("already_present", Value::from(report.already_present)),
+            // one text line and one report row per `ShardAttempt`, the
+            // records the `supervisor.attempt` trace events carry too
+            let mut rows = Vec::new();
+            for r in &report.attempts_log {
+                let error = r.error.as_ref().map_or(String::new(), |e| format!(" — {e}"));
+                text += &format!(
+                    "\n  shard {} attempt {}: {} ({} ms elapsed, {} ms backoff){error}",
+                    r.shard,
+                    r.attempt,
+                    r.outcome(),
+                    r.elapsed_ms,
+                    r.backoff_ms,
+                );
+                rows.push(obj([
+                    ("shard", Value::from(r.shard)),
+                    ("attempt", Value::from(r.attempt)),
+                    ("backoff_ms", Value::from(r.backoff_ms)),
+                    ("elapsed_ms", Value::from(r.elapsed_ms)),
+                    ("timed_out", Value::from(r.timed_out)),
+                    ("outcome", Value::from(r.outcome())),
+                    ("error", Value::from(r.error.clone())),
+                ]));
+            }
+            let retried = report.retried.iter().map(|&i| Value::from(i)).collect();
+            let supervisor = obj([
+                ("shards", Value::from(shards)),
+                ("attempts", Value::from(attempts)),
+                ("retried", Value::Arr(retried)),
+                ("timed_out", Value::from(timed_out)),
+                ("already_present", Value::from(already_present)),
                 ("rows", Value::Arr(rows)),
             ]);
-            let stats = session.stats();
-            return Ok(finish_json(
-                "supervised",
-                vec![
-                    ("meetings".into(), Value::from(outcomes.met_total())),
-                    ("member_stics".into(), Value::from(plan.num_member_queries())),
-                    (
-                        "table_fingerprint".into(),
-                        Value::from(format!("{:016x}", table_fingerprint(outcomes.table()))),
-                    ),
-                    ("supervisor".into(), supervisor),
-                ],
-                &stats,
-            ));
-        }
-        out.push_str(&format!(
-            "mode: supervised sweep over {shards} shard(s)\nsupervisor: {} attempt(s), {} \
-             shard(s) retried, {} timed out, {} already present\n",
-            report.attempts,
-            report.retried.len(),
-            report.timed_out,
-            report.already_present,
-        ));
-        for r in &report.attempts_log {
-            out.push_str(&format!(
-                "  shard {} attempt {}: {} ({} ms elapsed, {} ms backoff){}\n",
-                r.shard,
-                r.attempt,
-                r.outcome(),
-                r.elapsed_ms,
-                r.backoff_ms,
-                match &r.error {
-                    Some(e) => format!(" — {e}"),
-                    None => String::new(),
-                },
-            ));
-        }
-        out.push_str(&format!(
-            "meetings: {} of {} member STICs\noutcome table fingerprint: {:016x}\nmerged \
-             outcome table persisted; subsequent `anonrv sweep` runs are warm",
-            outcomes.met_total(),
-            plan.num_member_queries(),
-            table_fingerprint(outcomes.table()),
-        ));
-        return Ok(out);
-    }
-
-    if merge {
-        // -- merge mode: reassemble partial shard artifacts -----------------
-        if store.is_none() {
-            return Err("--merge requires --cache-dir".to_string());
-        }
-        let shards = shards.ok_or("--merge requires --shards")?;
-        let outcomes = session.merge_shards(&plan, shards)?;
-        if report_json {
-            let stats = session.stats();
-            return Ok(finish_json(
-                "merge",
-                vec![
-                    ("shards".into(), Value::from(shards)),
-                    ("meetings".into(), Value::from(outcomes.met_total())),
-                    ("member_stics".into(), Value::from(plan.num_member_queries())),
-                    (
-                        "table_fingerprint".into(),
-                        Value::from(format!("{:016x}", table_fingerprint(outcomes.table()))),
-                    ),
-                ],
-                &stats,
-            ));
-        }
-        out.push_str(&format!(
-            "mode: merge of {shards} shard(s)\nmeetings: {} of {} member STICs\noutcome table \
-             fingerprint: {:016x}\nmerged outcome table persisted; subsequent `anonrv sweep` \
-             runs are warm",
-            outcomes.met_total(),
-            plan.num_member_queries(),
-            table_fingerprint(outcomes.table()),
-        ));
-        return Ok(out);
-    }
-
-    if let Some(shards) = shards {
-        // -- shard mode: execute one slice ----------------------------------
-        if store.is_none() {
-            return Err("--shards requires --cache-dir (shards meet there)".to_string());
-        }
-        let index = shard_index.ok_or("--shards requires --shard-index")?;
-        let spec = ShardSpec::new(shards, index)?;
-        let part = session.run_shard(&plan, spec)?;
-        let stats = session.stats();
-        if report_json {
-            // a shard report fingerprints (and counts meetings over) its
-            // own partial table — the slice is the deliverable here
-            let met = part.table.iter().filter(|o| o.met()).count() * plan.orbits().class_size();
-            let members = part.classes.len() * plan.deltas().len() * plan.orbits().class_size();
-            return Ok(finish_json(
-                "shard",
-                vec![
-                    ("meetings".into(), Value::from(met)),
-                    ("member_stics".into(), Value::from(members)),
-                    (
-                        "table_fingerprint".into(),
-                        Value::from(format!("{:016x}", table_fingerprint(&part.table))),
-                    ),
-                    (
-                        "shard".into(),
-                        obs::json::obj([
-                            ("index", Value::from(spec.index())),
-                            ("shards", Value::from(spec.shards())),
-                            ("classes_executed", Value::from(part.classes.len())),
-                        ]),
-                    ),
-                ],
-                &stats,
-            ));
-        }
-        out.push_str(&format!(
-            "mode: shard {spec}\nclasses executed: {} of {classes}\ncache: timelines {}\n\
-             shard artifact persisted; run every shard, then `--merge --shards {shards}`",
-            part.classes.len(),
-            timelines_phrase(&stats),
-        ));
-        return Ok(out);
-    }
-    if shard_index.is_some() {
-        return Err("--shard-index requires --shards".to_string());
-    }
-
-    // -- full mode: one process executes (or warm-loads) the whole plan -----
-    let (outcomes, provenance) = session.run_plan(&plan)?;
-    let stats = session.stats();
-    let is_prefix = matches!(provenance, OutcomeProvenance::WarmPrefix { .. });
-    if report_json {
-        let prov = match provenance {
-            OutcomeProvenance::Cold => obs::json::obj([("kind", Value::from("cold"))]),
-            OutcomeProvenance::WarmExact => obs::json::obj([("kind", Value::from("warm_exact"))]),
-            OutcomeProvenance::WarmPrefix { recorded, remerged }
-            | OutcomeProvenance::WarmExtend { recorded, remerged } => obs::json::obj([
-                ("kind", Value::from(if is_prefix { "warm_prefix" } else { "warm_extend" })),
-                ("recorded", round_json(recorded)),
-                ("remerged", Value::from(remerged)),
-            ]),
-            OutcomeProvenance::Symbolic { detected } => obs::json::obj([
-                ("kind", Value::from("symbolic")),
-                ("detected", Value::from(detected)),
-                ("unrolled_rounds", Value::from(0usize)),
-            ]),
-        };
-        return Ok(finish_json(
-            "full",
-            vec![
-                ("cached".into(), Value::from(store.is_some())),
-                ("provenance".into(), prov),
-                ("meetings".into(), Value::from(outcomes.met_total())),
-                ("member_stics".into(), Value::from(plan.num_member_queries())),
-                (
-                    "table_fingerprint".into(),
-                    Value::from(format!("{:016x}", table_fingerprint(outcomes.table()))),
-                ),
-            ],
-            &stats,
-        ));
-    }
-    let cache_line = match (&store, provenance) {
-        // the symbolic line prints with or without a store: the closed-form
-        // cycle merges run in-process either way, and the horizon being
-        // beyond the unroll cap is the headline
-        (_, OutcomeProvenance::Symbolic { detected }) => format!(
-            "outcomes symbolic ({detected} of {n} cycle structures detected, 0 unrolled rounds{})",
-            if store.is_some() { "; timelines persisted" } else { "" },
-        ),
-        (None, _) => "disabled (pass --cache-dir to make sweeps resumable)".to_string(),
-        (Some(_), OutcomeProvenance::WarmExact) => {
-            "outcomes warm (trajectory recording and merging skipped)".to_string()
-        }
-        (
-            Some(_),
-            OutcomeProvenance::WarmPrefix { recorded, remerged }
-            | OutcomeProvenance::WarmExtend { recorded, remerged },
-        ) => format!(
-            "outcomes {} (recorded at horizon {recorded}, served at {horizon}: {remerged} of {} \
-             entries re-resolved ({} merged, {} derived), {} program executions)",
-            if is_prefix { "warm-prefix" } else { "warm-extend" },
-            plan.num_representative_queries(),
-            stats.executed,
-            remerged - stats.executed,
-            stats.timeline_misses,
-        ),
-        (Some(_), OutcomeProvenance::Cold) => {
-            format!("timelines {}, outcomes cold (persisted)", timelines_phrase(&stats))
+            SweepResult {
+                totals: table_totals(&outcomes),
+                text,
+                members: vec![("supervisor", supervisor)],
+            }
         }
     };
-    out.push_str(&format!(
-        "mode: full sweep\ncache: {cache_line}\nmeetings: {} of {} member STICs\noutcome table \
-         fingerprint: {:016x}",
-        outcomes.met_total(),
-        plan.num_member_queries(),
-        table_fingerprint(outcomes.table()),
-    ));
-    Ok(out)
-}
-
-/// Wrap one cache action's payload as an `anonrv.report/v1` object
-/// (`command` is `cache-stats` / `cache-gc` / `cache-fsck`; the payload
-/// sits under the action-named key the validator requires).
-fn cache_report_json(action: &str, dir: &str, body: anonrv_obs::json::Value) -> String {
-    use anonrv_obs::json::Value;
-    Value::Obj(vec![
-        ("schema".into(), Value::from(anonrv_obs::report::REPORT_SCHEMA)),
-        ("command".into(), Value::from(format!("cache-{action}"))),
-        ("dir".into(), Value::from(dir)),
-        (action.into(), body),
-    ])
-    .to_string()
+    Ok(args.render(&session, result))
 }
 
 fn cmd_cache(args: &[String]) -> Result<String, String> {
-    use anonrv_obs::json::{obj, Value};
-    use anonrv_store::Store;
-
-    let dir = args.first().ok_or("missing <dir>")?;
-    let action = args.get(1).map(String::as_str).ok_or("missing action (stats|gc|fsck)")?;
-    let json_out = args.iter().any(|a| a == "--json");
+    let mut args = Args::parse(args, "--json --repair")?;
+    let dir = args.positional("dir")?;
+    let action = args.positional("action")?;
+    let json_out = args.switch("--json");
+    let repair = action == "fsck" && args.switch("--repair");
+    args.finish(&format!("cache {action}"))?;
+    let dir = dir.as_str();
     let store = Store::open(dir).map_err(|e| format!("cannot open cache dir: {e}"))?;
-    match action {
+    match action.as_str() {
         "stats" => {
             let s = store.stats().map_err(|e| format!("cannot survey cache dir: {e}"))?;
             if json_out {
                 let kind = |k: anonrv_store::KindStats| {
                     obj([("files", Value::from(k.files)), ("bytes", Value::from(k.bytes))])
                 };
-                let horizons: Vec<Value> = s
-                    .recorded_horizons
-                    .iter()
-                    .map(|&h| {
-                        u64::try_from(h)
-                            .map(Value::Uint)
-                            .unwrap_or_else(|_| Value::Str(h.to_string()))
-                    })
-                    .collect();
+                let horizons = s.recorded_horizons.iter().map(|&h| round_json(h)).collect();
                 let body = obj([
                     ("timelines", kind(s.timelines)),
                     ("symbolic", kind(s.symbolic)),
@@ -959,7 +912,7 @@ fn cmd_cache(args: &[String]) -> Result<String, String> {
                     ("symbolic_entries", Value::from(s.symbolic_entries)),
                     ("recorded_horizons", Value::Arr(horizons)),
                 ]);
-                return Ok(cache_report_json("stats", dir, body));
+                return Ok(cache_report("stats", dir, body));
             }
             let row = |kind: &str, k: anonrv_store::KindStats| {
                 format!("  {kind:<10} {:>6} file(s)  {:>12} bytes\n", k.files, k.bytes)
@@ -996,7 +949,7 @@ fn cmd_cache(args: &[String]) -> Result<String, String> {
                     ("temp", Value::from(r.temp)),
                     ("locks", Value::from(r.locks)),
                 ]);
-                return Ok(cache_report_json("gc", dir, body));
+                return Ok(cache_report("gc", dir, body));
             }
             Ok(format!(
                 "cache dir: {dir}\nremoved {} file(s), reclaimed {} bytes\n  corrupt/stale: {}\n  \
@@ -1005,7 +958,6 @@ fn cmd_cache(args: &[String]) -> Result<String, String> {
             ))
         }
         "fsck" => {
-            let repair = args.iter().any(|a| a == "--repair");
             let r = store.fsck(repair).map_err(|e| format!("cannot fsck cache dir: {e}"))?;
             if json_out {
                 let entries: Vec<Value> = r
@@ -1029,7 +981,7 @@ fn cmd_cache(args: &[String]) -> Result<String, String> {
                     ("quarantined", Value::from(r.quarantined)),
                     ("entries", Value::Arr(entries)),
                 ]);
-                return Ok(cache_report_json("fsck", dir, body));
+                return Ok(cache_report("fsck", dir, body));
             }
             let mut out = format!("cache dir: {dir}\n");
             if r.entries.is_empty() {
@@ -1059,7 +1011,10 @@ fn cmd_cache(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_figure1(args: &[String]) -> Result<String, String> {
-    let h: usize = match args.first() {
+    let mut args = Args::parse(args, "")?;
+    let h = args.positional("h").ok();
+    args.finish("figure1")?;
+    let h: usize = match h {
         Some(arg) => arg.parse().map_err(|_| "h must be an integer >= 2")?,
         None => 2,
     };
@@ -1067,8 +1022,34 @@ fn cmd_figure1(args: &[String]) -> Result<String, String> {
     Ok(figure1_text(&q))
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(|s| s.as_str())
+/// A round count as a JSON integer, or as its decimal string beyond `u64`.
+fn round_json(r: Round) -> Value {
+    u64::try_from(r).map(Value::Uint).unwrap_or_else(|_| Value::Str(r.to_string()))
+}
+
+/// One `anonrv.report/v1` object of `command`: the schema and command
+/// members, then `members`.  The shape contract lives in
+/// `anonrv_obs::report::validate_report`, which `report_check` and CI
+/// enforce.
+fn report(command: &str, members: Vec<(&str, Value)>) -> String {
+    let head = [("schema", Value::from(REPORT_SCHEMA)), ("command", Value::from(command))];
+    obj(head.into_iter().chain(members)).to_string()
+}
+
+/// The report of one cache action: the payload sits under the
+/// action-named key the validator requires.
+fn cache_report(action: &str, dir: &str, body: Value) -> String {
+    report(&format!("cache-{action}"), vec![("dir", Value::from(dir)), (action, body)])
+}
+
+/// A report's `graph` member.
+fn graph_json(spec: &str, g: &PortGraph) -> Value {
+    obj([
+        ("spec", Value::from(spec)),
+        ("nodes", Value::from(g.num_nodes())),
+        ("edges", Value::from(g.num_edges())),
+        ("hash", Value::from(format!("{:032x}", g.canonical_hash()))),
+    ])
 }
 
 #[cfg(test)]
@@ -1077,6 +1058,27 @@ mod tests {
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Run `base` followed by `extra`.
+    fn run_with(base: &[&str], extra: &[&str]) -> Result<String, String> {
+        run(&argv(&[base, extra].concat()))
+    }
+
+    /// The first line of `out` that starts with `prefix`.
+    fn line(out: &str, prefix: &str) -> String {
+        let found = out.lines().find(|l| l.starts_with(prefix));
+        found.unwrap_or_else(|| panic!("{prefix} in {out}")).to_string()
+    }
+
+    /// A fresh per-process scratch directory `anonrv-cli-<name>-test-<pid>`
+    /// and its path as an argument.
+    fn scratch_dir(name: &str) -> (std::path::PathBuf, String) {
+        let dir =
+            std::env::temp_dir().join(format!("anonrv-cli-{name}-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let arg = dir.to_string_lossy().to_string();
+        (dir, arg)
     }
 
     /// Telemetry is process-global: a sweep running while another test's
@@ -1172,19 +1174,12 @@ mod tests {
     fn streamed_sweep_matches_the_full_run_bit_for_bit() {
         let _serial = sweep_serial();
         let base = ["sweep", "torus:3x4", "--deltas", "3", "--horizon", "64"];
-        let line = |s: &str, prefix: &str| {
-            s.lines()
-                .find(|l| l.starts_with(prefix))
-                .unwrap_or_else(|| panic!("{prefix} in {s}"))
-                .to_string()
-        };
         let full = run(&argv(&base)).unwrap();
 
         // streaming never materialises the table, yet fingerprints and
         // meeting counts match the materialised run exactly
-        let mut streamed_args: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        streamed_args.extend(["--stream".to_string(), "--chunk".to_string(), "2".to_string()]);
-        let streamed = run(&streamed_args).unwrap();
+        let streamed_args = [&base[..], &["--stream", "--chunk", "2"]].concat();
+        let streamed = run(&argv(&streamed_args)).unwrap();
         assert!(streamed.contains("mode: streamed sweep"), "{streamed}");
         assert_eq!(
             line(&streamed, "outcome table fingerprint:"),
@@ -1194,9 +1189,7 @@ mod tests {
 
         // the JSON report validates under mode `streamed` with the same
         // fingerprint
-        let mut json_args = streamed_args.clone();
-        json_args.extend(["--report".to_string(), "json".to_string()]);
-        let report = run(&json_args).unwrap();
+        let report = run_with(&streamed_args, &["--report", "json"]).unwrap();
         let v = anonrv_obs::json::parse(&report).unwrap();
         let summary = anonrv_obs::report::validate_report(&v).unwrap();
         assert_eq!(summary.mode.as_deref(), Some("streamed"));
@@ -1215,16 +1208,14 @@ mod tests {
         // an explicit (BFS) group streams through the same mapped merges
         let lollipop = ["sweep", "lollipop:3x2", "--deltas", "3", "--horizon", "256"];
         let full = run(&argv(&lollipop)).unwrap();
-        let streamed = run(&argv(&[&lollipop[..], &["--stream"]].concat())).unwrap();
+        let streamed = run_with(&lollipop, &["--stream"]).unwrap();
         assert!(streamed.contains("mode: streamed sweep"), "{streamed}");
         for prefix in ["outcome table fingerprint:", "meetings:"] {
             assert_eq!(line(&streamed, prefix), line(&full, prefix));
         }
 
         // flag validation: streaming is single-process
-        let mut with_shards = streamed_args.clone();
-        with_shards.extend(["--shards".to_string(), "2".to_string()]);
-        assert!(run(&with_shards).is_err());
+        assert!(run_with(&streamed_args, &["--shards", "2"]).is_err());
         assert!(run(&argv(&["sweep", "ring:6", "--stream", "--chunk", "0"])).is_err());
     }
 
@@ -1233,17 +1224,8 @@ mod tests {
         let _serial = sweep_serial();
         // 2^40 rounds is past the unroll cap: every (class, δ) resolves
         // symbolically, never through the explicit merge kernels
-        let report = run(&argv(&[
-            "sweep",
-            "grid:3x3",
-            "--deltas",
-            "2",
-            "--horizon",
-            "1099511627776",
-            "--report",
-            "json",
-        ]))
-        .unwrap();
+        let base = ["sweep", "grid:3x3", "--deltas", "2", "--horizon", "1099511627776"];
+        let report = run_with(&base, &["--report", "json"]).unwrap();
         let v = anonrv_obs::json::parse(&report).unwrap();
         anonrv_obs::report::validate_report(&v).unwrap();
         let counters = v.get("metrics").unwrap().get("counters").unwrap();
@@ -1265,59 +1247,32 @@ mod tests {
     #[test]
     fn sweep_runs_cold_warm_and_sharded_with_identical_meeting_counts() {
         let _serial = sweep_serial();
-        let dir =
-            std::env::temp_dir().join(format!("anonrv-cli-sweep-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cache = dir.to_string_lossy().to_string();
+        let (dir, cache) = scratch_dir("sweep");
         let base = ["sweep", "torus:3x4", "--deltas", "3", "--horizon", "64"];
 
         // storeless run (the reference)
         let plain = run(&argv(&base)).unwrap();
-        let meetings_line = |s: &str| {
-            s.lines().find(|l| l.starts_with("meetings:")).expect("meetings line").to_string()
-        };
-        let reference = meetings_line(&plain);
+        let reference = line(&plain, "meetings:");
         assert!(plain.contains("144 ordered pairs -> 12 classes"), "{plain}");
 
         // cold store-backed run, then a warm one that skips everything
-        let mut with_cache: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        with_cache.extend(["--cache-dir".to_string(), cache.clone()]);
-        let cold = run(&with_cache).unwrap();
+        let cold = run_with(&base, &["--cache-dir", &cache]).unwrap();
         assert!(cold.contains("outcomes cold (persisted)"), "{cold}");
-        assert_eq!(meetings_line(&cold), reference);
-        let warm = run(&with_cache).unwrap();
+        assert_eq!(line(&cold, "meetings:"), reference);
+        let warm = run_with(&base, &["--cache-dir", &cache]).unwrap();
         assert!(warm.contains("outcomes warm"), "{warm}");
-        assert_eq!(meetings_line(&warm), reference);
+        assert_eq!(line(&warm, "meetings:"), reference);
 
         // sharded execution into a fresh cache + deterministic merge
-        let dir2 =
-            std::env::temp_dir().join(format!("anonrv-cli-shard-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir2).ok();
-        let cache2 = dir2.to_string_lossy().to_string();
+        let (dir2, cache2) = scratch_dir("shard");
+        let sharded = [&base[..], &["--cache-dir", &cache2, "--shards", "2"]].concat();
         for index in 0..2 {
-            let mut argv: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-            argv.extend([
-                "--cache-dir".to_string(),
-                cache2.clone(),
-                "--shards".to_string(),
-                "2".to_string(),
-                "--shard-index".to_string(),
-                index.to_string(),
-            ]);
-            let shard = run(&argv).unwrap();
+            let shard = run_with(&sharded, &["--shard-index", &index.to_string()]).unwrap();
             assert!(shard.contains(&format!("mode: shard {index}/2")), "{shard}");
         }
-        let mut argv: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        argv.extend([
-            "--cache-dir".to_string(),
-            cache2.clone(),
-            "--shards".to_string(),
-            "2".to_string(),
-            "--merge".to_string(),
-        ]);
-        let merged = run(&argv).unwrap();
+        let merged = run_with(&sharded, &["--merge"]).unwrap();
         assert!(merged.contains("mode: merge of 2 shard(s)"), "{merged}");
-        assert_eq!(meetings_line(&merged), reference, "sharded merge must be bit-identical");
+        assert_eq!(line(&merged, "meetings:"), reference, "sharded merge must be bit-identical");
 
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir2).ok();
@@ -1326,34 +1281,15 @@ mod tests {
     #[test]
     fn sweep_at_a_smaller_horizon_is_a_prefix_hit_bit_identical_to_a_cold_run() {
         let _serial = sweep_serial();
-        let dir =
-            std::env::temp_dir().join(format!("anonrv-cli-prefix-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cache = dir.to_string_lossy().to_string();
-        let line = |s: &str, prefix: &str| {
-            s.lines()
-                .find(|l| l.starts_with(prefix))
-                .unwrap_or_else(|| panic!("{prefix} in {s}"))
-                .to_string()
-        };
+        let (dir, cache) = scratch_dir("prefix");
+        let base = ["sweep", "torus:3x4", "--deltas", "3", "--cache-dir", &cache];
 
         // populate the cache at horizon 128 ...
-        let long = run(&argv(&[
-            "sweep",
-            "torus:3x4",
-            "--deltas",
-            "3",
-            "--horizon",
-            "128",
-            "--cache-dir",
-            &cache,
-        ]))
-        .unwrap();
+        let long = run_with(&base, &["--horizon", "128"]).unwrap();
         assert!(long.contains("outcomes cold (persisted)"), "{long}");
 
         // ... then sweep at 48: prefix hit, zero program executions
-        let short_args =
-            ["sweep", "torus:3x4", "--deltas", "3", "--horizon", "48", "--cache-dir", &cache];
+        let short_args = [&base[..], &["--horizon", "48"]].concat();
         let short = run(&argv(&short_args)).unwrap();
         assert!(short.contains("outcomes warm-prefix (recorded at horizon 128"), "{short}");
         assert!(short.contains("0 program executions"), "{short}");
@@ -1374,7 +1310,7 @@ mod tests {
         let (merged, counts) = counts.split_once(" merged, ").unwrap();
         let derived = counts.split_once(" derived)").unwrap().0;
         let (merged, derived): (u64, u64) = (merged.parse().unwrap(), derived.parse().unwrap());
-        let report = run(&argv(&[&short_args[..], &["--report", "json"]].concat())).unwrap();
+        let report = run_with(&short_args, &["--report", "json"]).unwrap();
         let v = anonrv_obs::json::parse(&report).unwrap();
         let member = |path: &[&str]| {
             path.iter().fold(&v, |v, key| v.get(key).unwrap_or_else(|| panic!("{key}"))).as_u64()
@@ -1389,10 +1325,7 @@ mod tests {
     #[test]
     fn timelines_materialised_from_a_symbolic_frame_are_not_program_executions() {
         let _serial = sweep_serial();
-        let dir = std::env::temp_dir()
-            .join(format!("anonrv-cli-materialise-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cache = dir.to_string_lossy().to_string();
+        let (dir, cache) = scratch_dir("materialise");
         let sweep = |horizon: &str| {
             run(&argv(&["sweep", "ring:8", "--horizon", horizon, "--cache-dir", &cache])).unwrap()
         };
@@ -1415,27 +1348,15 @@ mod tests {
     #[test]
     fn cache_subcommand_surveys_and_compacts_a_populated_directory() {
         let _serial = sweep_serial();
-        let dir =
-            std::env::temp_dir().join(format!("anonrv-cli-cache-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cache = dir.to_string_lossy().to_string();
+        let (dir, cache) = scratch_dir("cache");
         let base = ["sweep", "ring:8", "--deltas", "2", "--horizon", "32", "--cache-dir", &cache];
 
         // populate via a 2-shard run plus its merge (the merge supersedes
         // the partials), then plant one corrupt artifact
-        for index in 0..2 {
-            let mut argv_: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-            argv_.extend([
-                "--shards".to_string(),
-                "2".to_string(),
-                "--shard-index".to_string(),
-                index.to_string(),
-            ]);
-            run(&argv_).unwrap();
+        for index in ["0", "1"] {
+            run_with(&base, &["--shards", "2", "--shard-index", index]).unwrap();
         }
-        let mut argv_: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        argv_.extend(["--shards".to_string(), "2".to_string(), "--merge".to_string()]);
-        run(&argv_).unwrap();
+        run_with(&base, &["--shards", "2", "--merge"]).unwrap();
         std::fs::write(dir.join("outcomes-0000.anrv"), b"garbage").unwrap();
 
         let stats = run(&argv(&["cache", &cache, "stats"])).unwrap();
@@ -1465,31 +1386,15 @@ mod tests {
     #[test]
     fn supervised_sweep_runs_every_shard_and_matches_the_plain_run() {
         let _serial = sweep_serial();
-        let dir =
-            std::env::temp_dir().join(format!("anonrv-cli-supervised-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cache = dir.to_string_lossy().to_string();
+        let (dir, cache) = scratch_dir("supervised");
         let base = ["sweep", "torus:3x4", "--deltas", "3", "--horizon", "64"];
-        let line = |s: &str, prefix: &str| {
-            s.lines()
-                .find(|l| l.starts_with(prefix))
-                .unwrap_or_else(|| panic!("{prefix} in {s}"))
-                .to_string()
-        };
 
         // storeless run: the bit-identity reference
         let plain = run(&argv(&base)).unwrap();
 
         // one command executes all three slices and merges them
-        let mut sup: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        sup.extend([
-            "--cache-dir".to_string(),
-            cache.clone(),
-            "--shards".to_string(),
-            "3".to_string(),
-            "--supervised".to_string(),
-        ]);
-        let supervised = run(&sup).unwrap();
+        let sup = [&base[..], &["--cache-dir", &cache, "--shards", "3", "--supervised"]].concat();
+        let supervised = run(&argv(&sup)).unwrap();
         assert!(supervised.contains("mode: supervised sweep over 3 shard(s)"), "{supervised}");
         assert!(supervised.contains("0 shard(s) retried"), "{supervised}");
         assert_eq!(line(&supervised, "meetings:"), line(&plain, "meetings:"));
@@ -1500,23 +1405,15 @@ mod tests {
         );
 
         // the merged table persisted: a plain store-backed run is warm
-        let mut warm: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        warm.extend(["--cache-dir".to_string(), cache.clone()]);
-        let warm_out = run(&warm).unwrap();
+        let warm_out = run_with(&base, &["--cache-dir", &cache]).unwrap();
         assert!(warm_out.contains("outcomes warm"), "{warm_out}");
 
         // flag validation: needs a store and a shard count, excludes the
         // single-slice and manual-merge flags
         assert!(run(&argv(&["sweep", "ring:6", "--shards", "2", "--supervised"])).is_err());
-        let mut no_shards: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        no_shards.extend(["--cache-dir".to_string(), cache.clone(), "--supervised".to_string()]);
-        assert!(run(&no_shards).is_err());
-        let mut with_index = sup.clone();
-        with_index.extend(["--shard-index".to_string(), "0".to_string()]);
-        assert!(run(&with_index).is_err());
-        let mut with_merge = sup.clone();
-        with_merge.push("--merge".to_string());
-        assert!(run(&with_merge).is_err());
+        assert!(run_with(&base, &["--cache-dir", &cache, "--supervised"]).is_err());
+        assert!(run_with(&sup, &["--shard-index", "0"]).is_err());
+        assert!(run_with(&sup, &["--merge"]).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1524,28 +1421,15 @@ mod tests {
     #[test]
     fn json_report_and_trace_validate_and_match_the_text_run() {
         let _serial = sweep_serial();
-        let dir =
-            std::env::temp_dir().join(format!("anonrv-cli-report-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let (dir, _) = scratch_dir("report");
         std::fs::create_dir_all(&dir).unwrap();
         let cache = dir.join("cache").to_string_lossy().to_string();
         let trace = dir.join("trace.jsonl").to_string_lossy().to_string();
         let base = ["sweep", "torus:3x4", "--deltas", "3", "--horizon", "64"];
 
         // the acceptance command: supervised sweep, JSON report, JSONL trace
-        let mut sup: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        sup.extend([
-            "--cache-dir".to_string(),
-            cache.clone(),
-            "--shards".to_string(),
-            "2".to_string(),
-            "--supervised".to_string(),
-            "--report".to_string(),
-            "json".to_string(),
-            "--trace-out".to_string(),
-            trace.clone(),
-        ]);
-        let report = run(&sup).unwrap();
+        let sup = ["--cache-dir", &cache, "--shards", "2", "--supervised", "--report", "json"];
+        let report = run_with(&base, &[&sup[..], &["--trace-out", &trace]].concat()).unwrap();
         let v = anonrv_obs::json::parse(&report).unwrap();
         let summary = anonrv_obs::report::validate_report(&v).unwrap();
         assert_eq!(summary.command, "sweep");
@@ -1567,14 +1451,7 @@ mod tests {
         assert!(ts.event_count("supervisor.attempt") >= summary.supervisor_rows as u64);
 
         // a warm full-mode report validates too, and carries provenance
-        let mut warm: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        warm.extend([
-            "--cache-dir".to_string(),
-            cache.clone(),
-            "--report".to_string(),
-            "json".to_string(),
-        ]);
-        let warm_report = run(&warm).unwrap();
+        let warm_report = run_with(&base, &["--cache-dir", &cache, "--report", "json"]).unwrap();
         let wv = anonrv_obs::json::parse(&warm_report).unwrap();
         let ws = anonrv_obs::report::validate_report(&wv).unwrap();
         assert_eq!(ws.mode.as_deref(), Some("full"));
@@ -1590,9 +1467,7 @@ mod tests {
         }
 
         // flag validation: an unknown --report value is rejected
-        let mut bad: Vec<String> = base.iter().map(|s| s.to_string()).collect();
-        bad.extend(["--report".to_string(), "xml".to_string()]);
-        assert!(run(&bad).is_err());
+        assert!(run_with(&base, &["--report", "xml"]).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1600,9 +1475,7 @@ mod tests {
     #[test]
     fn fsck_subcommand_verifies_and_repairs_a_populated_directory() {
         let _serial = sweep_serial();
-        let dir = std::env::temp_dir().join(format!("anonrv-cli-fsck-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cache = dir.to_string_lossy().to_string();
+        let (dir, cache) = scratch_dir("fsck");
         let base = ["sweep", "ring:8", "--deltas", "2", "--horizon", "32", "--cache-dir", &cache];
         run(&argv(&base)).unwrap();
 
@@ -1660,35 +1533,42 @@ mod tests {
         assert!(run(&argv(&["sweep", "ring:6", "--merge", "--shards", "2"])).is_err());
         // a shard index without a shard count (and vice versa) is rejected
         assert!(run(&argv(&["sweep", "ring:6", "--shard-index", "0"])).is_err());
-        let dir =
-            std::env::temp_dir().join(format!("anonrv-cli-badshard-test-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let cache = dir.to_string_lossy().to_string();
-        assert!(run(&argv(&[
-            "sweep",
-            "ring:6",
-            "--cache-dir",
-            &cache,
-            "--shards",
-            "2",
-            "--shard-index",
-            "2"
-        ]))
-        .is_err());
+        let (dir, cache) = scratch_dir("badshard");
+        let sharded = ["sweep", "ring:6", "--cache-dir", &cache, "--shards", "2"];
+        assert!(run_with(&sharded, &["--shard-index", "2"]).is_err());
         // merging before any shard ran reports the missing slice
-        let err =
-            run(&argv(&["sweep", "ring:6", "--cache-dir", &cache, "--shards", "2", "--merge"]))
-                .unwrap_err();
+        let err = run_with(&sharded, &["--merge"]).unwrap_err();
         assert!(err.contains("missing or invalid"), "{err}");
         // an explicit delta list is accepted and normalised
         assert_eq!(parse_deltas("3,1,1").unwrap(), vec![1, 3]);
         assert_eq!(parse_deltas("4").unwrap(), vec![0, 1, 2, 3]);
+
+        // a flag without its value, an unknown flag and a flag the chosen
+        // mode does not read are errors that name the flag, not a different
+        // sweep than the one typed
+        let rejected = |parts: &[&str], flag: &str| {
+            let err = run(&argv(parts)).expect_err(&parts.join(" "));
+            assert!(err.contains(flag), "{}: {err}", parts.join(" "));
+        };
+        rejected(&["sweep", "ring:6", "--horizon"], "--horizon");
+        rejected(&["sweep", "ring:6", "--cache-dir"], "--cache-dir");
+        rejected(&["sweep", "ring:6", "--horizn", "99"], "--horizn");
+        rejected(&["sweep", "ring:6", "--chunk", "3"], "--chunk");
+        for index in ["0", "1"] {
+            run_with(&sharded, &["--shard-index", index]).unwrap();
+        }
+        rejected(&[&sharded[..], &["--merge", "--shard-index", "7"]].concat(), "--shard-index");
+        rejected(&[&sharded[..], &["--supervised", "--chunk", "4"]].concat(), "--chunk");
+        // with both slices present the same merge, without the stray flag, runs
+        run_with(&sharded, &["--merge"]).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn errors_are_reported_not_panicked() {
         assert!(run(&argv(&["simulate", "ring:4", "0", "9", "1"])).is_err());
+        let err = run(&argv(&["simulate", "ring:6", "0", "3", "1", "--horizon"])).unwrap_err();
+        assert!(err.contains("--horizon"), "{err}");
         assert!(run(&argv(&["unknown"])).is_err());
         assert!(run(&[]).is_err());
         assert!(run(&argv(&["simulate", "ring:4", "0", "1", "1", "--algo", "nope"])).is_err());

@@ -433,20 +433,16 @@ mod tests {
             timeline_hits: 4,
             timeline_prefix_hits: 3,
             timeline_misses: 2,
-            symbolic_timelines: 0,
             executed: 7,
             answered: 20,
-            outcome: None,
             shard: Some((1, 2)),
         });
         instance.absorb(&SessionStats {
             timeline_hits: 1,
             timeline_prefix_hits: 0,
             timeline_misses: 0,
-            symbolic_timelines: 0,
             executed: 1,
             answered: 4,
-            outcome: None,
             shard: None,
         });
         assert_eq!((instance.executed, instance.answered), (8, 24));

@@ -5,36 +5,24 @@
 //! the algorithms themselves are sequential round-by-round programs, as in
 //! the paper) and collects uniform [`RunRecord`]s.
 //!
-//! Three per-graph preparations turn sweeps from `O(cases · full-work)` into
-//! `O(graph)` + cheap per-case queries:
-//!
-//! * classification goes through a [`FeasibilityOracle`] (one `O(n²·Δ)`
-//!   pair-space preparation answering every STIC of that graph in O(1)) via
-//!   [`run_case_with_oracle`];
-//! * simulation goes through a [`SweepEngine`] (one trajectory recording
-//!   per start node answering every STIC by merging two cached timelines)
-//!   via [`run_case_with_engine`] — the sweeps group their cases by
-//!   `(graph, program, horizon)`, build one engine per group, and fan rayon
-//!   over the cached-timeline merges;
-//! * on top of both, **planning and persistence** collapse view-equivalent
-//!   cases before any simulation runs: [`run_cases_planned`] routes a case
-//!   batch through a [`SweepSession`] — the single orchestrator of
-//!   `anonrv-store` — which canonicalises onto one representative per
-//!   `(pair orbit, δ, horizon)` group, preloads trajectory timelines from a
-//!   persistent store when the session has one (longer recordings serve by
-//!   prefix truncation), broadcasts the (bit-identical) outcome to every
-//!   member case, and persists what it recorded.  The session's
-//!   [`anonrv_store::SessionStats`] feed the report compression notes via
-//!   [`crate::report::PlanCompression::absorb`].
-//!
-//! The oracle-less, engine-less [`run_case`] stays as a convenience for
-//! one-off cases.
+//! Cases go through one path, [`run_cases_planned`]: a batch of cases
+//! routes through a [`SweepSession`] — the single orchestrator of
+//! `anonrv-store` — which canonicalises onto one representative per
+//! `(pair orbit, δ, horizon)` group, preloads trajectory timelines from a
+//! persistent store when the session has one (longer recordings serve by
+//! prefix truncation), broadcasts the (bit-identical) outcome to every
+//! member case, and persists what it recorded.  The sweeps group their
+//! cases by `(graph, program, horizon)` and open one session per group.
+//! Classification goes through a per-graph [`FeasibilityOracle`] (one
+//! `O(n²·Δ)` pair-space preparation answering every STIC of that graph in
+//! O(1)).  The session's [`anonrv_store::SessionStats`] feed the report
+//! compression notes via [`crate::report::PlanCompression::absorb`].
 
 use rayon::prelude::*;
 
 use anonrv_core::feasibility::{FeasibilityOracle, SticClass};
 use anonrv_graph::{NodeId, PortGraph};
-use anonrv_sim::{simulate, AgentProgram, Round, Stic, SweepEngine};
+use anonrv_sim::{Round, Stic};
 use anonrv_store::SweepSession;
 
 /// One simulated STIC and its outcome.
@@ -79,7 +67,8 @@ impl RunRecord {
     }
 }
 
-/// A STIC case to run: everything [`run_case`] needs besides the algorithm.
+/// A STIC case to run: everything [`run_cases_planned`] needs besides the
+/// session.
 #[derive(Debug, Clone)]
 pub struct Case<'g> {
     /// Workload family.
@@ -94,38 +83,6 @@ pub struct Case<'g> {
     pub horizon: Round,
     /// Bound to record alongside the measurement.
     pub bound: Option<Round>,
-}
-
-/// Simulate one case with the given program (both agents run it), building a
-/// throwaway [`FeasibilityOracle`] for the classification.  Sweeps with many
-/// cases per graph should build the oracle once and use
-/// [`run_case_with_oracle`].
-pub fn run_case(case: &Case<'_>, program: &dyn AgentProgram) -> RunRecord {
-    run_case_with_oracle(case, program, &FeasibilityOracle::new(case.graph))
-}
-
-/// Simulate one case, classifying through a prebuilt per-graph oracle.
-pub fn run_case_with_oracle(
-    case: &Case<'_>,
-    program: &dyn AgentProgram,
-    oracle: &FeasibilityOracle,
-) -> RunRecord {
-    let outcome = simulate(case.graph, program, &case.stic, case.horizon);
-    record_outcome(case, program.name(), oracle, outcome)
-}
-
-/// Simulate one case through a prebuilt per-`(graph, program)`
-/// [`SweepEngine`] (its trajectory cache answers the STIC by merging two
-/// cached timelines) and classify through the per-graph oracle.  The
-/// engine's cache horizon must be at least `case.horizon`; cases with
-/// heterogeneous horizons share one engine built at the maximum.
-pub fn run_case_with_engine(
-    case: &Case<'_>,
-    engine: &SweepEngine<'_>,
-    oracle: &FeasibilityOracle,
-) -> RunRecord {
-    let outcome = engine.simulate_capped(&case.stic, case.horizon);
-    record_outcome(case, engine.program().name(), oracle, outcome)
 }
 
 /// Run a batch of cases through a [`SweepSession`]: one representative
@@ -213,39 +170,6 @@ where
     items.par_iter().map(f).collect()
 }
 
-/// Run a slice of cases against per-case programs built by `make_program`, in
-/// parallel.  The program factory receives the case so that parameters (such
-/// as the assumed size `n`) can depend on the instance.
-///
-/// One [`FeasibilityOracle`] is prepared per *distinct graph* in the batch
-/// (compared by address) and shared by every case on it, so classification
-/// costs `O(n²·Δ)` once per graph instead of once per case.
-pub fn par_run_cases<'g, F, P>(cases: Vec<Case<'g>>, make_program: F) -> Vec<RunRecord>
-where
-    F: Fn(&Case<'g>) -> P + Sync,
-    P: AgentProgram,
-{
-    let mut graphs: Vec<&PortGraph> = Vec::new();
-    for case in &cases {
-        if !graphs.iter().any(|g| std::ptr::eq(*g, case.graph)) {
-            graphs.push(case.graph);
-        }
-    }
-    let oracles: Vec<FeasibilityOracle> =
-        graphs.iter().map(|g| FeasibilityOracle::new(g)).collect();
-    cases
-        .par_iter()
-        .map(|case| {
-            let which = graphs
-                .iter()
-                .position(|g| std::ptr::eq(*g, case.graph))
-                .expect("every case graph was indexed above");
-            let program = make_program(case);
-            run_case_with_oracle(case, &program, &oracles[which])
-        })
-        .collect()
-}
-
 /// Aggregate statistics over a set of records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Aggregate {
@@ -289,8 +213,8 @@ impl Aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anonrv_graph::generators::{lollipop, oriented_ring};
-    use anonrv_sim::{Navigator, Stop};
+    use anonrv_graph::generators::oriented_ring;
+    use anonrv_sim::{simulate_with, AgentProgram, EngineConfig, Navigator, Stop};
 
     /// Trivial program: keep moving through port 0.
     struct AlwaysPortZero;
@@ -305,6 +229,13 @@ mod tests {
         }
     }
 
+    /// The records of `cases` on `g`, run through one in-memory session.
+    fn run_cases(g: &PortGraph, cases: &[Case<'_>], horizon: Round) -> Vec<RunRecord> {
+        let mut session =
+            SweepSession::in_memory(g, &AlwaysPortZero, EngineConfig::with_horizon(horizon));
+        run_cases_planned(cases, &mut session, &FeasibilityOracle::new(g))
+    }
+
     #[test]
     fn run_case_records_classification_and_outcome() {
         let g = oriented_ring(4).unwrap();
@@ -316,7 +247,7 @@ mod tests {
             horizon: 50,
             bound: Some(50),
         };
-        let record = run_case(&case, &AlwaysPortZero);
+        let record = run_cases(&g, &[case], 50).remove(0);
         assert_eq!(record.class, "symmetric-feasible");
         assert_eq!(record.shrink, Some(1));
         // with delay 1 and "always move clockwise" the later agent is caught
@@ -326,36 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn par_run_cases_preserves_order_and_uses_the_factory() {
-        let ring = oriented_ring(6).unwrap();
-        let lp = lollipop(3, 2).unwrap();
-        let cases = vec![
-            Case {
-                family: "oriented-ring".into(),
-                label: "ring-6".into(),
-                graph: &ring,
-                stic: Stic::new(0, 3, 3),
-                horizon: 100,
-                bound: None,
-            },
-            Case {
-                family: "lollipop".into(),
-                label: "lollipop-3-2".into(),
-                graph: &lp,
-                stic: Stic::new(0, 4, 0),
-                horizon: 100,
-                bound: None,
-            },
-        ];
-        let records = par_run_cases(cases, |_case| AlwaysPortZero);
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].label, "ring-6");
-        assert_eq!(records[1].label, "lollipop-3-2");
-    }
-
-    #[test]
     fn planned_batch_matches_per_case_engine_records() {
-        use anonrv_sim::EngineConfig;
         let g = oriented_ring(6).unwrap();
         let program = AlwaysPortZero;
         let oracle = FeasibilityOracle::new(&g);
@@ -372,14 +274,16 @@ mod tests {
             })
             .collect();
         let mut session = SweepSession::in_memory(&g, &program, EngineConfig::with_horizon(80));
-        let engine = SweepEngine::new(&g, &program, EngineConfig::with_horizon(80));
         let records = run_cases_planned(&cases, &mut session, &oracle);
         assert_eq!(records.len(), cases.len());
         let stats = session.stats();
         assert_eq!(stats.answered, cases.len());
         assert!(stats.executed <= cases.len());
         for (case, record) in cases.iter().zip(&records) {
-            let direct = run_case_with_engine(case, &engine, &oracle);
+            // the per-call streaming engine shares no cache with the session
+            let direct =
+                simulate_with(&g, &program, &program, &case.stic, EngineConfig::streaming(80));
+            let direct = record_outcome(case, program.name(), &oracle, direct);
             assert_eq!(*record, direct, "planned record diverged on {}", case.stic);
         }
     }
@@ -395,8 +299,7 @@ mod tests {
             horizon: 40,
             bound: Some(10),
         };
-        let records: Vec<RunRecord> =
-            vec![run_case(&mk(2), &AlwaysPortZero), run_case(&mk(0), &AlwaysPortZero)];
+        let records = run_cases(&g, &[mk(2), mk(0)], 40);
         let agg = Aggregate::of(&records);
         assert_eq!(agg.total, 2);
         // delay 2 catches up, delay 0 keeps the agents antipodal forever

@@ -33,9 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use rayon::prelude::*;
 
 use anonrv_graph::{NodeId, PortGraph};
-use anonrv_sim::{
-    simulate_with, AgentProgram, EngineConfig, EngineMode, Round, SimOutcome, Stic, SweepEngine,
-};
+use anonrv_sim::{simulate_with, AgentProgram, EngineConfig, Round, SimOutcome, Stic, SweepEngine};
 
 use crate::orbits::PairOrbits;
 
@@ -570,9 +568,8 @@ impl<'a> PlannedSweep<'a> {
     /// (`chunk_classes × |δ|` outcomes live at once).
     ///
     /// Errors (rather than silently falling back) when the plan does not
-    /// match this sweep, when the plan's horizon exceeds the engine's, or
-    /// when the engine is pinned to a per-call mode — callers decide the
-    /// fallback policy.
+    /// match this sweep or when the plan's horizon exceeds the engine's —
+    /// callers decide the fallback policy.
     pub fn run_streamed<F>(
         &self,
         plan: &SweepPlan,
@@ -587,9 +584,6 @@ impl<'a> PlannedSweep<'a> {
         }
         if plan.horizon() > self.engine.config().horizon {
             return Err("plan horizon exceeds the engine horizon".into());
-        }
-        if !matches!(self.engine.config().mode, EngineMode::Auto | EngineMode::Batch) {
-            return Err("streamed execution requires the batch engine (mode Auto or Batch)".into());
         }
         let chunk = chunk_classes.max(1);
         let num_classes = self.orbits.num_pair_classes();
@@ -930,11 +924,6 @@ mod tests {
         let foreign = SweepPlan::new(&oriented_ring(7).unwrap(), vec![0, 1], 64);
         let err = planned.run_streamed(&foreign, 4, |_, _| {}).unwrap_err();
         assert!(err.contains("different graph"), "{err}");
-        // an engine pinned to a per-call mode
-        let pinned = PlannedSweep::new(&g, &program, EngineConfig::lockstep(64));
-        let plan = SweepPlan::from_orbits(pinned.orbits().clone(), vec![0, 1], 64);
-        let err = pinned.run_streamed(&plan, 4, |_, _| {}).unwrap_err();
-        assert!(err.contains("batch engine"), "{err}");
     }
 
     #[test]

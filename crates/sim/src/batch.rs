@@ -36,10 +36,9 @@
 //!   the segments, never by the graph; [`merge_timelines_deltas`] is the
 //!   same kernel under the identity map;
 //! * [`SweepEngine`] — the sweep-facing façade: an [`EngineConfig`] plus a
-//!   cache; [`EngineMode::Auto`] and [`EngineMode::Batch`] answer from the
-//!   cache (constructing a `SweepEngine` *is* the caller's signal that
-//!   timelines will be reused), while pinning `Streaming`/`Lockstep` falls
-//!   back to per-call simulation (the differential-testing escape hatch).
+//!   cache that answers every query (constructing a `SweepEngine` *is* the
+//!   caller's signal that timelines will be reused); the per-call engines
+//!   stay behind [`simulate_with`](crate::simulate_with).
 //!
 //! Outcomes are **bit-identical** to the streaming and lockstep engines
 //! (asserted by `tests/property_engine_batch.rs`, by the reference-oracle
@@ -57,7 +56,7 @@ use std::sync::{Arc, OnceLock};
 
 use anonrv_graph::{NodeId, NodeOrbits, PortGraph};
 
-use crate::engine::{simulate_with, EngineConfig, EngineMode, Meeting, SimOutcome};
+use crate::engine::{EngineConfig, EngineMode, Meeting, SimOutcome};
 use crate::navigator::{AgentProgram, Event, EventSink, GraphNavigator, Stop};
 use crate::stic::{Round, Stic};
 use crate::symbolic::{detect_symbolic, merge_symbolic_mapped, SymbolicTimeline};
@@ -1277,36 +1276,46 @@ impl<'a> TrajectoryCache<'a> {
 }
 
 /// Sweep-facing engine façade: a [`TrajectoryCache`] plus the
-/// [`EngineConfig`] that selects how queries are answered.
+/// [`EngineConfig`] whose horizon caps every query.
 ///
 /// Constructing a `SweepEngine` is the caller's signal that many STICs of
-/// one `(graph, program)` pair will be simulated, so [`EngineMode::Auto`]
-/// resolves to the batch path here (unlike in
-/// [`simulate_with`], where a single call cannot amortise a cache).
-/// Pinning [`EngineMode::Streaming`] or [`EngineMode::Lockstep`] makes every
-/// query fall through to the per-call engines — the escape hatch the
-/// differential tests flip.
+/// one `(graph, program)` pair will be simulated, so every query answers
+/// from the cache: [`EngineMode::Auto`] resolves to the batch path here
+/// (unlike in [`simulate_with`](crate::simulate_with), where a single call
+/// cannot amortise a cache), and a configuration pinned to a per-call
+/// engine is refused.
 pub struct SweepEngine<'a> {
     cache: TrajectoryCache<'a>,
     config: EngineConfig,
 }
 
 impl<'a> SweepEngine<'a> {
-    /// Create an engine for sweeping STICs of `graph` under `program`; its
-    /// cache computes the node orbits of `graph`'s group.
+    /// Create an engine for sweeping STICs of `graph` under `program`, over
+    /// the node orbits of `graph`'s group; panics as
+    /// [`SweepEngine::with_orbits`] does.
     pub fn new(graph: &'a PortGraph, program: &'a dyn AgentProgram, config: EngineConfig) -> Self {
-        SweepEngine { cache: TrajectoryCache::new(graph, program, config.horizon), config }
+        Self::with_orbits(graph, program, config, Arc::new(NodeOrbits::compute(graph)))
     }
 
     /// Create an engine over node orbits the caller already holds (they
     /// must belong to `graph`) — what a planner that computed the group
     /// passes down.
+    ///
+    /// # Panics
+    ///
+    /// When `config` pins a per-call engine (`Streaming` or `Lockstep`).
     pub fn with_orbits(
         graph: &'a PortGraph,
         program: &'a dyn AgentProgram,
         config: EngineConfig,
         orbits: Arc<NodeOrbits>,
     ) -> Self {
+        assert!(
+            matches!(config.mode, EngineMode::Auto | EngineMode::Batch),
+            "a SweepEngine answers from its cache: use EngineMode::Auto or Batch, not {:?} \
+             (per-call engines run through simulate_with)",
+            config.mode
+        );
         let cache = TrajectoryCache::with_orbits(graph, program, config.horizon, orbits);
         SweepEngine { cache, config }
     }
@@ -1335,21 +1344,13 @@ impl<'a> SweepEngine<'a> {
     /// use heterogeneous horizons build one engine at the maximum and cap
     /// every query).
     pub fn simulate_capped(&self, stic: &Stic, horizon: Round) -> SimOutcome {
-        match self.config.mode {
-            EngineMode::Auto | EngineMode::Batch => self.cache.simulate_capped(stic, horizon),
-            EngineMode::Streaming | EngineMode::Lockstep => {
-                let program = self.cache.program();
-                let config = EngineConfig { horizon, ..self.config };
-                simulate_with(self.cache.graph(), program, program, stic, config)
-            }
-        }
+        self.cache.simulate_capped(stic, horizon)
     }
 
-    /// Simulate one `(u, v)` pair under every delay in `deltas`: on the
-    /// batch path a single pass over the cached timelines resolves the whole
-    /// delay sweep ([`TrajectoryCache::simulate_deltas`]); pinned per-call
-    /// modes simulate each delay separately.  Outcome `i` is bit-identical
-    /// to `simulate(&Stic::new(u, v, deltas[i]))`.
+    /// Simulate one `(u, v)` pair under every delay in `deltas`: a single
+    /// pass over the cached timelines resolves the whole delay sweep
+    /// ([`TrajectoryCache::simulate_deltas`]).  Outcome `i` is
+    /// bit-identical to `simulate(&Stic::new(u, v, deltas[i]))`.
     pub fn simulate_deltas(&self, u: NodeId, v: NodeId, deltas: &[Round]) -> Vec<SimOutcome> {
         self.simulate_deltas_capped(u, v, deltas, self.config.horizon)
     }
@@ -1364,20 +1365,13 @@ impl<'a> SweepEngine<'a> {
         deltas: &[Round],
         horizon: Round,
     ) -> Vec<SimOutcome> {
-        match self.config.mode {
-            EngineMode::Auto | EngineMode::Batch => {
-                self.cache.simulate_deltas_capped(u, v, deltas, horizon)
-            }
-            EngineMode::Streaming | EngineMode::Lockstep => deltas
-                .iter()
-                .map(|&delta| self.simulate_capped(&Stic::new(u, v, delta), horizon))
-                .collect(),
-        }
+        self.cache.simulate_deltas_capped(u, v, deltas, horizon)
     }
 }
 
-/// Batch path of [`simulate_with`] (`EngineMode::Batch` with possibly
-/// different programs per agent): record the two timelines and merge.
+/// Batch path of [`simulate_with`](crate::simulate_with) (`EngineMode::Batch`
+/// with possibly different programs per agent): record the two timelines
+/// and merge.
 pub(crate) fn simulate_batch_with(
     g: &PortGraph,
     earlier_program: &dyn AgentProgram,
@@ -1393,7 +1387,7 @@ pub(crate) fn simulate_batch_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
+    use crate::engine::{simulate, simulate_with};
     use crate::navigator::Navigator;
     use anonrv_graph::generators::{
         oriented_ring, oriented_torus, symmetric_double_tree, two_node_graph,
@@ -1512,6 +1506,7 @@ mod tests {
         let g = oriented_ring(7).unwrap();
         let program = mover();
         let cache = TrajectoryCache::new(&g, &program, 500);
+        let engine = SweepEngine::new(&g, &program, EngineConfig::with_horizon(500));
         for horizon in [0 as Round, 1, 3, 17, 100, 500] {
             for delay in [0 as Round, 1, 5] {
                 let stic = Stic::new(0, 3, delay);
@@ -1522,23 +1517,20 @@ mod tests {
                     simulate_with(&g, &program, &program, &stic, EngineConfig::lockstep(horizon));
                 assert_eq!(capped, fresh, "{stic} horizon {horizon}");
                 assert_eq!(capped, lockstep, "{stic} horizon {horizon}");
+                // an `Auto` sweep engine answers from its cache
+                assert_eq!(engine.simulate_capped(&stic, horizon), lockstep);
             }
         }
+        // the ring's rotations make every start one orbit: one recording
+        assert_eq!(engine.cache().computed(), 1);
     }
 
     #[test]
-    fn sweep_engine_auto_uses_the_cache_and_pinned_modes_bypass_it() {
+    #[should_panic(expected = "answers from its cache")]
+    fn sweep_engine_refuses_a_pinned_per_call_mode() {
         let g = oriented_ring(8).unwrap();
         let program = mover();
-        let auto = SweepEngine::new(&g, &program, EngineConfig::with_horizon(100));
-        let pinned = SweepEngine::new(&g, &program, EngineConfig::streaming(100));
-        let stic = Stic::new(0, 4, 3);
-        let a = auto.simulate(&stic);
-        let b = pinned.simulate(&stic);
-        assert_eq!(a, b);
-        // the ring's rotations make both starts one orbit
-        assert_eq!(auto.cache().computed(), 1);
-        assert_eq!(pinned.cache().computed(), 0);
+        SweepEngine::new(&g, &program, EngineConfig::streaming(100));
     }
 
     #[test]

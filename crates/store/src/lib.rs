@@ -165,8 +165,7 @@ pub use cache::{
     Provenance, Store, TableFingerprinter, WarmedTimelines,
 };
 pub use session::{
-    OutcomeProvenance, SessionStats, StreamedSweepSummary, SuperviseConfig, SuperviseReport,
-    SweepSession,
+    OutcomeProvenance, SessionStats, SuperviseConfig, SuperviseReport, SweepSession,
 };
 pub use shard::{merge_shard_outcomes, ShardOutcomes, ShardSpec};
 

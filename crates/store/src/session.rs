@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use anonrv_graph::PortGraph;
 use anonrv_obs as obs;
-use anonrv_plan::{PairOrbits, PlannedOutcomes, PlannedSweep, SweepPlan};
+use anonrv_plan::{PairOrbits, PlannedOutcomes, PlannedSweep, StreamStats, SweepPlan};
 use anonrv_sim::{AgentProgram, EngineConfig, Round, SimOutcome, Stic, SweepEngine, UNROLL_CAP};
 
 use crate::cache::{Store, TableFingerprinter};
@@ -92,20 +92,17 @@ pub enum OutcomeProvenance {
     },
 }
 
-impl std::fmt::Display for OutcomeProvenance {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl OutcomeProvenance {
+    /// The provenance's name: `cold`, `warm_exact`, `warm_prefix`,
+    /// `warm_extend` or `symbolic` — the `session.outcome.*` counter a run
+    /// adds one to, and the CLI report's `provenance.kind`.
+    pub fn kind(self) -> &'static str {
         match self {
-            OutcomeProvenance::Cold => f.write_str("cold"),
-            OutcomeProvenance::WarmExact => f.write_str("warm"),
-            OutcomeProvenance::WarmPrefix { recorded, remerged } => {
-                write!(f, "warm-prefix (recorded at horizon {recorded}, {remerged} re-merged)")
-            }
-            OutcomeProvenance::WarmExtend { recorded, remerged } => {
-                write!(f, "warm-extend (recorded at horizon {recorded}, {remerged} re-merged)")
-            }
-            OutcomeProvenance::Symbolic { detected } => {
-                write!(f, "symbolic ({detected} cycle structures, 0 unrolled rounds)")
-            }
+            OutcomeProvenance::Cold => "cold",
+            OutcomeProvenance::WarmExact => "warm_exact",
+            OutcomeProvenance::WarmPrefix { .. } => "warm_prefix",
+            OutcomeProvenance::WarmExtend { .. } => "warm_extend",
+            OutcomeProvenance::Symbolic { .. } => "symbolic",
         }
     }
 }
@@ -122,40 +119,14 @@ pub struct SessionStats {
     /// Timelines recorded cold by executing the agent program (one
     /// materialised from a held symbolic timeline is not a miss).
     pub timeline_misses: usize,
-    /// Symbolic (prefix + cycle) timelines the engine holds — detected this
-    /// session or preloaded from the store.
-    pub symbolic_timelines: usize,
     /// Representative simulations executed.  A plan entry derived at δ = 0
     /// from its transposed class's merge is not one (see
     /// [`anonrv_plan::PlannedSweep::run`]).
     pub executed: usize,
     /// Member queries answered.
     pub answered: usize,
-    /// Provenance of the last [`SweepSession::run_plan`] /
-    /// [`SweepSession::merge_shards`] outcome table, if any ran.
-    pub outcome: Option<OutcomeProvenance>,
     /// `(index, shards)` when this session executed a shard slice.
     pub shard: Option<(usize, usize)>,
-}
-
-/// What a [`SweepSession::run_streamed`] sweep produced — the whole
-/// deliverable of a run whose outcome table was never materialised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamedSweepSummary {
-    /// Pair classes executed.
-    pub classes: usize,
-    /// `(class, δ)` representative entries streamed.
-    pub entries: usize,
-    /// Entries whose representative met within the horizon.
-    pub met_entries: usize,
-    /// Member STICs those entries answer.
-    pub answered: usize,
-    /// Member STICs that meet.
-    pub met_total: usize,
-    /// [`crate::table_fingerprint`] of the table a materialised run would
-    /// have produced — the bit-identity witness the differential suite and
-    /// CI compare.
-    pub fingerprint: u64,
 }
 
 /// One sweep workload of a `(graph, program)` pair, orchestrated end to
@@ -175,7 +146,6 @@ pub struct SweepSession<'a> {
     foreign_entries: bool,
     executed: usize,
     answered: usize,
-    outcome: Option<OutcomeProvenance>,
     shard: Option<(usize, usize)>,
     /// Timeline misses already flushed into the metrics registry (misses
     /// accrue inside the engine cache; the session delta-flushes them).
@@ -247,7 +217,6 @@ impl<'a> SweepSession<'a> {
             foreign_entries: false,
             executed: 0,
             answered: 0,
-            outcome: None,
             shard: None,
             reported_misses: Cell::new(0),
         }
@@ -279,10 +248,8 @@ impl<'a> SweepSession<'a> {
             timeline_hits: self.timeline_hits,
             timeline_prefix_hits: self.timeline_prefix_hits,
             timeline_misses: self.planned.engine().cache().recorded(),
-            symbolic_timelines: self.planned.engine().cache().computed_symbolic(),
             executed: self.executed,
             answered: self.answered,
-            outcome: self.outcome,
             shard: self.shard,
         }
     }
@@ -321,23 +288,30 @@ impl<'a> SweepSession<'a> {
         }
     }
 
-    /// Count this run's table provenance and broadcast volume into the
-    /// session stats and, when telemetry is on, the metrics registry.
-    fn note_outcome(&mut self, provenance: OutcomeProvenance, executed: usize, answered: usize) {
+    /// The execute bracket of every path that merges: preload the store's
+    /// timelines (once), run `f` under the `session.execute` span, and
+    /// return its result with the number of `(class, δ)` entries it
+    /// resolved by a merge.
+    fn execute<T>(&mut self, f: impl FnOnce(&PlannedSweep<'a>) -> T) -> (T, usize) {
+        self.ensure_warm();
+        let _execute_span = obs::span("session.execute");
+        let before = self.planned.merged();
+        let out = f(&self.planned);
+        (out, self.planned.merged() - before)
+    }
+
+    /// The one counting rule: add `executed` representative simulations
+    /// and `answered` member queries to the session stats and, when
+    /// telemetry is on, to their counters, plus one to
+    /// `session.outcome.<outcome>` for a run that produced (or streamed)
+    /// an outcome table.
+    fn count(&mut self, outcome: Option<&str>, executed: usize, answered: usize) {
         self.executed += executed;
         self.answered += answered;
-        self.outcome = Some(provenance);
         if obs::enabled() {
-            obs::counter_add(
-                match provenance {
-                    OutcomeProvenance::Cold => "session.outcome.cold",
-                    OutcomeProvenance::WarmExact => "session.outcome.warm_exact",
-                    OutcomeProvenance::WarmPrefix { .. } => "session.outcome.warm_prefix",
-                    OutcomeProvenance::WarmExtend { .. } => "session.outcome.warm_extend",
-                    OutcomeProvenance::Symbolic { .. } => "session.outcome.symbolic",
-                },
-                1,
-            );
+            if let Some(outcome) = outcome {
+                obs::counter_add(&format!("session.outcome.{outcome}"), 1);
+            }
             obs::counter_add("session.executed", executed as u64);
             obs::counter_add("session.answered", answered as u64);
             self.flush_timeline_metrics();
@@ -357,19 +331,11 @@ impl<'a> SweepSession<'a> {
             || self.foreign_entries
     }
 
-    /// Persist every timeline recorded so far (best effort: a failed write
-    /// leaves the cache cold but the results correct).  A session that
-    /// recorded nothing new skips the read-merge-write round trip.
-    fn persist_timelines_soft(&self) {
-        self.flush_timeline_metrics();
-        if let Some(store) = self.store {
-            if self.has_new_recordings() {
-                let _record_span = obs::span("session.record");
-                let _ = store.persist_engine(self.planned.engine(), &self.program_key);
-            }
-        }
-    }
-
+    /// Persist every timeline recorded so far.  A session that recorded
+    /// nothing new skips the read-merge-write round trip.  `run_plan` and
+    /// `run_shard` fail on its error; `simulate_cases` and `run_streamed`
+    /// ignore it, since their results do not depend on the store: a failed
+    /// write leaves the cache cold but the results correct.
     fn persist_timelines(&self) -> Result<(), String> {
         self.flush_timeline_metrics();
         if let Some(store) = self.store {
@@ -392,11 +358,8 @@ impl<'a> SweepSession<'a> {
         let _broadcast_span = obs::span("session.broadcast");
         self.ensure_warm();
         let (outcomes, exec) = self.planned.simulate_many_counted(queries);
-        self.executed += exec.executed;
-        self.answered += exec.answered;
-        obs::counter_add("session.executed", exec.executed as u64);
-        obs::counter_add("session.answered", exec.answered as u64);
-        self.persist_timelines_soft();
+        self.count(None, exec.executed, exec.answered);
+        let _ = self.persist_timelines();
         outcomes
     }
 
@@ -409,67 +372,59 @@ impl<'a> SweepSession<'a> {
         &mut self,
         plan: &'p SweepPlan,
     ) -> Result<(PlannedOutcomes<'p>, OutcomeProvenance), String> {
-        if let Some(store) = self.store {
-            let probe_span = obs::span("session.probe");
-            let probed = store.load_plan_outcomes_any(self.graph, &self.program_key, plan);
-            drop(probe_span);
-            if let Some((table, recorded)) = probed {
-                if recorded == plan.horizon() {
-                    let outcomes = PlannedOutcomes::from_table(plan, table)?;
-                    let provenance = OutcomeProvenance::WarmExact;
-                    self.note_outcome(provenance, 0, plan.num_member_queries());
-                    return Ok((outcomes, provenance));
-                }
+        let members = plan.num_member_queries();
+        let probed = self.store.and_then(|store| {
+            let _probe_span = obs::span("session.probe");
+            store.load_plan_outcomes_any(self.graph, &self.program_key, plan)
+        });
+        let (outcomes, provenance, merged) = match probed {
+            Some((table, recorded)) if recorded == plan.horizon() => {
+                let outcomes = PlannedOutcomes::from_table(plan, table)?;
+                self.count(Some(OutcomeProvenance::WarmExact.kind()), 0, members);
+                return Ok((outcomes, OutcomeProvenance::WarmExact));
+            }
+            Some((table, recorded)) => {
                 // a table recorded at another horizon: entries it determines
                 // copy over, the rest re-merge (rayon) through warm timelines
                 let recorded_plan =
                     SweepPlan::from_orbits(plan.orbits().clone(), plan.deltas().to_vec(), recorded);
-                self.ensure_warm();
                 let recorded_outcomes = PlannedOutcomes::from_table(&recorded_plan, table)?;
-                let execute_span = obs::span("session.execute");
-                let merged = self.planned.merged();
-                let (outcomes, remerged) = self.planned.serve_prefix(&recorded_outcomes, plan)?;
-                let merged = self.planned.merged() - merged;
-                drop(execute_span);
-                // self-heal: a re-merge over a missing timeline recorded it
-                self.persist_timelines()?;
+                let (served, merged) =
+                    self.execute(|planned| planned.serve_prefix(&recorded_outcomes, plan));
+                let (outcomes, remerged) = served?;
                 let provenance = if recorded > plan.horizon() {
                     OutcomeProvenance::WarmPrefix { recorded, remerged }
                 } else {
-                    // the served table supersedes the shorter one on disk
-                    let _persist_span = obs::span("session.persist");
-                    store
-                        .save_plan_outcomes(self.graph, &self.program_key, plan, outcomes.table())
-                        .map_err(|e| format!("cannot persist outcomes: {e}"))?;
                     OutcomeProvenance::WarmExtend { recorded, remerged }
                 };
-                self.note_outcome(provenance, merged, plan.num_member_queries());
-                return Ok((outcomes, provenance));
+                (outcomes, provenance, merged)
             }
-        }
-        // cold: execute the representatives, persist everything
-        self.ensure_warm();
-        let execute_span = obs::span("session.execute");
-        let merged = self.planned.merged();
-        let outcomes = self.planned.run(plan);
-        let merged = self.planned.merged() - merged;
-        drop(execute_span);
+            None => {
+                let (outcomes, merged) = self.execute(|planned| planned.run(plan));
+                let detected = self.planned.engine().cache().computed_symbolic();
+                let provenance = if plan.horizon() > UNROLL_CAP && detected > 0 {
+                    // beyond the unroll cap the engine routed every
+                    // representative through the closed-form cycle merge
+                    OutcomeProvenance::Symbolic { detected }
+                } else {
+                    OutcomeProvenance::Cold
+                };
+                (outcomes, provenance, merged)
+            }
+        };
+        // self-heal: a re-merge over a missing timeline recorded it
         self.persist_timelines()?;
-        if let Some(store) = self.store {
+        // a prefix hit keeps the longer table; any other table is new or
+        // supersedes the shorter one on disk
+        if let Some(store) =
+            self.store.filter(|_| !matches!(provenance, OutcomeProvenance::WarmPrefix { .. }))
+        {
             let _persist_span = obs::span("session.persist");
             store
                 .save_plan_outcomes(self.graph, &self.program_key, plan, outcomes.table())
                 .map_err(|e| format!("cannot persist outcomes: {e}"))?;
         }
-        let detected = self.planned.engine().cache().computed_symbolic();
-        let provenance = if plan.horizon() > UNROLL_CAP && detected > 0 {
-            // beyond the unroll cap the engine routed every representative
-            // through the closed-form cycle merge: no explicit unrolling
-            OutcomeProvenance::Symbolic { detected }
-        } else {
-            OutcomeProvenance::Cold
-        };
-        self.note_outcome(provenance, merged, plan.num_member_queries());
+        self.count(Some(provenance.kind()), merged, members);
         Ok((outcomes, provenance))
     }
 
@@ -485,7 +440,7 @@ impl<'a> SweepSession<'a> {
     ///
     /// Any partition and any horizon stream; see
     /// [`PlannedSweep::run_streamed`] for the mapped-merge mechanics and
-    /// the remaining guards.  The summary's fingerprint equals
+    /// the remaining guards.  Returns the stream's [`StreamStats`] and the
     /// [`crate::table_fingerprint`] of the table [`SweepSession::run_plan`]
     /// would have produced, which is how small instances pin this path
     /// bit-for-bit against the materialised one.  Timelines recorded along
@@ -495,32 +450,15 @@ impl<'a> SweepSession<'a> {
         &mut self,
         plan: &SweepPlan,
         chunk_classes: usize,
-    ) -> Result<StreamedSweepSummary, String> {
-        self.ensure_warm();
-        let execute_span = obs::span("session.execute");
-        let total = plan.orbits().num_pair_classes() * plan.deltas().len();
-        let mut fingerprint = TableFingerprinter::new(total);
-        let merged = self.planned.merged();
-        let stats =
-            self.planned.run_streamed(plan, chunk_classes, |_, chunk| fingerprint.extend(chunk))?;
-        let merged = self.planned.merged() - merged;
-        drop(execute_span);
-        self.executed += merged;
-        self.answered += stats.answered;
-        if obs::enabled() {
-            obs::counter_add("session.outcome.streamed", 1);
-            obs::counter_add("session.executed", merged as u64);
-            obs::counter_add("session.answered", stats.answered as u64);
-        }
-        self.persist_timelines_soft();
-        Ok(StreamedSweepSummary {
-            classes: stats.classes,
-            entries: stats.entries,
-            met_entries: stats.met_entries,
-            answered: stats.answered,
-            met_total: stats.met_total,
-            fingerprint: fingerprint.finish(),
-        })
+    ) -> Result<(StreamStats, u64), String> {
+        let mut fingerprint = TableFingerprinter::new(plan.num_representative_queries());
+        let (stats, merged) = self.execute(|planned| {
+            planned.run_streamed(plan, chunk_classes, |_, chunk| fingerprint.extend(chunk))
+        });
+        let stats = stats?;
+        self.count(Some("streamed"), merged, stats.answered);
+        let _ = self.persist_timelines();
+        Ok((stats, fingerprint.finish()))
     }
 
     /// Execute one shard slice of `plan` — the classes `spec` selects —
@@ -534,19 +472,10 @@ impl<'a> SweepSession<'a> {
         spec: ShardSpec,
     ) -> Result<ShardOutcomes, String> {
         fault::hit_io("shard.execute").map_err(|e| e.to_string())?;
-        self.ensure_warm();
         let classes = spec.classes(plan.orbits().num_pair_classes());
-        let execute_span = obs::span("session.execute");
-        let merged = self.planned.merged();
-        let table = self.planned.run_classes(plan, &classes);
-        let executed = self.planned.merged() - merged;
-        drop(execute_span);
+        let (table, executed) = self.execute(|planned| planned.run_classes(plan, &classes));
         let part = ShardOutcomes { spec, classes, table };
-        let answered = part.table.len() * plan.orbits().class_size();
-        self.executed += executed;
-        self.answered += answered;
-        obs::counter_add("session.executed", executed as u64);
-        obs::counter_add("session.answered", answered as u64);
+        self.count(None, executed, part.table.len() * plan.orbits().class_size());
         self.shard = Some((spec.index(), spec.shards()));
         if let Some(store) = self.store {
             let _persist_span = obs::span("session.persist");
@@ -577,7 +506,7 @@ impl<'a> SweepSession<'a> {
                 .save_plan_outcomes(self.graph, &self.program_key, plan, outcomes.table())
                 .map_err(|e| format!("cannot persist merged outcomes: {e}"))?;
         }
-        self.note_outcome(OutcomeProvenance::Cold, 0, plan.num_member_queries());
+        self.count(Some(OutcomeProvenance::Cold.kind()), 0, plan.num_member_queries());
         Ok(outcomes)
     }
 
@@ -1054,8 +983,8 @@ mod tests {
 
         let mut session =
             SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
-        let summary = session.run_streamed(&plan, 5).unwrap();
-        assert_eq!(summary.fingerprint, expect, "streamed fingerprint diverged");
+        let (summary, fingerprint) = session.run_streamed(&plan, 5).unwrap();
+        assert_eq!(fingerprint, expect, "streamed fingerprint diverged");
         assert_eq!(summary.classes, plan.orbits().num_pair_classes());
         assert_eq!(summary.entries, table.len());
         assert_eq!(summary.met_entries, table.iter().filter(|o| o.meeting.is_some()).count());
@@ -1066,12 +995,11 @@ mod tests {
         assert!(transposed > 0);
         assert_eq!(stats.executed + transposed, summary.entries);
         assert_eq!(stats.answered, summary.answered);
-        assert_eq!(stats.outcome, None, "a streamed run has no table provenance");
         // node 0's recording persisted: a second streamed session replays
         // without a single program execution
         let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
         let again = warm.run_streamed(&plan, 3).unwrap();
-        assert_eq!(again, summary);
+        assert_eq!(again, (summary, fingerprint));
         assert_eq!(warm.stats().timeline_misses, 0, "warm streamed run must not record");
     }
 

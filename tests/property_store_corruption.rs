@@ -294,7 +294,7 @@ fn symbolic_frames_supersede_explicit_across_horizons() {
     assert!(matches!(prov, OutcomeProvenance::WarmExtend { recorded: 16, .. }), "{prov:?}");
     assert_eq!(artifacts_with_prefix(&dir.0, "symbolic-").len(), 1);
     assert_eq!(artifacts_with_prefix(&dir.0, "timelines-").len(), 1);
-    assert!(big.stats().symbolic_timelines > 0, "extension must have gone symbolic");
+    assert!(big.engine().cache().computed_symbolic() > 0, "extension must have gone symbolic");
 
     // the extended table must be bit-identical to a storeless cold run at
     // the astronomical horizon — which itself must resolve symbolically
