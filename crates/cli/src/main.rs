@@ -889,8 +889,13 @@ fn cmd_cache(args: &[String]) -> Result<String, String> {
     let json_out = args.switch("--json");
     let repair = action == "fsck" && args.switch("--repair");
     args.finish(&format!("cache {action}"))?;
+    if !matches!(action.as_str(), "stats" | "gc" | "fsck") {
+        return Err(format!("unknown cache action '{action}' (stats|gc|fsck)"));
+    }
     let dir = dir.as_str();
-    let store = Store::open(dir).map_err(|e| format!("cannot open cache dir: {e}"))?;
+    // a survey opens only an existing cache: it never creates one
+    let store =
+        Store::open_existing(dir).map_err(|e| format!("cannot open cache dir {dir}: {e}"))?;
     match action.as_str() {
         "stats" => {
             let s = store.stats().map_err(|e| format!("cannot survey cache dir: {e}"))?;
@@ -1006,7 +1011,7 @@ fn cmd_cache(args: &[String]) -> Result<String, String> {
             ));
             Ok(out)
         }
-        other => Err(format!("unknown cache action '{other}' (stats|gc|fsck)")),
+        _ => unreachable!("the action was validated above"),
     }
 }
 
@@ -1079,6 +1084,20 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let arg = dir.to_string_lossy().to_string();
         (dir, arg)
+    }
+
+    /// The `session.outcome.*` counters of a `--report json` sweep report.
+    fn outcome_counters(report: &str) -> Vec<(String, u64)> {
+        let v = anonrv_obs::json::parse(report).unwrap();
+        let Value::Obj(counters) = v.get("metrics").unwrap().get("counters").unwrap() else {
+            panic!("counters are an object: {report}");
+        };
+        (counters.iter())
+            .filter_map(|(name, count)| {
+                let kind = name.strip_prefix("session.outcome.")?;
+                Some((kind.to_string(), count.as_u64().unwrap()))
+            })
+            .collect()
     }
 
     /// Telemetry is process-global: a sweep running while another test's
@@ -1195,15 +1214,14 @@ mod tests {
         assert_eq!(summary.mode.as_deref(), Some("streamed"));
         let fp = summary.table_fingerprint.unwrap();
         assert!(full.contains(&format!("outcome table fingerprint: {fp}")), "{full}");
-        // the streamed driver counts one δ-sweep pass per class, and every
-        // (class, δ) entry either merged or, at δ = 0, derived from its
-        // transposed class's merge
-        let classes = v.get("stream").unwrap().get("classes").unwrap().as_u64().unwrap();
-        let entries = v.get("stream").unwrap().get("entries").unwrap().as_u64().unwrap();
-        let counters = v.get("metrics").unwrap().get("counters").unwrap();
-        let count = |name: &str| counters.get(name).and_then(|c| c.as_u64()).unwrap();
-        assert_eq!(count("merge.delta_passes"), classes);
-        assert_eq!(count("merge.deltas") + count("plan.transposed"), entries);
+        // the torus's one orbit pair takes one pass per delay for the whole
+        // run, not one per chunk of two classes, and no class merges alone
+        let counters = |v: &Value| v.get("metrics").unwrap().get("counters").unwrap().clone();
+        let count = |c: &Value, name: &str| c.get(name).and_then(|c| c.as_u64());
+        let torus = counters(&v);
+        assert_eq!(count(&torus, "merge.passes"), Some(3), "{report}");
+        assert_eq!(count(&torus, "merge.delta_passes"), None, "{report}");
+        assert_eq!(count(&torus, "plan.transposed"), Some(0), "{report}");
 
         // an explicit (BFS) group streams through the same mapped merges
         let lollipop = ["sweep", "lollipop:3x2", "--deltas", "3", "--horizon", "256"];
@@ -1213,6 +1231,20 @@ mod tests {
         for prefix in ["outcome table fingerprint:", "meetings:"] {
             assert_eq!(line(&streamed, prefix), line(&full, prefix));
         }
+        // its group is trivial: the streamed driver counts one δ-sweep pass
+        // per class, and every (class, δ) entry either merged or, at δ = 0,
+        // derived from its transposed class's merge
+        let report = run_with(&lollipop, &["--stream", "--report", "json"]).unwrap();
+        let v = anonrv_obs::json::parse(&report).unwrap();
+        let classes = v.get("stream").unwrap().get("classes").unwrap().as_u64();
+        let entries = v.get("stream").unwrap().get("entries").unwrap().as_u64().unwrap();
+        let lollipop = counters(&v);
+        assert_eq!(count(&lollipop, "merge.delta_passes"), classes, "{report}");
+        let (merged, derived) =
+            (count(&lollipop, "merge.deltas"), count(&lollipop, "plan.transposed"));
+        assert_eq!(merged.unwrap() + derived.unwrap(), entries, "{report}");
+        assert!(derived.unwrap() > 0, "{report}");
+        assert_eq!(count(&lollipop, "merge.passes"), None, "{report}");
 
         // flag validation: streaming is single-process
         assert!(run_with(&streamed_args, &["--shards", "2"]).is_err());
@@ -1273,6 +1305,9 @@ mod tests {
         let merged = run_with(&sharded, &["--merge"]).unwrap();
         assert!(merged.contains("mode: merge of 2 shard(s)"), "{merged}");
         assert_eq!(line(&merged, "meetings:"), reference, "sharded merge must be bit-identical");
+        // a merge of the partials executes nothing: it is its own outcome
+        let report = run_with(&sharded, &["--merge", "--report", "json"]).unwrap();
+        assert_eq!(outcome_counters(&report), vec![("merged".into(), 1)], "{report}");
 
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&dir2).ok();
@@ -1352,10 +1387,13 @@ mod tests {
         let base = ["sweep", "ring:8", "--deltas", "2", "--horizon", "32", "--cache-dir", &cache];
 
         // populate via a 2-shard run plus its merge (the merge supersedes
-        // the partials), then plant one corrupt artifact
+        // the partials), then plant one corrupt artifact; a sweep creates
+        // its cache dir
+        assert!(!dir.exists());
         for index in ["0", "1"] {
             run_with(&base, &["--shards", "2", "--shard-index", index]).unwrap();
         }
+        assert!(dir.is_dir());
         run_with(&base, &["--shards", "2", "--merge"]).unwrap();
         std::fs::write(dir.join("outcomes-0000.anrv"), b"garbage").unwrap();
 
@@ -1379,6 +1417,17 @@ mod tests {
         assert!(run(&argv(&["cache", &cache])).is_err());
         assert!(run(&argv(&["cache", &cache, "defrag"])).is_err());
         assert!(run(&argv(&["cache"])).is_err());
+
+        // a survey refuses a missing dir by name and creates nothing, and
+        // an unknown action is refused before any dir is touched
+        let missing = dir.join("typo").join("nonexistent");
+        let path = missing.to_string_lossy().to_string();
+        for action in ["stats", "gc", "fsck"] {
+            let err = run(&argv(&["cache", &path, action])).unwrap_err();
+            assert!(err.contains(&path), "{err}");
+        }
+        assert!(run(&argv(&["cache", &path, "bogus"])).unwrap_err().contains("bogus"));
+        assert!(!dir.join("typo").exists(), "a cache command created a directory");
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1407,6 +1456,10 @@ mod tests {
         // the merged table persisted: a plain store-backed run is warm
         let warm_out = run_with(&base, &["--cache-dir", &cache]).unwrap();
         assert!(warm_out.contains("outcomes warm"), "{warm_out}");
+        // a rerun finds every slice present and only merges them
+        let report = run_with(&sup, &["--report", "json"]).unwrap();
+        assert!(report.contains(r#""already_present":3"#), "{report}");
+        assert_eq!(outcome_counters(&report), vec![("merged".into(), 1)], "{report}");
 
         // flag validation: needs a store and a shard count, excludes the
         // single-slice and manual-merge flags

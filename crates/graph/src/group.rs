@@ -518,6 +518,33 @@ impl NodeOrbits {
         let moved = |a: NodeId| (!self.is_representative(a)).then_some(a);
         Relabel { orbits: self, into: moved(u), from: moved(v) }
     }
+
+    /// `φ(z)` for the automorphism `φ` carrying `y` to `x`, or `None` when
+    /// `x` and `y` lie in different orbits and no automorphism relates
+    /// them.  By freeness `φ` is unique when it exists: `φ = π_x⁻¹ ∘ π_y`.
+    ///
+    /// An orbit-pair pass asks this of every window it walks: the earlier
+    /// agent's recording stands on `x` while the later one's, recorded from
+    /// `z`, stands on `y`, and the one start `c` of `z`'s orbit whose walk
+    /// meets there is `carry(y, x, z)` (its walk is `π_c⁻¹` of the
+    /// recording, and `π_c⁻¹` carries `z` to `c`).
+    #[inline]
+    pub fn carry(&self, y: NodeId, x: NodeId, z: NodeId) -> Option<NodeId> {
+        (self.orbit_index(x) == self.orbit_index(y))
+            .then(|| self.from_representative(x, self.to_representative(y, z)))
+    }
+
+    /// The position of `u` within its orbit: a bijection of every orbit
+    /// onto `0..order`.  It is the index of `π_u` (distinct nodes of one
+    /// orbit have distinct witnesses, by freeness) on an explicit group,
+    /// and `u` itself on a closed-form one, whose single orbit is `0..n`.
+    #[inline]
+    pub fn orbit_slot(&self, u: NodeId) -> usize {
+        match &self.witness {
+            Some(w) => w.canon[u] as usize,
+            None => u,
+        }
+    }
 }
 
 /// The node map of [`NodeOrbits::relabel`].
@@ -701,6 +728,41 @@ mod tests {
         }
         // the closed form stores nothing per node
         assert!(NodeOrbits::compute(&torus).is_implicit());
+    }
+
+    /// `carry(y, x, z)` applies the one automorphism carrying `y` to `x`
+    /// (checked against every element of the explicit group), and
+    /// `orbit_slot` numbers every orbit `0..order` without a repeat.
+    #[test]
+    fn carry_applies_the_automorphism_relating_two_nodes_and_slots_number_orbits() {
+        let (tree, _) = symmetric_double_tree(2, 3).unwrap();
+        let torus = oriented_torus(3, 4).unwrap();
+        for (g, orbits) in [
+            (&tree, NodeOrbits::compute(&tree)),
+            (&torus, NodeOrbits::compute(&torus)),
+            (&torus, NodeOrbits::from_group(SymmetryGroup::explicit(&torus))),
+        ] {
+            let autos = Automorphisms::compute(g);
+            for y in g.nodes() {
+                for x in g.nodes() {
+                    let phi = (0..autos.order()).find(|&k| autos.apply(k, y) == x);
+                    for z in g.nodes() {
+                        let want = phi.map(|k| autos.apply(k, z));
+                        assert_eq!(orbits.carry(y, x, z), want, "({y} -> {x}) of {z}");
+                    }
+                }
+            }
+            for i in 0..orbits.num_orbits() {
+                let rep = orbits.orbit_representative(i);
+                let mut slots: Vec<usize> = g
+                    .nodes()
+                    .filter(|&u| orbits.representative(u) == rep)
+                    .map(|u| orbits.orbit_slot(u))
+                    .collect();
+                slots.sort_unstable();
+                assert_eq!(slots, (0..orbits.group().order()).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

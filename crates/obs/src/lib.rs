@@ -48,14 +48,14 @@
 //! | prefix | emitted by | examples |
 //! |---|---|---|
 //! | `span.*.us` | every span close (histogram) | `span.session.plan.us`, `span.session.execute.us` |
-//! | `session.outcome.*` | `SweepSession` provenance counters | `session.outcome.cold`, `session.outcome.warm_prefix` |
+//! | `session.outcome.*` | `SweepSession` outcome counters: a run's provenance, a streamed run, or a merge of shard partials (which executes nothing) | `session.outcome.cold`, `session.outcome.warm_prefix`, `session.outcome.streamed`, `session.outcome.merged` |
 //! | `session.timeline.*` | timeline-cache probe results | `session.timeline.hits`, `session.timeline.misses` |
 //! | `supervisor.*` | shard supervisor | `supervisor.attempts`, `supervisor.retries`, event `supervisor.attempt` |
 //! | `store.*` | store I/O | `store.read.bytes` (histogram), `store.lock.takeover`, event `store.quarantine` |
 //! | `fault.trip.*` | failpoint registry, when armed | `fault.trip.store.rename`, event `fault.trip` |
-//! | `merge.*` / `record.*` | explicit single-STIC merges, δ-sweep drivers (one add per call; merged entries only) / timeline recording | `merge.segments`, `merge.delta_passes`, `merge.deltas` |
+//! | `merge.*` / `record.*` | explicit single-STIC merges, δ-sweep drivers (one add per call; merged entries only), orbit-pair passes walked and the overlap windows they visited / timeline recording | `merge.segments`, `merge.delta_passes`, `merge.deltas`, `merge.passes`, `merge.pass_steps` |
 //! | `plan.*` | planner bookkeeping: entries planned, re-served, or derived at δ = 0 from the transposed class's merge | `plan.representatives`, `plan.remerges`, `plan.transposed` |
-//! | `symbolic.*` | cycle detections that converge, symbolic merges resolved (and those of them decided by the round-column compare) or declined at the segment cap | `symbolic.detections`, `symbolic.merges`, `symbolic.dense`, `symbolic.declines` |
+//! | `symbolic.*` | cycle detections that converge, symbolic merges resolved (and those of them decided by the round-column compare), symbolic merges or passes declined at the segment cap | `symbolic.detections`, `symbolic.merges`, `symbolic.dense`, `symbolic.declines` |
 //! | `event.*` | bumped once per emitted event | `event.supervisor.attempt` |
 //!
 //! ## Span hierarchy

@@ -53,15 +53,18 @@
 //! (round, `later_round`, node) is shared and the per-agent fields swap
 //! ([`anonrv_sim::SimOutcome::transposed`]) — the paper's remark that
 //! symmetric positions with a simultaneous start are infeasible, read as
-//! an equivalence.  At `δ = 0` the planner therefore works modulo
-//! `Aut × Z₂`: [`PairOrbits::transpose`] names the class of the reversed
-//! pair, and of a class and its transpose only the smaller one merges its
-//! `δ = 0` entry.  The other entry is derived when the table is assembled;
-//! every execution path ([`PlannedSweep::run`], shard
-//! [`PlannedSweep::run_classes`] slices, [`PlannedSweep::serve_prefix`],
-//! streamed chunks) derives it whenever one call holds both classes.  No
-//! coarsening is taken for `δ > 0`: the earlier agent is distinguished,
-//! and `[(v, u), δ]` is a different execution.
+//! an equivalence.  At `δ = 0` the per-class resolver (see
+//! [`PlannedSweep::run`]) therefore works modulo `Aut × Z₂`: [`PairOrbits::transpose`] names the
+//! class of the reversed pair, and of a class and its transpose only the
+//! smaller one merges its `δ = 0` entry.  The other entry is derived when
+//! the table is assembled; every execution path ([`PlannedSweep::run`],
+//! shard [`PlannedSweep::run_classes`] slices,
+//! [`PlannedSweep::serve_prefix`], streamed chunks) derives it whenever one
+//! call holds both classes.  Where orbit-pair passes resolve a sweep, a
+//! pass answers the whole `δ = 0` column of an orbit pair in one walk, so
+//! nothing is left to derive.  No coarsening is taken for `δ > 0`: the
+//! earlier agent is distinguished, and `[(v, u), δ]` is a different
+//! execution.
 //!
 //! ## The planning layer
 //!
@@ -70,17 +73,19 @@
 //! * [`SweepPlan`] — a `(graph, δ-grid, horizon)` workload reduced to one
 //!   representative STIC per `(pair class, δ)` plus the expansion map;
 //! * [`PlannedSweep`] — the façade in front of
-//!   [`anonrv_sim::SweepEngine`]: executes representative queries only
-//!   (rayon over classes), broadcasts outcomes (including meeting nodes)
-//!   back to member pairs, and offers a sampling [`ValidationReport`] mode
-//!   that re-runs non-representatives through the per-call streaming
-//!   engine and checks bit-identity.  The engine is built over the plan's
-//!   own node orbits, so its trajectory cache records one timeline per
-//!   node orbit.
+//!   [`anonrv_sim::SweepEngine`]: resolves representative queries only —
+//!   one orbit-pair pass per `(orbit pair, δ)` where the group has more
+//!   than two elements, one δ-sweep merge per class otherwise, rayon
+//!   over either —
+//!   broadcasts outcomes (including meeting nodes) back to member pairs,
+//!   and offers a sampling [`ValidationReport`] mode that re-runs member
+//!   queries through the per-call streaming engine and checks
+//!   bit-identity.  The engine is built over the plan's own node orbits, so
+//!   its trajectory cache records one timeline per node orbit.
 //!
 //! On vertex-transitive families the compression equals the group order:
 //! `oriented_torus(16, 16)` collapses 65 536 ordered pairs to 256 classes,
-//! so an all-pairs × δ-grid sweep executes 256× fewer merges on top of the
+//! and its one orbit pair makes the sweep one walk per delay, on top of the
 //! trajectory-memoized batch engine.
 //!
 //! ## Implicit groups and streaming (million-node graphs)

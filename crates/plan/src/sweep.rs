@@ -1,39 +1,57 @@
 //! Sweep planning and planned execution.
 //!
 //! [`SweepPlan`] reduces a `(graph, δ-grid, horizon)` workload to one
-//! representative STIC per `(pair class, δ)`; [`PlannedSweep`] executes only
-//! those representatives through an [`anonrv_sim::SweepEngine`] (rayon over
-//! classes) and broadcasts the outcomes back to member pairs through the
-//! orbit's witnessing automorphisms, so every member outcome — meeting node
+//! representative STIC per `(pair class, δ)`; [`PlannedSweep`] resolves only
+//! those representatives through an [`anonrv_sim::SweepEngine`] and
+//! broadcasts the outcomes back to member pairs through the orbit's
+//! witnessing automorphisms, so every member outcome — meeting node
 //! included — is **bit-identical** to simulating the member directly.
 //!
 //! The engine is built over the partition's own node orbits, so its
 //! trajectory cache records one timeline per node orbit and reads every
 //! other start's walk through the witnessing automorphism.
 //!
-//! At δ = 0 the two agents' runs are exchangeable: one program and one
-//! start round make `[(v, u), 0]` the run of `[(u, v), 0]` with the
-//! agents' names swapped, so the meeting is shared and the per-agent
-//! fields swap.  The one fan-out behind every execution path,
-//! `sweep_classes`, merges δ = 0 for the smaller class of each transposed
-//! pair a call holds and derives the other entry while it assembles the
-//! table: `run` and whole-table chunks derive the full column, a shard
-//! slice or a served table the pairs it holds.  For δ > 0 the earlier
-//! agent is distinguished and every class merges.
+//! The one fan-out behind every execution path, `sweep_classes`, picks its
+//! resolver by the group order `|G|`:
+//!
+//! * **|G| > 2** (rings, circulants, tori and hypercubes): one **orbit-pair
+//!   pass** per `(earlier orbit, later orbit, δ)` — one walk of the two
+//!   orbit recordings that answers all `|G|` classes of the orbit pair at
+//!   once (`anonrv_sim::pass`) — rayon over the passes, written straight
+//!   into the table.  A streamed run keeps each pass for all its chunks.
+//!   The classes of a pass declined at the symbolic segment cap go through
+//!   the δ-sweep kernel below with their declined delays.
+//! * **|G| ≤ 2** (every trivial group — grids, lollipops, random graphs —
+//!   whose orbit pairs are single classes, and a double tree's mirror
+//!   group): each class takes one δ-sweep kernel pass over its delays,
+//!   rayon over the classes.  At δ = 0 the two agents' runs are
+//!   exchangeable: one program and one start round make `[(v, u), 0]` the
+//!   run of `[(u, v), 0]` with the agents' names swapped, so the meeting
+//!   is shared and the per-agent fields swap.  The kernel merges δ = 0 for
+//!   the smaller class of each transposed pair a call holds and derives
+//!   the other entry while it assembles the table: `run` and whole-table
+//!   chunks derive the full column, a shard slice or a served table the
+//!   pairs it holds.  For δ > 0 the earlier agent is distinguished and
+//!   every class merges.
 //!
 //! The validate mode ([`PlannedSweep::validate_sample`]) re-runs a sampled
-//! fraction of non-representative member queries through the per-call
-//! streaming engine — which shares no cache and no orbit map with the
-//! planned answer — and checks that bit-identity, which is the executable
-//! form of the planner's soundness argument (see the crate docs).
+//! fraction of member queries through the per-call streaming engine —
+//! which shares no cache and no orbit map with the planned answer — and
+//! checks that bit-identity, which is the executable form of the planner's
+//! soundness argument (see the crate docs).  The per-class mapped merge
+//! ([`anonrv_sim::SweepEngine::simulate_deltas_capped`]) stays the oracle
+//! the differential suites pin the passes against.
 
 use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rayon::prelude::*;
 
 use anonrv_graph::{NodeId, PortGraph};
-use anonrv_sim::{simulate_with, AgentProgram, EngineConfig, Round, SimOutcome, Stic, SweepEngine};
+use anonrv_sim::{
+    simulate_with, AgentProgram, EngineConfig, OrbitPairPass, Round, SimOutcome, Stic, SweepEngine,
+};
 
 use crate::orbits::PairOrbits;
 
@@ -44,6 +62,10 @@ fn count_delta_passes(passes: usize, deltas: usize) {
     anonrv_obs::counter_add("merge.delta_passes", passes as u64);
     anonrv_obs::counter_add("merge.deltas", deltas as u64);
 }
+
+/// The orbit-pair passes an execution has walked, by `((earlier orbit,
+/// later orbit), δ)`; `None` is a pass declined at the segment cap.
+type Passes<'s> = BTreeMap<((usize, usize), Round), Option<OrbitPairPass<'s>>>;
 
 /// Pull a canonical-world outcome back into the world of the member pair
 /// whose earlier node is `u`: the meeting node is the **only**
@@ -231,7 +253,7 @@ pub struct ExecStats {
 /// outcome table itself is never materialised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamStats {
-    /// Pair classes executed (one mapped delta-sweep pass each).
+    /// Pair classes resolved.
     pub classes: usize,
     /// `(class, δ)` outcome entries produced and streamed.
     pub entries: usize,
@@ -265,13 +287,14 @@ impl ValidationReport {
 /// The planned-execution façade in front of [`SweepEngine`]: canonicalises
 /// every query onto its class representative, so equivalent queries
 /// collapse onto one merge; [`PlannedSweep::run`] executes a whole
-/// [`SweepPlan`] with rayon over classes.  The engine shares the
+/// [`SweepPlan`] by orbit-pair passes or per-class merges (see the module
+/// docs), rayon over either.  The engine shares the
 /// partition's node orbits, so its trajectory cache records one timeline
 /// per node orbit.
 pub struct PlannedSweep<'a> {
     engine: SweepEngine<'a>,
     orbits: Cow<'a, PairOrbits>,
-    /// Running total of `(class, δ)` entries resolved by a merge.
+    /// Running total of `(class, δ)` entries resolved by a merge or a pass.
     merged: AtomicUsize,
 }
 
@@ -339,10 +362,10 @@ impl<'a> PlannedSweep<'a> {
         self.engine.program()
     }
 
-    /// `(class, δ)` entries this sweep has resolved by a merge so far, over
-    /// every plan execution, shard slice, streamed chunk and served table.
-    /// Entries derived from a transposed class's δ = 0 merge are not
-    /// counted (see [`PlannedSweep::run`]).
+    /// `(class, δ)` entries this sweep has resolved so far, by a per-class
+    /// merge or an orbit-pair pass, over every plan execution, shard slice,
+    /// streamed chunk and served table.  Entries derived from a transposed
+    /// class's δ = 0 merge are not counted (see [`PlannedSweep::run`]).
     pub fn merged(&self) -> usize {
         self.merged.load(Ordering::Relaxed)
     }
@@ -413,19 +436,31 @@ impl<'a> PlannedSweep<'a> {
         (outcomes, ExecStats { executed: groups.len(), answered: queries.len() })
     }
 
-    /// Execute a whole plan: run only the representative queries and return
-    /// the broadcastable outcome table.  The plan must describe the same
-    /// graph (same orbit partition) as this sweep.
+    /// Execute a whole plan: resolve only the representative queries and
+    /// return the broadcastable outcome table.  The plan must describe the
+    /// same graph (same orbit partition) as this sweep.
     ///
-    /// At δ = 0 the work halves again.  Both agents run one program and
-    /// start in the same round, so `[(v, u), 0]` runs the two walks of
-    /// `[(u, v), 0]` under exchanged names: the meeting is shared and the
-    /// per-agent fields swap ([`SimOutcome::transposed`]).  So of a class
-    /// and its transpose ([`PairOrbits::transpose`]) only the smaller one
-    /// merges δ = 0, and the other's entry is derived from it.  At δ > 0
-    /// the earlier agent is distinguished and every class merges.  The
-    /// table is the same either way; shards, streamed chunks and served
-    /// tables derive wherever one call holds both classes at δ = 0.
+    /// The classes `(r_A, c)` of one orbit pair — `c` in one node orbit
+    /// `B` — all merge the same two recordings, so where the group has
+    /// more than two elements one **orbit-pair pass** per `(A, B, δ)` walks
+    /// them once and hands every overlap window to the one class meeting
+    /// there ([`anonrv_sim::TrajectoryCache::orbit_pair_pass`]): a torus
+    /// sweep is one walk per delay, not one merge per class.  The classes
+    /// of a pass declined at the symbolic segment cap take the δ-sweep
+    /// route below over their declined delays.
+    ///
+    /// Where the group has at most two elements — a double tree's mirror,
+    /// or a trivial group whose orbit pairs are single classes — each class
+    /// takes one δ-sweep pass over its delays instead.  There the work halves again
+    /// at δ = 0: both agents run one program and start in the same round,
+    /// so `[(v, u), 0]` runs the two walks of `[(u, v), 0]` under exchanged
+    /// names: the meeting is shared and the per-agent fields swap
+    /// ([`SimOutcome::transposed`]).  So of a class and its transpose
+    /// ([`PairOrbits::transpose`]) only the smaller one merges δ = 0, and
+    /// the other's entry is derived from it.  At δ > 0 the earlier agent is
+    /// distinguished and every class merges.  The table is the same either
+    /// way; shards, streamed chunks and served tables derive wherever one
+    /// call holds both classes at δ = 0.
     pub fn run<'p>(&self, plan: &'p SweepPlan) -> PlannedOutcomes<'p> {
         let classes: Vec<usize> = (0..self.orbits.num_pair_classes()).collect();
         let table = self.run_classes(plan, &classes);
@@ -450,26 +485,141 @@ impl<'a> PlannedSweep<'a> {
         );
         let entries = classes.len() * plan.deltas().len();
         anonrv_obs::counter_add("plan.representatives", entries as u64);
-        self.sweep_classes(classes.len(), |i| (classes[i], plan.deltas()), plan.horizon())
+        let job = |i| (classes[i], plan.deltas());
+        self.sweep_classes(&mut Passes::new(), classes.len(), job, plan.horizon())
     }
 
-    /// Resolve `jobs` jobs, job `i` being `job(i) = (class, delays)`, with
-    /// one delta-sweep pass each over the class representative's timelines
-    /// (see `merge_timelines_deltas`), rayon over the jobs.  Outcomes are
-    /// job-major, each job's in the order of its delays.  The one fan-out
-    /// behind cold execution, shards, streamed chunks and table serving.
-    ///
-    /// Simultaneous starts are unordered: when two jobs resolve δ = 0 for
-    /// a class and for its transpose, only the smaller class merges it, and
-    /// the other entry is its transposed outcome, read in the pass that
-    /// assembles the table.  A job left with no delay runs no pass.
-    fn sweep_classes<'d>(
-        &self,
+    /// `true` when orbit-pair passes resolve this sweep's jobs: where the
+    /// group has more than two elements.  An orbit pair holds `|G|`
+    /// classes, and a pass answers all of them at one delay with one walk
+    /// of both recordings, where the δ-sweep kernel sweeps the later
+    /// recording once per class (and past the unroll cap merges each class
+    /// and delay symbolically).  A double tree's mirror group (`|G| = 2`)
+    /// gains nothing from that and measured slower by passes; a trivial
+    /// group's orbit pairs are single classes.
+    fn by_passes(&self) -> bool {
+        self.orbits.group_order() > 2
+    }
+
+    /// Resolve `jobs` jobs, job `i` being `job(i) = (class, delays)`, and
+    /// return their outcomes job-major, each job's in the order of its
+    /// delays.  The one fan-out behind cold execution, shards, streamed
+    /// chunks and table serving.  The resolver follows the group order
+    /// (see [`Self::by_passes`]): orbit-pair passes (`sweep_passes`) or the
+    /// δ-sweep kernel per class (`sweep_kernel`).  `passes` holds the
+    /// passes earlier calls walked (a streamed run keeps them across
+    /// chunks); the kernel ignores it.
+    fn sweep_classes<'s, 'd>(
+        &'s self,
+        passes: &mut Passes<'s>,
         jobs: usize,
         job: impl Fn(usize) -> (usize, &'d [Round]) + Sync,
         horizon: Round,
     ) -> Vec<SimOutcome> {
         assert!(horizon <= self.engine.config().horizon, "plan horizon exceeds the engine horizon");
+        let (table, merged) = if self.by_passes() {
+            self.sweep_passes(passes, jobs, job, horizon)
+        } else {
+            self.sweep_kernel(jobs, job, horizon)
+        };
+        anonrv_obs::counter_add("plan.transposed", (table.len() - merged) as u64);
+        self.merged.fetch_add(merged, Ordering::Relaxed);
+        table
+    }
+
+    /// [`Self::sweep_classes`] by orbit-pair passes: every job's class
+    /// `(r_A, c)` reads its entry at δ off the pass of `(A, orbit of c, δ)`
+    /// (see `anonrv_sim::pass`), and each pass this call needs and no
+    /// earlier call walked is walked once, rayon over the passes, then
+    /// kept in `passes`.  The outcomes go straight into the table; a delay
+    /// past the horizon needs no pass.  The classes of a pass declined at
+    /// the segment cap go through the δ-sweep kernel with their declined
+    /// delays, rayon over those classes.  Returns the table and how many of
+    /// its entries a pass or a merge resolved.
+    fn sweep_passes<'s, 'd>(
+        &'s self,
+        passes: &mut Passes<'s>,
+        jobs: usize,
+        job: impl Fn(usize) -> (usize, &'d [Round]) + Sync,
+        horizon: Round,
+    ) -> (Vec<SimOutcome>, usize) {
+        let (n, nodes) = (self.orbits.num_nodes(), self.orbits.node_orbits());
+        // a class (r_A, c) lies in the orbit pair (A, orbit of c)
+        let pair = |class: usize| (class / n, nodes.orbit_index(class % n));
+        let missing: BTreeSet<_> = (0..jobs)
+            .flat_map(|i| {
+                let (class, deltas) = job(i);
+                deltas.iter().filter(|&&d| d <= horizon).map(move |&d| (pair(class), d))
+            })
+            .filter(|key| !passes.contains_key(key))
+            .collect();
+        let missing: Vec<_> = missing.into_iter().collect();
+        let cache = self.engine.cache();
+        let walked: Vec<Option<OrbitPairPass<'s>>> = missing
+            .par_iter()
+            .map(|&((a, b), delta)| cache.orbit_pair_pass(a, b, delta, horizon))
+            .collect();
+        let walks = walked.iter().flatten().count();
+        if walks > 0 {
+            anonrv_obs::counter_add("merge.passes", walks as u64);
+            let steps = walked.iter().flatten().map(OrbitPairPass::windows).sum();
+            anonrv_obs::counter_add("merge.pass_steps", steps);
+        }
+        passes.extend(missing.into_iter().zip(walked));
+        let mut table = Vec::with_capacity((0..jobs).map(|i| job(i).1.len()).sum());
+        // the slots of the declined entries, and their delays per class
+        let mut pending = Vec::new();
+        let mut declined: Vec<(usize, Vec<Round>)> = Vec::new();
+        for i in 0..jobs {
+            let (class, deltas) = job(i);
+            let (key, slot) = (pair(class), nodes.orbit_slot(class % n));
+            for &delta in deltas {
+                if delta > horizon {
+                    // the later agent never appears within the horizon
+                    table.push(SimOutcome::no_show(horizon));
+                    continue;
+                }
+                if let Some(pass) = &passes[&(key, delta)] {
+                    table.push(pass.outcome(slot));
+                    continue;
+                }
+                // a placeholder, overwritten by the class's merge below
+                pending.push(table.len());
+                table.push(SimOutcome::no_show(horizon));
+                match declined.last_mut() {
+                    Some((c, class_deltas)) if *c == class => class_deltas.push(delta),
+                    _ => declined.push((class, vec![delta])),
+                }
+            }
+        }
+        let mut merged = table.len() - pending.len();
+        if !declined.is_empty() {
+            let declined_job = |k: usize| (declined[k].0, &declined[k].1[..]);
+            let (resolved, kernel_merged) =
+                self.sweep_kernel(declined.len(), declined_job, horizon);
+            for (&slot, outcome) in pending.iter().zip(resolved) {
+                table[slot] = outcome;
+            }
+            merged += kernel_merged;
+        }
+        (table, merged)
+    }
+
+    /// [`Self::sweep_classes`] by the δ-sweep kernel: one pass each over
+    /// the class representative's timelines (see `merge_timelines_deltas`),
+    /// rayon over the jobs.  Returns the table and how many of its entries
+    /// merged.
+    ///
+    /// Simultaneous starts are unordered: when two jobs resolve δ = 0 for
+    /// a class and for its transpose, only the smaller class merges it, and
+    /// the other entry is its transposed outcome, read in the pass that
+    /// assembles the table.  A job left with no delay runs no pass.
+    fn sweep_kernel<'d>(
+        &self,
+        jobs: usize,
+        job: impl Fn(usize) -> (usize, &'d [Round]) + Sync,
+        horizon: Round,
+    ) -> (Vec<SimOutcome>, usize) {
         let sources: Vec<Option<usize>> =
             (0..jobs).map(|i| self.transposed_source(&job, i)).collect();
         let per_class: Vec<Vec<SimOutcome>> = (0..jobs)
@@ -512,9 +662,7 @@ impl<'a> PlannedSweep<'a> {
                 _ => outcomes.next().expect("one merged outcome per other delay"),
             }));
         }
-        anonrv_obs::counter_add("plan.transposed", (table.len() - merged) as u64);
-        self.merged.fetch_add(merged, Ordering::Relaxed);
-        table
+        (table, merged)
     }
 
     /// The job whose δ = 0 merge answers job `i`'s δ = 0 entries, if any:
@@ -557,9 +705,12 @@ impl<'a> PlannedSweep<'a> {
     /// [`PlannedSweep::run_classes`]: the engine's cache holds one recording
     /// per node orbit and reads every other start's walk through the
     /// witnessing automorphism, and a horizon past the unroll cap resolves
-    /// through the symbolic merge.  On a vertex-transitive graph the cache
-    /// holds one recording, so live memory is `O(|timeline| + chunk · |δ|)`
-    /// instead of an `n · |δ|` table.
+    /// through the symbolic merge.  The orbit-pair passes are kept across
+    /// chunks, so each is walked once per run, and dropped once the chunks
+    /// have moved past their earlier orbit.  On a vertex-transitive graph
+    /// the cache holds one recording, so live memory is `O(|timeline| +
+    /// |G| · |δ| + chunk · |δ|)`: 8-byte pass slots, never an `n · |δ|`
+    /// table of outcomes.
     ///
     /// `visit(base, outcomes)` receives each chunk's first class index and
     /// its `(class, δ)` outcomes in the exact slot order of
@@ -586,17 +737,21 @@ impl<'a> PlannedSweep<'a> {
             return Err("plan horizon exceeds the engine horizon".into());
         }
         let chunk = chunk_classes.max(1);
-        let num_classes = self.orbits.num_pair_classes();
+        let (num_classes, n) = (self.orbits.num_pair_classes(), self.orbits.num_nodes());
         let mut stats = StreamStats::default();
+        let mut passes = Passes::new();
         let mut base = 0;
         while base < num_classes {
             let hi = (base + chunk).min(num_classes);
-            let outcomes =
-                self.sweep_classes(hi - base, |i| (base + i, plan.deltas()), plan.horizon());
+            let job = |i| (base + i, plan.deltas());
+            let outcomes = self.sweep_classes(&mut passes, hi - base, job, plan.horizon());
             stats.classes += hi - base;
             stats.entries += outcomes.len();
             stats.met_entries += outcomes.iter().filter(|o| o.meeting.is_some()).count();
             visit(base, &outcomes);
+            // classes ascend row by row (earlier orbit by earlier orbit):
+            // the passes of the rows behind the next chunk serve no class
+            passes.retain(|&((a, _), _), _| a >= hi / n);
             base = hi;
         }
         let class_size = self.orbits.class_size();
@@ -619,13 +774,15 @@ impl<'a> PlannedSweep<'a> {
     /// its move/termination totals are totals *at* `h`, and a shorter
     /// recording never looked past its own horizon.  Those entries re-merge
     /// at `h` through this sweep's trajectory cache.  They arrive
-    /// class-major, so each class's undetermined delays form one run that a
-    /// single delta-sweep pass resolves, rayon over the classes, exactly as
-    /// [`PlannedSweep::run_classes`] resolves a whole class.  On a warm
-    /// cache that costs timeline merges only, never a program execution.
-    /// Returns the served table and the number of entries that re-merged
-    /// (at δ = 0 one of them may be the transpose of another's merge, see
-    /// [`PlannedSweep::run`]; [`PlannedSweep::merged`] counts the merges).
+    /// class-major, so each class's undetermined delays form one job that
+    /// the fan-out resolves exactly as [`PlannedSweep::run_classes`]
+    /// resolves a whole class: by the orbit-pair passes its delays need, or
+    /// by a single delta-sweep pass on a trivial group.  On a warm cache
+    /// that costs timeline walks only, never a program execution.  Returns
+    /// the served table and the number of entries that re-merged (at δ = 0
+    /// on a trivial group one of them may be the transpose of another's
+    /// merge, see [`PlannedSweep::run`]; [`PlannedSweep::merged`] counts the
+    /// resolved ones).
     pub fn serve_prefix<'p>(
         &self,
         recorded: &PlannedOutcomes<'_>,
@@ -656,7 +813,8 @@ impl<'a> PlannedSweep<'a> {
                 _ => jobs.push((class, vec![delta])),
             }
         }
-        let resolved = self.sweep_classes(jobs.len(), |i| (jobs[i].0, &jobs[i].1), h);
+        let job = |i: usize| (jobs[i].0, &jobs[i].1[..]);
+        let resolved = self.sweep_classes(&mut Passes::new(), jobs.len(), job, h);
         debug_assert_eq!(resolved.len(), pending.len(), "one re-merged outcome per pending slot");
         for (&slot, outcome) in pending.iter().zip(resolved) {
             table[slot] = outcome;
@@ -670,20 +828,24 @@ impl<'a> PlannedSweep<'a> {
     /// is re-simulated *directly* through the per-call streaming engine at
     /// the plan's horizon — no canonicalisation, no trajectory cache, no
     /// orbit map — and compared bit-for-bit against the planned answer.
-    /// Every representative δ = 0 entry [`PlannedSweep::run`] derived from
-    /// its transpose is checked too: it was not executed either.
+    /// Where orbit-pair passes resolve the plan the representatives join
+    /// the sample: a pass resolved them, not a merge of their own.  Where
+    /// the δ-sweep kernel does, every representative δ = 0 entry
+    /// [`PlannedSweep::run`] derived from its transpose is checked: it was
+    /// not executed either.
     pub fn validate_sample(&self, plan: &SweepPlan, sample_every: usize) -> ValidationReport {
         assert!(sample_every >= 1, "sample_every must be at least 1");
         let outcomes = self.run(plan);
         let mut report = ValidationReport { checked: 0, mismatches: 0, first_mismatch: None };
         let mut counter = 0usize;
+        let by_passes = self.by_passes();
         for class in 0..self.orbits.num_pair_classes() {
             let rep = self.orbits.representative(class);
             let derived = self.orbits.transpose(class) < class;
             for (u, v) in self.orbits.members(class) {
                 for (di, &delta) in plan.deltas().iter().enumerate() {
-                    if (u, v) == rep {
-                        // representatives were executed, not broadcast
+                    if (u, v) == rep && !by_passes {
+                        // the kernel executed its representatives
                         if !(derived && delta == 0) {
                             continue;
                         }
@@ -718,6 +880,7 @@ impl<'a> PlannedSweep<'a> {
 mod tests {
     use super::*;
     use anonrv_graph::generators::{grid, oriented_ring, oriented_torus};
+    use anonrv_graph::PortGraphBuilder;
     use anonrv_sim::{Navigator, Stop};
 
     /// Deterministic mover/waiter mix (same idiom as the sim crate's tests).
@@ -801,28 +964,91 @@ mod tests {
 
     #[test]
     fn simultaneous_starts_merge_once_per_unordered_pair() {
-        let g = oriented_torus(3, 4).unwrap();
+        // a trivial group: every ordered pair is its own class, and of the
+        // 72 off-diagonal pairs of grid 3×3 half take their δ = 0 entry
+        // from a smaller transpose
+        let g = grid(3, 3).unwrap();
         let program = Walker { seed: 0x5EED };
         let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
-        // Z3 × Z4 has two self-inverse elements; each of the other ten
-        // pairs up with its inverse, so five classes take their δ = 0
-        // entry from a smaller transpose
-        for (deltas, merges) in [(vec![0], 12 - 5), (vec![2, 0, 1], 36 - 5), (vec![1, 2], 24)] {
+        for (deltas, merges) in [(vec![0], 81 - 36), (vec![2, 0, 1], 243 - 36), (vec![1, 2], 162)] {
             let plan = SweepPlan::from_orbits(planned.orbits().clone(), deltas, 64);
             let before = planned.merged();
             let outcomes = planned.run(&plan);
             assert_eq!(planned.merged() - before, merges, "{:?}", plan.deltas());
             assert_eq!(outcomes.table().len(), plan.num_representative_queries());
         }
-
-        // every class of a trivial group is its own representative, so
-        // validation checks exactly the 36 derived entries of grid 3×3
-        let g = grid(3, 3).unwrap();
-        let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
+        // every class is its own representative, so validation checks
+        // exactly the 36 derived entries
         let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 64);
         let report = planned.validate_sample(&plan, 1);
         assert_eq!(report.checked, 36);
         assert!(report.is_valid(), "{:?}", report.first_mismatch);
+
+        // on the 3×4 torus's one orbit pair, one pass per delay resolves
+        // all twelve classes, δ = 0 included, with nothing to derive (the
+        // pass counts are pinned where the metrics are observed alone, in
+        // the workspace's telemetry tests)
+        let g = oriented_torus(3, 4).unwrap();
+        let planned = PlannedSweep::new(&g, &program, EngineConfig::batch(64));
+        for deltas in [vec![0], vec![2, 0, 1], vec![1, 2]] {
+            let plan = SweepPlan::from_orbits(planned.orbits().clone(), deltas, 64);
+            let merged = planned.merged();
+            let outcomes = planned.run(&plan);
+            assert_eq!(planned.merged() - merged, plan.num_representative_queries());
+            assert_eq!(outcomes.table().len(), plan.num_representative_queries());
+        }
+        // every member query is sampled, representatives included
+        let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 64);
+        let report = planned.validate_sample(&plan, 1);
+        assert_eq!(report.checked, 144 * 2);
+        assert!(report.is_valid(), "{:?}", report.first_mismatch);
+    }
+
+    /// The classes of a declined pass go through the δ-sweep kernel, and
+    /// the table still equals the per-class route.  The passes the segment
+    /// cap declines are injected into the map an execution reads (a real
+    /// decline, pinned in `anonrv-sim`, needs a cycle of millions of
+    /// segments, and the per-class route past the unroll cap then unrolls
+    /// it to the horizon): both mixed orbit pairs at every delay, and one
+    /// same-orbit pair at one delay.  The graph is a triangle whose nodes
+    /// each carry a pendant (ring ports 0 and 1, pendant port 2): a
+    /// rotation group of order 3 and two node orbits.
+    #[test]
+    fn declined_passes_resolve_through_the_per_class_route() {
+        let mut b = PortGraphBuilder::new(6);
+        for i in 0..3 {
+            b.add_edge(i, 0, (i + 1) % 3, 1).unwrap();
+            b.add_edge(i, 2, i + 3, 0).unwrap();
+        }
+        let sun = b.build().unwrap();
+        let program = anonrv_sim::SweepWalker { seed: 0x5EED };
+        for horizon in [64 as Round, 1 << 40] {
+            let planned = PlannedSweep::new(&sun, &program, EngineConfig::batch(horizon));
+            let orbits = planned.orbits();
+            assert_eq!((orbits.num_node_orbits(), orbits.group_order()), (2, 3));
+            let deltas: Vec<Round> = vec![0, 1, 5, horizon + 1];
+            let want: Vec<SimOutcome> = (0..orbits.num_pair_classes())
+                .flat_map(|class| {
+                    let (r, c) = orbits.representative(class);
+                    planned.engine().simulate_deltas_capped(r, c, &deltas, horizon)
+                })
+                .collect();
+            let mut declined: Passes<'_> = [(0, 1), (1, 0)]
+                .into_iter()
+                .flat_map(|pair| [0, 1, 5].map(|delta| ((pair, delta), None)))
+                .collect();
+            declined.insert(((1, 1), 1), None);
+            let merged = planned.merged();
+            let job = |class| (class, &deltas[..]);
+            let table =
+                planned.sweep_classes(&mut declined, orbits.num_pair_classes(), job, horizon);
+            assert_eq!(table, want, "at {horizon}");
+            // the six mixed classes hold three transposed pairs, and each
+            // pair's larger class derives its δ = 0 entry
+            assert_eq!(planned.merged() - merged, table.len() - 3, "at {horizon}");
+            // the walked passes joined the declined ones
+            assert_eq!(declined.len(), 4 * 3, "at {horizon}");
+        }
     }
 
     #[test]

@@ -35,6 +35,10 @@
 //!   ids sorted by node, built once per timeline on first use and sized by
 //!   the segments, never by the graph; [`merge_timelines_deltas`] is the
 //!   same kernel under the identity map;
+//! * [`TrajectoryCache::orbit_pair_pass`] — the same sort-merge loop over
+//!   two orbit representatives' recordings, handing every overlap window to
+//!   the one pair class that meets there ([`crate::pass`]), so one walk
+//!   answers all `|G|` classes of an orbit pair at one delay;
 //! * [`SweepEngine`] — the sweep-facing façade: an [`EngineConfig`] plus a
 //!   cache that answers every query (constructing a `SweepEngine` *is* the
 //!   caller's signal that timelines will be reused); the per-call engines
@@ -58,6 +62,7 @@ use anonrv_graph::{NodeId, NodeOrbits, PortGraph};
 
 use crate::engine::{EngineConfig, EngineMode, Meeting, SimOutcome};
 use crate::navigator::{AgentProgram, Event, EventSink, GraphNavigator, Stop};
+use crate::pass::{self, OrbitPairPass};
 use crate::stic::{Round, Stic};
 use crate::symbolic::{detect_symbolic, merge_symbolic_mapped, SymbolicTimeline};
 
@@ -537,10 +542,13 @@ pub(crate) trait SegCursor {
     fn in_tail(&self) -> bool;
     /// `(moves, terminated)` of the same run truncated at local round `cap`.
     fn totals_up_to(&self, cap: Round) -> (u64, bool);
+    /// Index of the current segment in the whole (unrolled) sequence: what
+    /// an orbit-pair pass keeps to rebuild the cursor later.
+    fn position(&self) -> usize;
 }
 
 /// A [`SegCursor`] over a [`Timeline`]'s columns, at segment `i`.
-struct TimelineCursor<'a> {
+pub(crate) struct TimelineCursor<'a> {
     t: &'a Timeline,
     /// Segment starts and ends, one entry per segment, so the merge loop's
     /// `live` test bounds every read it makes.
@@ -551,7 +559,7 @@ struct TimelineCursor<'a> {
 
 impl Timeline {
     /// A cursor at segment `i`.
-    fn cursor(&self, i: usize) -> TimelineCursor<'_> {
+    pub(crate) fn cursor(&self, i: usize) -> TimelineCursor<'_> {
         let n = self.nodes.len();
         TimelineCursor { t: self, starts: &self.starts[..n], ends: &self.starts[1..n + 1], i }
     }
@@ -586,6 +594,9 @@ impl SegCursor for TimelineCursor<'_> {
     }
     fn totals_up_to(&self, cap: Round) -> (u64, bool) {
         self.t.totals_up_to(cap)
+    }
+    fn position(&self) -> usize {
+        self.i
     }
 }
 
@@ -629,6 +640,9 @@ impl<C: SegCursor, F: Fn(usize) -> usize> SegCursor for Relabelled<C, F> {
     fn totals_up_to(&self, cap: Round) -> (u64, bool) {
         self.cursor.totals_up_to(cap)
     }
+    fn position(&self) -> usize {
+        self.cursor.position()
+    }
 }
 
 /// The [`SimOutcome`] of a STIC under `delay` at `horizon` whose earliest
@@ -637,7 +651,7 @@ impl<C: SegCursor, F: Fn(usize) -> usize> SegCursor for Relabelled<C, F> {
 /// Shared by every merge kernel (always inlined: a call on the exit of the
 /// sort-merge loop measurably slows the loop itself).
 #[inline(always)]
-fn met(
+pub(crate) fn met(
     earlier: impl SegCursor,
     later: impl SegCursor,
     delay: Round,
@@ -727,30 +741,27 @@ pub(crate) fn merge_timelines_mapped(
     merge_forward(earlier.cursor(0), later, stic.delay, horizon, horizon)
 }
 
-/// The two-cursor sweep behind [`merge_timelines`] and the symbolic
-/// merges: advance the `earlier` and `later` cursors, comparing the earlier
-/// segment's global interval against the later segment's delay-shifted
-/// interval clipped at global round `search_to`;
-/// the nonempty intersections are visited in strictly increasing time
-/// order, so the first one whose nodes agree yields the earliest meeting.
-/// The per-step cursor advance is a pair of flag additions — no
-/// data-dependent branch beyond the meeting test itself.
-///
-/// The outcome is reported at `horizon >= search_to >= delay`: a symbolic
-/// merge searches only its alignment window, which settles every larger
-/// horizon, while the explicit kernels search the whole horizon.
+/// The two-cursor sweep behind every walking kernel: advance the `earlier`
+/// and `later` cursors, comparing the earlier segment's global interval
+/// against the later segment's delay-shifted interval clipped at global
+/// round `search_to`.  The nonempty intersections (overlap windows) are
+/// visited in strictly increasing time order; the sweep hands each to
+/// `stop` and halts at the first one it accepts, returning that window's
+/// first global round with both cursors left on it.  The per-step cursor
+/// advance is a pair of flag additions — no data-dependent branch beyond
+/// the window test itself.
 ///
 /// Always inlined into the caller that builds the cursors: cursors passed
 /// by value to a separate function live in memory, and the loop then
 /// stores its position on every step.
 #[inline(always)]
-pub(crate) fn merge_forward<A: SegCursor, B: SegCursor>(
-    mut earlier: A,
-    mut later: B,
+pub(crate) fn sweep_windows<A: SegCursor, B: SegCursor>(
+    earlier: &mut A,
+    later: &mut B,
     delay: Round,
     search_to: Round,
-    horizon: Round,
-) -> SimOutcome {
+    mut stop: impl FnMut(&A, &B) -> bool,
+) -> Option<Round> {
     // the later agent's run is searched up to this local round
     let later_cap = search_to - delay;
     let cap1 = later_cap.saturating_add(1);
@@ -766,13 +777,34 @@ pub(crate) fn merge_forward<A: SegCursor, B: SegCursor>(
         let b_hi = later.end().min(cap1).saturating_add(delay);
         let lo = earlier.start().max(b_start + delay);
         let hi = a_hi.min(b_hi);
-        if lo < hi && earlier.node() == later.node() {
-            return met(earlier, later, delay, horizon, lo);
+        if lo < hi && stop(earlier, later) {
+            return Some(lo);
         }
         earlier.advance(a_hi <= b_hi);
         later.advance(b_hi <= a_hi);
     }
-    unmet(earlier, later, delay, horizon)
+    None
+}
+
+/// The sort-merge behind [`merge_timelines`] and the symbolic merges: the
+/// first overlap window whose nodes agree (see `sweep_windows`) yields
+/// the earliest meeting.
+///
+/// The outcome is reported at `horizon >= search_to >= delay`: a symbolic
+/// merge searches only its alignment window, which settles every larger
+/// horizon, while the explicit kernels search the whole horizon.
+#[inline(always)]
+pub(crate) fn merge_forward<A: SegCursor, B: SegCursor>(
+    mut earlier: A,
+    mut later: B,
+    delay: Round,
+    search_to: Round,
+    horizon: Round,
+) -> SimOutcome {
+    match sweep_windows(&mut earlier, &mut later, delay, search_to, |a, b| a.node() == b.node()) {
+        Some(at) => met(earlier, later, delay, horizon, at),
+        None => unmet(earlier, later, delay, horizon),
+    }
 }
 
 /// Merge two cached timelines for a whole **delay sweep** of one `(u, v)`
@@ -1272,6 +1304,45 @@ impl<'a> TrajectoryCache<'a> {
             .into_iter()
             .map(|o| self.pull_back(u, o))
             .collect()
+    }
+
+    /// Walk the orbit-pair pass of node orbits `a` (the earlier agent's)
+    /// and `b` at `delay <= horizon <= self.horizon()`: one walk of the two
+    /// orbit representatives' recordings that answers every pair class
+    /// `(rep(a), c)`, `c` in orbit `b`, at once (see [`crate::pass`]).
+    /// Class `(rep(a), c)` reads [`OrbitPairPass::outcome`] at
+    /// [`NodeOrbits::orbit_slot`]`(c)`, bit-identical to
+    /// `simulate_capped(&Stic::new(rep(a), c, delay), horizon)`.
+    ///
+    /// The route is [`TrajectoryCache::simulate_capped`]'s: past
+    /// [`UNROLL_CAP`] a finite-state program's symbolic timelines, walked
+    /// over their alignment window, and the explicit recordings otherwise.
+    /// `None` when the symbolic window exceeds
+    /// [`MERGE_SEG_CAP`](crate::MERGE_SEG_CAP) segments; the caller then
+    /// resolves the classes per class, as `simulate_deltas_capped` would.
+    pub fn orbit_pair_pass(
+        &self,
+        a: usize,
+        b: usize,
+        delay: Round,
+        horizon: Round,
+    ) -> Option<OrbitPairPass<'_>> {
+        assert!(delay <= horizon, "a pass needs the later agent within the horizon");
+        assert!(
+            horizon <= self.horizon,
+            "query horizon {horizon} exceeds the cache horizon {}",
+            self.horizon
+        );
+        let (r_a, r_b) = (self.orbits.orbit_representative(a), self.orbits.orbit_representative(b));
+        if horizon > UNROLL_CAP && self.program.finite_state().is_some() {
+            if let (Some(earlier), Some(later)) =
+                (self.symbolic_timeline(r_a), self.symbolic_timeline(r_b))
+            {
+                return pass::symbolic(earlier, later, &self.orbits, r_b, delay, horizon);
+            }
+        }
+        let (earlier, later) = (self.timeline(r_a), self.timeline(r_b));
+        Some(pass::explicit(earlier, later, &self.orbits, r_b, delay, horizon))
     }
 }
 

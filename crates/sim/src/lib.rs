@@ -41,7 +41,16 @@
 //!     ([`merge_timelines_deltas_mapped`]) — `|V/Aut|` program executions
 //!     per graph instead of `O(n²·Δ)`, and nothing per timeline
 //!     sized by the graph, which is what all-pairs × delays sweep workloads
-//!     need ([`SweepEngine`]);
+//!     need ([`SweepEngine`]).  Which merge answers a sweep follows the
+//!     group: an **orbit-pair pass** ([`pass`],
+//!     [`TrajectoryCache::orbit_pair_pass`]) walks two orbit recordings
+//!     once and hands every overlap window to the one pair class meeting
+//!     there, so all `|G|` classes of an orbit pair cost one walk per
+//!     delay — the planner's resolver where the group has more than two
+//!     elements (rings, circulants, tori, hypercubes); a trivial group
+//!     (grids, lollipops, random graphs) has one class per orbit pair and,
+//!     like a double tree's mirror group, keeps the δ-sweep kernel per
+//!     class;
 //!
 //!   [`EngineMode::Auto`] (the default) picks lockstep for per-call horizons
 //!   up to `2¹⁶`, streaming beyond, and the batch path whenever the caller
@@ -58,7 +67,9 @@
 //!   the loop then runs only up to the meeting the compare found),
 //!   bit-identical to the explicit kernels (differentially property-tested)
 //!   with exact meeting rounds, move totals that saturate only past
-//!   `u64::MAX` traversals, and zero unrolled rounds; a merge whose
+//!   `u64::MAX` traversals, and zero unrolled rounds (an orbit-pair pass
+//!   walks the same alignment window once for all classes of its orbit
+//!   pair); a merge whose
 //!   alignment window would walk more than [`MERGE_SEG_CAP`] segments per
 //!   side declines (the caller falls back to the explicit path) instead of
 //!   unrolling;
@@ -74,6 +85,7 @@
 pub mod batch;
 pub mod engine;
 pub mod navigator;
+pub mod pass;
 pub mod stic;
 pub mod symbolic;
 pub mod trace;
@@ -88,6 +100,7 @@ pub use navigator::{
     drive_finite_state, AgentProgram, Event, EventSink, FiniteStateProgram, GraphNavigator,
     Navigator, StepAction, StepDecision, Stop,
 };
+pub use pass::OrbitPairPass;
 pub use stic::{Round, Stic};
 pub use symbolic::{
     detect_symbolic, merge_symbolic, SymbolicTail, SymbolicTimeline, MERGE_SEG_CAP,

@@ -518,7 +518,7 @@ const PARKED: [Round; 2] = [0, INFINITY];
 /// at a time.  A merge walks `prefix · cycle^k` in place and allocates
 /// nothing; [`SymbolicTimeline::materialize`] records the same walk cut at
 /// its horizon, which the tests pin to fresh recordings.
-struct Unroll<'a> {
+pub(crate) struct Unroll<'a> {
     s: &'a SymbolicTimeline,
     /// The block being walked (the prefix, a cycle copy or the parked
     /// segment), rebased by `base`: segment starts, ends and nodes, one
@@ -533,12 +533,39 @@ struct Unroll<'a> {
 }
 
 impl<'a> Unroll<'a> {
-    fn new(s: &'a SymbolicTimeline) -> Self {
+    pub(crate) fn new(s: &'a SymbolicTimeline) -> Self {
         let mut cursor = Unroll { s, starts: &[], ends: &[], nodes: &[], base: 0, k: 0, index: 0 };
         cursor.enter(&s.prefix.starts, &s.prefix.nodes);
         if s.prefix.nodes.is_empty() {
             cursor.next_block();
         }
+        cursor
+    }
+
+    /// The cursor [`Unroll::new`] reaches after `index` steps, in closed
+    /// form: a prefix segment, or segment `(index − |prefix|) mod |cycle|`
+    /// of cycle copy `⌊(index − |prefix|) / |cycle|⌋` (the parked segment
+    /// right after the prefix, on a parked tail).  `index` must be a
+    /// segment the walk reaches.
+    pub(crate) fn at(s: &'a SymbolicTimeline, index: usize) -> Self {
+        let mut cursor = Unroll::new(s);
+        let past = index.checked_sub(s.prefix.nodes.len());
+        match (past, s.tail) {
+            (None, _) => cursor.k = index,
+            (Some(past), SymbolicTail::Cycle) => {
+                let (copies, k) = (past / s.cycle.nodes.len(), past % s.cycle.nodes.len());
+                cursor.enter(&s.cycle.starts, &s.cycle.nodes);
+                cursor.base =
+                    s.preperiod.saturating_add((copies as Round).saturating_mul(s.period));
+                cursor.k = k;
+            }
+            (Some(0), SymbolicTail::Parked) => {
+                cursor.enter(&PARKED, &s.cycle.nodes);
+                cursor.base = s.preperiod;
+            }
+            _ => unreachable!("segment {index} lies past the end of the walk"),
+        }
+        cursor.index = index;
         cursor
     }
 
@@ -604,6 +631,9 @@ impl SegCursor for Unroll<'_> {
     }
     fn totals_up_to(&self, cap: Round) -> (u64, bool) {
         self.s.totals_up_to(cap)
+    }
+    fn position(&self) -> usize {
+        self.index
     }
 }
 
@@ -969,48 +999,87 @@ pub(crate) fn merge_symbolic_mapped(
     if stic.delay > horizon {
         return Some(SimOutcome::no_show(horizon));
     }
-    // Delay reduction (see the module docs): once the earlier agent is past
-    // its own preperiod, shifting the merge back by whole earlier-cycles
-    // bijects the meetings, so an astronomical δ reduces to
-    // `δ′ ∈ [p_a, p_a + T_a)` before any window is sized.  Without this the
-    // alignment window — and the merge's walk — would grow with δ.
-    let mu_a = earlier.aligned_from();
+    let shift = delay_shift(earlier, stic.delay);
+    let reduced = Stic { delay: stic.delay - shift, ..*stic };
+    let probe = merge_aligned(earlier, later, &map, identity, &reduced, horizon - shift)?;
+    Some(unshift(earlier, shift, probe, horizon))
+}
+
+/// Delay reduction (see the module docs): the whole earlier-agent cycles
+/// `shift` a merge at `delay` moves back by.  Once the earlier agent is
+/// past its own preperiod, shifting the merge back by whole earlier-cycles
+/// bijects the meetings, so an astronomical δ reduces to
+/// `δ′ = δ − shift ∈ [p_a, p_a + T_a)` before any window is sized.
+/// Without this the alignment window — and the merge's walk — would grow
+/// with δ.
+pub(crate) fn delay_shift(earlier: &SymbolicTimeline, delay: Round) -> Round {
     let lam_a = earlier.alignment_period();
-    let shift = match stic.delay.checked_sub(mu_a) {
+    match delay.checked_sub(earlier.aligned_from()) {
         Some(excess) if lam_a > 0 => (excess / lam_a).saturating_mul(lam_a),
         _ => 0,
-    };
-    if shift > 0 {
-        let reduced = Stic { delay: stic.delay - shift, ..*stic };
-        let probe = merge_aligned(earlier, later, &map, identity, &reduced, horizon - shift)?;
-        // Map back: the meeting (if any) moves forward by `shift` global
-        // rounds on the same node at the same later-agent local round, and
-        // the earlier agent walks `shift / T_a` extra cycles — each worth
-        // one move per cycle segment (the move-boundary cut guarantees it).
-        // Everything the later agent sees is untouched.
-        let cycle_moves = match earlier.tail {
-            SymbolicTail::Cycle => earlier.cycle.nodes.len() as u128,
-            SymbolicTail::Parked | SymbolicTail::Terminated => 0,
-        };
-        let extra = (shift / lam_a) * cycle_moves;
-        let earlier_moves = u64::try_from(u128::from(probe.earlier_moves).saturating_add(extra))
-            .unwrap_or(u64::MAX);
-        return Some(SimOutcome {
-            meeting: probe.meeting.map(|m| Meeting { global_round: m.global_round + shift, ..m }),
-            earlier_moves,
-            horizon,
-            ..probe
-        });
     }
-    merge_aligned(earlier, later, &map, identity, stic, horizon)
+}
+
+/// Map an outcome solved at a delay and horizon reduced by `shift` (see
+/// [`delay_shift`]) back to `horizon`: the meeting (if any) moves forward
+/// by `shift` global rounds on the same node at the same later-agent local
+/// round, and the earlier agent walks `shift / T_a` extra cycles — each
+/// worth one move per cycle segment (the move-boundary cut guarantees it).
+/// Everything the later agent sees is untouched.
+pub(crate) fn unshift(
+    earlier: &SymbolicTimeline,
+    shift: Round,
+    probe: SimOutcome,
+    horizon: Round,
+) -> SimOutcome {
+    let cycle_moves = match earlier.tail {
+        SymbolicTail::Cycle => earlier.cycle.nodes.len() as u128,
+        SymbolicTail::Parked | SymbolicTail::Terminated => 0,
+    };
+    let extra = (shift / earlier.alignment_period()) * cycle_moves;
+    let earlier_moves =
+        u64::try_from(u128::from(probe.earlier_moves).saturating_add(extra)).unwrap_or(u64::MAX);
+    SimOutcome {
+        meeting: probe.meeting.map(|m| Meeting { global_round: m.global_round + shift, ..m }),
+        earlier_moves,
+        horizon,
+        ..probe
+    }
+}
+
+/// The last global round a merge at `delay` (already reduced, see
+/// [`delay_shift`]) must search to settle every horizon up to `horizon`,
+/// or `None` when walking there would step through more than
+/// [`MERGE_SEG_CAP`] segments on either side.  From `aligned = max(p_a,
+/// p_b + δ)` on, the joint pair state repeats with the alignment period
+/// `lcm(T_a, T_b)`, so a first meeting at any horizon lies before
+/// `aligned + lcm`: the window is bounded by the detected cycle structure
+/// alone — which can still be astronomically large (long or saturated
+/// cycle `lcm`s), hence the gate.  `None` means "too expensive to resolve
+/// exactly", never a truncated answer.
+pub(crate) fn search_window(
+    earlier: &SymbolicTimeline,
+    later: &SymbolicTimeline,
+    delay: Round,
+    horizon: Round,
+) -> Option<Round> {
+    let aligned = earlier.aligned_from().max(later.aligned_from().saturating_add(delay));
+    let align_period = lcm(earlier.alignment_period(), later.alignment_period());
+    let search_to = horizon.min(aligned.saturating_add(align_period));
+    if earlier.segments_up_to(search_to) > MERGE_SEG_CAP
+        || later.segments_up_to(search_to) > MERGE_SEG_CAP
+    {
+        if anonrv_obs::enabled() {
+            anonrv_obs::counter_add("symbolic.declines", 1);
+        }
+        return None;
+    }
+    Some(search_to)
 }
 
 /// [`merge_symbolic`] after delay reduction: `δ < p_a + T_a` (or the earlier
-/// timeline is degenerate), so the alignment window below is bounded by the
-/// detected cycle structure alone — which can still be astronomically large
-/// (long or saturated cycle `lcm`s), hence the [`MERGE_SEG_CAP`] gate on
-/// the segments walked: `None` means "too expensive to resolve exactly",
-/// never a truncated answer.  Under the identity map two dense timelines
+/// timeline is degenerate), so [`search_window`] bounds the walk by the
+/// detected cycle structure.  Under the identity map two dense timelines
 /// compare their round columns first, and the walk runs only up to the
 /// first common round the compare finds (see the module docs).
 fn merge_aligned(
@@ -1021,21 +1090,7 @@ fn merge_aligned(
     stic: &Stic,
     horizon: Round,
 ) -> Option<SimOutcome> {
-    let aligned = earlier.aligned_from().max(later.aligned_from().saturating_add(stic.delay));
-    let align_period = lcm(earlier.alignment_period(), later.alignment_period());
-    let window = aligned.saturating_add(align_period);
-    // the joint pair state is periodic with period `align_period` from
-    // `aligned`, so a first meeting at any horizon lies before `window`:
-    // the merge searches no further
-    let mut search_to = horizon.min(window);
-    if earlier.segments_up_to(search_to) > MERGE_SEG_CAP
-        || later.segments_up_to(search_to) > MERGE_SEG_CAP
-    {
-        if anonrv_obs::enabled() {
-            anonrv_obs::counter_add("symbolic.declines", 1);
-        }
-        return None;
-    }
+    let mut search_to = search_window(earlier, later, stic.delay, horizon)?;
     if anonrv_obs::enabled() {
         anonrv_obs::counter_add("symbolic.merges", 1);
     }
@@ -1064,7 +1119,9 @@ mod tests {
     use crate::batch::{merge_timelines, TrajectoryCache, UNROLL_CAP};
     use crate::navigator::{drive_finite_state, AgentProgram, StepDecision};
     use crate::workload::SweepWalker;
-    use anonrv_graph::generators::{circulant, grid, oriented_ring, oriented_torus};
+    use anonrv_graph::generators::{
+        circulant, grid, oriented_ring, oriented_torus, symmetric_double_tree,
+    };
 
     /// Always traverse port 0; machine state is constant.
     struct Rotor;
@@ -1326,6 +1383,29 @@ mod tests {
         }
     }
 
+    /// `Unroll::at(s, i)` stands exactly where `Unroll::new(s)` stands after
+    /// `i` steps, on every tail kind (a prefix-free rotor included).
+    #[test]
+    fn unroll_at_jumps_to_where_the_walk_steps() {
+        let g = oriented_ring(5).unwrap();
+        let programs: &[&dyn FiniteStateProgram] =
+            &[&SweepWalker { seed: 0x5EED }, &Rotor, &WaitMover, &KThenPark(3), &KThenHalt(3)];
+        for &program in programs {
+            let s = detect_symbolic(&g, program, 0).expect("detection converges");
+            let mut walk = Unroll::new(&s);
+            for i in 0..200 {
+                if !walk.live() {
+                    break;
+                }
+                let at = Unroll::at(&s, i);
+                let seen = |c: &Unroll<'_>| (c.start(), c.end(), c.node(), c.moves(), c.in_tail());
+                assert_eq!(seen(&at), seen(&walk), "segment {i}");
+                assert_eq!(at.position(), i);
+                walk.advance(true);
+            }
+        }
+    }
+
     #[test]
     fn symbolic_merge_matches_explicit_on_unrollable_horizons() {
         let g = oriented_ring(8).unwrap();
@@ -1537,6 +1617,25 @@ mod tests {
         let explicit = merge_timelines(&a.materialize(h), &b.materialize(h), &stic, h);
         let bounded = merge_symbolic(&a, &b, &stic, h).expect("within the segment cap");
         assert_eq!(bounded, explicit, "unrollable horizons stay exact");
+    }
+
+    /// An orbit-pair pass walks the window its classes' merges would, so
+    /// the same gate declines it as a whole: two node orbits of the
+    /// 6-node double tree (mirror group) are given rotor walks of
+    /// near-coprime cycles, `lcm(6·1021, 6·1019)` ≈ 6.2M rounds at one
+    /// segment per round.
+    #[test]
+    fn oversized_windows_decline_a_whole_orbit_pair_pass() {
+        let ring = oriented_ring(6).unwrap();
+        let (tree, _) = symmetric_double_tree(2, 1).unwrap();
+        let cache = TrajectoryCache::new(&tree, &SweepWalker { seed: 0x5EED }, 1 << 40);
+        let orbits = cache.node_orbits();
+        assert_eq!((orbits.num_orbits(), orbits.group().order()), (3, 2));
+        let (a, b) = (orbits.orbit_representative(0), orbits.orbit_representative(1));
+        let rotor = |k| detect_symbolic(&ring, &ModRotor(k), 0).expect("dense rotor cycles");
+        assert!(cache.preload_symbolic(a, rotor(1021)) && cache.preload_symbolic(b, rotor(1019)));
+        assert!(cache.orbit_pair_pass(0, 1, 1, 1 << 40).is_none(), "oversized window declines");
+        assert!(cache.orbit_pair_pass(0, 0, 1, 1 << 40).is_some(), "one cycle's window fits");
     }
 
     #[test]

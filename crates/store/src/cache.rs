@@ -152,6 +152,17 @@ impl Store {
         Ok(Store { root })
     }
 
+    /// Open an existing cache directory, creating nothing: a missing path
+    /// (or one that is not a directory) is an error, so surveying a
+    /// mistyped path cannot report an empty cache and leave one behind.
+    pub fn open_existing(root: impl Into<PathBuf>) -> io::Result<Self> {
+        let root = root.into();
+        if !fs::metadata(&root)?.is_dir() {
+            return Err(io::Error::new(io::ErrorKind::NotADirectory, "not a directory"));
+        }
+        Ok(Store { root })
+    }
+
     /// The cache directory.
     pub fn root(&self) -> &Path {
         &self.root

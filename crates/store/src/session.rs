@@ -12,8 +12,8 @@
 //!   cache-probe outcome table: exact hit / prefix hit / extend hit / miss;
 //!               trajectory timelines: preload (served as-is; the merge
 //!               kernels clip at each query's horizon) on first use
-//!   execute     only what the probes left: representative merges (and, cold,
-//!               the representative recordings)
+//!   execute     only what the probes left: orbit-pair passes or per-class
+//!               merges (and, cold, the representative recordings)
 //!   record      timelines + outcome tables persisted back, superseding
 //!               shorter recordings in place
 //!   broadcast   PlannedOutcomes serve any member STIC bit-identically
@@ -119,9 +119,9 @@ pub struct SessionStats {
     /// Timelines recorded cold by executing the agent program (one
     /// materialised from a held symbolic timeline is not a miss).
     pub timeline_misses: usize,
-    /// Representative simulations executed.  A plan entry derived at δ = 0
-    /// from its transposed class's merge is not one (see
-    /// [`anonrv_plan::PlannedSweep::run`]).
+    /// Representative outcomes resolved, by a per-class merge or an
+    /// orbit-pair pass.  A plan entry derived at δ = 0 from its transposed
+    /// class's merge is not one (see [`anonrv_plan::PlannedSweep::run`]).
     pub executed: usize,
     /// Member queries answered.
     pub answered: usize,
@@ -291,7 +291,7 @@ impl<'a> SweepSession<'a> {
     /// The execute bracket of every path that merges: preload the store's
     /// timelines (once), run `f` under the `session.execute` span, and
     /// return its result with the number of `(class, δ)` entries it
-    /// resolved by a merge.
+    /// resolved by a merge or an orbit-pair pass.
     fn execute<T>(&mut self, f: impl FnOnce(&PlannedSweep<'a>) -> T) -> (T, usize) {
         self.ensure_warm();
         let _execute_span = obs::span("session.execute");
@@ -300,7 +300,7 @@ impl<'a> SweepSession<'a> {
         (out, self.planned.merged() - before)
     }
 
-    /// The one counting rule: add `executed` representative simulations
+    /// The one counting rule: add `executed` resolved representatives
     /// and `answered` member queries to the session stats and, when
     /// telemetry is on, to their counters, plus one to
     /// `session.outcome.<outcome>` for a run that produced (or streamed)
@@ -489,7 +489,8 @@ impl<'a> SweepSession<'a> {
 
     /// Reassemble the `shards` partial artifacts of `plan` into the full
     /// outcome table — bit-identical to an unsharded run — and persist it,
-    /// so subsequent sessions hit the merged table directly.
+    /// so subsequent sessions hit the merged table directly.  It executes
+    /// nothing and counts as its own outcome, `session.outcome.merged`.
     pub fn merge_shards<'p>(
         &mut self,
         plan: &'p SweepPlan,
@@ -506,7 +507,7 @@ impl<'a> SweepSession<'a> {
                 .save_plan_outcomes(self.graph, &self.program_key, plan, outcomes.table())
                 .map_err(|e| format!("cannot persist merged outcomes: {e}"))?;
         }
-        self.count(Some(OutcomeProvenance::Cold.kind()), 0, plan.num_member_queries());
+        self.count(Some("merged"), 0, plan.num_member_queries());
         Ok(outcomes)
     }
 
@@ -723,7 +724,7 @@ pub struct SuperviseReport {
 mod tests {
     use super::*;
     use crate::testutil::{TempDir, Walker};
-    use anonrv_graph::generators::oriented_torus;
+    use anonrv_graph::generators::{grid, oriented_torus};
 
     const KEY: &str = "test-walker-5eed";
 
@@ -748,104 +749,135 @@ mod tests {
         Walker { seed: 0x5EED }
     }
 
+    /// The torus resolves by orbit-pair passes, the grid's trivial group
+    /// by per-class merges that derive δ = 0 from transposes (the torus's
+    /// pass counts are pinned in the workspace's telemetry tests).
     #[test]
     fn full_pipeline_cold_then_exact_then_prefix() {
-        let dir = TempDir::new("session-pipeline");
-        let store = Store::open(&dir.0).unwrap();
-        let g = oriented_torus(3, 4).unwrap();
-        let program = walker();
-        let deltas: Vec<Round> = vec![0, 1, 2];
+        for g in [oriented_torus(3, 4).unwrap(), grid(3, 3).unwrap()] {
+            let dir = TempDir::new("session-pipeline");
+            let store = Store::open(&dir.0).unwrap();
+            let program = walker();
+            let deltas: Vec<Round> = vec![0, 1, 2];
 
-        // cold: everything executes and persists
-        let mut cold = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
-        let plan = SweepPlan::from_orbits(cold.orbits().clone(), deltas.clone(), 64);
-        let (cold_outcomes, prov) = cold.run_plan(&plan).unwrap();
-        assert_eq!(prov, OutcomeProvenance::Cold);
-        let cold_stats = cold.stats();
-        assert!(cold_stats.timeline_misses > 0);
-        // one merge per (class, δ), but one per transposed pair at δ = 0
-        let transposed = derived(plan.orbits(), |_, _| true, |_| true);
-        assert!(transposed > 0);
-        assert_eq!(cold_stats.executed + transposed, plan.num_representative_queries());
+            // cold: everything executes and persists
+            let mut cold =
+                SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
+            let plan = SweepPlan::from_orbits(cold.orbits().clone(), deltas.clone(), 64);
+            let (cold_outcomes, prov) = cold.run_plan(&plan).unwrap();
+            assert_eq!(prov, OutcomeProvenance::Cold);
+            let cold_stats = cold.stats();
+            assert!(cold_stats.timeline_misses > 0);
+            let entries = plan.num_representative_queries();
+            if plan.orbits().group_order() > 2 {
+                // passes resolve every class of the torus
+                assert_eq!(cold_stats.executed, entries);
+            } else {
+                // one merge per (class, δ), but one per transposed pair at
+                // δ = 0
+                let transposed = derived(plan.orbits(), |_, _| true, |_| true);
+                assert!(transposed > 0);
+                assert_eq!(cold_stats.executed + transposed, entries);
+            }
 
-        // exact hit: nothing executes, not even timeline preloading
-        let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
-        let (warm_outcomes, prov) = warm.run_plan(&plan).unwrap();
-        assert_eq!(prov, OutcomeProvenance::WarmExact);
-        assert_eq!(warm_outcomes.table(), cold_outcomes.table());
-        let warm_stats = warm.stats();
-        assert_eq!((warm_stats.executed, warm_stats.timeline_misses), (0, 0));
+            // exact hit: nothing executes, not even timeline preloading
+            let mut warm =
+                SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
+            let (warm_outcomes, prov) = warm.run_plan(&plan).unwrap();
+            assert_eq!(prov, OutcomeProvenance::WarmExact);
+            assert_eq!(warm_outcomes.table(), cold_outcomes.table());
+            let warm_stats = warm.stats();
+            assert_eq!((warm_stats.executed, warm_stats.timeline_misses), (0, 0));
 
-        // prefix hit at a smaller horizon: zero recordings, every timeline
-        // a prefix hit, outcomes bit-identical to a cold in-memory run
-        let mut prefix =
-            SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(20));
-        let small = SweepPlan::from_orbits(prefix.orbits().clone(), deltas.clone(), 20);
-        let (served, prov) = prefix.run_plan(&small).unwrap();
-        let OutcomeProvenance::WarmPrefix { recorded, remerged } = prov else {
-            panic!("expected a prefix hit, got {prov:?}");
-        };
-        assert_eq!(recorded, 64);
-        let stats = prefix.stats();
-        assert_eq!(stats.timeline_misses, 0, "a prefix hit must not record");
-        assert_eq!(stats.timeline_prefix_hits, stats.timeline_hits);
-        let unmet_at_0 = |c: usize| !served.representative_outcome(c, 0).met();
-        assert_eq!(stats.executed + derived(small.orbits(), |_, _| true, unmet_at_0), remerged);
-        let reference = SweepSession::in_memory(&g, &program, EngineConfig::batch(20))
-            .run_plan(&small)
-            .unwrap()
-            .0;
-        assert_eq!(served.table(), reference.table(), "prefix-hit differential");
+            // prefix hit at a smaller horizon: zero recordings, every
+            // timeline a prefix hit, outcomes bit-identical to a cold
+            // in-memory run
+            let mut prefix =
+                SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(20));
+            let small = SweepPlan::from_orbits(prefix.orbits().clone(), deltas.clone(), 20);
+            let (served, prov) = prefix.run_plan(&small).unwrap();
+            let OutcomeProvenance::WarmPrefix { recorded, remerged } = prov else {
+                panic!("expected a prefix hit, got {prov:?}");
+            };
+            assert_eq!(recorded, 64);
+            let stats = prefix.stats();
+            assert_eq!(stats.timeline_misses, 0, "a prefix hit must not record");
+            assert_eq!(stats.timeline_prefix_hits, stats.timeline_hits);
+            // the entries unmet at 20 are exactly the ones re-resolved
+            let unmet = |slot: usize| !served.table()[slot].met();
+            assert_eq!((0..entries).filter(|&slot| unmet(slot)).count(), remerged);
+            if small.orbits().group_order() > 2 {
+                assert_eq!(stats.executed, remerged);
+            } else {
+                let unmet_at_0 = |c: usize| !served.representative_outcome(c, 0).met();
+                let transposed = derived(small.orbits(), |_, _| true, unmet_at_0);
+                assert_eq!(stats.executed + transposed, remerged);
+            }
+            let reference = SweepSession::in_memory(&g, &program, EngineConfig::batch(20))
+                .run_plan(&small)
+                .unwrap()
+                .0;
+            assert_eq!(served.table(), reference.table(), "prefix-hit differential");
+        }
     }
 
     #[test]
     fn extend_hits_remerge_unmet_entries_and_supersede_the_shorter_table() {
-        let dir = TempDir::new("session-extend");
-        let store = Store::open(&dir.0).unwrap();
-        let g = oriented_torus(3, 4).unwrap();
-        let program = walker();
-        let deltas: Vec<Round> = vec![0, 1, 2];
+        for g in [oriented_torus(3, 4).unwrap(), grid(3, 3).unwrap()] {
+            let dir = TempDir::new("session-extend");
+            let store = Store::open(&dir.0).unwrap();
+            let program = walker();
+            let deltas: Vec<Round> = vec![0, 1, 2];
 
-        // seed a *short* table
-        let mut seed = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(12));
-        let short_plan = SweepPlan::from_orbits(seed.orbits().clone(), deltas.clone(), 12);
-        let (short_outcomes, prov) = seed.run_plan(&short_plan).unwrap();
-        assert_eq!(prov, OutcomeProvenance::Cold);
+            // seed a *short* table
+            let mut seed =
+                SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(12));
+            let short_plan = SweepPlan::from_orbits(seed.orbits().clone(), deltas.clone(), 12);
+            let (short_outcomes, prov) = seed.run_plan(&short_plan).unwrap();
+            assert_eq!(prov, OutcomeProvenance::Cold);
 
-        // ask for a longer horizon: the short table serves it, re-merging
-        // only its unmet entries
-        let mut session =
-            SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
-        let long_plan = SweepPlan::from_orbits(session.orbits().clone(), deltas.clone(), 64);
-        let (served, prov) = session.run_plan(&long_plan).unwrap();
-        let OutcomeProvenance::WarmExtend { recorded, remerged } = prov else {
-            panic!("expected an extend hit, got {prov:?}");
-        };
-        assert_eq!(recorded, 12);
-        let unmet = short_outcomes.table().iter().filter(|o| o.meeting.is_none()).count();
-        assert_eq!(remerged, unmet, "only unmet entries re-merge");
-        let unmet_at_0 = |c: usize| !short_outcomes.representative_outcome(c, 0).met();
-        let transposed = derived(long_plan.orbits(), |_, _| true, unmet_at_0);
-        assert_eq!(session.stats().executed + transposed, remerged);
-        let reference = SweepSession::in_memory(&g, &program, EngineConfig::batch(64))
-            .run_plan(&long_plan)
-            .unwrap()
-            .0;
-        assert_eq!(served.table(), reference.table(), "extend-hit differential");
+            // ask for a longer horizon: the short table serves it,
+            // re-merging only its unmet entries
+            let mut session =
+                SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
+            let long_plan = SweepPlan::from_orbits(session.orbits().clone(), deltas.clone(), 64);
+            let (served, prov) = session.run_plan(&long_plan).unwrap();
+            let OutcomeProvenance::WarmExtend { recorded, remerged } = prov else {
+                panic!("expected an extend hit, got {prov:?}");
+            };
+            assert_eq!(recorded, 12);
+            let unmet = |slot: usize| !short_outcomes.table()[slot].met();
+            let entries = short_plan.num_representative_queries();
+            assert_eq!(remerged, (0..entries).filter(|&slot| unmet(slot)).count());
+            if long_plan.orbits().group_order() > 2 {
+                // passes re-resolve every unmet entry, deriving none
+                assert_eq!(session.stats().executed, remerged);
+            } else {
+                let unmet_at_0 = |c: usize| !short_outcomes.representative_outcome(c, 0).met();
+                let transposed = derived(long_plan.orbits(), |_, _| true, unmet_at_0);
+                assert_eq!(session.stats().executed + transposed, remerged);
+            }
+            let reference = SweepSession::in_memory(&g, &program, EngineConfig::batch(64))
+                .run_plan(&long_plan)
+                .unwrap()
+                .0;
+            assert_eq!(served.table(), reference.table(), "extend-hit differential");
 
-        // the superseding table persisted: the long horizon is now an exact
-        // hit, and the short one still serves as a prefix hit
-        let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
-        let (_, prov) = warm.run_plan(&long_plan).unwrap();
-        assert_eq!(prov, OutcomeProvenance::WarmExact);
-        let mut prefix =
-            SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(12));
-        let (again, prov) = prefix.run_plan(&short_plan).unwrap();
-        assert!(
-            matches!(prov, OutcomeProvenance::WarmPrefix { recorded: 64, .. }),
-            "expected a prefix hit off the superseding table, got {prov:?}"
-        );
-        assert_eq!(again.table(), short_outcomes.table(), "round trip diverged");
+            // the superseding table persisted: the long horizon is now an
+            // exact hit, and the short one still serves as a prefix hit
+            let mut warm =
+                SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
+            let (_, prov) = warm.run_plan(&long_plan).unwrap();
+            assert_eq!(prov, OutcomeProvenance::WarmExact);
+            let mut prefix =
+                SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(12));
+            let (again, prov) = prefix.run_plan(&short_plan).unwrap();
+            assert!(
+                matches!(prov, OutcomeProvenance::WarmPrefix { recorded: 64, .. }),
+                "expected a prefix hit off the superseding table, got {prov:?}"
+            );
+            assert_eq!(again.table(), short_outcomes.table(), "round trip diverged");
+        }
     }
 
     #[test]
@@ -969,38 +1001,47 @@ mod tests {
 
     #[test]
     fn streamed_sessions_fingerprint_the_exact_materialised_table() {
-        let dir = TempDir::new("session-streamed");
-        let store = Store::open(&dir.0).unwrap();
-        let g = oriented_torus(3, 4).unwrap();
-        let program = walker();
-        let deltas: Vec<Round> = vec![0, 1, 2, 5];
+        // chunks of 5 of the torus's 12 classes, of 20 of the grid's 81
+        for (g, chunk) in [(oriented_torus(3, 4).unwrap(), 5), (grid(3, 3).unwrap(), 20)] {
+            let dir = TempDir::new("session-streamed");
+            let store = Store::open(&dir.0).unwrap();
+            let program = walker();
+            let deltas: Vec<Round> = vec![0, 1, 2, 5];
 
-        // materialised reference table and its fingerprint
-        let mut reference = SweepSession::in_memory(&g, &program, EngineConfig::batch(64));
-        let plan = SweepPlan::from_orbits(reference.orbits().clone(), deltas, 64);
-        let table = reference.run_plan(&plan).unwrap().0.table().to_vec();
-        let expect = crate::table_fingerprint(&table);
+            // materialised reference table and its fingerprint
+            let mut reference = SweepSession::in_memory(&g, &program, EngineConfig::batch(64));
+            let plan = SweepPlan::from_orbits(reference.orbits().clone(), deltas, 64);
+            let table = reference.run_plan(&plan).unwrap().0.table().to_vec();
+            let expect = crate::table_fingerprint(&table);
 
-        let mut session =
-            SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
-        let (summary, fingerprint) = session.run_streamed(&plan, 5).unwrap();
-        assert_eq!(fingerprint, expect, "streamed fingerprint diverged");
-        assert_eq!(summary.classes, plan.orbits().num_pair_classes());
-        assert_eq!(summary.entries, table.len());
-        assert_eq!(summary.met_entries, table.iter().filter(|o| o.meeting.is_some()).count());
-        assert_eq!(summary.answered, plan.num_member_queries());
-        let stats = session.stats();
-        // chunks of 5 classes: a transposed pair derives only within one
-        let transposed = derived(plan.orbits(), |t, c| t / 5 == c / 5, |_| true);
-        assert!(transposed > 0);
-        assert_eq!(stats.executed + transposed, summary.entries);
-        assert_eq!(stats.answered, summary.answered);
-        // node 0's recording persisted: a second streamed session replays
-        // without a single program execution
-        let mut warm = SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
-        let again = warm.run_streamed(&plan, 3).unwrap();
-        assert_eq!(again, (summary, fingerprint));
-        assert_eq!(warm.stats().timeline_misses, 0, "warm streamed run must not record");
+            let mut session =
+                SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
+            let (summary, fingerprint) = session.run_streamed(&plan, chunk).unwrap();
+            assert_eq!(fingerprint, expect, "streamed fingerprint diverged");
+            assert_eq!(summary.classes, plan.orbits().num_pair_classes());
+            assert_eq!(summary.entries, table.len());
+            assert_eq!(summary.met_entries, table.iter().filter(|o| o.meeting.is_some()).count());
+            assert_eq!(summary.answered, plan.num_member_queries());
+            let stats = session.stats();
+            if plan.orbits().group_order() > 2 {
+                // passes resolve every entry, in every chunk
+                assert_eq!(stats.executed, summary.entries);
+            } else {
+                // a transposed pair derives only within one chunk
+                let together = |t: usize, c: usize| t / chunk == c / chunk;
+                let transposed = derived(plan.orbits(), together, |_| true);
+                assert!(transposed > 0);
+                assert_eq!(stats.executed + transposed, summary.entries);
+            }
+            assert_eq!(stats.answered, summary.answered);
+            // the recordings persisted: a second streamed session replays
+            // without a single program execution
+            let mut warm =
+                SweepSession::new(Some(&store), &g, &program, KEY, EngineConfig::batch(64));
+            let again = warm.run_streamed(&plan, 3).unwrap();
+            assert_eq!(again, (summary, fingerprint));
+            assert_eq!(warm.stats().timeline_misses, 0, "warm streamed run must not record");
+        }
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //! hammering from rayon and supervisor-style threads (exact counts, no
 //! torn histograms), a JSONL trace round-trip through a real supervised
 //! sweep (every line parses, schema-versioned, span nesting well-formed),
-//! and a fault-injected supervised run whose retry events and failpoint
-//! trips match the injected failures record for record.
+//! a fault-injected supervised run whose retry events and failpoint trips
+//! match the injected failures record for record, and the pass counters of
+//! orbit-pair resolution on every planned execution path.
 //!
 //! Every test installs its own pipeline via [`anonrv::obs::install`]; the
 //! guard serializes installs, so the per-test metrics and sinks cannot
 //! interleave even though the test harness runs threads in parallel.
 
-use anonrv::graph::generators::oriented_torus;
+use anonrv::graph::generators::{grid, oriented_torus};
 use anonrv::obs::{self, MemorySink, ObsConfig};
-use anonrv::plan::SweepPlan;
+use anonrv::plan::{PlannedSweep, SweepPlan};
 use anonrv::sim::{EngineConfig, Round, SweepWalker};
 use anonrv::store::{fault, Store, SuperviseConfig, SweepSession};
 use rayon::prelude::*;
@@ -200,4 +201,62 @@ fn injected_faults_surface_as_matching_retry_rows_trips_and_events() {
         .map(|r| (r.shard as u64, r.attempt as u64, r.outcome().to_string()))
         .collect();
     assert_eq!(events, rows, "trace events and report rows diverged");
+}
+
+/// Orbit-pair passes walk once per `(orbit pair, δ)`.  The 3×4 torus has
+/// one orbit pair, so a cold run walks one pass per delay and derives
+/// nothing, a streamed run walks one per delay however it is chunked, and
+/// a served table walks one per delay that still holds an undetermined
+/// entry.  Grid 3×3's trivial group walks none: one δ-sweep per class,
+/// with the δ = 0 entries of the larger class of each transposed pair
+/// derived.
+#[test]
+fn orbit_pair_passes_walk_once_per_orbit_pair_and_delay() {
+    let _g = obs::install(ObsConfig::metrics_only()).unwrap();
+    let count = |name| obs::snapshot().counter(name);
+    let program = SweepWalker { seed: 0x5EED };
+    let torus = oriented_torus(3, 4).unwrap();
+    let planned = PlannedSweep::new(&torus, &program, EngineConfig::batch(64));
+    let plan_at =
+        |deltas: &[Round], h| SweepPlan::from_orbits(planned.orbits().clone(), deltas.to_vec(), h);
+    for deltas in [&[0][..], &[2, 0, 1], &[1, 2]] {
+        let (passes, transposed) = (count("merge.passes"), count("plan.transposed"));
+        planned.run(&plan_at(deltas, 64));
+        assert_eq!(count("merge.passes") - passes, deltas.len() as u64, "{deltas:?}");
+        assert_eq!(count("plan.transposed"), transposed, "{deltas:?}: nothing derived");
+    }
+    assert_eq!(count("merge.delta_passes"), 0, "the torus takes no per-class merge");
+
+    let deltas: &[Round] = &[0, 1, 2, 5];
+    let plan = plan_at(deltas, 64);
+    for chunk in [1, 5, 12] {
+        let before = count("merge.passes");
+        planned.run_streamed(&plan, chunk, |_, _| {}).unwrap();
+        assert_eq!(count("merge.passes") - before, 4, "chunks of {chunk}");
+    }
+
+    for (recorded, h) in [(64, 20), (12, 64)] {
+        let recording = plan_at(deltas, recorded);
+        let table = planned.run(&recording);
+        // the delays holding an entry the recording leaves undetermined
+        let undetermined = |di: usize| {
+            let mut column = table.table().iter().skip(di).step_by(deltas.len());
+            deltas[di] <= h && column.any(|o| o.meeting.is_none_or(|m| m.global_round > h))
+        };
+        let walks = (0..deltas.len()).filter(|&di| undetermined(di)).count() as u64;
+        assert!(walks > 0, "{recorded} -> {h}: something to re-merge");
+        let before = count("merge.passes");
+        planned.serve_prefix(&table, &plan_at(deltas, h)).unwrap();
+        assert_eq!(count("merge.passes") - before, walks, "{recorded} -> {h}");
+    }
+
+    let grid = grid(3, 3).unwrap();
+    let planned = PlannedSweep::new(&grid, &program, EngineConfig::batch(64));
+    let plan = SweepPlan::from_orbits(planned.orbits().clone(), vec![0, 1], 64);
+    let (passes, transposed, merges) =
+        (count("merge.passes"), count("plan.transposed"), count("merge.delta_passes"));
+    planned.run(&plan);
+    assert_eq!(count("merge.passes"), passes, "a trivial group walks no pass");
+    assert_eq!(count("merge.delta_passes") - merges, 81, "one δ-sweep per class");
+    assert_eq!(count("plan.transposed") - transposed, 36, "half the off-diagonal δ = 0 column");
 }
