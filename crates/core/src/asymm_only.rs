@@ -100,7 +100,7 @@ mod tests {
     use crate::label::TrailSignature;
     use anonrv_graph::generators::{caterpillar, lollipop, star};
     use anonrv_graph::PortGraph;
-    use anonrv_sim::{record_trace, simulate, Stic};
+    use anonrv_sim::{simulate, Stic, Timeline};
     use anonrv_uxs::{LengthRule, PseudorandomUxs};
 
     fn short_uxs() -> PseudorandomUxs {
@@ -138,10 +138,10 @@ mod tests {
         let uxs = short_uxs();
         let scheme = TrailSignature::new(uxs);
         let algo = AsymmOnlyUniversalRv { uxs: &uxs, scheme: &scheme, max_phases: Some(f(5, 2)) };
-        let (ta, sa) = record_trace(&g, &algo, 0, Round::MAX, 1 << 24);
-        let (tb, sb) = record_trace(&g, &algo, 5, Round::MAX, 1 << 24);
-        assert!(ta.terminated && tb.terminated);
-        assert_eq!(sa.rounds, sb.rounds);
+        let ta = Timeline::record(&g, &algo, 0, Round::MAX);
+        let tb = Timeline::record(&g, &algo, 5, Round::MAX);
+        assert!(ta.terminated() && tb.terminated());
+        assert_eq!(ta.finite_end(), tb.finite_end());
     }
 
     #[test]

@@ -168,7 +168,7 @@ mod tests {
     use anonrv_graph::generators::{caterpillar, lollipop, random_connected, star};
     use anonrv_graph::symmetry::OrbitPartition;
     use anonrv_graph::PortGraph;
-    use anonrv_sim::{record_trace, simulate, Stic};
+    use anonrv_sim::{simulate, Stic, Timeline};
     use anonrv_uxs::PseudorandomUxs;
 
     fn meets(g: &PortGraph, stic: Stic, delay_budget: Round) -> Option<Round> {
@@ -231,10 +231,10 @@ mod tests {
         let scheme = TrailSignature::default();
         let uxs = PseudorandomUxs::default();
         let program = AsymmRv::new(g.num_nodes(), 3, &scheme, &uxs);
-        let (trace, stats) = record_trace(&g, &program, 0, Round::MAX, 1 << 22);
-        assert!(trace.terminated);
-        assert_eq!(stats.rounds, program.full_duration() + 1);
-        assert_eq!(trace.final_position(), 0);
+        let t = Timeline::record(&g, &program, 0, program.full_duration());
+        assert!(t.terminated());
+        assert_eq!(t.finite_end(), program.full_duration() + 1);
+        assert_eq!(t.seg_nodes().last(), Some(&0));
     }
 
     #[test]
@@ -243,9 +243,10 @@ mod tests {
         let scheme = TrailSignature::default();
         let uxs = PseudorandomUxs::default();
         let program = AsymmRv::new(g.num_nodes(), 2, &scheme, &uxs);
-        let (_, s0) = record_trace(&g, &program, 0, Round::MAX, 1 << 22);
-        let (_, s7) = record_trace(&g, &program, 7, Round::MAX, 1 << 22);
-        assert_eq!(s0.rounds, s7.rounds);
+        let t0 = Timeline::record(&g, &program, 0, Round::MAX);
+        let t7 = Timeline::record(&g, &program, 7, Round::MAX);
+        assert!(t0.terminated() && t7.terminated());
+        assert_eq!(t0.finite_end(), t7.finite_end());
     }
 
     #[test]

@@ -101,7 +101,7 @@ mod tests {
     use anonrv_graph::generators::{oriented_ring, oriented_torus, path, star};
     use anonrv_graph::traversal::count_walks_of_length;
     use anonrv_graph::PortGraph;
-    use anonrv_sim::{record_trace, AgentProgram, PositionTrace, TraceStats};
+    use anonrv_sim::{AgentProgram, Timeline};
 
     fn run_explore(
         g: &PortGraph,
@@ -109,17 +109,17 @@ mod tests {
         d: usize,
         delta: Round,
         pad: Option<u128>,
-    ) -> (PositionTrace, TraceStats, u128) {
+    ) -> (Timeline, u128) {
         let iterations = std::sync::Mutex::new(0u128);
         let program = |nav: &mut dyn Navigator| -> Result<(), Stop> {
             let it = explore(nav, d, delta, pad)?;
             *iterations.lock().unwrap() = it;
             Ok(())
         };
-        let (trace, stats) =
-            record_trace(g, &program as &dyn AgentProgram, start, Round::MAX, 1 << 22);
+        let t = Timeline::record(g, &program as &dyn AgentProgram, start, Round::MAX);
+        assert!(t.terminated());
         let it = *iterations.lock().unwrap();
-        (trace, stats, it)
+        (t, it)
     }
 
     #[test]
@@ -133,7 +133,7 @@ mod tests {
         ] {
             for d in 1..=3usize {
                 let delta = (d + 2) as Round;
-                let (_, _, iterations) = run_explore(&g, start, d, delta, None);
+                let (_, iterations) = run_explore(&g, start, d, delta, None);
                 assert_eq!(
                     iterations,
                     count_walks_of_length(&g, start, d),
@@ -147,12 +147,12 @@ mod tests {
     fn every_iteration_costs_d_plus_delta_rounds_and_ends_at_the_start() {
         let g = oriented_torus(3, 3).unwrap();
         let (d, delta) = (2usize, 5 as Round);
-        let (trace, stats, iterations) = run_explore(&g, 0, d, delta, None);
-        assert_eq!(stats.rounds, iterations * (d as Round + delta) + 1);
-        assert_eq!(trace.final_position(), 0);
-        // the agent only ever waits at the start node
-        for seg in &trace.segments {
-            if seg.len() > 1 {
+        let (t, iterations) = run_explore(&g, 0, d, delta, None);
+        assert_eq!(t.finite_end(), iterations * (d as Round + delta) + 1);
+        assert_eq!(t.seg_nodes().last(), Some(&0));
+        // the agent only ever waits at the start node (where it then parks)
+        for seg in t.segments() {
+            if seg.end - seg.start > 1 {
                 assert_eq!(seg.node, 0);
             }
         }
@@ -163,18 +163,18 @@ mod tests {
         let g = oriented_ring(6).unwrap(); // walks of length 2 from any node: 4
         let (d, delta) = (2usize, 3 as Round);
         let pad_to = 25u128; // the (n-1)^d bound for n = 6
-        let (_, stats, iterations) = run_explore(&g, 2, d, delta, Some(pad_to));
+        let (t, iterations) = run_explore(&g, 2, d, delta, Some(pad_to));
         assert_eq!(iterations, 4);
-        assert_eq!(stats.rounds, pad_to * (d as Round + delta) + 1);
+        assert_eq!(t.finite_end(), pad_to * (d as Round + delta) + 1);
     }
 
     #[test]
     fn padding_is_a_no_op_when_the_walk_count_reaches_the_target() {
         let g = star(3).unwrap();
         // from the center, walks of length 1: 3 == target
-        let (_, stats, iterations) = run_explore(&g, 0, 1, 2, Some(3));
+        let (t, iterations) = run_explore(&g, 0, 1, 2, Some(3));
         assert_eq!(iterations, 3);
-        assert_eq!(stats.rounds, 3 * 3 + 1);
+        assert_eq!(t.finite_end(), 3 * 3 + 1);
     }
 
     #[test]
@@ -183,9 +183,10 @@ mod tests {
         // verify through the positions visited at rounds 1, 4, 7 (each
         // iteration is d + δ = 3 rounds long).
         let g = star(3).unwrap();
-        let (trace, _, _) = run_explore(&g, 0, 1, 2, None);
-        assert_eq!(trace.position_at(1), Some(1));
-        assert_eq!(trace.position_at(4), Some(2));
-        assert_eq!(trace.position_at(7), Some(3));
+        let (t, _) = run_explore(&g, 0, 1, 2, None);
+        let position_at = |r: Round| t.segments().find(|s| r < s.end).map(|s| s.node);
+        assert_eq!(position_at(1), Some(1));
+        assert_eq!(position_at(4), Some(2));
+        assert_eq!(position_at(7), Some(3));
     }
 }

@@ -218,7 +218,7 @@ mod tests {
     use super::*;
     use anonrv_graph::generators::{lollipop, oriented_ring, oriented_torus, random_connected};
     use anonrv_graph::symmetry::OrbitPartition;
-    use anonrv_sim::{record_trace, AgentProgram};
+    use anonrv_sim::{AgentProgram, Timeline};
 
     fn agent_side_label<S: LabelScheme>(
         scheme: &S,
@@ -232,11 +232,14 @@ mod tests {
             *result.lock().unwrap() = label;
             Ok(())
         };
-        let (trace, stats) =
-            record_trace(g, &program as &dyn AgentProgram, start, Round::MAX, 1 << 22);
-        assert!(trace.terminated);
-        assert_eq!(trace.final_position(), start, "label computation must end at the start");
-        (result.into_inner().unwrap(), stats.rounds - 1)
+        let t = Timeline::record(g, &program as &dyn AgentProgram, start, Round::MAX);
+        assert!(t.terminated());
+        assert_eq!(
+            t.seg_nodes().last(),
+            Some(&(start as u32)),
+            "label computation must end at the start"
+        );
+        (result.into_inner().unwrap(), t.finite_end() - 1)
     }
 
     #[test]

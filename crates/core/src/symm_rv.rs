@@ -102,7 +102,7 @@ mod tests {
     use anonrv_graph::generators::{oriented_ring, oriented_torus, symmetric_double_tree};
     use anonrv_graph::shrink::shrink;
     use anonrv_graph::PortGraph;
-    use anonrv_sim::{record_trace, simulate, Stic};
+    use anonrv_sim::{simulate, Stic, Timeline};
     use anonrv_uxs::PseudorandomUxs;
 
     fn provider() -> PseudorandomUxs {
@@ -161,12 +161,13 @@ mod tests {
         let uxs = provider();
         let (n, d, delta) = (5usize, 2usize, 3 as Round);
         let program = SymmRv::new(n, d, delta, &uxs);
-        let (trace, stats) = record_trace(&g, &program, 0, Round::MAX, 1 << 22);
-        assert!(trace.terminated);
         let bound = symm_rv_bound(n, d, delta, uxs.length(n));
-        assert!(stats.rounds <= bound, "duration {} exceeds T(n,d,δ) = {}", stats.rounds, bound);
+        let t = Timeline::record(&g, &program, 0, bound);
+        assert!(t.terminated());
+        let rounds = t.finite_end();
+        assert!(rounds <= bound, "duration {rounds} exceeds T(n,d,δ) = {bound}");
         // the procedure ends where it started
-        assert_eq!(trace.final_position(), 0);
+        assert_eq!(t.seg_nodes().last(), Some(&0));
     }
 
     #[test]
@@ -175,10 +176,11 @@ mod tests {
         let uxs = provider();
         let (n, d, delta) = (5usize, 1usize, 2 as Round);
         let program = SymmRv::padded(n, d, delta, &uxs);
-        let (trace, stats) = record_trace(&g, &program, 3, Round::MAX, 1 << 22);
-        assert!(trace.terminated);
-        assert_eq!(stats.rounds, symm_rv_bound(n, d, delta, uxs.length(n)) + 1);
-        assert_eq!(trace.final_position(), 3);
+        let bound = symm_rv_bound(n, d, delta, uxs.length(n));
+        let t = Timeline::record(&g, &program, 3, bound);
+        assert!(t.terminated());
+        assert_eq!(t.finite_end(), bound + 1);
+        assert_eq!(t.seg_nodes().last(), Some(&3));
     }
 
     #[test]
@@ -187,9 +189,10 @@ mod tests {
         let (g, _) = symmetric_double_tree(2, 2).unwrap();
         let uxs = provider();
         let program = SymmRv::padded(4, 1, 2, &uxs); // deliberately wrong n
-        let (_, s0) = record_trace(&g, &program, 0, Round::MAX, 1 << 22);
-        let (_, s1) = record_trace(&g, &program, 5, Round::MAX, 1 << 22);
-        assert_eq!(s0.rounds, s1.rounds);
+        let t0 = Timeline::record(&g, &program, 0, Round::MAX);
+        let t5 = Timeline::record(&g, &program, 5, Round::MAX);
+        assert!(t0.terminated() && t5.terminated());
+        assert_eq!(t0.finite_end(), t5.finite_end());
     }
 
     #[test]
@@ -198,6 +201,6 @@ mod tests {
         let g = oriented_ring(5).unwrap();
         let uxs = provider();
         let program = SymmRv::new(5, 3, 1, &uxs);
-        let _ = record_trace(&g, &program, 0, 100, 100);
+        let _ = Timeline::record(&g, &program, 0, 100);
     }
 }

@@ -136,7 +136,7 @@ mod tests {
     };
     use anonrv_graph::shrink::shrink;
     use anonrv_graph::PortGraph;
-    use anonrv_sim::{record_trace, simulate, Stic};
+    use anonrv_sim::{simulate, Stic, Timeline};
     use anonrv_uxs::{LengthRule, PseudorandomUxs};
 
     /// A short UXS keeps the universal-algorithm tests fast; coverage on the
@@ -221,12 +221,12 @@ mod tests {
         let scheme = TrailSignature::new(uxs);
         let cap = phase_of(4, 2, 2); // includes phases with several n', d', δ' combinations
         let algo = UniversalRv { uxs: &uxs, scheme: &scheme, max_phases: Some(cap) };
-        let (ta, sa) = record_trace(&g, &algo, 0, Round::MAX, 1 << 24);
-        let (tb, sb) = record_trace(&g, &algo, 5, Round::MAX, 1 << 24);
-        assert!(ta.terminated && tb.terminated);
-        assert_eq!(sa.rounds, sb.rounds);
-        assert_eq!(ta.final_position(), 0);
-        assert_eq!(tb.final_position(), 5);
+        let ta = Timeline::record(&g, &algo, 0, Round::MAX);
+        let tb = Timeline::record(&g, &algo, 5, Round::MAX);
+        assert!(ta.terminated() && tb.terminated());
+        assert_eq!(ta.finite_end(), tb.finite_end());
+        assert_eq!(ta.seg_nodes().last(), Some(&0));
+        assert_eq!(tb.seg_nodes().last(), Some(&5));
     }
 
     #[test]

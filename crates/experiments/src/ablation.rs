@@ -20,7 +20,7 @@ use anonrv_core::label::{ExactViewLabel, LabelScheme, TrailSignature};
 use anonrv_core::symm_rv::SymmRv;
 use anonrv_graph::generators::lollipop;
 use anonrv_graph::shrink::shrink;
-use anonrv_sim::{record_trace, simulate, Round, Stic};
+use anonrv_sim::{simulate, Round, Stic, Timeline};
 use anonrv_uxs::{
     covers_from_all, shortest_covering_prefix, LengthRule, PseudorandomUxs, UxsProvider,
 };
@@ -201,12 +201,12 @@ pub fn padding_table() -> Table {
             } else {
                 SymmRv::new(n, d, delta, &uxs)
             };
-            let (trace, stats) = record_trace(&g, &program, start, Round::MAX, 1 << 22);
-            assert!(trace.terminated);
+            let t = Timeline::record(&g, &program, start, Round::MAX);
+            assert!(t.terminated());
             table.push_row([
                 variant.to_string(),
                 start.to_string(),
-                fmt_rounds(stats.rounds),
+                fmt_rounds(t.finite_end()),
                 fmt_rounds(bound),
             ]);
         }

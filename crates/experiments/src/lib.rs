@@ -49,11 +49,19 @@
 //!   canonical start node's deterministic walk exactly once, rayon fans out
 //!   over the representative merges, and the (bit-identical) outcomes are
 //!   broadcast back to every member case.  Each table reports the resulting
-//!   compression as a note ([`report::compression_note`]).
+//!   compression as a note ([`report::compression_note`]).  A recording is
+//!   a `Timeline`'s two columns, 20 bytes a segment, written as the walk
+//!   runs: `UniversalRV`'s padding waits make EXP-T31's horizons reach
+//!   `1.06·10⁷` rounds, so its 50 recordings are long.
 //! * one-off simulations (single probes, heterogeneous per-case programs as
 //!   in [`random_exp`] or [`lower_bound_exp`]) use [`anonrv_sim::simulate`],
 //!   whose `Auto` mode picks lockstep for short horizons and streaming for
 //!   astronomical ones.
+//! * single-agent measurements ([`ablation`]'s padding table) record one
+//!   walk with [`anonrv_sim::Timeline::record`] — the recording every engine
+//!   makes — and read its covered rounds
+//!   ([`finite_end`](anonrv_sim::Timeline::finite_end)) and termination
+//!   flag.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

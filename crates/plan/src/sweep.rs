@@ -392,12 +392,6 @@ impl<'a> PlannedSweep<'a> {
         self.engine.simulate_capped(stic, horizon)
     }
 
-    /// Simulate one `(u, v)` pair under every delay in `deltas` (one
-    /// delta-sweep pass).
-    pub fn simulate_deltas(&self, u: NodeId, v: NodeId, deltas: &[Round]) -> Vec<SimOutcome> {
-        self.engine.simulate_deltas(u, v, deltas)
-    }
-
     /// Answer a batch of `(stic, horizon)` queries, executing **one**
     /// representative simulation per distinct `(pair class, δ, horizon)`
     /// (rayon over the groups) and broadcasting within each group.

@@ -11,8 +11,8 @@
 //! through automorphisms.
 //!
 //! This module computes each node orbit's wait-compressed timeline **once**
-//! ([`Timeline::record`], the same segment representation the lockstep
-//! engine materialises per call) and answers any `(u, v, δ)` STIC by merging
+//! ([`Timeline::record`], the recording the lockstep engine makes of its
+//! earlier agent on every call) and answers any `(u, v, δ)` STIC by merging
 //! two cached timelines:
 //!
 //! * [`TrajectoryCache`] — per `(graph, program, horizon)` store of lazily
@@ -68,51 +68,42 @@ use crate::symbolic::{detect_symbolic, merge_symbolic_mapped, SymbolicTimeline};
 
 const INFINITY: Round = Round::MAX;
 
-/// One stop of an agent's wait-compressed position timeline: the agent sits
-/// at `node` during the local rounds `[start, end)`.  Consecutive segments
-/// are contiguous (`end == next.start`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Seg {
-    /// Node occupied throughout the segment.
-    pub(crate) node: NodeId,
-    /// First round of the stop (inclusive).
-    pub(crate) start: Round,
-    /// One past the last round of the stop.
-    pub(crate) end: Round,
-    /// Edge traversals completed at rounds `<= start` (the move that opened
-    /// this segment included).  Constant across the segment because the
-    /// agent is parked for its whole duration.
-    pub(crate) moves_before: u64,
-}
-
-/// Sink recording a full wait-compressed timeline (consecutive waits merge
-/// into their segment, so memory is one entry per *event*, not per round).
-/// Shared with the lockstep engine, which records the earlier agent through
-/// it on every call — exactly the work this module memoizes.
+/// The one recorder of a walk: every move appends its segment's start round
+/// and node straight to a [`Timeline`]'s two columns, and a wait extends the
+/// open segment, whose end becomes the columns' sentinel when the run
+/// closes.  Memory is one start and one node per *move*, never per round.
+/// [`Timeline::record`] drives it through a navigator; symbolic detection
+/// replays decisions into it directly.
 pub(crate) struct RecordSink {
-    pub(crate) segs: Vec<Seg>,
-    pub(crate) moves: u64,
+    pub(crate) starts: Vec<Round>,
+    pub(crate) nodes: Vec<u32>,
+    /// One past the last round of the open segment.
+    pub(crate) end: Round,
 }
 
 impl RecordSink {
     pub(crate) fn new(start_node: NodeId) -> Self {
-        RecordSink {
-            segs: vec![Seg { node: start_node, start: 0, end: 1, moves_before: 0 }],
-            moves: 0,
-        }
+        RecordSink { starts: vec![0], nodes: vec![start_node as u32], end: 1 }
+    }
+
+    /// The walker stays put for `rounds` more rounds.
+    pub(crate) fn wait(&mut self, rounds: Round) {
+        self.end += rounds;
+    }
+
+    /// The walker traverses an edge to `to`, opening a one-round segment.
+    pub(crate) fn step(&mut self, to: NodeId) {
+        self.starts.push(self.end);
+        self.nodes.push(to as u32);
+        self.end += 1;
     }
 }
 
 impl EventSink for RecordSink {
     fn emit(&mut self, event: Event) -> Result<(), Stop> {
-        let last = self.segs.last_mut().expect("timeline starts non-empty");
         match event {
-            Event::Wait { rounds } => last.end += rounds,
-            Event::Move { to, .. } => {
-                let at = last.end;
-                self.moves += 1;
-                self.segs.push(Seg { node: to, start: at, end: at + 1, moves_before: self.moves });
-            }
+            Event::Wait { rounds } => self.wait(rounds),
+            Event::Move { to, .. } => self.step(to),
         }
         Ok(())
     }
@@ -120,11 +111,10 @@ impl EventSink for RecordSink {
     fn finish(&mut self) {}
 }
 
-/// One stop of a timeline in its public, serialisable form: the agent sits
-/// at `node` during the local rounds `[start, end)`.  This is the exact
-/// information [`Timeline::from_segments`] needs to rebuild a timeline —
-/// move counts are derivable (every segment after the first is opened by
-/// exactly one edge traversal), so they are not part of the exchange format.
+/// One stop of a timeline, as [`Timeline::segments`] reads it off the two
+/// columns: the agent sits at `node` during the local rounds `[start, end)`.
+/// Move counts are derivable (every segment after the first is opened by
+/// exactly one edge traversal), so a stop does not carry one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineSeg {
     /// Node occupied throughout the segment.
@@ -216,7 +206,9 @@ impl TimelineParts {
 
 impl Timeline {
     /// Execute `program` from `start` once, up to the local `horizon`, and
-    /// record its wait-compressed timeline.
+    /// record its wait-compressed timeline.  A program that never ends by
+    /// itself runs to the horizon, so a caller that does not know its
+    /// program terminates passes a horizon that bounds the run.
     pub fn record(
         g: &PortGraph,
         program: &dyn AgentProgram,
@@ -227,13 +219,8 @@ impl Timeline {
         let mut nav = GraphNavigator::new(g, start, horizon, RecordSink::new(start));
         let terminated = program.run(&mut nav).is_ok();
         let total_moves = nav.moves();
-        let record = nav.into_sink();
-        let segs = record.segs;
-        let finite_end = segs.last().expect("timeline starts non-empty").end;
-        let mut starts: Vec<Round> = Vec::with_capacity(segs.len() + 2);
-        starts.extend(segs.iter().map(|s| s.start));
-        let mut nodes: Vec<u32> = segs.iter().map(|s| s.node as u32).collect();
-        starts.push(finite_end);
+        let RecordSink { mut starts, mut nodes, end } = nav.into_sink();
+        starts.push(end);
         if terminated {
             // the program ended by itself: it stays at its final node forever
             nodes.push(*nodes.last().expect("timeline starts non-empty"));
@@ -253,26 +240,8 @@ impl Timeline {
         Self::new(g.num_nodes(), horizon, starts, nodes)
     }
 
-    /// Rebuild a timeline from its serialisable segment list: the exact
-    /// inverse of [`Timeline::segments`].  The list must be contiguous; the
-    /// columns it flattens into are then validated by
-    /// [`Timeline::from_parts`].
-    pub fn from_segments(n: usize, horizon: Round, segs: Vec<TimelineSeg>) -> Result<Self, String> {
-        let mut starts: Vec<Round> = Vec::with_capacity(segs.len() + 1);
-        let mut nodes: Vec<u32> = Vec::with_capacity(segs.len());
-        for (i, s) in segs.iter().enumerate() {
-            if i > 0 && segs[i - 1].end != s.start {
-                return Err(format!("segment {i}: not contiguous with its predecessor"));
-            }
-            starts.push(s.start);
-            nodes.push(u32::try_from(s.node).map_err(|_| format!("segment {i}: node too wide"))?);
-        }
-        starts.extend(segs.last().map(|s| s.end));
-        Self::from_parts(n, horizon, TimelineParts { starts, nodes })
-    }
-
-    /// The serialisable segment list (the exact input
-    /// [`Timeline::from_segments`] rebuilds this timeline from).
+    /// The segments in time order, a terminated run's parked-forever tail
+    /// (ending at [`Round::MAX`]) last.
     pub fn segments(&self) -> impl Iterator<Item = TimelineSeg> + '_ {
         (0..self.nodes.len()).map(move |i| TimelineSeg {
             node: self.nodes[i] as usize,
@@ -394,8 +363,9 @@ impl Timeline {
     }
 
     /// End of the last *finite* segment — one past the last local round the
-    /// recorded run actually executed.
-    fn finite_end(&self) -> Round {
+    /// recorded run actually executed, so the number of local rounds it
+    /// covers (a terminated run's duration plus its start round).
+    pub fn finite_end(&self) -> Round {
         let nsegs = self.nodes.len();
         if self.terminated() {
             self.starts[nsegs - 1]
@@ -419,6 +389,11 @@ impl Timeline {
     /// Per-segment nodes (on-disk payload array).
     pub fn seg_nodes(&self) -> &[u32] {
         &self.nodes
+    }
+
+    /// The two columns, moved out.
+    pub(crate) fn into_parts(self) -> TimelineParts {
+        TimelineParts { starts: self.starts, nodes: self.nodes }
     }
 
     /// The visit index the δ-sweep kernel probes, built on first use.
@@ -1138,15 +1113,6 @@ impl<'a> TrajectoryCache<'a> {
         self.slots[self.slot(start)].set(timeline).is_ok()
     }
 
-    /// Record every orbit representative's timeline (sequentially; parallel
-    /// callers can equivalently fan `timeline` calls out over their own
-    /// thread pool).
-    pub fn warm_all(&self) {
-        for i in 0..self.slots.len() {
-            self.timeline(self.orbits.orbit_representative(i));
-        }
-    }
-
     /// The symbolic (prefix + cycle) timeline serving `start` — its orbit
     /// representative's — detecting it on first use.  `None` when the
     /// program has no finite-state view or the budgeted cycle detection did
@@ -1220,8 +1186,34 @@ impl<'a> TrajectoryCache<'a> {
         if stic.delay > horizon {
             return Some(SimOutcome::no_show(horizon));
         }
-        let earlier = self.symbolic_timeline(stic.earlier)?;
-        let later = self.symbolic_timeline(stic.later)?;
+        let pair = (self.symbolic_timeline(stic.earlier)?, self.symbolic_timeline(stic.later)?);
+        self.merge_symbolic_pair(pair, stic, horizon)
+    }
+
+    /// The route rule every query follows: past [`UNROLL_CAP`] a
+    /// finite-state program's symbolic timelines of `earlier` and `later`
+    /// (detected on first use), and `None` — the explicit recordings —
+    /// otherwise, or when either detection fails.
+    fn symbolic_pair(
+        &self,
+        earlier: NodeId,
+        later: NodeId,
+        horizon: Round,
+    ) -> Option<(&SymbolicTimeline, &SymbolicTimeline)> {
+        if horizon <= UNROLL_CAP {
+            return None;
+        }
+        Some((self.symbolic_timeline(earlier)?, self.symbolic_timeline(later)?))
+    }
+
+    /// Merge `stic` over the symbolic timelines of its two starts, read
+    /// through the orbit maps; `None` when the merge declines.
+    fn merge_symbolic_pair(
+        &self,
+        (earlier, later): (&SymbolicTimeline, &SymbolicTimeline),
+        stic: &Stic,
+        horizon: Round,
+    ) -> Option<SimOutcome> {
         let map = self.orbits.relabel(stic.earlier, stic.later);
         merge_symbolic_mapped(earlier, later, |x| map.apply(x), map.is_identity(), stic, horizon)
             .map(|o| self.pull_back(stic.earlier, o))
@@ -1248,8 +1240,8 @@ impl<'a> TrajectoryCache<'a> {
             // mirroring the other engines' early return
             return SimOutcome::no_show(horizon);
         }
-        if horizon > UNROLL_CAP {
-            if let Some(outcome) = self.simulate_symbolic(stic, horizon) {
+        if let Some(pair) = self.symbolic_pair(stic.earlier, stic.later, horizon) {
+            if let Some(outcome) = self.merge_symbolic_pair(pair, stic, horizon) {
                 return outcome;
             }
         }
@@ -1289,10 +1281,10 @@ impl<'a> TrajectoryCache<'a> {
             // answered without recording any timeline, like `simulate_capped`
             return deltas.iter().map(|_| SimOutcome::no_show(horizon)).collect();
         }
-        if horizon > UNROLL_CAP && self.program.finite_state().is_some() {
+        if let Some(pair) = self.symbolic_pair(u, v, horizon) {
             let symbolic: Option<Vec<SimOutcome>> = deltas
                 .iter()
-                .map(|&delta| self.simulate_symbolic(&Stic::new(u, v, delta), horizon))
+                .map(|&delta| self.merge_symbolic_pair(pair, &Stic::new(u, v, delta), horizon))
                 .collect();
             if let Some(outcomes) = symbolic {
                 return outcomes;
@@ -1334,12 +1326,8 @@ impl<'a> TrajectoryCache<'a> {
             self.horizon
         );
         let (r_a, r_b) = (self.orbits.orbit_representative(a), self.orbits.orbit_representative(b));
-        if horizon > UNROLL_CAP && self.program.finite_state().is_some() {
-            if let (Some(earlier), Some(later)) =
-                (self.symbolic_timeline(r_a), self.symbolic_timeline(r_b))
-            {
-                return pass::symbolic(earlier, later, &self.orbits, r_b, delay, horizon);
-            }
+        if let Some((earlier, later)) = self.symbolic_pair(r_a, r_b, horizon) {
+            return pass::symbolic(earlier, later, &self.orbits, r_b, delay, horizon);
         }
         let (earlier, later) = (self.timeline(r_a), self.timeline(r_b));
         Some(pass::explicit(earlier, later, &self.orbits, r_b, delay, horizon))
@@ -1508,6 +1496,23 @@ mod tests {
     }
 
     #[test]
+    fn huge_waits_cost_one_segment() {
+        let g = oriented_ring(4).unwrap();
+        let patient = |nav: &mut dyn Navigator| -> Result<(), Stop> {
+            nav.wait(1u128 << 100)?;
+            Ok(())
+        };
+        let t = Timeline::record(&g, &patient, 2, Round::MAX);
+        // one finite segment, then the parked-forever tail on the same node
+        let seg = |start: Round, end: Round| TimelineSeg { node: 2, start, end };
+        let end = (1u128 << 100) + 1;
+        assert_eq!(t.segments().collect::<Vec<_>>(), vec![seg(0, end), seg(end, INFINITY)]);
+        assert_eq!(t.finite_end(), end);
+        assert_eq!(t.total_moves(), 0);
+        assert_eq!(t.seg_at(1u128 << 99), 0);
+    }
+
+    #[test]
     fn batch_agrees_with_the_engine_unit_scenarios() {
         // the same scenarios engine.rs pins for lockstep/streaming
         let two = two_node_graph();
@@ -1561,7 +1566,9 @@ mod tests {
             cache.simulate(&Stic::new(u, v, 3));
             cache.simulate(&Stic::new(v, u, 2));
             assert_eq!(cache.computed(), first);
-            cache.warm_all();
+            for i in 0..orbits {
+                cache.timeline(cache.node_orbits().orbit_representative(i));
+            }
             assert_eq!(cache.computed(), orbits);
             assert_eq!(cache.recorded(), orbits);
             // every node resolves to its representative's recording
@@ -1676,34 +1683,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn timeline_round_trips_through_its_segment_list() {
-        let g = oriented_torus(3, 4).unwrap();
-        for lifetime in [None, Some(9)] {
-            let program = ScriptedStepper { lifetime };
-            for start in [0usize, 5, 11] {
-                let original = Timeline::record(&g, &program, start, 40);
-                let segs: Vec<TimelineSeg> = original.segments().collect();
-                let rebuilt = Timeline::from_segments(g.num_nodes(), 40, segs).unwrap();
-                assert_eq!(rebuilt.num_segments(), original.num_segments());
-                assert_eq!(rebuilt.terminated(), original.terminated());
-                assert_eq!(rebuilt.total_moves(), original.total_moves());
-                assert_eq!(rebuilt.recorded_horizon(), original.recorded_horizon());
-                assert_eq!(rebuilt.num_graph_nodes(), g.num_nodes());
-                // the rebuilt timeline must answer every merge bit-identically
-                let other = Timeline::record(&g, &program, (start + 1) % g.num_nodes(), 40);
-                for delta in [0 as Round, 1, 3, 7] {
-                    let stic = Stic::new(start, (start + 1) % g.num_nodes(), delta);
-                    assert_eq!(
-                        merge_timelines(&rebuilt, &other, &stic, 40),
-                        merge_timelines(&original, &other, &stic, 40),
-                        "rebuilt timeline diverged on {stic}"
-                    );
-                }
-            }
-        }
-    }
-
     /// The streaming kernel: merging `t0` against itself viewed through a
     /// group element is bit-identical to (a) merging against a materialised
     /// relabeling of `t0`, (b) merging against a *cold recording* from the
@@ -1723,14 +1702,9 @@ mod tests {
                 let streamed =
                     merge_timelines_deltas_mapped(&t0, &t0, |v| group.apply(c, v), deltas, horizon);
                 // (a) materialised relabeling of the same timeline
-                let segs: Vec<TimelineSeg> = t0
-                    .segments()
-                    .map(|mut s| {
-                        s.node = group.apply(c, s.node);
-                        s
-                    })
-                    .collect();
-                let mapped = Timeline::from_segments(g.num_nodes(), horizon, segs).unwrap();
+                let nodes = t0.seg_nodes().iter().map(|&v| group.apply(c, v as usize) as u32);
+                let parts = TimelineParts { starts: t0.starts().to_vec(), nodes: nodes.collect() };
+                let mapped = Timeline::from_parts(g.num_nodes(), horizon, parts).unwrap();
                 assert_eq!(streamed, merge_timelines_deltas(&t0, &mapped, deltas, horizon));
                 // (b) the walk actually recorded from node c
                 let tc = Timeline::record(&g, &program, c, horizon);
@@ -1817,39 +1791,6 @@ mod tests {
         let g = oriented_ring(5).unwrap();
         let t = Timeline::record(&g, &mover(), 0, 10);
         let _ = t.truncate(11);
-    }
-
-    #[test]
-    fn from_segments_rejects_malformed_segment_lists() {
-        let seg = |node: NodeId, start: Round, end: Round| TimelineSeg { node, start, end };
-        // empty
-        assert!(Timeline::from_segments(4, 10, vec![]).is_err());
-        // first segment not at round 0
-        assert!(Timeline::from_segments(4, 10, vec![seg(0, 1, 2)]).is_err());
-        // node out of range
-        assert!(Timeline::from_segments(4, 10, vec![seg(9, 0, 2)]).is_err());
-        // inverted interval
-        assert!(Timeline::from_segments(4, 10, vec![seg(0, 0, 0)]).is_err());
-        // gap between segments
-        assert!(Timeline::from_segments(4, 10, vec![seg(0, 0, 1), seg(1, 2, 3)]).is_err());
-        // infinite tail not in final position
-        assert!(Timeline::from_segments(
-            4,
-            10,
-            vec![seg(0, 0, 1), seg(1, 1, INFINITY), seg(1, INFINITY, INFINITY)]
-        )
-        .is_err());
-        // tail wandering off the final node
-        assert!(Timeline::from_segments(4, 10, vec![seg(0, 0, 1), seg(1, 1, INFINITY)]).is_err());
-        // finite end beyond the declared horizon
-        assert!(Timeline::from_segments(4, 10, vec![seg(0, 0, 40)]).is_err());
-        // a well-formed list passes
-        assert!(Timeline::from_segments(
-            4,
-            10,
-            vec![seg(0, 0, 3), seg(1, 3, 4), seg(1, 4, INFINITY)]
-        )
-        .is_ok());
     }
 
     #[test]

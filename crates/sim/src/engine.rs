@@ -9,14 +9,15 @@
 //!   batches no matter how long the executed algorithms are, and waits of
 //!   astronomical length (the padding of `UniversalRV`) cost a single event.
 //! * **Lockstep** — single-threaded fast path for short horizons: the
-//!   earlier agent's whole wait-compressed segment timeline is recorded
-//!   up front (`O(#events)` memory, bounded by the horizon), then the later
-//!   agent is streamed against it, stopping at the first overlap.  This
-//!   eliminates the two-threads-plus-channels setup cost that dominates the
-//!   millions of small `simulate` calls issued by the experiment sweeps.
-//! * **Batch** ([`crate::batch`]) — records *both* agents' timelines in the
-//!   lockstep engine's segment representation and merges them; on its own it
-//!   buys nothing over lockstep, but the recorded timelines are exactly what
+//!   earlier agent's whole wait-compressed [`Timeline`] is recorded up front
+//!   ([`Timeline::record`]; `O(#moves)` memory, bounded by the horizon),
+//!   then the later agent is streamed against its columns, stopping at the
+//!   first overlap.  This eliminates the two-threads-plus-channels setup
+//!   cost that dominates the millions of small `simulate` calls issued by
+//!   the experiment sweeps.
+//! * **Batch** ([`crate::batch`]) — records *both* agents' timelines with
+//!   the same [`Timeline::record`] and merges them; on its own it buys
+//!   nothing over lockstep, but the recorded timelines are exactly what
 //!   [`crate::batch::TrajectoryCache`] memoizes per node orbit, turning an
 //!   all-pairs sweep's `O(n²·Δ)` program executions into `|V/Aut| <= n`.
 //!
@@ -35,7 +36,7 @@ use crossbeam_channel::{bounded, Receiver, Sender};
 
 use anonrv_graph::{NodeId, PortGraph};
 
-use crate::batch::{RecordSink, Seg};
+use crate::batch::Timeline;
 use crate::navigator::{AgentProgram, Event, EventSink, GraphNavigator, Stop};
 use crate::stic::{Round, Stic};
 
@@ -51,7 +52,7 @@ pub enum EngineMode {
     /// Always the threaded streaming engine.
     Streaming,
     /// Always the single-threaded lockstep engine.  The earlier agent's
-    /// timeline is materialised in memory: one entry per event, at most
+    /// timeline is recorded in memory: one segment per move, at most
     /// `horizon + 1` of them — callers opting in explicitly should keep
     /// horizons moderate.
     Lockstep,
@@ -509,13 +510,10 @@ fn drain(cursor: Cursor) -> (u64, bool) {
 // ---------------------------------------------------------------------------
 // lockstep engine
 // ---------------------------------------------------------------------------
-//
-// The wait-compressed `Seg` timeline representation and the `RecordSink`
-// recording it live in `crate::batch`, shared with the batch engine (which
-// memoizes exactly the timelines this engine re-records per call).
 
-/// Sink streaming the later agent against the recorded earlier timeline and
-/// stopping (via [`Stop::Interrupted`]) at the first overlap.
+/// Sink streaming the later agent against the earlier agent's recorded
+/// [`Timeline`] and stopping (via [`Stop::Interrupted`]) at the first
+/// overlap.
 ///
 /// `idx` is the first earlier segment that has not entirely passed before
 /// the later agent's current segment; `j >= idx` is the scan position inside
@@ -523,7 +521,10 @@ fn drain(cursor: Cursor) -> (u64, bool) {
 /// segment is compared at most once per later segment it overlaps — the
 /// whole merge is `O(#earlier + #later)`).
 struct LockstepScan<'a> {
-    earlier: &'a [Seg],
+    /// The earlier timeline's segment starts plus its sentinel (segment `i`
+    /// ends at `starts[i + 1]`) and its nodes.
+    starts: &'a [Round],
+    nodes: &'a [u32],
     horizon: Round,
     delay: Round,
     idx: usize,
@@ -542,9 +543,10 @@ struct LockstepScan<'a> {
 }
 
 impl<'a> LockstepScan<'a> {
-    fn new(earlier: &'a [Seg], start_node: NodeId, delay: Round, horizon: Round) -> Self {
+    fn new(earlier: &'a Timeline, start_node: NodeId, delay: Round, horizon: Round) -> Self {
         LockstepScan {
-            earlier,
+            starts: earlier.starts(),
+            nodes: earlier.seg_nodes(),
             horizon,
             delay,
             idx: 0,
@@ -562,18 +564,19 @@ impl<'a> LockstepScan<'a> {
     /// Scan the earlier segments overlapping the current later segment.
     /// Returns `true` when a meeting is recorded.
     fn check(&mut self) -> bool {
-        while self.j < self.earlier.len() {
-            let a = self.earlier[self.j];
-            if a.start >= self.end {
+        while self.j < self.nodes.len() {
+            let a_start = self.starts[self.j];
+            if a_start >= self.end {
                 // strictly after the current segment: revisited (from `idx`)
                 // if a future later segment reaches it
                 break;
             }
-            if a.end > self.start && a.node == self.node {
-                let lo = a.start.max(self.start);
+            let node = self.nodes[self.j] as usize;
+            if self.starts[self.j + 1] > self.start && node == self.node {
+                let lo = a_start.max(self.start);
                 if lo <= self.horizon {
                     self.meeting = Some((
-                        Meeting { global_round: lo, later_round: lo - self.delay, node: a.node },
+                        Meeting { global_round: lo, later_round: lo - self.delay, node },
                         self.j,
                         self.moves,
                     ));
@@ -594,7 +597,7 @@ impl<'a> LockstepScan<'a> {
         self.start = self.end;
         self.end += length;
         self.node = node;
-        while self.idx < self.earlier.len() && self.earlier[self.idx].end <= self.start {
+        while self.idx < self.nodes.len() && self.starts[self.idx + 1] <= self.start {
             self.idx += 1;
         }
         // restart the scan at `idx`: segments between `idx` and the previous
@@ -638,26 +641,10 @@ fn simulate_lockstep(
     horizon: Round,
 ) -> SimOutcome {
     // 1. record the earlier agent's full (horizon-capped) timeline
-    let mut nav = GraphNavigator::new(g, stic.earlier, horizon, RecordSink::new(stic.earlier));
-    let earlier_terminated = earlier_program.run(&mut nav).is_ok();
-    let earlier_total_moves = nav.moves();
-    let mut record = nav.into_sink();
-    let mut tail_index = None;
-    if earlier_terminated {
-        // the program ended by itself: it stays at its final node forever
-        let last = *record.segs.last().expect("timeline starts non-empty");
-        tail_index = Some(record.segs.len());
-        record.segs.push(Seg {
-            node: last.node,
-            start: last.end,
-            end: INFINITY,
-            moves_before: record.moves,
-        });
-    }
-    let earlier_segs = record.segs;
+    let earlier = Timeline::record(g, earlier_program, stic.earlier, horizon);
 
     // 2. stream the later agent against it
-    let mut scan = LockstepScan::new(&earlier_segs, stic.later, stic.delay, horizon);
+    let mut scan = LockstepScan::new(&earlier, stic.later, stic.delay, horizon);
     let (later_total_moves, later_terminated, scan) = if scan.check() {
         // the agents meet while the later one is still on its start segment
         (0, false, scan)
@@ -677,21 +664,23 @@ fn simulate_lockstep(
         (moves, terminated, scan)
     };
 
-    // 3. assemble the outcome
+    // 3. assemble the outcome: move counts are positional (every earlier
+    // segment after the first, the terminated tail excepted, is opened by
+    // one traversal)
     match scan.meeting {
-        Some((meeting, earlier_index, later_moves_at_meeting)) => SimOutcome {
+        Some((meeting, i, later_moves_at_meeting)) => SimOutcome {
             meeting: Some(meeting),
-            earlier_moves: earlier_segs[earlier_index].moves_before,
+            earlier_moves: (i as u64).min(earlier.total_moves()),
             later_moves: later_moves_at_meeting,
-            earlier_terminated: earlier_terminated && Some(earlier_index) == tail_index,
+            earlier_terminated: earlier.terminated() && i + 1 == earlier.num_segments(),
             later_terminated: later_terminated && scan.met_on_tail,
             horizon,
         },
         None => SimOutcome {
             meeting: None,
-            earlier_moves: earlier_total_moves,
+            earlier_moves: earlier.total_moves(),
             later_moves: later_total_moves,
-            earlier_terminated,
+            earlier_terminated: earlier.terminated(),
             later_terminated,
             horizon,
         },

@@ -28,9 +28,9 @@
 //!     fixed-size batches no matter how long the execution is, which is what
 //!     astronomical horizons need;
 //!   * the **lockstep** engine records the earlier agent's wait-compressed
-//!     timeline and streams the later agent against it on a single thread —
-//!     no thread/channel setup, which is what dominates short-horizon
-//!     per-call sweeps;
+//!     [`Timeline`] and streams the later agent against its two columns on
+//!     a single thread — no thread/channel setup, which is what dominates
+//!     short-horizon per-call sweeps;
 //!   * the **batch** engine ([`batch`]) records one timeline per node orbit
 //!     of the graph's automorphism group, at most once, in a
 //!     [`TrajectoryCache`] and answers each `(u, v, δ)` STIC by merging the
@@ -73,8 +73,12 @@
 //!   alignment window would walk more than [`MERGE_SEG_CAP`] segments per
 //!   side declines (the caller falls back to the explicit path) instead of
 //!   unrolling;
-//! * [`trace::record_trace`] materialises a single agent's run-length-encoded
-//!   position trace for tests and analysis.
+//! * every recorded walk has one shape: [`Timeline::record`] writes a
+//!   [`Timeline`]'s two columns (segment starts, segment nodes) as the walk
+//!   runs, and tests and analysis read one agent's run through
+//!   [`Timeline::segments`], [`Timeline::terminated`],
+//!   [`Timeline::total_moves`] and [`Timeline::finite_end`]; symbolic
+//!   detection and materialisation fill the same columns.
 //!
 //! Round counters are `u128`: the padding bound `T(n, d, δ)` of the paper
 //! overflows 64 bits already for moderate parameters.
@@ -88,7 +92,6 @@ pub mod navigator;
 pub mod pass;
 pub mod stic;
 pub mod symbolic;
-pub mod trace;
 pub mod workload;
 
 pub use batch::{
@@ -105,5 +108,4 @@ pub use stic::{Round, Stic};
 pub use symbolic::{
     detect_symbolic, merge_symbolic, SymbolicTail, SymbolicTimeline, MERGE_SEG_CAP,
 };
-pub use trace::{record_trace, PositionTrace, Segment, TraceStats};
 pub use workload::SweepWalker;

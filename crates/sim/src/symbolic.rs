@@ -116,7 +116,7 @@ use std::sync::OnceLock;
 use anonrv_graph::{NodeId, Port, PortGraph};
 
 use crate::batch::{
-    merge_forward, unmet, Relabelled, SegCursor, Timeline, TimelineParts, TimelineSeg,
+    merge_forward, unmet, RecordSink, Relabelled, SegCursor, Timeline, TimelineParts,
 };
 use crate::engine::{Meeting, SimOutcome};
 use crate::navigator::{drive_finite_state, FiniteStateProgram, Navigator, StepAction, Stop};
@@ -347,13 +347,15 @@ impl SymbolicTimeline {
         }
         // the walk a merge takes, cut where a recording at `horizon` ends
         let mut walk = Unroll::new(self);
-        let mut segs: Vec<TimelineSeg> = Vec::new();
+        let (mut starts, mut nodes, mut end) = (Vec::new(), Vec::new(), 0);
         while walk.live() && walk.start() <= horizon {
-            let end = walk.end().min(horizon + 1);
-            segs.push(TimelineSeg { node: walk.node() as usize, start: walk.start(), end });
+            starts.push(walk.start());
+            nodes.push(walk.node());
+            end = walk.end().min(horizon + 1);
             walk.advance(true);
         }
-        Timeline::from_segments(self.n, horizon, segs)
+        starts.push(end);
+        Timeline::from_parts(self.n, horizon, TimelineParts { starts, nodes })
             .expect("symbolic materialisation preserves timeline invariants")
     }
 
@@ -739,15 +741,12 @@ fn detect(
         if !t.terminated() {
             return None;
         }
-        let nsegs = t.num_segments();
-        let finite_end = t.starts()[nsegs - 1];
-        let prefix = TimelineParts { starts: t.starts().to_vec(), nodes: t.seg_nodes().to_vec() };
         Some(SymbolicTimeline {
             n,
-            preperiod: finite_end,
+            preperiod: t.finite_end(),
             period: 0,
             tail: SymbolicTail::Terminated,
-            prefix,
+            prefix: t.into_parts(),
             cycle: TimelineParts { starts: vec![0], nodes: vec![] },
             rounds: OnceLock::new(),
         })
@@ -829,55 +828,39 @@ fn detect(
         }
     }
 
-    // one replay of decisions [0, cut + λ), building segments exactly like
-    // the recording sink does (waits coalesce, moves open segments),
-    // tracking the round reached at the cut index
-    let replay = |decisions: u64, mark: u64| -> (Vec<TimelineSeg>, Round) {
-        let mut cfg = cfg0;
-        let mut time: Round = 0;
-        let mut mark_time: Round = 0;
-        let mut segs: Vec<TimelineSeg> = vec![TimelineSeg { node: start, start: 0, end: 1 }];
-        for idx in 0..decisions {
-            if idx == mark {
-                mark_time = time;
-            }
-            match advance(cfg) {
-                Advance::Go { next, rounds, moved } => {
-                    if moved {
-                        time += 1;
-                        segs.push(TimelineSeg { node: next.node, start: time, end: time + 1 });
-                    } else {
-                        time += rounds;
-                        segs.last_mut().expect("non-empty").end = time + 1;
-                    }
-                    cfg = next;
+    // replay `decisions` decisions from `cfg` into the recording sink
+    // (waits coalesce, moves open segments), returning the configuration
+    // reached
+    let replay = |sink: &mut RecordSink, cfg: Config, decisions: u64| -> Config {
+        (0..decisions).fold(cfg, |cfg, _| match advance(cfg) {
+            Advance::Go { next, rounds, moved } => {
+                if moved {
+                    sink.step(next.node);
+                } else {
+                    sink.wait(rounds);
                 }
-                Advance::Halt => unreachable!("halting runs never reach the cycle phase"),
+                next
             }
-        }
-        if decisions == mark {
-            mark_time = time;
-        }
-        (segs, mark_time)
+            Advance::Halt => unreachable!("halting runs never reach the cycle phase"),
+        })
     };
+    let mut sink = RecordSink::new(start);
 
     match first_cycle_move {
         None => {
             // no move inside the cycle: the walker parks forever at its
-            // current node after its last move (decisions ≥ μ never move)
-            let (segs, _) = replay(mu, mu);
-            let parked = *segs.last().expect("non-empty");
-            let prefix_segs = &segs[..segs.len() - 1];
-            let preperiod = parked.start;
-            let prefix = split_arrays(prefix_segs, 0, preperiod);
-            let cycle = TimelineParts { starts: vec![0, 1], nodes: vec![parked.node as u32] };
+            // current node after its last move (decisions ≥ μ never move),
+            // so the prefix ends where the last segment starts
+            replay(&mut sink, cfg0, mu);
+            let RecordSink { starts, mut nodes, .. } = sink;
+            let parked = nodes.pop().expect("non-empty");
             Some(SymbolicTimeline {
                 n,
-                preperiod,
+                preperiod: *starts.last().expect("non-empty"),
                 period: 0,
                 tail: SymbolicTail::Parked,
-                prefix,
-                cycle,
+                prefix: TimelineParts { starts, nodes },
+                cycle: TimelineParts { starts: vec![0, 1], nodes: vec![parked] },
                 rounds: OnceLock::new(),
             })
         }
@@ -887,50 +870,47 @@ fn detect(
             // periodic, so every later seam repeats it)
             let mu_cut_valid = last_cycle_move && (mu == 0 || last_prefix_move);
             let m = if mu_cut_valid { mu } else { j + 1 };
-            let (mut segs, cut_time) = replay(m + lam, m);
+            let at_cut = replay(&mut sink, cfg0, m);
+            let cut_time = sink.end - 1;
+            replay(&mut sink, at_cut, lam);
             // the final replayed decision (a move, by cut validity) opened
-            // the first segment of the *next* copy; drop it — its start is
-            // the end of the cycle's last segment
-            let overshoot = segs.pop().expect("replay ends on a move landing");
-            let period = overshoot.start - cut_time;
+            // the first segment of the *next* copy; drop its node — its
+            // start is the end of the cycle's last segment
+            let RecordSink { mut starts, mut nodes, .. } = sink;
+            let overshoot = nodes.pop().expect("replay ends on a move landing");
+            let period = starts.last().expect("non-empty") - cut_time;
             if period == 0 {
                 // a cycle of zero-duration waits makes no progress in round
                 // space; explicit simulation would diverge too — give up
                 return None;
             }
-            let cut_seg = segs.partition_point(|s| s.start < cut_time);
-            debug_assert!(
-                segs.get(cut_seg).is_some_and(|s| s.start == cut_time),
+            let cut_seg = starts.partition_point(|&s| s < cut_time);
+            debug_assert_eq!(
+                starts[cut_seg], cut_time,
                 "the cut lands on a move-opened segment boundary"
             );
             debug_assert_eq!(
-                overshoot.node, segs[cut_seg].node,
+                overshoot, nodes[cut_seg],
                 "one period later the walker re-enters the cycle's first node"
             );
+            // the cycle rebased to local round 0, its sentinel the period;
+            // the prefix keeps the cut's start as its sentinel
+            let cycle = TimelineParts {
+                starts: starts[cut_seg..].iter().map(|&s| s - cut_time).collect(),
+                nodes: nodes.split_off(cut_seg),
+            };
+            starts.truncate(cut_seg + 1);
             Some(SymbolicTimeline {
                 n,
                 preperiod: cut_time,
                 period,
                 tail: SymbolicTail::Cycle,
-                prefix: split_arrays(&segs[..cut_seg], 0, cut_time),
-                cycle: split_arrays(&segs[cut_seg..], cut_time, period),
+                prefix: TimelineParts { starts, nodes },
+                cycle,
                 rounds: OnceLock::new(),
             })
         }
     }
-}
-
-/// Rebase a slice of contiguous segments by `-offset` into a flat
-/// `starts`/`nodes` block with the given sentinel (total covered rounds).
-fn split_arrays(segs: &[TimelineSeg], offset: Round, sentinel: Round) -> TimelineParts {
-    let mut starts: Vec<Round> = Vec::with_capacity(segs.len() + 1);
-    let mut nodes: Vec<u32> = Vec::with_capacity(segs.len());
-    for s in segs {
-        starts.push(s.start - offset);
-        nodes.push(s.node as u32);
-    }
-    starts.push(sentinel);
-    TimelineParts { starts, nodes }
 }
 
 /// Greatest common divisor (Euclid).

@@ -6,7 +6,7 @@ use anonrv_core::label::TrailSignature;
 use anonrv_core::universal_rv::UniversalRv;
 use anonrv_experiments::universal::{self, UniversalConfig};
 use anonrv_graph::generators::{oriented_ring, two_node_graph};
-use anonrv_sim::{record_trace, simulate, Round, Stic};
+use anonrv_sim::{simulate, Round, Stic, Timeline};
 use anonrv_uxs::{LengthRule, PseudorandomUxs};
 
 fn short_uxs() -> PseudorandomUxs {
@@ -56,10 +56,14 @@ fn universal_rv_lockstep_holds_across_many_phases_and_start_nodes() {
     let algo = UniversalRv { uxs: &uxs, scheme: &scheme, max_phases: Some(cap) };
     let mut durations = Vec::new();
     for start in [0usize, 3, 6] {
-        let (trace, stats) = record_trace(&g, &algo, start, Round::MAX, 1 << 24);
-        assert!(trace.terminated);
-        assert_eq!(trace.final_position(), start, "every phase must return to the start");
-        durations.push(stats.rounds);
+        let t = Timeline::record(&g, &algo, start, Round::MAX);
+        assert!(t.terminated());
+        assert_eq!(
+            t.seg_nodes().last(),
+            Some(&(start as u32)),
+            "every phase must return to the start"
+        );
+        durations.push(t.finite_end());
     }
     assert!(durations.windows(2).all(|w| w[0] == w[1]), "durations differ: {durations:?}");
 }

@@ -16,8 +16,8 @@ use anonrv_graph::generators::{
 use anonrv_graph::{NodeOrbits, PortGraph};
 use anonrv_plan::PairOrbits;
 use anonrv_sim::{
-    merge_timelines, simulate_with, AgentProgram, EngineConfig, Navigator, Round, Stic, Stop,
-    SweepEngine, SweepWalker, Timeline, TrajectoryCache,
+    merge_timelines, simulate_with, AgentProgram, EngineConfig, Event, EventSink, GraphNavigator,
+    Navigator, Round, Stic, Stop, SweepEngine, SweepWalker, Timeline, TrajectoryCache,
 };
 
 /// Deterministic scripted agent: a seeded LCG decides each round between
@@ -85,8 +85,66 @@ impl AgentProgram for DegreeWalker {
     }
 }
 
+/// Naive reference recorder: the agent's node at every local round it
+/// executes, one entry per round (a wait of `r` rounds repeats the node `r`
+/// times).
+struct PerRound(Vec<usize>);
+
+impl EventSink for PerRound {
+    fn emit(&mut self, event: Event) -> Result<(), Stop> {
+        match event {
+            Event::Wait { rounds } => {
+                let node = *self.0.last().expect("starts on its start node");
+                self.0.extend(std::iter::repeat_n(node, rounds as usize));
+            }
+            Event::Move { to, .. } => self.0.push(to),
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) {}
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `Timeline::record`'s two columns are the walk a naive recorder
+    /// storing one node per round sees: the same node at every local round
+    /// up to the horizon (a terminated walker parked on its final node past
+    /// its end), the same move total and the same termination flag.
+    #[test]
+    fn recorded_columns_match_a_per_round_recorder(
+        n in 2usize..12,
+        extra in 0usize..6,
+        graph_seed in 0u64..200,
+        start in 0usize..24,
+        horizon in 1u64..220,
+        walker_seed in 0u64..1_000,
+        lifetime in proptest::option::of(1u64..40),
+    ) {
+        let extra = extra.min(n * (n - 1) / 2 - (n - 1));
+        let g = random_connected(n, extra, graph_seed).unwrap();
+        let program = ScriptedWalker { seed: walker_seed, lifetime };
+        let (start, horizon) = (start % n, horizon as Round);
+        let t = Timeline::record(&g, &program, start, horizon);
+
+        let mut nav = GraphNavigator::new(&g, start, horizon, PerRound(vec![start]));
+        let terminated = program.run(&mut nav).is_ok();
+        let moves = nav.moves();
+        let mut per_round = nav.into_sink().0;
+        prop_assert_eq!(t.terminated(), terminated);
+        prop_assert_eq!(t.total_moves(), moves);
+        if terminated {
+            let last = *per_round.last().unwrap();
+            per_round.resize(horizon as usize + 1, last);
+        }
+        let mut recorded = Vec::new();
+        for s in t.segments() {
+            let end = s.end.min(horizon + 1);
+            recorded.extend(std::iter::repeat_n(s.node, (end - s.start) as usize));
+        }
+        prop_assert_eq!(recorded, per_round, "start {} horizon {}", start, horizon);
+    }
 
     /// One shared cache, many STICs: every query must match both per-call
     /// engines exactly.
