@@ -18,19 +18,25 @@
 //! * **mapped symbolic window merge** — an unmet pair of torus-16x16
 //!   walkers through [`TrajectoryCache::simulate_symbolic`]: the later walk
 //!   is read through a node map, so the sort-merge loop still walks the
-//!   whole alignment window segment by segment.
+//!   whole alignment window segment by segment;
+//! * **symbolic detection** — every start of grid-8x8 detected through one
+//!   fresh [`TrajectoryCache`], the `symbolic-grid` workload's detection
+//!   phase: the 64 walks fall into two configuration cycles, so two
+//!   detections search and the others join a cycle already found.
 //!
-//! Timelines are recorded (or detected) once outside the timing loops (the
-//! trajectory cache's job), and the earlier timeline's visit index is built
-//! by the first, untimed warm-up call; the rows time merging only, which is
-//! exactly the cost a warm store pays per representative query.
+//! Except in the detection row, timelines are recorded (or detected) once
+//! outside the timing loops (the trajectory cache's job), and the earlier
+//! timeline's visit index is built by the first, untimed warm-up call; those
+//! rows time merging only, which is exactly the cost a warm store pays per
+//! representative query.
 //!
 //! [`merge_timelines`]: anonrv_sim::merge_timelines
 //! [`merge_timelines_deltas`]: anonrv_sim::merge_timelines_deltas
 //! [`merge_symbolic`]: anonrv_sim::merge_symbolic
 //! [`TrajectoryCache::simulate_symbolic`]: anonrv_sim::TrajectoryCache::simulate_symbolic
+//! [`TrajectoryCache`]: anonrv_sim::TrajectoryCache
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use anonrv_bench::SweepWalker;
@@ -85,6 +91,23 @@ fn bench_merge_kernel(c: &mut Criterion) {
     group.bench_function(
         "mapped symbolic window merge (torus 16x16, horizon 2^40, unmet pair)",
         |b| b.iter(|| black_box(&cache).simulate_symbolic(&mapped_stic, huge)),
+    );
+
+    // the symbolic-grid workload's detection phase: a fresh cache (its
+    // orbits computed untimed) detects all 64 starts
+    let detect_all = |cache: TrajectoryCache<'_>| {
+        (0..grid.num_nodes()).filter(|&u| cache.symbolic_timeline(u).is_some()).count()
+    };
+    assert_eq!(detect_all(TrajectoryCache::new(&grid, &program, huge)), 64, "every walker cycles");
+    group.bench_function(
+        "symbolic detection (every start of grid 8x8 through one TrajectoryCache)",
+        |b| {
+            b.iter_batched(
+                || TrajectoryCache::new(&grid, &program, huge),
+                detect_all,
+                BatchSize::SmallInput,
+            )
+        },
     );
     group.finish();
 }

@@ -5,6 +5,8 @@
 //! anonrv feasible <graph> <u> <v> <delta>      Corollary 3.1 classification of a STIC
 //! anonrv simulate <graph> <u> <v> <delta> [--algo universal|symm|asymm] [--horizon H]
 //!                                              run a rendezvous algorithm on the STIC
+//!                                              (an infeasible one only up to an
+//!                                              explicit --horizon)
 //! anonrv orbits   <graph> [--json]             view-equivalence classes, symmetry
 //!                                              group descriptor (closed form on
 //!                                              stamped families — million-node
@@ -76,7 +78,7 @@ use anonrv_obs::json::{obj, Value};
 use anonrv_obs::report::REPORT_SCHEMA;
 use anonrv_obs::{snapshot, ObsConfig};
 use anonrv_plan::{PlannedOutcomes, SweepPlan};
-use anonrv_sim::{simulate, Round, Stic};
+use anonrv_sim::{simulate, AgentProgram, Round, SimOutcome, Stic};
 use anonrv_store::{
     table_fingerprint, OutcomeProvenance, SessionStats, ShardSpec, Store, SuperviseConfig,
     SuperviseReport, SweepSession,
@@ -385,6 +387,15 @@ fn cmd_simulate(args: &[String]) -> Result<String, String> {
     let uxs = PseudorandomUxs::with_rule(LengthRule::Quadratic { c: 1, min_len: 16 });
     let scheme = TrailSignature::new(uxs);
 
+    // Lemma 3.1: no deterministic algorithm meets an infeasible STIC, so
+    // running to the algorithm's own completion bound (trillions of rounds
+    // for UniversalRV) would only confirm that; an explicit horizon runs
+    let unbounded_infeasible =
+        matches!(class, SticClass::SymmetricInfeasible { .. }) && horizon_override.is_none();
+    let outcome_of = |program: &dyn AgentProgram, bound: &dyn Fn() -> Round| {
+        let horizon = horizon_override.unwrap_or_else(bound);
+        (!unbounded_infeasible).then(|| simulate(&g, program, &stic, horizon))
+    };
     let (outcome, algo_label) = match algo_name.as_str() {
         "universal" => {
             let algo = UniversalRv::new(&uxs, &scheme);
@@ -393,9 +404,7 @@ fn cmd_simulate(args: &[String]) -> Result<String, String> {
                 | SticClass::SymmetricInfeasible { shrink } => shrink.max(1),
                 _ => 1,
             };
-            let horizon = horizon_override
-                .unwrap_or_else(|| algo.completion_horizon(n, d_hint, delta.max(1)));
-            (simulate(&g, &algo, &stic, horizon), "UniversalRV")
+            (outcome_of(&algo, &|| algo.completion_horizon(n, d_hint, delta.max(1))), "UniversalRV")
         }
         "symm" => {
             let d = match class {
@@ -406,14 +415,12 @@ fn cmd_simulate(args: &[String]) -> Result<String, String> {
             let program = SymmRv::new(n, d, delta.max(d as Round), &uxs);
             let bound =
                 anonrv_core::bounds::symm_rv_bound(n, d, delta.max(d as Round), uxs.length(n));
-            let horizon = horizon_override.unwrap_or(bound.saturating_add(delta).saturating_add(1));
-            (simulate(&g, &program, &stic, horizon), "SymmRV")
+            (outcome_of(&program, &|| bound.saturating_add(delta).saturating_add(1)), "SymmRV")
         }
         "asymm" => {
             let program = AsymmRv::new(n, delta.max(1), &scheme, &uxs);
-            let horizon = horizon_override
-                .unwrap_or_else(|| program.full_duration().saturating_add(delta).saturating_add(1));
-            (simulate(&g, &program, &stic, horizon), "AsymmRV")
+            let bound = || program.full_duration().saturating_add(delta).saturating_add(1);
+            (outcome_of(&program, &bound), "AsymmRV")
         }
         other => return Err(format!("unknown algorithm '{other}' (universal|symm|asymm)")),
     };
@@ -428,12 +435,15 @@ fn cmd_simulate(args: &[String]) -> Result<String, String> {
         }
         SticClass::SameNode => "same node".to_string(),
     };
-    let result = match outcome.meeting {
-        Some(m) => format!(
+    let result = match outcome {
+        None => "not simulated: no deterministic algorithm meets an infeasible STIC \
+                 (Lemma 3.1); pass --horizon H to simulate H rounds"
+            .to_string(),
+        Some(SimOutcome { meeting: Some(m), .. }) => format!(
             "RENDEZVOUS at node {} after {} round(s) from the later agent's start (global round {})",
             m.node, m.later_round, m.global_round
         ),
-        None => format!("no rendezvous within the horizon ({} rounds)", outcome.horizon),
+        Some(outcome) => format!("no rendezvous within the horizon ({} rounds)", outcome.horizon),
     };
     Ok(format!(
         "graph: {} nodes, {} edges\nSTIC [({u}, {v}), {delta}]: {class_text}\nalgorithm: {algo_label}\n{result}",
@@ -1150,6 +1160,27 @@ mod tests {
     }
 
     #[test]
+    fn simulate_reports_an_infeasible_stic_without_running_to_the_completion_bound() {
+        // δ = 1 < Shrink = 2: UniversalRV's completion bound is 4.8e12
+        // rounds, which no meeting could cut short
+        let not_run = "not simulated: no deterministic algorithm meets an infeasible STIC \
+                       (Lemma 3.1); pass --horizon H to simulate H rounds";
+        for algo in ["universal", "symm", "asymm"] {
+            let out =
+                run(&argv(&["simulate", "torus:4x4", "0", "5", "1", "--algo", algo])).unwrap();
+            assert!(out.contains("symmetric, Shrink = 2 (INFEASIBLE)"), "{out}");
+            assert!(out.starts_with("graph: 16 nodes") && out.contains("algorithm: "), "{out}");
+            assert_eq!(out.lines().last(), Some(not_run), "--algo {algo}");
+        }
+        let bounded = ["simulate", "torus:4x4", "0", "5", "1", "--horizon", "10000"];
+        let out = run(&argv(&bounded)).unwrap();
+        assert!(out.ends_with("no rendezvous within the horizon (10000 rounds)"), "{out}");
+        let feasible = run(&argv(&["simulate", "torus:4x4", "0", "5", "2"])).unwrap();
+        assert!(feasible.contains("symmetric, Shrink = 2 (feasible)"), "{feasible}");
+        assert!(feasible.contains("RENDEZVOUS at node 6 "), "{feasible}");
+    }
+
+    #[test]
     fn orbits_and_figure1_render() {
         let orbits = run(&argv(&["orbits", "ring:5"])).unwrap();
         assert!(orbits.contains("all nodes are pairwise symmetric"), "{orbits}");
@@ -1266,6 +1297,9 @@ mod tests {
         // one merge per (class, δ), except that δ = 0 merges once per
         // unordered pair: 9 diagonal pairs and 36 of the 72 others
         assert_eq!(count("symbolic.detections"), Some(9), "one per node orbit: {report}");
+        // the nine walks fall into two configuration cycles: two searches,
+        // and seven detections join a cycle already found
+        assert_eq!(count("symbolic.cycles"), Some(2), "{report}");
         assert_eq!(count("symbolic.merges"), Some(81 + 45), "{report}");
         // every query is unmapped and every walker dense: the round-column
         // compare decides each merge

@@ -55,7 +55,7 @@
 //! | `fault.trip.*` | failpoint registry, when armed | `fault.trip.store.rename`, event `fault.trip` |
 //! | `merge.*` / `record.*` | explicit single-STIC merges, δ-sweep drivers (one add per call; merged entries only), orbit-pair passes walked and the overlap windows they visited / timeline recording | `merge.segments`, `merge.delta_passes`, `merge.deltas`, `merge.passes`, `merge.pass_steps` |
 //! | `plan.*` | planner bookkeeping: entries planned, re-served, or derived at δ = 0 from the transposed class's merge | `plan.representatives`, `plan.remerges`, `plan.transposed` |
-//! | `symbolic.*` | cycle detections that converge, symbolic merges resolved (and those of them decided by the round-column compare), symbolic merges or passes declined at the segment cap | `symbolic.detections`, `symbolic.merges`, `symbolic.dense`, `symbolic.declines` |
+//! | `symbolic.*` | cycle detections that converge, the distinct configuration cycles their full searches found, symbolic merges resolved (and those of them decided by the round-column compare), symbolic merges or passes declined at the segment cap | `symbolic.detections`, `symbolic.cycles`, `symbolic.merges`, `symbolic.dense`, `symbolic.declines` |
 //! | `event.*` | bumped once per emitted event | `event.supervisor.attempt` |
 //!
 //! ## Span hierarchy

@@ -64,7 +64,7 @@ use crate::engine::{EngineConfig, EngineMode, Meeting, SimOutcome};
 use crate::navigator::{AgentProgram, Event, EventSink, GraphNavigator, Stop};
 use crate::pass::{self, OrbitPairPass};
 use crate::stic::{Round, Stic};
-use crate::symbolic::{detect_symbolic, merge_symbolic_mapped, SymbolicTimeline};
+use crate::symbolic::{detect_in, merge_symbolic_mapped, CycleIndex, SymbolicTimeline};
 
 const INFINITY: Round = Round::MAX;
 
@@ -968,6 +968,11 @@ pub struct TrajectoryCache<'a> {
     /// finite-state programs; `Some(None)` caches a failed detection so the
     /// budgeted search runs at most once per orbit.
     symbolic: Vec<OnceLock<Option<SymbolicTimeline>>>,
+    /// The configuration cycles this cache's detections have found, which
+    /// later detections join instead of searching (see
+    /// [`crate::symbolic`]); `None` for a single node orbit, whose one
+    /// detection nothing could join.
+    cycles: Option<CycleIndex>,
     /// Timelines recorded by running the program (preloaded and
     /// materialised slots excluded).
     recorded: AtomicUsize,
@@ -1000,6 +1005,7 @@ impl<'a> TrajectoryCache<'a> {
         assert_eq!(orbits.num_nodes(), graph.num_nodes(), "node orbits of a different graph");
         let slots = (0..orbits.num_orbits()).map(|_| OnceLock::new()).collect();
         let symbolic = (0..orbits.num_orbits()).map(|_| OnceLock::new()).collect();
+        let cycles = (orbits.num_orbits() > 1).then(CycleIndex::default);
         TrajectoryCache {
             graph,
             program,
@@ -1007,6 +1013,7 @@ impl<'a> TrajectoryCache<'a> {
             orbits,
             slots,
             symbolic,
+            cycles,
             recorded: AtomicUsize::new(0),
         }
     }
@@ -1114,15 +1121,27 @@ impl<'a> TrajectoryCache<'a> {
     }
 
     /// The symbolic (prefix + cycle) timeline serving `start` — its orbit
-    /// representative's — detecting it on first use.  `None` when the
-    /// program has no finite-state view or the budgeted cycle detection did
-    /// not converge; the failure is cached, so the search runs at most once
-    /// per orbit.
+    /// representative's — detecting it on first use.  The cache's
+    /// detections share the configuration cycles they find: a walk that
+    /// reaches a cycle an earlier detection found joins it instead of
+    /// searching (see [`crate::symbolic`]), and the timeline is
+    /// [`detect_symbolic`](crate::detect_symbolic)'s at the representative,
+    /// field for field, whatever order the orbits detect in.  `None` when
+    /// the program has no finite-state view or the budgeted cycle detection
+    /// did not converge; the failure is cached, so detection runs at most
+    /// once per orbit.
     pub fn symbolic_timeline(&self, start: NodeId) -> Option<&SymbolicTimeline> {
         let slot = self.slot(start);
         let fs = self.program.finite_state()?;
         let rep = self.orbits.representative(start);
-        self.symbolic[slot].get_or_init(|| detect_symbolic(self.graph, fs, rep)).as_ref()
+        let detect = || detect_in(self.graph, fs, rep, self.cycles.as_ref());
+        self.symbolic[slot].get_or_init(detect).as_ref()
+    }
+
+    /// Number of configuration cycles this cache's detections published.
+    #[cfg(test)]
+    pub(crate) fn published_cycles(&self) -> usize {
+        self.cycles.as_ref().map_or(0, CycleIndex::len)
     }
 
     /// The already-detected symbolic timeline serving `start`, without

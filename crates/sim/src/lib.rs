@@ -59,7 +59,9 @@
 //!   stops unrolling entirely and goes **symbolic** ([`symbolic`]): Brent
 //!   cycle detection on the walker's full finite state
 //!   ([`FiniteStateProgram`]) yields a [`SymbolicTimeline`]
-//!   (`prefix + cycle^∞` in the same flat segment columns), and
+//!   (`prefix + cycle^∞` in the same flat segment columns) — one search per
+//!   configuration cycle, since a cache's detections share the cycles they
+//!   find and a walk that reaches a known one joins it — and
 //!   [`merge_symbolic`] resolves any horizon — `2^40` and far beyond — by
 //!   closed-form cycle alignment, running the explicit sort-merge loop over
 //!   both sides' `prefix · cycle^k` in place (nothing materialised; two

@@ -8,11 +8,13 @@
 //! configuration sequence is therefore *eventually periodic*: after a
 //! preperiod of μ decisions it repeats with some minimal period λ.  In
 //! round space that makes the walker's position timeline `prefix · cycle^∞`,
-//! which this module detects once per start node ([`detect_symbolic`],
-//! Brent's algorithm on the configuration sequence) and stores as a
-//! [`SymbolicTimeline`]: the explicit segments of the preperiod plus the
-//! segments of one cycle, in the same flat [`TimelineParts`] arrays the
-//! explicit engine serialises.
+//! which this module detects ([`detect_symbolic`], Brent's algorithm on the
+//! configuration sequence) and stores as a [`SymbolicTimeline`]: the
+//! explicit segments of the preperiod plus the segments of one cycle, in
+//! the same flat [`TimelineParts`] arrays the explicit engine serialises.
+//! A trajectory cache detects once per node orbit, and its detections share
+//! the configuration cycles they find (see "Shared cycles" below), so the
+//! starts of one cycle pay for one search.
 //!
 //! ## Cycle cuts land on move boundaries
 //!
@@ -27,6 +29,46 @@
 //! tail (the walker never moves again) and a program that halts degenerates
 //! to a *terminated* tail — both carry period 0 and materialise to the
 //! explicit representation's parked-forever conventions.
+//!
+//! ## Shared cycles: one search per configuration cycle
+//!
+//! The configuration is everything a decision reads, so two walks that
+//! reach one configuration behave the same from then on — the
+//! indistinguishability argument behind the paper's feasibility
+//! characterisation, applied to one program's walks from different
+//! starts.  Many starts therefore fall into few cycles: the sweep walker's
+//! 64 grid-8×8 walks fall into two.  A
+//! [`TrajectoryCache`](crate::TrajectoryCache) keeps one `CycleIndex` of
+//! the cycles its detections found: each configuration on one maps to its
+//! cycle and position, and each cycle keeps its per-position move flags and
+//! its columns, cut where the search that found it cut them.
+//!
+//! * **Why a join is exact.**  A detection runs Brent's hare as before but
+//!   looks up every configuration it reaches.  Only cyclic configurations
+//!   are indexed, and a cycle is indexed whole, so the first hit is the
+//!   walk's first cyclic configuration — decision μ — and the walk's λ is
+//!   the known cycle's length.  From μ on, the walk's decisions *are* the
+//!   cycle's, read from the hit's position.
+//! * **The cut and the rotation.**  The cut rule reads decision μ − 1 from
+//!   the walk's own prefix (a walk can wait into a configuration the cycle
+//!   itself reaches by a move) and the seam and first in-cycle move from
+//!   the cycle's flags; then the join replays only its own m decisions for
+//!   the prefix.  Both cuts land on moves, so the joined cycle's columns
+//!   are the known columns rotated to the segment the moves before the new
+//!   cut open, with starts rebased to it.  A join costs `O(μ + λ)` flag and
+//!   segment work instead of the search's five walks of the period (Brent,
+//!   the μ search, the cut scan, the replay).
+//! * **The budget.**  A timeline must not depend on which detection ran
+//!   first, so a join returns `None` exactly where the search it stands for
+//!   would overrun `DETECT_BUDGET`: Brent's tortoise rests at `2^k − 1`,
+//!   the least value with `2^k − 1 ≥ μ` and `2^k ≥ λ`, and the search spends
+//!   `2^k + λ − 2` decisions.
+//! * **Who publishes.**  A full search publishes the cycle it found under
+//!   the index's write guard, which a concurrent search of the same cycle
+//!   finds already there and skips; lookups share a read guard, held only
+//!   for the hare's walk.  A cache of one node orbit keeps no index: its
+//!   one detection could join nothing, and indexing a large cycle (a
+//!   torus-128² walker's 524,288 decisions) would cost tens of MB.
 //!
 //! ## Closed-form merge algebra
 //!
@@ -111,7 +153,9 @@
 //! window quantity is bounded by the *detected* structure
 //! (`p_a + T_a + p_b + lcm`), independent of both horizon and delay.
 
-use std::sync::OnceLock;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 use anonrv_graph::{NodeId, Port, PortGraph};
 
@@ -673,6 +717,16 @@ struct Config {
     entry: Option<Port>,
 }
 
+impl Config {
+    /// The configuration in two words, its [`CycleIndex`] key: the machine
+    /// state, then the node beside the entry port plus one (0 for none).
+    /// Nodes and ports fit 32 bits, as a [`Timeline`]'s nodes do.
+    fn key(self) -> (u64, u64) {
+        let entry = self.entry.map_or(0, |port| port as u64 + 1);
+        (self.state, self.node as u64 | entry << 32)
+    }
+}
+
 /// Outcome of advancing a configuration by one decision.
 enum Advance {
     /// The decision consumed `rounds` rounds and yielded the successor
@@ -680,6 +734,224 @@ enum Advance {
     Go { next: Config, rounds: Round, moved: bool },
     /// The program halted.
     Halt,
+}
+
+/// What Brent's search on a configuration sequence found.
+enum Search {
+    /// The sequence's minimal period λ, in decisions.
+    Period(u64),
+    /// Decision `mu` reached `position` of a known `cycle`; `moved` says
+    /// whether decision `mu − 1` was a move.
+    Joined { mu: u64, cycle: Arc<KnownCycle>, position: usize, moved: bool },
+    /// The program halted.
+    Halted,
+    /// The search ran past [`DETECT_BUDGET`].
+    Exhausted,
+}
+
+/// Brent's cycle search from `cfg0`, looking every configuration the hare
+/// reaches up with `find` first: the first hit is the walk's preperiod μ
+/// (see the module docs), and the search stops there.  Without a hit it is
+/// the plain search, which spends [`brent_cost`]`(μ, λ)` decisions of the
+/// budget.
+fn brent(
+    cfg0: Config,
+    advance: impl Fn(Config) -> Advance,
+    find: impl Fn(Config) -> Option<(Arc<KnownCycle>, usize)>,
+) -> Search {
+    if let Some((cycle, position)) = find(cfg0) {
+        return Search::Joined { mu: 0, cycle, position, moved: false };
+    }
+    let Advance::Go { next: mut hare, mut moved, .. } = advance(cfg0) else {
+        return Search::Halted;
+    };
+    let mut tortoise = cfg0;
+    let (mut budget, mut power, mut lam, mut decisions) = (DETECT_BUDGET, 1u64, 1u64, 1u64);
+    loop {
+        if let Some((cycle, position)) = find(hare) {
+            return Search::Joined { mu: decisions, cycle, position, moved };
+        }
+        if tortoise == hare {
+            return Search::Period(lam);
+        }
+        if budget == 0 {
+            return Search::Exhausted;
+        }
+        budget -= 1;
+        if power == lam {
+            tortoise = hare;
+            let Some(doubled) = power.checked_mul(2) else { return Search::Exhausted };
+            power = doubled;
+            lam = 0;
+        }
+        match advance(hare) {
+            Advance::Go { next, moved: kind, .. } => (hare, moved) = (next, kind),
+            Advance::Halt => return Search::Halted,
+        }
+        lam += 1;
+        decisions += 1;
+    }
+}
+
+/// The decisions of budget Brent's search spends on a walk of preperiod μ
+/// and period λ: its tortoise rests at `2^k − 1`, the least with
+/// `2^k − 1 ≥ μ` and `2^k ≥ λ`, and its hare stops λ decisions later,
+/// `2^k + λ − 2` steps past its first.
+fn brent_cost(mu: u64, lam: u64) -> u64 {
+    (mu + 1).max(lam).next_power_of_two() + lam - 2
+}
+
+/// Where a walk's configuration sequence enters its cycle, and the decision
+/// kinds the move-boundary cut reads.
+struct Entry {
+    mu: u64,
+    lam: u64,
+    /// Is decision μ − 1 a move (`false` at μ = 0)?
+    last_prefix_move: bool,
+    /// The smallest j ∈ [μ, μ + λ) whose decision is a move.
+    first_cycle_move: Option<u64>,
+    /// Is decision μ + λ − 1 (the periodic seam) a move?
+    last_cycle_move: bool,
+}
+
+impl Entry {
+    /// The move-boundary cut.  A cut at decision index m is valid when
+    /// *every* copy seam round(m + k·λ), k ≥ 0, is opened by a move — i.e.
+    /// decision m − 1 is a move (prefix boundary; vacuous at m = 0) and
+    /// decision m + λ − 1 is a move (the periodic seam: decisions at
+    /// indices ≥ μ repeat with period λ, so one check covers all k ≥ 1).
+    /// The earliest valid cut is m = μ when both seam decisions are moves,
+    /// else right after the first in-cycle move (decision j is periodic,
+    /// so every later seam repeats it); `None` — a parked tail — when the
+    /// cycle holds no move.
+    fn cut(&self) -> Option<u64> {
+        let j = self.first_cycle_move?;
+        let mu_cut_valid = self.last_cycle_move && (self.mu == 0 || self.last_prefix_move);
+        Some(if mu_cut_valid { self.mu } else { j + 1 })
+    }
+}
+
+/// One configuration cycle a full search found, as a [`CycleIndex`] keeps
+/// it: positions count decisions from the cut its columns start at.
+struct KnownCycle {
+    /// Whether the decision at each position moves.
+    moves: Vec<bool>,
+    /// Rounds per cycle (0 for a parked cycle).
+    period: Round,
+    /// The cycle's columns from position 0 (a parked cycle's marker).
+    cycle: TimelineParts,
+}
+
+impl KnownCycle {
+    /// The entry of a walk whose decision `mu` reaches `position`: its cycle
+    /// decisions are this cycle's from `position` on; decision μ − 1 is the
+    /// walk's own, `last_prefix_move`.
+    fn entry(&self, mu: u64, position: usize, last_prefix_move: bool) -> Entry {
+        let lam = self.moves.len();
+        let moves_at = |t: usize| self.moves[(position + t) % lam];
+        Entry {
+            mu,
+            lam: lam as u64,
+            last_prefix_move,
+            first_cycle_move: (0..lam).find(|&t| moves_at(t)).map(|t| mu + t as u64),
+            last_cycle_move: moves_at(lam - 1),
+        }
+    }
+
+    /// The cycle's columns rotated to start at `position`, which a move
+    /// lands on: its segment is the one opened by the moves before it.
+    fn rotated(&self, position: usize) -> TimelineParts {
+        let seg = self.moves[..position].iter().filter(|&&moved| moved).count();
+        let TimelineParts { starts, nodes } = &self.cycle;
+        let (segs, offset) = (nodes.len(), starts[seg]);
+        let starts = (starts[seg..segs].iter().map(|&s| s - offset))
+            .chain(starts[..seg].iter().map(|&s| s + self.period - offset))
+            .chain([self.period])
+            .collect();
+        let nodes = nodes[seg..].iter().chain(&nodes[..seg]).copied().collect();
+        TimelineParts { starts, nodes }
+    }
+}
+
+/// The configuration cycles a [`TrajectoryCache`](crate::TrajectoryCache)'s
+/// detections have found (see the module docs): every configuration on one
+/// maps to its cycle and position.  Detections look configurations up under
+/// a shared read guard and publish a new cycle under the write guard, so
+/// searches never wait on one another's walks.
+#[derive(Default)]
+pub(crate) struct CycleIndex(RwLock<Cycles>);
+
+#[derive(Default)]
+struct Cycles {
+    /// Every configuration on a known cycle (its [`Config::key`]): the
+    /// cycle's index and the configuration's position.
+    positions: HashMap<(u64, u64), (u32, u32), BuildHasherDefault<MixHasher>>,
+    cycles: Vec<Arc<KnownCycle>>,
+}
+
+impl Cycles {
+    /// The known cycle `cfg` lies on, and its position there.
+    fn find(&self, cfg: Config) -> Option<(Arc<KnownCycle>, usize)> {
+        let &(cycle, position) = self.positions.get(&cfg.key())?;
+        Some((Arc::clone(&self.cycles[cycle as usize]), position as usize))
+    }
+}
+
+impl CycleIndex {
+    /// Read the known cycles: a publish writes a whole cycle or panics, so a
+    /// poisoned index may be half written and is never read.
+    fn read(&self) -> RwLockReadGuard<'_, Cycles> {
+        self.0.read().expect("a cycle publish never panics")
+    }
+
+    /// Number of cycles published.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.read().cycles.len()
+    }
+
+    /// Publish the cycle a full search found: `keys[i]` is the configuration
+    /// at position i.  `false` — and nothing written — when a concurrent
+    /// detection published it first.
+    fn publish(&self, keys: &[(u64, u64)], cycle: KnownCycle) -> bool {
+        let mut known = self.0.write().expect("a cycle publish never panics");
+        if known.positions.contains_key(&keys[0]) {
+            return false;
+        }
+        let id = known.cycles.len() as u32;
+        known.cycles.push(Arc::new(cycle));
+        known.positions.reserve(keys.len());
+        for (position, &key) in keys.iter().enumerate() {
+            known.positions.insert(key, (id, position as u32));
+        }
+        true
+    }
+}
+
+/// A multiply-rotate hasher for [`CycleIndex`] keys: a detection looks up
+/// every configuration it walks, and SipHash would cost more than the
+/// decisions themselves.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // the product's high bits mix every input bit: rotate them down
+        // to where the table takes its bucket index
+        self.0.rotate_left(26)
+    }
 }
 
 /// Detect the `prefix · cycle^∞` structure of `program` started at `start`:
@@ -693,18 +965,32 @@ pub fn detect_symbolic(
     program: &dyn FiniteStateProgram,
     start: NodeId,
 ) -> Option<SymbolicTimeline> {
-    let detected = detect(g, program, start);
+    detect_in(g, program, start, None)
+}
+
+/// [`detect_symbolic`] through a trajectory cache's shared cycle index
+/// (`None` for a cache of one node orbit, which nothing could join): a walk
+/// that reaches a known cycle joins it, and a full search publishes the
+/// cycle it finds.  The timeline is [`detect_symbolic`]'s, field for field.
+pub(crate) fn detect_in(
+    g: &PortGraph,
+    program: &dyn FiniteStateProgram,
+    start: NodeId,
+    cycles: Option<&CycleIndex>,
+) -> Option<SymbolicTimeline> {
+    let detected = detect(g, program, start, cycles);
     if detected.is_some() && anonrv_obs::enabled() {
         anonrv_obs::counter_add("symbolic.detections", 1);
     }
     detected
 }
 
-/// The body of [`detect_symbolic`].
+/// The body of [`detect_in`].
 fn detect(
     g: &PortGraph,
     program: &dyn FiniteStateProgram,
     start: NodeId,
+    cycles: Option<&CycleIndex>,
 ) -> Option<SymbolicTimeline> {
     let n = g.num_nodes();
     assert!(start < n, "start node out of range");
@@ -754,79 +1040,71 @@ fn detect(
 
     let cfg0 = Config { state: program.initial_state(), node: start, entry: None };
 
-    // Brent: minimal period λ of the configuration sequence
-    let mut budget = DETECT_BUDGET;
-    let mut power: u64 = 1;
-    let mut lam: u64 = 1;
-    let mut tortoise = cfg0;
-    let mut hare = match step(cfg0) {
-        Some(c) => c,
-        None => return terminated_fallback(),
-    };
-    while tortoise != hare {
-        if budget == 0 {
-            return None;
-        }
-        budget -= 1;
-        if power == lam {
-            tortoise = hare;
-            power = power.checked_mul(2)?;
-            lam = 0;
-        }
-        hare = match step(hare) {
-            Some(c) => c,
-            None => return terminated_fallback(),
-        };
-        lam += 1;
-    }
-
-    // minimal preperiod μ: advance one pointer λ steps, then walk both
-    // (the sequence is infinite from here on: a halt would have surfaced
-    // before any configuration could repeat)
-    let mut mu: u64 = 0;
-    tortoise = cfg0;
-    hare = cfg0;
-    for _ in 0..lam {
-        hare = step(hare)?;
-    }
-    while tortoise != hare {
-        tortoise = step(tortoise)?;
-        hare = step(hare)?;
-        mu += 1;
-    }
-
-    // Move-boundary cut normalisation.  A cut at decision index m is valid
-    // when *every* copy seam round(m + k·λ), k ≥ 0, is opened by a move —
-    // i.e. decision m − 1 is a move (prefix boundary; vacuous at m = 0) and
-    // decision m + λ − 1 is a move (the periodic seam: decisions at indices
-    // ≥ μ repeat with period λ, so one check covers all k ≥ 1).  Scan one
-    // period for the decision kinds; absent any move the tail is parked.
-    let mut cfg = cfg0;
-    let mut last_prefix_move = false; // was decision μ − 1 a move?
-    for _ in 0..mu {
-        match advance(cfg) {
-            Advance::Go { next, moved, .. } => {
-                cfg = next;
-                last_prefix_move = moved;
+    // Brent: minimal period λ of the configuration sequence, or the known
+    // cycle its hare reaches first (an empty index is not consulted)
+    let known = cycles.map(CycleIndex::read).filter(|known| !known.cycles.is_empty());
+    let search = brent(cfg0, advance, |cfg| known.as_ref().and_then(|known| known.find(cfg)));
+    drop(known);
+    // a join's known cycle and the position its walk reached it at; the
+    // configurations and decision kinds a full search scans past μ, which
+    // it publishes
+    let (entry, joined, found) = match search {
+        Search::Halted => return terminated_fallback(),
+        Search::Exhausted => return None,
+        Search::Joined { mu, cycle, position, moved } => {
+            let lam = cycle.moves.len() as u64;
+            if brent_cost(mu, lam) > DETECT_BUDGET {
+                // the search this join stands for would have run out
+                return None;
             }
-            Advance::Halt => unreachable!("halting runs never reach the cycle phase"),
+            (cycle.entry(mu, position, moved), Some((cycle, position)), None)
         }
-    }
-    let mut first_cycle_move: Option<u64> = None; // smallest j ∈ [μ, μ+λ) with a move
-    let mut last_cycle_move = false; // is decision μ + λ − 1 a move?
-    let mut probe = cfg;
-    for j in 0..lam {
-        match advance(probe) {
-            Advance::Go { next, moved, .. } => {
-                if moved && first_cycle_move.is_none() {
-                    first_cycle_move = Some(mu + j);
+        Search::Period(lam) => {
+            // minimal preperiod μ: advance one pointer λ steps, then walk
+            // both (the sequence is infinite from here on: a halt would
+            // have surfaced before any configuration could repeat)
+            let mut mu: u64 = 0;
+            let (mut tortoise, mut hare) = (cfg0, cfg0);
+            for _ in 0..lam {
+                hare = step(hare)?;
+            }
+            while tortoise != hare {
+                tortoise = step(tortoise)?;
+                hare = step(hare)?;
+                mu += 1;
+            }
+            // scan decision μ − 1 and one period for the decision kinds
+            // the cut reads (absent any move the tail is parked)
+            let mut cfg = cfg0;
+            let mut last_prefix_move = false;
+            for _ in 0..mu {
+                match advance(cfg) {
+                    Advance::Go { next, moved, .. } => (cfg, last_prefix_move) = (next, moved),
+                    Advance::Halt => unreachable!("halting runs never reach the cycle phase"),
                 }
-                last_cycle_move = moved;
-                probe = next;
             }
-            Advance::Halt => unreachable!("halting runs never reach the cycle phase"),
+            let mut found = cycles.map(|_| (Vec::new(), Vec::new()));
+            let mut entry =
+                Entry { mu, lam, last_prefix_move, first_cycle_move: None, last_cycle_move: false };
+            for j in 0..lam {
+                match advance(cfg) {
+                    Advance::Go { next, moved, .. } => {
+                        if moved && entry.first_cycle_move.is_none() {
+                            entry.first_cycle_move = Some(mu + j);
+                        }
+                        entry.last_cycle_move = moved;
+                        if let Some((keys, moves)) = found.as_mut() {
+                            keys.push(cfg.key());
+                            moves.push(moved);
+                        }
+                        cfg = next;
+                    }
+                    Advance::Halt => unreachable!("halting runs never reach the cycle phase"),
+                }
+            }
+            (entry, None, found)
         }
-    }
+    };
 
     // replay `decisions` decisions from `cfg` into the recording sink
     // (waits coalesce, moves open segments), returning the configuration
@@ -846,15 +1124,15 @@ fn detect(
     };
     let mut sink = RecordSink::new(start);
 
-    match first_cycle_move {
+    let (timeline, cut) = match entry.cut() {
         None => {
             // no move inside the cycle: the walker parks forever at its
             // current node after its last move (decisions ≥ μ never move),
             // so the prefix ends where the last segment starts
-            replay(&mut sink, cfg0, mu);
+            replay(&mut sink, cfg0, entry.mu);
             let RecordSink { starts, mut nodes, .. } = sink;
             let parked = nodes.pop().expect("non-empty");
-            Some(SymbolicTimeline {
+            let timeline = SymbolicTimeline {
                 n,
                 preperiod: *starts.last().expect("non-empty"),
                 period: 0,
@@ -862,55 +1140,75 @@ fn detect(
                 prefix: TimelineParts { starts, nodes },
                 cycle: TimelineParts { starts: vec![0, 1], nodes: vec![parked] },
                 rounds: OnceLock::new(),
-            })
+            };
+            (timeline, entry.mu)
         }
-        Some(j) => {
-            // earliest valid cut: m = μ when both seam decisions are moves,
-            // else right after the first in-cycle move (decision j is
-            // periodic, so every later seam repeats it)
-            let mu_cut_valid = last_cycle_move && (mu == 0 || last_prefix_move);
-            let m = if mu_cut_valid { mu } else { j + 1 };
+        Some(m) => {
             let at_cut = replay(&mut sink, cfg0, m);
-            let cut_time = sink.end - 1;
-            replay(&mut sink, at_cut, lam);
-            // the final replayed decision (a move, by cut validity) opened
-            // the first segment of the *next* copy; drop its node — its
-            // start is the end of the cycle's last segment
-            let RecordSink { mut starts, mut nodes, .. } = sink;
-            let overshoot = nodes.pop().expect("replay ends on a move landing");
-            let period = starts.last().expect("non-empty") - cut_time;
+            let cycle = match &joined {
+                // a joined walk's cycle decisions are the known cycle's, so
+                // its segments are the known columns from the cut on
+                Some((known, position)) => {
+                    known.rotated(((*position as u64 + m - entry.mu) % entry.lam) as usize)
+                }
+                None => {
+                    // the final replayed decision (a move, by cut validity)
+                    // opens the first segment of the *next* copy; drop its
+                    // node — its start is the end of the cycle's last
+                    // segment, the period
+                    let mut ring = RecordSink::new(at_cut.node);
+                    replay(&mut ring, at_cut, entry.lam);
+                    let RecordSink { starts, mut nodes, .. } = ring;
+                    let overshoot = nodes.pop().expect("replay ends on a move landing");
+                    debug_assert_eq!(
+                        overshoot, nodes[0],
+                        "one period later the walker re-enters the cycle's first node"
+                    );
+                    TimelineParts { starts, nodes }
+                }
+            };
+            let period = *cycle.starts.last().expect("non-empty");
             if period == 0 {
                 // a cycle of zero-duration waits makes no progress in round
                 // space; explicit simulation would diverge too — give up
                 return None;
             }
-            let cut_seg = starts.partition_point(|&s| s < cut_time);
-            debug_assert_eq!(
-                starts[cut_seg], cut_time,
-                "the cut lands on a move-opened segment boundary"
-            );
-            debug_assert_eq!(
-                overshoot, nodes[cut_seg],
-                "one period later the walker re-enters the cycle's first node"
-            );
-            // the cycle rebased to local round 0, its sentinel the period;
-            // the prefix keeps the cut's start as its sentinel
-            let cycle = TimelineParts {
-                starts: starts[cut_seg..].iter().map(|&s| s - cut_time).collect(),
-                nodes: nodes.split_off(cut_seg),
-            };
-            starts.truncate(cut_seg + 1);
-            Some(SymbolicTimeline {
+            // the prefix keeps the cut's start as its sentinel; the segment
+            // the cut opened is the cycle's first
+            let RecordSink { starts, mut nodes, .. } = sink;
+            let entered = nodes.pop().expect("the cut opens a segment");
+            debug_assert_eq!(entered, cycle.nodes[0], "the cut lands on the cycle's first node");
+            let timeline = SymbolicTimeline {
                 n,
-                preperiod: cut_time,
+                preperiod: *starts.last().expect("non-empty"),
                 period,
                 tail: SymbolicTail::Cycle,
                 prefix: TimelineParts { starts, nodes },
                 cycle,
                 rounds: OnceLock::new(),
-            })
+            };
+            (timeline, m)
         }
+    };
+
+    // a full search counts the cycle it found and publishes it, positions
+    // counted from its cut, unless a concurrent detection published it
+    // first; a join counts nothing
+    let new = match (cycles, found) {
+        (Some(cycles), Some((mut keys, mut moves))) => {
+            let origin = ((cut - entry.mu) % entry.lam) as usize;
+            keys.rotate_left(origin);
+            moves.rotate_left(origin);
+            let cycle = timeline.cycle.clone();
+            cycles.publish(&keys, KnownCycle { moves, period: timeline.period, cycle })
+        }
+        (Some(_), None) => false,
+        (None, _) => true,
+    };
+    if new && anonrv_obs::enabled() {
+        anonrv_obs::counter_add("symbolic.cycles", 1);
     }
+    Some(timeline)
 }
 
 /// Greatest common divisor (Euclid).
@@ -1100,7 +1398,7 @@ mod tests {
     use crate::navigator::{drive_finite_state, AgentProgram, StepDecision};
     use crate::workload::SweepWalker;
     use anonrv_graph::generators::{
-        circulant, grid, oriented_ring, oriented_torus, symmetric_double_tree,
+        circulant, grid, lollipop, oriented_ring, oriented_torus, star, symmetric_double_tree,
     };
 
     /// Always traverse port 0; machine state is constant.
@@ -1270,6 +1568,50 @@ mod tests {
     }
 
     impl AgentProgram for KThenSlow {
+        fn run(&self, nav: &mut dyn Navigator) -> Result<(), Stop> {
+            drive_finite_state(self, nav)
+        }
+        fn finite_state(&self) -> Option<&dyn FiniteStateProgram> {
+            Some(self)
+        }
+    }
+
+    /// On a star, the centre enters a three-decision cycle at once: out to
+    /// leaf 1, back, one wait.  A leaf first waits `idle` decisions, walks to
+    /// the centre and on to leaf 1, and *waits* into the cycle's leaf
+    /// configuration, which the cycle itself reaches by a move.
+    struct IdleLeaves(u64);
+
+    impl IdleLeaves {
+        /// The cycle's states (at leaf 1, at the centre, waited at the
+        /// centre), then a leaf's way in (at the centre, at leaf 1).
+        const OUT: u64 = 1 << 40;
+        const BACK: u64 = Self::OUT + 1;
+        const WAITED: u64 = Self::OUT + 2;
+        const CENTRE: u64 = Self::OUT + 3;
+        const LEAF: u64 = Self::OUT + 4;
+    }
+
+    impl FiniteStateProgram for IdleLeaves {
+        fn initial_state(&self) -> u64 {
+            0
+        }
+        fn decide(&self, state: u64, degree: usize, _entry: Option<Port>) -> StepDecision {
+            let (action, next) = match state {
+                Self::OUT => (StepAction::Move(0), Self::BACK),
+                Self::BACK => (StepAction::Wait(1), Self::WAITED),
+                Self::WAITED => (StepAction::Move(0), Self::OUT),
+                Self::CENTRE => (StepAction::Move(0), Self::LEAF),
+                Self::LEAF => (StepAction::Wait(1), Self::OUT),
+                0 if degree > 1 => (StepAction::Move(0), Self::OUT),
+                s if s < self.0 => (StepAction::Wait(1), s + 1),
+                _ => (StepAction::Move(0), Self::CENTRE),
+            };
+            StepDecision { action, next }
+        }
+    }
+
+    impl AgentProgram for IdleLeaves {
         fn run(&self, nav: &mut dyn Navigator) -> Result<(), Stop> {
             drive_finite_state(self, nav)
         }
@@ -1812,5 +2154,139 @@ mod tests {
             s.cycle().clone(),
         )
         .is_err());
+    }
+
+    /// The starts `0..n` in a fixed pseudo-random order (Fisher–Yates
+    /// driven by a 64-bit LCG).
+    fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut x = seed;
+        for i in (1..n).rev() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            order.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        order
+    }
+
+    /// A trajectory cache's detections share the cycles they find, and
+    /// every timeline it hands out is the standalone detection's at the
+    /// start's representative, field for field, whatever order the starts
+    /// detect in: forward, reversed, shuffled, or two threads racing
+    /// through opposite orders (so both may search one cycle, and one of
+    /// the publishes is skipped).  The graphs have several node orbits
+    /// (the ring, one), and every tail kind occurs; `IdleLeaves` makes
+    /// leaves wait into a cycle its centre entered by a move.
+    #[test]
+    fn shared_cycles_give_every_start_its_standalone_detection_in_any_order() {
+        let programs: &[&dyn FiniteStateProgram] = &[
+            &Rotor,
+            &WaitMover,
+            &KThenPark(0),
+            &KThenPark(3),
+            &KThenHalt(3),
+            &ModRotor(5),
+            &SlowRotor(1 << 80),
+            &KThenSlow(3),
+            &IdleLeaves(5),
+            &SweepWalker { seed: 0x5EED },
+        ];
+        let graphs = [
+            grid(3, 3).unwrap(),
+            star(4).unwrap(),
+            lollipop(3, 2).unwrap(),
+            symmetric_double_tree(2, 1).unwrap().0,
+            oriented_ring(6).unwrap(),
+        ];
+        let mut shared = 0;
+        for g in &graphs {
+            let n = g.num_nodes();
+            for &program in programs {
+                let standalone: Vec<_> = (0..n).map(|u| detect_symbolic(g, program, u)).collect();
+                let orders =
+                    [(0..n).collect(), (0..n).rev().collect(), shuffled(n, 0x5EED), shuffled(n, 7)];
+                let check = |cache: &TrajectoryCache<'_>, order: &str| {
+                    for u in 0..n {
+                        let rep = cache.node_orbits().representative(u);
+                        assert_eq!(
+                            cache.symbolic_timeline(u),
+                            standalone[rep].as_ref(),
+                            "start {u} on {n} nodes, {order} order"
+                        );
+                    }
+                };
+                for order in &orders {
+                    let cache = TrajectoryCache::new(g, program, 1 << 40);
+                    for &u in order {
+                        cache.symbolic_timeline(u);
+                    }
+                    check(&cache, &format!("{order:?}"));
+                    let cyclic = cache.computed_symbolic_timelines();
+                    let cyclic = cyclic.filter(|(_, s)| s.tail() != SymbolicTail::Terminated);
+                    shared += cyclic.count().saturating_sub(cache.published_cycles());
+                }
+                let cache = TrajectoryCache::new(g, program, 1 << 40);
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        for u in 0..n {
+                            cache.symbolic_timeline(u);
+                        }
+                    });
+                    scope.spawn(|| {
+                        for u in (0..n).rev() {
+                            cache.symbolic_timeline(u);
+                        }
+                    });
+                });
+                check(&cache, "racing");
+            }
+        }
+        assert!(shared > 0, "some detections joined a cycle another one published");
+    }
+
+    /// A join answers `None` exactly where the search it stands for would
+    /// have run out: Brent's tortoise rests at `2^k − 1`, the least with
+    /// `2^k − 1 ≥ μ` and `2^k ≥ λ`, so a star leaf of `IdleLeaves` (λ = 3,
+    /// μ = idle + 3) overruns [`DETECT_BUDGET`] = 2^21 from μ = 2^20 on.
+    /// Its walk reaches the cycle the centre published well within the
+    /// budget, so only the closed form can refuse the join.
+    #[test]
+    fn a_join_fails_exactly_where_the_standalone_search_runs_out() {
+        let g = star(2).unwrap();
+        for (idle, converges) in [((1 << 20) - 4, true), ((1 << 20) - 3, false)] {
+            let program = IdleLeaves(idle);
+            let cache = TrajectoryCache::new(&g, &program, 1 << 40);
+            assert!(cache.symbolic_timeline(0).is_some(), "the centre enters its cycle at once");
+            assert_eq!(cache.published_cycles(), 1);
+            for leaf in [1, 2] {
+                let standalone = detect_symbolic(&g, &program, leaf);
+                assert_eq!(standalone.is_some(), converges, "idle {idle}, leaf {leaf}");
+                assert_eq!(cache.symbolic_timeline(leaf), standalone.as_ref(), "leaf {leaf}");
+            }
+            assert_eq!(cache.published_cycles(), 1, "the leaves joined, never searched");
+        }
+    }
+
+    /// Two searches of one cycle can both finish before either publishes
+    /// (the racing threads above may or may not interleave so): the
+    /// second publish, from another cut of the same cycle, writes nothing.
+    #[test]
+    fn a_cycle_searched_twice_is_published_once() {
+        let g = grid(3, 3).unwrap();
+        let index = CycleIndex::default();
+        assert!(detect_in(&g, &Rotor, 0, Some(&index)).is_some());
+        let known = index.read();
+        let mut by_position: Vec<_> = known.positions.iter().map(|(&k, &(_, p))| (p, k)).collect();
+        by_position.sort_unstable();
+        let mut keys: Vec<_> = by_position.into_iter().map(|(_, key)| key).collect();
+        keys.rotate_left(1);
+        let first = &known.cycles[0];
+        let again = KnownCycle {
+            moves: first.moves.clone(),
+            period: first.period,
+            cycle: first.cycle.clone(),
+        };
+        drop(known);
+        assert!(!index.publish(&keys, again), "the cycle is already known");
+        assert_eq!((index.len(), index.read().positions.len()), (1, keys.len()));
     }
 }

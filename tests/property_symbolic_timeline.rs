@@ -18,9 +18,13 @@
 //!   horizons, including ones beyond each walker's cycle alignment window.
 //!   The grid's group is trivial, so every query there is unmapped and two
 //!   dense timelines decide it by comparing their round columns; the ring
-//!   and the torus keep covering the walk through a node map.
+//!   and the torus keep covering the walk through a node map;
+//! * a trajectory cache's detections share the cycles they find, yet every
+//!   start's timeline must be the standalone `detect_symbolic` at its
+//!   representative, in any detection order.
 
 use proptest::prelude::*;
+use rayon::prelude::*;
 
 use anonrv_graph::generators::{grid, oriented_ring, oriented_torus, random_connected};
 use anonrv_sim::{
@@ -113,6 +117,57 @@ proptest! {
             "start {} horizon {} walker {} (preperiod {}, period {})",
             start, h, walker_seed, s.preperiod(), s.period()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A walk that reaches a cycle an earlier detection published joins it
+    /// instead of searching; every start's timeline must still be the
+    /// standalone detection's at its representative, field for field,
+    /// whether the starts detect forward, reversed, shuffled or through a
+    /// rayon sweep of the shuffled order.
+    #[test]
+    fn shared_cycle_detections_equal_standalone_detection_in_any_order(
+        n in 2usize..14,
+        extra in 0usize..6,
+        graph_seed in 0u64..200,
+        walker_seed in 0u64..1_000,
+        order_seed in 0u64..1_000,
+    ) {
+        let extra = extra.min(n * (n - 1) / 2 - (n - 1));
+        let g = random_connected(n, extra, graph_seed).unwrap();
+        let program = SweepWalker { seed: walker_seed };
+        let standalone: Vec<_> = (0..n).map(|u| detect_symbolic(&g, &program, u)).collect();
+        let mut shuffled: Vec<usize> = (0..n).collect();
+        let mut x = order_seed;
+        for i in (1..n).rev() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            shuffled.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        let orders = [(0..n).collect(), (0..n).rev().collect(), shuffled.clone()];
+        let caches: Vec<TrajectoryCache<'_>> = (0..4)
+            .map(|_| TrajectoryCache::new(&g, &program, 1 << 40))
+            .collect();
+        for (cache, order) in caches.iter().zip(&orders) {
+            for &u in order {
+                cache.symbolic_timeline(u);
+            }
+        }
+        shuffled.par_iter().for_each(|&u| {
+            caches[3].symbolic_timeline(u);
+        });
+        for (way, cache) in ["forward", "reversed", "shuffled", "rayon"].iter().zip(&caches) {
+            for u in 0..n {
+                let rep = cache.node_orbits().representative(u);
+                prop_assert_eq!(
+                    cache.symbolic_timeline(u),
+                    standalone[rep].as_ref(),
+                    "start {} detected {} (walker {})", u, way, walker_seed
+                );
+            }
+        }
     }
 }
 
